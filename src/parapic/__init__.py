@@ -41,6 +41,7 @@ from .covers import (
 from .descent import (
     CGReport,
     DescentCertificate,
+    best_lcmai_bound,
     certify_descent,
     compute_cG,
     iwahori_theorem,
@@ -75,7 +76,6 @@ from .factorization import (
     CASE4_LITERAL,
     BaseCase,
     DecompositionWitness,
-    best_lcmai_bound,
     degenerate_gsd3,
     lcmai_bound,
     pair_partition_gsd2,

@@ -102,17 +102,8 @@ def _cmd_picard_check(args) -> str:
     return _emit(args, payload, human)
 
 
-def _parse_group(name: str) -> covers.FiniteGroup:
-    try:
-        return covers.group_from_name(name)
-    except ParapicError:
-        raise
-    except KeyError:  # pragma: no cover
-        raise ParseError(f"unknown group {name!r}")
-
-
 def _cmd_covers_genus(args) -> str:
-    gamma = _parse_group(args.group)
+    gamma = covers.group_from_name(args.group)
     mono = covers.parse_tuple(args.tuple)
     shape = covers.genus_riemann_hurwitz(args.base_genus, gamma, mono)
     payload = {"genus": shape.genus, "components": shape.component_count}
@@ -124,7 +115,7 @@ def _cmd_covers_genus(args) -> str:
 
 
 def _cmd_covers_connected(args) -> str:
-    gamma = _parse_group(args.group)
+    gamma = covers.group_from_name(args.group)
     r = covers.RamificationVector(gamma, covers.parse_tuple(args.tuple))
     conn = covers.is_connected_genus0(r)
     return _emit(
@@ -133,7 +124,7 @@ def _cmd_covers_connected(args) -> str:
 
 
 def _cmd_covers_enumerate(args) -> str:
-    gamma = _parse_group(args.group)
+    gamma = covers.group_from_name(args.group)
     classes = _split_specs(args.classes)
     count, tuples = covers.enumerate_tuples(
         gamma, classes, connected_only=args.connected

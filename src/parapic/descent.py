@@ -8,12 +8,16 @@ asserts non-descent.
 
 `compute_cG` combines the divisor lower bound c_Delta with a search for
 the cheapest certified charge; the report carries an exact value only
-when the two coincide.
+when the two coincide.  For degree-2 groups that search, and the
+pinching bound `best_lcmai_bound`, run over the admissible pairings
+listed by :mod:`parapic.pairing`.
 """
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from itertools import product as iproduct
 from math import lcm
 
@@ -31,6 +35,7 @@ from .errors import (
     NoCoverError,
     NotDominantError,
     NotInPicDeltaError,
+    PairingError,
 )
 from .factorization import (
     CLOSED_FORM_A,
@@ -38,7 +43,9 @@ from .factorization import (
     UNTWISTED_VACUUM,
     BaseCase,
     DecompositionWitness,
+    _gsd2_sides,
     degenerate_gsd3,
+    free_labels,
     pair_involution,
     pair_partition_gsd2,
     pq_sets_for_points,
@@ -58,6 +65,7 @@ from .picard import (
     vacuum_bundle,
     validate_bundle,
 )
+from .pairing import has_perfect_matching, perfect_matchings
 from .verlinde import rank_lower_bound
 
 DESCENDS = "Descends"
@@ -131,10 +139,8 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
             "bundle charges disagree across points: "
             + ", ".join(f"{lab}: {charges[lab]}" for lab in sorted(charges))
         )
-    ok, charge = is_pic_delta(d, b)
-    if not ok:  # pragma: no cover - covered by the explicit check above
-        raise NotInPicDeltaError("bundle is not in the charge lattice")
-    if charge is None or charge <= 0:
+    charge = distinct[0] if distinct else 0
+    if charge <= 0:
         raise DomainError(
             f"descent certification needs a positive central charge, got {charge}"
         )
@@ -156,18 +162,20 @@ def _handle_shadow_points(d: GroupDatum, count: int) -> list[PointDatum]:
     if count == 0:
         return []
     base = _common_base(d)
-    used = {p.label for p in d.points}
-    out = []
-    i = 1
-    while len(out) < count:
-        lab = f"_handle{i}"
-        if lab not in used:
-            out.append(
-                PointDatum(label=lab, affine_type=twisted_type(base, 1),
-                           facet=frozenset({0}))
-            )
-        i += 1
-    return out
+    return [
+        PointDatum(label=lab, affine_type=twisted_type(base, 1),
+                   facet=frozenset({0}))
+        for lab in free_labels({p.label for p in d.points}, "_handle", count)
+    ]
+
+
+def _with_handle_shadows(d: GroupDatum) -> GroupDatum:
+    """The datum with each handle pinched to two vacuum shadow points."""
+    shadows = _handle_shadow_points(d, 2 * d.base_genus)
+    if not shadows:
+        return d
+    return GroupDatum(base_genus=d.base_genus, gamma=d.gamma,
+                      points=tuple(d.points) + tuple(shadows))
 
 
 def _weight_fn(d: GroupDatum, b: WeightBundle, charge: int):
@@ -238,16 +246,12 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
         )
         w.steps.append({"op": "closed-form", "g": g, "n": n, "r": r})
         return w
-    shadows = _handle_shadow_points(d, 2 * d.base_genus)
-    aug = d
-    if shadows:
-        aug = GroupDatum(base_genus=d.base_genus, gamma=d.gamma,
-                         points=tuple(d.points) + tuple(shadows))
+    aug = _with_handle_shadows(d)
     part = pair_partition_gsd2(aug, branch_pairing=branch_pairing,
                                split_pairing=split_pairing)
     wt = _weight_fn(d, b, charge)
     w = DecompositionWitness()
-    if shadows:
+    if d.base_genus:
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
     if part.aux_points:
         w.steps.append(
@@ -290,19 +294,10 @@ def _route_gsd6(d, b, charge) -> DecompositionWitness:
                 "no connected S3 cover of a genus-1 base with all "
                 "monodromies trivial"
             )
-        used = set(labels)
-        counter = 1
-
-        def next_handle() -> str:
-            nonlocal counter
-            while f"_handle{counter}" in used:
-                counter += 1
-            lab = f"_handle{counter}"
-            used.add(lab)
-            return lab
+        handles = iter(free_labels(set(labels), "_handle", 2 * d.base_genus))
 
         def add_shadow(value) -> None:
-            lab = next_handle()
+            lab = next(handles)
             elements.append(value)
             labels.append(lab)
             weight_map[lab] = vacuum_weight(charge)
@@ -409,79 +404,180 @@ def iwahori_theorem(d: GroupDatum) -> DescentCertificate:
     return cert
 
 
+def _pinch_options(side, split: bool) -> dict:
+    """The pinchable pairs of one side of a C2 datum, with their choices.
+
+    Maps (i, j), i < j in side order, to the tuple of choices (vertex at
+    side[i], vertex at side[j], dual label): common facet vertices (P)
+    for branch pairs, dual-matched ones (Q) for split pairs.  Pairs of
+    different types, or with no choice, are not pinchable and absent.
+    """
+    table = {}
+    for j, y in enumerate(side):
+        for i in range(j):
+            x = side[i]
+            try:
+                p_set, q_set = pq_sets_for_points(x, y)
+            except DomainError:
+                continue
+            labels = x.affine_type.dual_labels
+            if split:
+                inv = pair_involution(x.affine_type)
+                opts = tuple((v, inv(v), labels[v]) for v in q_set)
+            else:
+                opts = tuple((v, v, labels[v]) for v in p_set)
+            if opts:
+                table[i, j] = opts
+    return table
+
+
+def _pinch_tables(d):
+    """The branch side and the (padded) split side of a C2 datum, each
+    with its table of pinchable pairs."""
+    branch, others, aux = _gsd2_sides(d)
+    split = others + aux
+    return (branch, _pinch_options(branch, False)), (split, _pinch_options(split, True))
+
+
 def _gsd2_candidates(d, budget):
     """Single-vertex bundle candidates from pinching pairings.
 
-    Yields (charge, bundle, branch_pairing, split_pairing) with each
-    pair of points assigned one common (or dual-matched) vertex; the
+    Yields (charge, kwargs, pairs, picks) for the first max(8 * budget, 1)
+    candidates in matching order: branch matchings, then split matchings,
+    then one choice per pair in product order.  ``kwargs`` holds the two
+    pairings as label pairs, ``pairs`` the point pairs (branch first) and
+    ``picks`` the matching (vertex, vertex, dual label) choices; the
     charge is the lcm of the chosen dual labels.
     """
-    from .factorization import _gsd2_sides, _perfect_matchings
-
-    shadows = _handle_shadow_points(d, 2 * d.base_genus)
-    aug = d
-    if shadows:
-        aug = GroupDatum(base_genus=d.base_genus, gamma=d.gamma,
-                         points=tuple(d.points) + tuple(shadows))
+    aug = _with_handle_shadows(d)
     try:
-        branch, others, aux = _gsd2_sides(aug)
+        (branch, btab), (split, stab) = _pinch_tables(aug)
     except (NoCoverError, DomainError):
         return
-    split_side = others + aux
-    real = {p.label for p in d.points}
+    cap = max(8 * budget, 1)
+    # each pairing gives at least one candidate, so cap split matchings do
+    split_matchings = list(islice(perfect_matchings(len(split), stab), cap))
+    if not split_matchings:
+        return
     out = 0
-    for bp in _perfect_matchings(branch):
-        for sp in _perfect_matchings(split_side):
-            pair_opts = []
-            ok = True
-            for x, y in bp:
-                try:
-                    p_set, _ = pq_sets_for_points(x, y)
-                except DomainError:
-                    ok = False
-                    break
-                if not p_set:
-                    ok = False
-                    break
-                pair_opts.append(("P", x, y, p_set))
-            if ok:
-                for x, y in sp:
-                    try:
-                        _, q_set = pq_sets_for_points(x, y)
-                    except DomainError:
-                        ok = False
-                        break
-                    if not q_set:
-                        ok = False
-                        break
-                    pair_opts.append(("Q", x, y, q_set))
-            if not ok:
-                continue
-            for picks in iproduct(*(opt[3] for opt in pair_opts)):
-                charge = lcm(
-                    *(opt[1].affine_type.dual_labels[i]
-                      for opt, i in zip(pair_opts, picks))
-                ) if pair_opts else 1
-                weights: dict[str, dict[int, int]] = {}
-                for (side, x, y, _opts), i in zip(pair_opts, picks):
-                    a = x.affine_type.dual_labels[i]
-                    if x.label in real:
-                        weights[x.label] = {i: charge // a}
-                    j = i if side == "P" else pair_involution(x.affine_type)(i)
-                    if y.label in real:
-                        weights[y.label] = {j: charge // a}
-                if set(weights) != real:
-                    continue
-                bundle = WeightBundle.from_dict(weights)
-                yield (
-                    charge,
-                    bundle,
-                    [(x.label, y.label) for x, y in bp],
-                    [(x.label, y.label) for x, y in sp],
-                )
+    for bm in perfect_matchings(len(branch), btab):
+        for sm in split_matchings:
+            pairs = [(branch[i], branch[j]) for i, j in bm]
+            pairs += [(split[i], split[j]) for i, j in sm]
+            kwargs = {
+                "branch_pairing": [(x.label, y.label) for x, y in pairs[: len(bm)]],
+                "split_pairing": [(x.label, y.label) for x, y in pairs[len(bm) :]],
+            }
+            options = [btab[e] for e in bm] + [stab[e] for e in sm]
+            for picks in iproduct(*options):
+                yield lcm(*(a for _vx, _vy, a in picks)), kwargs, pairs, picks
                 out += 1
-                if out >= 8 * budget:
+                if out >= cap:
                     return
+
+
+def _staged_gsd2(d, budget):
+    """The pairing candidates in certification order, lazily.
+
+    Yields (charge, weights, kwargs) sorted by (charge, bundle JSON,
+    pairing JSON), sorting one charge only when the search reaches it.
+    A candidate sets one vertex at every point, so the bundle JSONs of
+    one charge list the same labels in the same order and differ only in
+    the per-point objects ``{"v": n}``.  Each of those ends at its only
+    closing brace, so the tuple of per-point JSON objects orders the
+    candidates exactly as the whole bundle JSON does, without building
+    it.
+    """
+    labels = sorted(p.label for p in d.points)
+    real = set(labels)
+    point_json: dict[tuple[int, int], str] = {}
+    pairing_json: dict[int, str] = {}  # by id of the shared kwargs
+    by_charge = defaultdict(list)
+    for charge, kwargs, pairs, picks in _gsd2_candidates(d, budget):
+        by_charge[charge].append((kwargs, pairs, picks))
+    for charge in sorted(by_charge):
+        staged = []
+        for kwargs, pairs, picks in by_charge[charge]:
+            chosen = {}
+            for (x, y), (vx, vy, a) in zip(pairs, picks):
+                chosen[x.label] = (vx, charge // a)
+                chosen[y.label] = (vy, charge // a)
+            key = []
+            for lab in labels:
+                vn = chosen[lab]
+                if vn not in point_json:
+                    point_json[vn] = json.dumps({str(vn[0]): vn[1]})
+                key.append(point_json[vn])
+            if id(kwargs) not in pairing_json:
+                pairing_json[id(kwargs)] = json.dumps(sorted(kwargs.items()),
+                                                      default=str)
+            staged.append((key, pairing_json[id(kwargs)], chosen, kwargs))
+        staged.sort(key=lambda c: c[:2])
+        for _key, _pairing, chosen, kwargs in staged:
+            weights = {lab: {v: n} for lab, (v, n) in chosen.items() if lab in real}
+            yield charge, weights, kwargs
+
+
+def best_lcmai_bound(d) -> int:
+    """A divisor of every descending charge, from C2 pinchings.
+
+    For each perfect matching of the branch side and of the split side,
+    every choice of vertex per pair (from P for branch pairs, Q for
+    split pairs) certifies that the lcm of the chosen dual labels bounds
+    the charge from below in divisibility terms.  The best sound bound
+    is the gcd over all certified values and all admissible pairings.
+
+    Its valuation at a prime p is a bottleneck value: the least t such
+    that both sides have a perfect matching whose every pair offers a
+    label of valuation <= t.  One matching-existence test per side,
+    prime and threshold decides it, so the bound takes polynomial time.
+    """
+    if d.gamma.kind != "C2":
+        raise DomainError(f"lcm bound needs Galois group C2, got {d.gamma.kind}")
+    sides = _pinch_tables(d)
+    if not all(has_perfect_matching(len(side), table) for side, table in sides):
+        raise PairingError(
+            "pairing inadmissible: every pairing leaves some pair with no "
+            "shared vertex"
+        )
+    labels = {a for _side, table in sides for opts in table.values()
+              for _vx, _vy, a in opts}
+
+    def feasible(p: int, t: int) -> bool:
+        return all(
+            has_perfect_matching(len(side), [
+                e for e, opts in table.items()
+                if min(_valuation(a, p) for _vx, _vy, a in opts) <= t
+            ])
+            for side, table in sides
+        )
+
+    bound = 1
+    for p in sorted({q for a in labels for q in _prime_factors(a)}):
+        # the largest level admits every pair, which is feasible
+        levels = sorted({_valuation(a, p) for a in labels})
+        bound *= p ** next(t for t in levels if feasible(p, t))
+    return bound
+
+
+def _valuation(a: int, p: int) -> int:
+    k = 0
+    while a % p == 0:
+        a //= p
+        k += 1
+    return k
+
+
+def _prime_factors(a: int) -> set[int]:
+    out, q = set(), 2
+    while q * q <= a:
+        while a % q == 0:
+            out.add(q)
+            a //= q
+        q += 1
+    if a > 1:
+        out.add(a)
+    return out
 
 
 def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
@@ -535,17 +631,13 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
         if cb is not None:
             done = try_candidate(cb)
     if not done and d.gamma.kind == "C2" and d.points:
-        staged: list[tuple[int, str, WeightBundle, dict]] = []
-        for charge, bundle, bp, sp in _gsd2_candidates(d, budget):
-            ser = json.dumps(bundle_to_json(bundle), sort_keys=True)
-            kwargs = {"branch_pairing": bp, "split_pairing": sp}
-            staged.append((charge, ser, bundle, kwargs))
-        staged.sort(key=lambda c: (c[0], c[1], json.dumps(
-            sorted(c[3].items()), default=str)))
-        for charge, _ser, bundle, kwargs in staged:
-            if attempts >= max(budget, 1):
+        for charge, weights, kwargs in _staged_gsd2(d, budget):
+            # sorted by charge: once one certifies, no later one can win
+            if attempts >= max(budget, 1) or (
+                best is not None and charge >= best.charge
+            ):
                 break
-            if try_candidate(bundle, **kwargs):
+            if try_candidate(WeightBundle.from_dict(weights), **kwargs):
                 break
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None

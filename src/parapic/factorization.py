@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 
 from .covers import (
     C3_PLUS,
@@ -210,6 +210,20 @@ class Gsd2Partition:
     aux_points: tuple[PointDatum, ...]
 
 
+def free_labels(used, prefix: str, count: int) -> list[str]:
+    """The first ``count`` labels ``{prefix}1``, ``{prefix}2``, ... that
+    are not in ``used``: the names of handle shadows and auxiliary points,
+    kept clear of the datum's own labels."""
+    out: list[str] = []
+    i = 1
+    while len(out) < count:
+        lab = f"{prefix}{i}"
+        if lab not in used:
+            out.append(lab)
+        i += 1
+    return out
+
+
 def _gsd2_sides(d):
     """Split points into the degree-2 branch locus and the rest.
 
@@ -230,13 +244,10 @@ def _gsd2_sides(d):
                 "cannot pad the split side: points have mixed base types"
             )
         (base,) = bases
-        used = {p.label for p in d.points}
-        i = 1
-        while f"_aux{i}" in used:
-            i += 1
+        (label,) = free_labels({p.label for p in d.points}, "_aux", 1)
         aux.append(
             PointDatum(
-                label=f"_aux{i}",
+                label=label,
                 affine_type=twisted_type(base, 1),
                 facet=frozenset({0}),
             )
@@ -328,80 +339,6 @@ def lcmai_bound(labels) -> int:
     return lcm(*labels) if labels else 1
 
 
-def _perfect_matchings(items):
-    """All perfect matchings of an even-length list, lazily."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for j in range(len(rest)):
-        pair = (first, rest[j])
-        remaining = rest[:j] + rest[j + 1 :]
-        for tail in _perfect_matchings(remaining):
-            yield (pair,) + tail
-
-
-def best_lcmai_bound(d, max_pairings: int | None = None) -> int:
-    """A divisor of every descending charge, from C2 pinchings.
-
-    For each perfect matching of the branch side and of the split side,
-    every choice of vertex per pair (from P for branch pairs, Q for
-    split pairs) certifies that the lcm of the chosen dual labels bounds
-    the charge from below in divisibility terms.  The best sound bound
-    is the gcd over all certified values and all admissible pairings.
-    """
-    if d.gamma.kind != "C2":
-        raise DomainError(f"lcm bound needs Galois group C2, got {d.gamma.kind}")
-    branch, others, aux = _gsd2_sides(d)
-    split_side = others + aux
-    overall: int | None = None
-    tried = 0
-    any_pairing = False
-    for bp in _perfect_matchings(branch):
-        for sp in _perfect_matchings(split_side):
-            tried += 1
-            if max_pairings is not None and tried > max_pairings:
-                break
-            choice_sets: list[tuple[int, ...]] = []
-            ok = True
-            for x, y in bp:
-                p, _q = pq_sets_for_points(x, y)
-                if not p:
-                    ok = False
-                    break
-                choice_sets.append(
-                    tuple(sorted({x.affine_type.dual_labels[i] for i in p}))
-                )
-            if ok:
-                for x, y in sp:
-                    _p, q = pq_sets_for_points(x, y)
-                    if not q:
-                        ok = False
-                        break
-                    choice_sets.append(
-                        tuple(sorted({x.affine_type.dual_labels[i] for i in q}))
-                    )
-            if not ok:
-                continue
-            any_pairing = True
-            # achievable lcm values over all label choices
-            values = {1}
-            for labels in choice_sets:
-                values = {lcm(v, a) for v in values for a in labels}
-            bound = gcd(*values) if values else 1
-            overall = bound if overall is None else gcd(overall, bound)
-        else:
-            continue
-        break
-    if not any_pairing:
-        raise PairingError(
-            "pairing inadmissible: every pairing leaves some pair with no "
-            "shared vertex"
-        )
-    assert overall is not None
-    return overall
-
-
 # ---------------------------------------------------------------------------
 # gsd = 3: cyclic degenerations
 # ---------------------------------------------------------------------------
@@ -464,13 +401,13 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
                 types=(p.affine_type,),
             )
         )
-    for j in range(2 * d.base_genus):
+    for lab in free_labels({p.label for p in d.points}, "_handle", 2 * d.base_genus):
         w.factors.append(
             BaseCase(
                 kind=UNTWISTED_VACUUM,
                 elements=(IDENTITY,),
                 weights=(vacuum_weight(charge),),
-                labels=(f"_handle{j + 1}",),
+                labels=(lab,),
             )
         )
     if d.base_genus:

@@ -1,0 +1,161 @@
+"""Perfect matchings of small graphs on the vertices 0..n-1.
+
+`has_perfect_matching` decides existence with Edmonds' blossom algorithm
+("Paths, trees, and flowers", 1965): grow an alternating tree from an
+exposed vertex, contract odd cycles (blossoms) into their base, and flip
+the path once it reaches a second exposed vertex.
+
+`perfect_matchings` lists every perfect matching lazily, in the order of
+the plain recursion that pairs the lowest remaining vertex with each
+later remaining vertex in increasing order.  It enters a branch only when
+the remaining vertex set still has a perfect matching; that answer is
+memoized per remaining set, together with one perfect matching of it.
+Removing a pair (i, j) outside that matching frees the two mates, and a
+single augmenting-path search between them decides the branch.  Each
+listed matching therefore costs polynomial time, and a graph with none
+costs one blossom search.
+
+Edges are pairs (i, j) with i != j; matchings are tuples of (i, j) pairs
+with i < j, ordered by i.
+"""
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+
+Matching = tuple[tuple[int, int], ...]
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    return [sorted(s) for s in nbrs]
+
+
+def _augment(adj: list[list[int]], mate: list[int], root: int, alive: int) -> bool:
+    """Search an augmenting path from the exposed vertex ``root`` inside
+    the vertex set ``alive`` (a bitmask); flip it into ``mate`` when found."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for to in adj[v]:
+            if not alive >> to & 1 or base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                # an odd cycle: contract it into its base
+                top = lca(v, to)
+                blossom = [False] * n
+                mark(v, top, to, blossom)
+                mark(to, top, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = top
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    while to != -1:
+                        pv = parent[to]
+                        nxt = mate[pv]
+                        mate[to] = pv
+                        mate[pv] = to
+                        to = nxt
+                    return True
+                outer[mate[to]] = True
+                queue.append(mate[to])
+    return False
+
+
+def _perfect(adj: list[list[int]], alive: int) -> list[int] | None:
+    """A perfect matching of the vertex set ``alive`` as a mate list
+    (-1 outside it), or None when there is none."""
+    mate = [-1] * len(adj)
+    verts = [v for v in range(len(adj)) if alive >> v & 1]
+    for v in verts:
+        if mate[v] == -1:
+            for to in adj[v]:
+                if alive >> to & 1 and mate[to] == -1:
+                    mate[v], mate[to] = to, v
+                    break
+    for v in verts:
+        # an exposed vertex with no augmenting path stays exposed in
+        # every maximum matching
+        if mate[v] == -1 and not _augment(adj, mate, v, alive):
+            return None
+    return mate
+
+
+def has_perfect_matching(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """True when the graph on 0..n-1 with these edges has a perfect matching."""
+    return _perfect(_adjacency(n, edges), (1 << n) - 1) is not None
+
+
+def perfect_matchings(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[Matching]:
+    """Every perfect matching of the graph, lazily, in recursion order
+    (lowest remaining vertex first, its partners in increasing order)."""
+    adj = _adjacency(n, edges)
+    alive = (1 << n) - 1
+    mate = _perfect(adj, alive)
+    if mate is None:
+        return
+    memo: dict[int, list[int] | None] = {alive: mate}
+
+    def child(mate: list[int], i: int, j: int, rest: int) -> list[int] | None:
+        if rest in memo:
+            return memo[rest]
+        sub = mate.copy()
+        a, b = mate[i], mate[j]
+        sub[i] = sub[j] = -1
+        if a != j:
+            # the freed mates a and b need one augmenting path between them
+            sub[a] = sub[b] = -1
+            if not _augment(adj, sub, a, rest):
+                sub = None
+        memo[rest] = sub
+        return sub
+
+    def walk(alive: int, mate: list[int]) -> Iterator[Matching]:
+        if not alive:
+            yield ()
+            return
+        i = (alive & -alive).bit_length() - 1
+        for j in adj[i]:
+            if not alive >> j & 1:
+                continue
+            rest = alive & ~(1 << i | 1 << j)
+            sub = child(mate, i, j, rest)
+            if sub is not None:
+                for tail in walk(rest, sub):
+                    yield ((i, j),) + tail
+
+    yield from walk(alive, mate)

@@ -22,6 +22,11 @@ from .errors import (
 )
 
 
+def _is_int(x) -> bool:
+    """A true integer: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PointDatum:
     label: str
@@ -109,14 +114,18 @@ class WeightBundle:
 
     @staticmethod
     def from_dict(weights: Mapping[str, Mapping[int, int]]) -> "WeightBundle":
+        """Build from per-point {vertex: coefficient} maps; vertices and
+        coefficients must be integers (not bools), zero entries drop."""
+        for lab, m in weights.items():
+            for v, n in m.items():
+                if not (_is_int(v) and _is_int(n)):
+                    raise DomainError(
+                        f"point {lab}: vertex {v!r} and coefficient {n!r} "
+                        "must be integers"
+                    )
         entries = tuple(
             sorted(
-                (
-                    str(lab),
-                    tuple(
-                        sorted((int(v), int(n)) for v, n in m.items() if int(n) != 0)
-                    ),
-                )
+                (str(lab), tuple(sorted((v, n) for v, n in m.items() if n != 0)))
                 for lab, m in weights.items()
             )
         )
@@ -310,7 +319,7 @@ def datum_from_json(obj) -> GroupDatum:
     if _require(obj, "schema", "datum") != SCHEMA_VERSION:
         raise ParseError(f"datum: unsupported schema {obj['schema']!r}")
     genus = _require(obj, "genus", "datum")
-    if not isinstance(genus, int) or genus < 0:
+    if not _is_int(genus) or genus < 0:
         raise ParseError("datum: genus must be a nonnegative integer")
     gamma = covers.group_from_name(str(_require(obj, "group", "datum")))
     points = []
@@ -324,7 +333,7 @@ def datum_from_json(obj) -> GroupDatum:
         label = str(_require(raw, "label", where))
         at = dynkin.parse_affine_type(str(_require(raw, "type", where)))
         facet = _require(raw, "facet", where)
-        if not isinstance(facet, list) or not all(isinstance(v, int) for v in facet):
+        if not isinstance(facet, list) or not all(_is_int(v) for v in facet):
             raise ParseError(f"{where}: facet must be a list of integers")
         monodromy = covers.parse_element(str(raw.get("monodromy", "e")))
         bad = raw.get("bad", monodromy != covers.IDENTITY)
@@ -369,10 +378,18 @@ def bundle_from_json(obj) -> WeightBundle:
     for lab, m in raw.items():
         if not isinstance(m, dict):
             raise ParseError(f"bundle: weights[{lab!r}] must be an object")
-        try:
-            weights[str(lab)] = {int(v): int(n) for v, n in m.items()}
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bundle: weights[{lab!r}]: {e}") from e
+        coeffs = {}
+        for v, n in m.items():
+            if not _is_int(n):
+                raise ParseError(
+                    f"bundle: weights[{lab!r}][{v!r}] must be an integer, "
+                    f"got {n!r}"
+                )
+            try:
+                coeffs[int(v)] = n
+            except (TypeError, ValueError) as e:
+                raise ParseError(f"bundle: weights[{lab!r}]: {e}") from e
+        weights[str(lab)] = coeffs
     return WeightBundle.from_dict(weights)
 
 

@@ -175,6 +175,30 @@ def random_s3_identity_vector(r: random.Random) -> tuple:
     return tuple(elems)
 
 
+def c2_small_facet_datum(r: random.Random, max_points: int = 10) -> GroupDatum:
+    """A C2 datum with random facets of one to three vertices.
+
+    One base type throughout: 2 to max_points - 2 branch points (an even
+    count, twisted type), 0 to 2 split points (untwisted type) and
+    genus 0 or 1.  Small facets leave many pairs unpinchable, so the
+    pairing search meets sparse as well as dense pair graphs.
+    """
+    base = r.choice(_TWIST2_BASES)
+    branch = 2 * r.randint(1, (max_points - 2) // 2)
+    split = r.randint(0, 2)
+    pts = []
+    for i in range(branch + split):
+        mono = (2, 1, 3) if i < branch else IDENTITY
+        t = twisted_type(base, 2 if i < branch else 1)
+        facet = frozenset(r.sample(t.vertices, r.randint(1, min(3, len(t.vertices)))))
+        pts.append(
+            PointDatum(f"p{i + 1}", t, facet, mono,
+                       is_bad=(mono != IDENTITY or 0 not in facet))
+        )
+    r.shuffle(pts)
+    return GroupDatum(r.randint(0, 1), C2_GROUP, tuple(pts))
+
+
 def random_small_datum(r: random.Random) -> GroupDatum:
     """Unramified datum with random small facets (for lattice ranks)."""
     n = r.randint(1, 4)

@@ -235,3 +235,51 @@ def charge_difference_kernel_rank(d) -> int:
     if not rows:
         return len(cols)
     return len(cols) - rational_rank(rows)
+
+
+def perfect_matchings(items):
+    """All perfect matchings of an even-length list, lazily.
+
+    The first item pairs with each later item in turn and the rest is
+    matched recursively, so all (2k-1)!! matchings are walked.
+    """
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for j in range(len(rest)):
+        pair = (first, rest[j])
+        remaining = rest[:j] + rest[j + 1 :]
+        for tail in perfect_matchings(remaining):
+            yield (pair,) + tail
+
+
+def gcd_of_pinching_lcms(sides):
+    """gcd, over every perfect matching of every side and every choice of
+    one label per pair, of the lcm of the chosen labels.
+
+    ``sides`` holds one (size, labels) per side, where ``labels(i, j)``
+    is the set of labels pair (i, j), i < j, offers (empty when the pair
+    cannot be used).  Returns None when some side has no matching whose
+    every pair offers a label.
+    """
+    per_side = []
+    for size, labels in sides:
+        choice_lists = [
+            [labels(i, j) for i, j in m]
+            for m in perfect_matchings(list(range(size)))
+        ]
+        per_side.append([c for c in choice_lists if all(c)])
+    values = set()
+    for combo in itertools.product(*per_side):
+        # the lcms reachable by choosing one label per pair
+        reach = {1}
+        for offered in (s for side in combo for s in side):
+            reach = {v * a // gcd(v, a) for v in reach for a in offered}
+        values |= reach
+    if not values:
+        return None
+    out = 0
+    for v in values:
+        out = gcd(out, v)
+    return out

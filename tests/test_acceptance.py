@@ -43,7 +43,7 @@ from parapic import (
     s3_reduce,
     vacuum_bundle,
 )
-from parapic.descent import DESCENDS
+from parapic.descent import DESCENDS, _gsd2_candidates
 
 T12, T23 = (2, 1, 3), (1, 3, 2)
 C123, C132 = (2, 3, 1), (3, 1, 2)
@@ -238,3 +238,25 @@ def test_criterion_9_charge_lattice_rank():
         for _ in range(100):
             d = datagen.random_small_datum(rng)
             assert pic_delta_rank(d) == oracles.charge_difference_kernel_rank(d)
+
+
+def test_criterion_10_c2_pairing_search_at_40_points():
+    def datum(facet_of):
+        t = parse_affine_type("E6~2")
+        return GroupDatum(0, C2_GROUP, tuple(
+            PointDatum(f"p{i + 1}", t, frozenset(facet_of(i)), T12, is_bad=True)
+            for i in range(40)
+        ))
+
+    with budget("criterion 10 (C2 pairing search at 40 branch points)"):
+        # three points share only vertex 1, 37 only vertex 2: two odd
+        # components, so no pairing is admissible
+        blocked = datum(lambda i: {1} if i in (0, 13, 26) else {2})
+        assert next(_gsd2_candidates(blocked, 64), None) is None
+        rep = compute_cG(blocked)
+        assert (rep.lower, rep.certified_charge, rep.exact) == (6, None, None)
+        # every pair shares two vertices
+        dense = datum(lambda i: {1, 2, 3} if i % 2 else {2, 3, 4})
+        rep = compute_cG(dense)
+        assert rep.certificate.verdict == DESCENDS
+        assert (rep.lower, rep.certified_charge) == (1, 3)

@@ -219,3 +219,29 @@ def test_domain_error_is_exit_1(capsys):
 def test_usage_error_is_exit_2(capsys):
     assert run(capsys, "picard", "cdelta")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "datum_patch, bundle_weights",
+    [
+        ({"genus": True}, None),
+        ({"points": [dict(A2_PAIR_DATUM["points"][0], facet=[True]),
+                     A2_PAIR_DATUM["points"][1]]}, None),
+        ({}, {"x1": {"1": 1.7}, "x2": {"1": 1}}),
+        ({}, {"x1": {"1": True}, "x2": {"1": 1}}),
+    ],
+    ids=["bool-genus", "bool-facet-vertex", "float-weight", "bool-weight"],
+)
+def test_non_integer_input_is_exit_2(capsys, tmp_path, datum_patch, bundle_weights):
+    datum = tmp_path / "datum.json"
+    bundle = tmp_path / "bundle.json"
+    datum.write_text(json.dumps({**A2_PAIR_DATUM, **datum_patch}))
+    weights = bundle_weights or A2_PAIR_BUNDLE["weights"]
+    bundle.write_text(json.dumps({"schema": 1, "weights": weights}))
+    for argv in (
+        ("descend", "--datum", str(datum), "--bundle", str(bundle)),
+        ("picard", "check", "--datum", str(datum), "--bundle", str(bundle)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err

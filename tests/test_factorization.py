@@ -35,7 +35,7 @@ from parapic import (
     vacuum_weight,
     weight_from_dict,
 )
-from parapic.factorization import pair_involution
+from parapic.factorization import free_labels, pair_involution
 
 T = parse_affine_type
 T12, T23, T13 = (2, 1, 3), (1, 3, 2), (3, 2, 1)
@@ -418,6 +418,24 @@ def test_degenerate_gsd3_triple_with_handles():
     assert w.factors[0].labels == ("q1", "q2", "q3")
     assert any(s.get("op") == "pinch-handles" for s in w.steps)
     assert rank_lower_bound(w) == 2  # elliptic factor contributes 2
+
+
+def test_degenerate_gsd3_handle_labels_avoid_point_labels():
+    pts = (
+        bad("_handle1", "D4~3", {0}, C123),
+        bad("q2", "D4~3", {0}, C123),
+        bad("q3", "D4~3", {0}, C123),
+    )
+    w = degenerate_gsd3(GroupDatum(1, C3_GROUP, pts))
+    labels = [lab for f in w.factors for lab in f.labels]
+    assert labels == ["_handle1", "q2", "q3", "_handle2", "_handle3"]
+
+
+def test_free_labels_skip_used_names():
+    assert free_labels({"_aux1", "_aux3", "x"}, "_aux", 3) == [
+        "_aux2", "_aux4", "_aux5"
+    ]
+    assert free_labels(set(), "_handle", 0) == []
 
 
 def test_degenerate_gsd3_rejects_mod3_mismatch():

@@ -251,3 +251,31 @@ def test_load_helpers(tmp_path):
     bp.write_text(json.dumps(bundle_to_json(b)))
     assert load_datum(str(dp)) == d
     assert load_bundle(str(bp)) == b
+
+
+@pytest.mark.parametrize("genus", [True, False, 1.0, "1"])
+def test_datum_json_rejects_non_integer_genus(genus):
+    obj = datum_to_json(a2_two_special_datum())
+    obj["genus"] = genus
+    with pytest.raises(ParseError, match="genus"):
+        datum_from_json(obj)
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0])
+def test_datum_json_rejects_non_integer_facet_vertex(vertex):
+    obj = datum_to_json(a2_two_special_datum())
+    obj["points"][0]["facet"] = [vertex]
+    with pytest.raises(ParseError, match="facet"):
+        datum_from_json(obj)
+
+
+@pytest.mark.parametrize("weight", [1.7, 1.0, True, False, "1", None])
+def test_bundle_json_rejects_non_integer_weight(weight):
+    with pytest.raises(ParseError, match="must be an integer"):
+        bundle_from_json({"schema": 1, "weights": {"x": {"0": weight}}})
+
+
+@pytest.mark.parametrize("entry", [{0: 1.7}, {0: True}, {1.0: 1}, {True: 1}, {"0": 1}])
+def test_bundle_from_dict_rejects_non_integers(entry):
+    with pytest.raises(DomainError, match="must be integers"):
+        WeightBundle.from_dict({"p1": entry})
