@@ -46,28 +46,83 @@ _NAMES = {
 _BY_NAME = {v: k for k, v in _NAMES.items()}
 
 
+def _cayley_tables():
+    """Product, inverse, order and conjugation over ``ELEMENTS``.
+
+    Built once at import from the image-tuple formulas; every group
+    operation below is a single lookup, and anything that is not one of
+    the six elements misses the tables.
+    """
+
+    def mul(s, t):
+        return (s[t[0] - 1], s[t[1] - 1], s[t[2] - 1])
+
+    mul_t = {s: {t: mul(s, t) for t in ELEMENTS} for s in ELEMENTS}
+    inv_t = {p: next(q for q in ELEMENTS if mul(p, q) == IDENTITY) for p in ELEMENTS}
+    order_t = {}
+    for p in ELEMENTS:
+        q, n = p, 1
+        while q != IDENTITY:
+            q, n = mul(p, q), n + 1
+        order_t[p] = n
+    conj_t = {g: {x: mul(mul(g, x), inv_t[g]) for x in ELEMENTS} for g in ELEMENTS}
+    return mul_t, inv_t, order_t, conj_t
+
+
+_MUL, _INV, _ORDER, _CONJ = _cayley_tables()
+
+
+def _not_elements(*ps) -> DomainError:
+    def known(p) -> bool:
+        try:
+            return p in _INV
+        except TypeError:  # unhashable
+            return False
+
+    bad = ", ".join(repr(p) for p in ps if not known(p))
+    return DomainError(f"not an element of S3: {bad}")
+
+
 def compose(s: Perm, t: Perm) -> Perm:
     """s after t."""
-    return (s[t[0] - 1], s[t[1] - 1], s[t[2] - 1])
+    try:
+        return _MUL[s][t]
+    except (KeyError, TypeError):
+        raise _not_elements(s, t) from None
+
+
+def product(values) -> Perm:
+    """Ordered product values[0] values[1] ... (the last entry acts first);
+    the empty product is the identity."""
+    acc = IDENTITY
+    for p in values:
+        try:
+            acc = _MUL[acc][p]
+        except (KeyError, TypeError):
+            raise _not_elements(p) from None
+    return acc
 
 
 def inverse(p: Perm) -> Perm:
-    out = [0, 0, 0]
-    for x in (1, 2, 3):
-        out[p[x - 1] - 1] = x
-    return tuple(out)  # type: ignore[return-value]
+    try:
+        return _INV[p]
+    except (KeyError, TypeError):
+        raise _not_elements(p) from None
 
 
 def conjugate(g: Perm, x: Perm) -> Perm:
     """g x g^-1."""
-    return compose(compose(g, x), inverse(g))
+    try:
+        return _CONJ[g][x]
+    except (KeyError, TypeError):
+        raise _not_elements(g, x) from None
 
 
 def perm_order(p: Perm) -> int:
-    q, n = p, 1
-    while q != IDENTITY:
-        q, n = compose(p, q), n + 1
-    return n
+    try:
+        return _ORDER[p]
+    except (KeyError, TypeError):
+        raise _not_elements(p) from None
 
 
 def sign(p: Perm) -> int:
@@ -75,7 +130,10 @@ def sign(p: Perm) -> int:
 
 
 def element_name(p: Perm) -> str:
-    return _NAMES[p]
+    try:
+        return _NAMES[p]
+    except (KeyError, TypeError):
+        raise _not_elements(p) from None
 
 
 def parse_element(s: str) -> Perm:
@@ -189,10 +247,7 @@ class CoverShape:
 
 
 def product_identity_check(r: RamificationVector) -> bool:
-    acc = IDENTITY
-    for p in r.elements:
-        acc = compose(acc, p)
-    return acc == IDENTITY
+    return product(r.elements) == IDENTITY
 
 
 def genus_riemann_hurwitz(g_base: int, gamma: FiniteGroup, monodromies) -> CoverShape:
@@ -265,10 +320,7 @@ def enumerate_tuples(gamma: FiniteGroup, classes, connected_only: bool = False):
     pools = [_class_of(gamma, c) for c in classes]
     out = []
     for cand in iproduct(*pools):
-        acc = IDENTITY
-        for p in cand:
-            acc = compose(acc, p)
-        if acc != IDENTITY:
+        if product(cand) != IDENTITY:
             continue
         if connected_only and len(subgroup_generated(cand)) != len(gamma):
             continue
@@ -321,23 +373,13 @@ def class_preserving_identity_tuple(elements):
         last = nontrivial[-1]
         for i in nontrivial[:-1]:
             out[i] = (2, 1, 3) if kinds[i] == 2 else C3_PLUS
-
-        def prefix():
-            acc = IDENTITY
-            for p in out[:last]:
-                acc = compose(acc, p)
-            return acc
-
-        if kinds[last] == 3 and prefix() == IDENTITY:
+        if kinds[last] == 3 and product(out[:last]) == IDENTITY:
             j = nontrivial[0]
             out[j] = (3, 2, 1) if kinds[j] == 2 else inverse(C3_PLUS)
-        out[last] = inverse(prefix())
+        out[last] = inverse(product(out[:last]))
         if perm_order(out[last]) != kinds[last]:  # pragma: no cover
             raise AssertionError("class-preserving adjustment failed")
-    acc = IDENTITY
-    for p in out:
-        acc = compose(acc, p)
-    if acc != IDENTITY:  # pragma: no cover - construction is total
+    if product(out) != IDENTITY:  # pragma: no cover - construction is total
         raise AssertionError("class-preserving adjustment failed")
     return tuple(out)
 

@@ -29,6 +29,7 @@ from math import lcm
 
 from .covers import (
     C3_PLUS,
+    ELEMENTS,
     IDENTITY,
     Perm,
     compose,
@@ -37,6 +38,7 @@ from .covers import (
     inverse,
     monodromy_partition_gsd3,
     perm_order,
+    product,
 )
 from .dynkin import AffineType, VertexInvolution, dual_involution, twisted_type
 from .errors import (
@@ -59,6 +61,8 @@ CLOSED_FORM_A = "ClosedFormA"
 
 _T12: Perm = (2, 1, 3)
 _T23: Perm = (1, 3, 2)
+
+_TRANSPOSITIONS = frozenset(p for p in ELEMENTS if perm_order(p) == 2)
 
 #: canonical literal payloads for the exceptional S3 factors
 CASE3_LITERAL: tuple[Perm, ...] = (_T12, _T23, inverse(C3_PLUS))
@@ -102,10 +106,7 @@ class BaseCase:
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if self.weights and len(self.weights) != len(els):
             raise DomainError("factor weights do not match its points")
-        acc: Perm = IDENTITY
-        for p in els:
-            acc = compose(acc, p)
-        if acc != IDENTITY:
+        if product(els) != IDENTITY:
             raise DomainError("factor monodromies do not multiply to e")
         self._check_shape()
 
@@ -425,13 +426,6 @@ def s3_parity_check(elements) -> bool:
     return sum(1 for p in elements if perm_order(p) == 2) % 2 == 0
 
 
-def _ordered_product(values) -> Perm:
-    acc: Perm = IDENTITY
-    for p in values:
-        acc = compose(acc, p)
-    return acc
-
-
 def _literal_base_case(values: tuple[Perm, ...]) -> str | None:
     """Detect inputs that already are a single base-case payload."""
     orders = tuple(perm_order(p) for p in values)
@@ -450,22 +444,25 @@ def _literal_base_case(values: tuple[Perm, ...]) -> str | None:
 
 def _move_to_front(seq: list, pos: int, front: int, steps: list) -> None:
     """Bubble seq[pos] leftward to index ``front`` with the braid-style
-    rewrite (x, s) -> (s, s^-1 x s); the mover's value is unchanged."""
-    while pos > front:
-        lx, x = seq[pos - 1]
-        ls, s = seq[pos]
-        seq[pos - 1] = (ls, s)
-        seq[pos] = (lx, conjugate(inverse(s), x))
-        steps.append({"op": "swap", "mover": ls, "passed": lx,
-                      "conjugator": element_name(inverse(s))})
-        pos -= 1
+    rewrite (x, s) -> (s, s^-1 x s), one recorded swap per element
+    passed.  The mover's value is unchanged, so every passed element is
+    conjugated by the same s^-1."""
+    ls, s = seq[pos]
+    s_inv = inverse(s)
+    by_s_inv = {x: conjugate(s_inv, x) for x in ELEMENTS}
+    name = element_name(s_inv)
+    passed = seq[front:pos]
+    seq[front + 1 : pos + 1] = [(lx, by_s_inv[x]) for lx, x in passed]
+    seq[front] = (ls, s)
+    steps += [
+        {"op": "swap", "mover": ls, "passed": lx, "conjugator": name}
+        for lx, _x in reversed(passed)
+    ]
 
 
 def _canonicalize(kind: str, values: tuple[Perm, ...]):
     """Find the entrywise conjugator onto the canonical literal."""
     target = CASE3_LITERAL if kind == S3_CASE3 else CASE4_LITERAL
-    from .covers import ELEMENTS
-
     for delta in ELEMENTS:
         if tuple(conjugate(delta, v) for v in values) == target:
             return delta
@@ -493,7 +490,7 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
     labels = tuple(str(x) for x in labels)
     if len(labels) != len(values):
         raise DomainError("labels do not match the monodromy vector")
-    if _ordered_product(values) != IDENTITY:
+    if product(values) != IDENTITY:
         raise DomainError("monodromies do not multiply to the identity")
     if not s3_parity_check(values):
         raise DomainError("odd number of transpositions")
@@ -539,7 +536,7 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
     exceptional: list[BaseCase] = []
 
     def trans_positions():
-        return [i for i, (_l, v) in enumerate(seq) if perm_order(v) == 2]
+        return [i for i, (_l, v) in enumerate(seq) if v in _TRANSPOSITIONS]
 
     tp = trans_positions()
     while len(tp) > 2:

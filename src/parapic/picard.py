@@ -86,9 +86,7 @@ class GroupDatum:
                     f"is not in {self.gamma}"
                 )
         if self.base_genus == 0:
-            acc = covers.IDENTITY
-            for p in self.points:
-                acc = covers.compose(acc, p.monodromy)
+            acc = covers.product(p.monodromy for p in self.points)
             if acc != covers.IDENTITY:
                 raise DomainError(
                     "genus-0 datum: ordered product of monodromies must be e, "
@@ -99,18 +97,22 @@ class GroupDatum:
     def bad_points(self) -> tuple[PointDatum, ...]:
         return tuple(p for p in self.points if p.is_bad)
 
-    def point(self, label: str) -> PointDatum:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise DomainError(f"no point labelled {label!r}")
-
 
 @dataclass(frozen=True)
 class WeightBundle:
-    """Per-point coefficient maps; absent vertices mean coefficient 0."""
+    """Per-point coefficient maps; absent vertices mean coefficient 0.
+
+    ``entries`` is the whole value (equality, hashing, order); a
+    label index built once per instance makes ``coeffs`` a lookup.
+    """
 
     entries: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
+
+    def __post_init__(self) -> None:
+        index: dict[str, tuple[tuple[int, int], ...]] = {}
+        for lab, pairs in self.entries:
+            index.setdefault(lab, pairs)
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def from_dict(weights: Mapping[str, Mapping[int, int]]) -> "WeightBundle":
@@ -132,10 +134,7 @@ class WeightBundle:
         return WeightBundle(entries)
 
     def coeffs(self, label: str) -> dict[int, int]:
-        for lab, pairs in self.entries:
-            if lab == label:
-                return dict(pairs)
-        return {}
+        return dict(self._index.get(label, ()))
 
     def as_dict(self) -> dict[str, dict[int, int]]:
         return {lab: dict(pairs) for lab, pairs in self.entries}
@@ -393,19 +392,19 @@ def bundle_from_json(obj) -> WeightBundle:
     return WeightBundle.from_dict(weights)
 
 
-def load_datum(path: str) -> GroupDatum:
+def _load_json(path: str):
+    """Parse a JSON file; undecodable bytes and nesting too deep for the
+    parser are malformed input like any other."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: invalid JSON ({e})") from e
-    return datum_from_json(obj)
+
+
+def load_datum(path: str) -> GroupDatum:
+    return datum_from_json(_load_json(path))
 
 
 def load_bundle(path: str) -> WeightBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON ({e})") from e
-    return bundle_from_json(obj)
+    return bundle_from_json(_load_json(path))

@@ -19,8 +19,9 @@ from .covers import (
     IDENTITY,
     RamificationVector,
     S3_GROUP,
-    compose,
+    compose,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     perm_order,
+    product,
     subgroup_generated,
 )
 from .dynkin import dual_involution
@@ -269,10 +270,7 @@ def s3_level1_rank(r) -> RankResult:
         elements = r.elements
     else:
         elements = tuple(tuple(p) for p in r)
-    acc = IDENTITY
-    for p in elements:
-        acc = compose(acc, p)
-    if acc != IDENTITY:
+    if product(elements) != IDENTITY:
         raise DomainError("monodromies do not multiply to the identity")
     if subgroup_generated(elements) != frozenset(S3_GROUP.elements):
         raise DomainError(

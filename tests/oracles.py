@@ -283,3 +283,97 @@ def gcd_of_pinching_lcms(sides):
     for v in values:
         out = gcd(out, v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# S3 arithmetic and the s3_reduce trail, from scratch
+
+
+#: the six permutations of {1,2,3} as image tuples (p(1), p(2), p(3))
+S3_TUPLES = tuple(itertools.permutations((1, 2, 3)))
+
+
+def s3_mul(p, q):
+    """p after q on image tuples of {1,2,3} (q acts first)."""
+    return tuple(p[q[i] - 1] for i in range(3))
+
+
+def s3_inv(p):
+    out = [0, 0, 0]
+    for i, v in enumerate(p):
+        out[v - 1] = i + 1
+    return tuple(out)
+
+
+def s3_order(p):
+    q, n = tuple(p), 1
+    while q != (1, 2, 3):
+        q, n = s3_mul(p, q), n + 1
+    return n
+
+
+def s3_conj(g, x):
+    """g x g^-1."""
+    return s3_mul(s3_mul(g, x), s3_inv(g))
+
+
+def s3_name(p):
+    """Cycle notation: each cycle starts at its least point, e for the identity."""
+    cycles, seen = [], set()
+    for start in (1, 2, 3):
+        if start in seen or p[start - 1] == start:
+            continue
+        cyc, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(str(x))
+            x = p[x - 1]
+        cycles.append("(" + "".join(cyc) + ")")
+    return "".join(cycles) or "e"
+
+
+def replay_s3_trail(labels, values, steps):
+    """Apply the ``swap`` steps of an S3 rewrite trail to a labelled vector.
+
+    The nontrivial entries are laid out in input order.  A step
+    (mover, passed, conjugator) requires ``passed`` to sit directly left
+    of ``mover`` and ``conjugator`` to name the mover's inverse; the two
+    trade places and the passed entry is conjugated, x -> c x c^-1.
+    Factors split off by the rewrite stay where they are, at the front.
+
+    Returns (value by label after the replay, moves) with one
+    (mover, start index, end index) per run of steps by the same mover.
+    Raises AssertionError on the first step that does not replay.
+    """
+    seq = [lab for lab, v in zip(labels, values) if tuple(v) != (1, 2, 3)]
+    value = {lab: tuple(v) for lab, v in zip(labels, values)}
+    pos = {lab: i for i, lab in enumerate(seq)}
+    moves = []
+    for step in steps:
+        if step["op"] != "swap":
+            continue
+        m, x = step["mover"], step["passed"]
+        i = pos[m]
+        assert i > 0 and seq[i - 1] == x, f"{m} is not right of {x}: {step}"
+        c = s3_inv(value[m])
+        assert step["conjugator"] == s3_name(c), f"wrong conjugator: {step}"
+        seq[i - 1], seq[i] = m, x
+        pos[m], pos[x] = i - 1, i
+        value[x] = s3_conj(c, value[x])
+        if moves and moves[-1][0] == m:
+            moves[-1][2] = i - 1
+        else:
+            moves.append([m, i, i - 1])
+    return value, [tuple(mv) for mv in moves]
+
+
+def s3_move_distances(order, movers):
+    """How far each mover travels when, one after another, the k-th
+    mover is carried from its current place in ``order`` to index k."""
+    seq = list(order)
+    out = []
+    for k, m in enumerate(movers):
+        i = seq.index(m)
+        out.append(i - k)
+        seq.insert(k, seq.pop(i))
+    return out

@@ -35,9 +35,11 @@ from parapic import (
     parse_element,
     parse_tuple,
     perm_order,
+    s3_parity_check,
     sign,
     subgroup_generated,
 )
+from parapic.covers import product
 
 T12, T13, T23 = (2, 1, 3), (3, 2, 1), (1, 3, 2)
 C123, C132 = (2, 3, 1), (3, 1, 2)
@@ -264,3 +266,47 @@ def test_gsd3_partition_scenarios():
         monodromy_partition_gsd3([C123])
     with pytest.raises(DomainError):
         monodromy_partition_gsd3([T12])
+
+
+# ---------------------------------------------------------------------------
+# the Cayley tables
+
+
+def test_cayley_tables_match_oracle():
+    assert sorted(ELEMENTS) == sorted(oracles.S3_TUPLES)
+    for p in ELEMENTS:
+        assert inverse(p) == oracles.s3_inv(p)
+        assert perm_order(p) == oracles.s3_order(p)
+        assert element_name(p) == oracles.s3_name(p)
+        for q in ELEMENTS:
+            assert compose(p, q) == oracles.s3_mul(p, q)
+            assert conjugate(p, q) == oracles.s3_conj(p, q)
+
+
+@given(st.lists(s3_elem, max_size=12))
+def test_product_is_the_ordered_fold(values):
+    want = (1, 2, 3)
+    for p in values:
+        want = oracles.s3_mul(want, p)
+    assert product(values) == want
+    assert product(iter(values)) == want
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 1), (0, 1, 2), (1, 2), [2, 1, 3], "e"])
+def test_non_elements_raise_domain_error(bad):
+    # (1, 1, 1) never reaches the identity under powers, so an order
+    # computed by iterating compose would never return on it
+    for call in (
+        lambda: perm_order(bad),
+        lambda: sign(bad),
+        lambda: s3_parity_check((T12, bad)),
+        lambda: inverse(bad),
+        lambda: element_name(bad),
+        lambda: compose(bad, T12),
+        lambda: compose(T12, bad),
+        lambda: conjugate(bad, T12),
+        lambda: conjugate(T12, bad),
+        lambda: product((T12, bad, T12)),
+    ):
+        with pytest.raises(DomainError, match="not an element of S3"):
+            call()

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import datagen
+import oracles
 from parapic import (
     C2_GROUP,
     C3_GROUP,
@@ -178,6 +179,76 @@ def test_reduce_invariants_random(seed):
             assert len(again.factors) == 1
             assert again.factors[0].kind == f.kind
             assert again.factors[0].elements == f.elements
+
+
+# ---------------------------------------------------------------------------
+# the s3_reduce trail against an independent replay
+
+
+def _identity_vector(r: random.Random, n: int) -> tuple:
+    """n - 1 random elements closed up by the inverse of their product,
+    computed with the oracle's own arithmetic."""
+    elems = [r.choice(oracles.S3_TUPLES) for _ in range(n - 1)]
+    acc = (1, 2, 3)
+    for p in elems:
+        acc = oracles.s3_mul(acc, p)
+    return tuple(elems) + (oracles.s3_inv(acc),)
+
+
+def _check_trail(values, labels) -> None:
+    w = s3_reduce(values, labels=labels)
+    value, moves = oracles.replay_s3_trail(labels, values, w.steps)
+    seen = []
+    for f in w.factors:
+        got = tuple(value[lab] for lab in f.labels)
+        if f.original is not None:
+            assert got == f.original
+            assert tuple(oracles.s3_conj(f.conjugator, x) for x in got) == f.elements
+        else:
+            assert got == f.elements
+        seen += f.labels
+    assert sorted(seen) == sorted(labels)
+    # every rewrite move carries the next Case1 point, then the first two
+    # points of the exceptional factor, to the front of the unconsumed part
+    movers = [lab for f in w.factors if f.kind == "S3Case1" for lab in f.labels]
+    movers += [lab for f in w.factors if f.original is not None for lab in f.labels[:2]]
+    order = [lab for lab, v in zip(labels, values) if v != IDENTITY]
+    dist = oracles.s3_move_distances(order, movers)
+    swaps = [s for s in w.steps if s["op"] == "swap"]
+    assert len(swaps) == sum(dist)
+    assert moves == [(m, k + d, k) for k, (m, d) in enumerate(zip(movers, dist)) if d]
+    for step, f in zip(
+        (s for s in w.steps if s["op"] == "canonicalize"),
+        (f for f in w.factors if f.original is not None),
+    ):
+        assert step["conjugator"] == oracles.s3_name(f.conjugator)
+
+
+@pytest.mark.parametrize("n", [2, 7, 40, 150, 400])
+def test_trail_replays_on_seeded_vectors(n):
+    for seed in range(4):
+        values = _identity_vector(random.Random(f"trail:{n}:{seed}"), n)
+        _check_trail(values, tuple(f"x{i}" for i in range(n)))
+
+
+@given(st.lists(st.sampled_from(oracles.S3_TUPLES), max_size=30))
+def test_trail_replays_on_hypothesis_vectors(prefix):
+    acc = (1, 2, 3)
+    for p in prefix:
+        acc = oracles.s3_mul(acc, p)
+    values = tuple(prefix) + (oracles.s3_inv(acc),)
+    _check_trail(values, tuple(f"q{len(values) - i}" for i in range(len(values))))
+
+
+def test_trail_replay_rejects_a_tampered_step():
+    values = (T12, C123, T12, C123)
+    labels = ("a", "b", "c", "d")
+    w = s3_reduce(values, labels=labels)
+    assert w.steps[0] == {"op": "swap", "mover": "c", "passed": "b",
+                          "conjugator": "(12)"}
+    for bad in ({"passed": "a"}, {"conjugator": "(13)"}):
+        with pytest.raises(AssertionError):
+            oracles.replay_s3_trail(labels, values, [{**w.steps[0], **bad}])
 
 
 # ---------------------------------------------------------------------------
