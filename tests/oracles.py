@@ -317,6 +317,15 @@ def s3_conj(g, x):
     return s3_mul(s3_mul(g, x), s3_inv(g))
 
 
+def s3_closed(prefix):
+    """``prefix`` followed by the inverse of its ordered product, so the
+    whole vector multiplies to the identity."""
+    acc = (1, 2, 3)
+    for p in prefix:
+        acc = s3_mul(acc, p)
+    return tuple(prefix) + (s3_inv(acc),)
+
+
 def s3_name(p):
     """Cycle notation: each cycle starts at its least point, e for the identity."""
     cycles, seen = [], set()

@@ -185,16 +185,6 @@ def test_reduce_invariants_random(seed):
 # the s3_reduce trail against an independent replay
 
 
-def _identity_vector(r: random.Random, n: int) -> tuple:
-    """n - 1 random elements closed up by the inverse of their product,
-    computed with the oracle's own arithmetic."""
-    elems = [r.choice(oracles.S3_TUPLES) for _ in range(n - 1)]
-    acc = (1, 2, 3)
-    for p in elems:
-        acc = oracles.s3_mul(acc, p)
-    return tuple(elems) + (oracles.s3_inv(acc),)
-
-
 def _check_trail(values, labels) -> None:
     w = s3_reduce(values, labels=labels)
     value, moves = oracles.replay_s3_trail(labels, values, w.steps)
@@ -227,16 +217,14 @@ def _check_trail(values, labels) -> None:
 @pytest.mark.parametrize("n", [2, 7, 40, 150, 400])
 def test_trail_replays_on_seeded_vectors(n):
     for seed in range(4):
-        values = _identity_vector(random.Random(f"trail:{n}:{seed}"), n)
+        r = random.Random(f"trail:{n}:{seed}")
+        values = oracles.s3_closed([r.choice(oracles.S3_TUPLES) for _ in range(n - 1)])
         _check_trail(values, tuple(f"x{i}" for i in range(n)))
 
 
 @given(st.lists(st.sampled_from(oracles.S3_TUPLES), max_size=30))
 def test_trail_replays_on_hypothesis_vectors(prefix):
-    acc = (1, 2, 3)
-    for p in prefix:
-        acc = oracles.s3_mul(acc, p)
-    values = tuple(prefix) + (oracles.s3_inv(acc),)
+    values = oracles.s3_closed(prefix)
     _check_trail(values, tuple(f"q{len(values) - i}" for i in range(len(values))))
 
 
