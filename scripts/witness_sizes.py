@@ -1,0 +1,85 @@
+"""Witness size and time, side by side, for S3 vectors and high-genus data.
+
+For seeded identity-product S3 vectors of n = 100, 400 and 1600 points
+this runs `parapic reduce s3 --json`; for Trivial, C3 and S3 data at
+base genus 10^3 and 10^5 it runs `parapic cg --json`.  Each row gives
+the trail steps, the factors, the bytes of the JSON line and the median
+wall time of five in-process runs of the verb (parsing, the rewrite or
+certificate search, and emission; no interpreter start-up).
+
+    python scripts/witness_sizes.py
+"""
+from __future__ import annotations
+
+import io
+import json
+import os
+import random
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import redirect_stdout
+
+from parapic.covers import ELEMENTS, element_name, inverse, product
+from parapic.cli import main
+
+RUNS = 5
+
+
+def run_verb(argv) -> tuple[str, float]:
+    """The stdout line of one `parapic` verb and its median wall time."""
+    times = []
+    for _ in range(RUNS):
+        buf = io.StringIO()
+        t0 = time.perf_counter()
+        with redirect_stdout(buf):
+            code = main(argv)
+        times.append(time.perf_counter() - t0)
+        if code != 0:
+            sys.exit(f"parapic {' '.join(argv[:2])} exited {code}")
+    return buf.getvalue(), statistics.median(times)
+
+
+def s3_vector(n: int) -> str:
+    r = random.Random(f"witness-sizes:{n}")
+    values = [r.choice(ELEMENTS) for _ in range(n - 1)]
+    values.append(inverse(product(values)))
+    return ",".join(element_name(p) for p in values)
+
+
+def datum(group: str, genus: int) -> dict:
+    points = {
+        "Trivial": [("D4", [0, 1, 2, 3, 4], "e")],
+        "C3": [("D4~3", [0, 1, 2], "(123)")] * 3,
+        "S3": [("D4~2", [0, 1, 2, 3], "(23)")] * 2,
+    }[group]
+    return {"schema": 1, "genus": genus, "group": group, "points": [
+        {"label": f"p{i + 1}", "type": t, "facet": f, "monodromy": m}
+        for i, (t, f, m) in enumerate(points)
+    ]}
+
+
+def row(name: str, out: str, witness: dict, seconds: float) -> None:
+    print(f"{name:<22} {len(witness['steps']):>6} {len(witness['factors']):>8}"
+          f" {len(out.encode()):>9} {seconds * 1000:>9.2f}")
+
+
+def report() -> None:
+    print(f"{'input':<22} {'steps':>6} {'factors':>8} {'bytes':>9} {'ms':>9}")
+    for n in (100, 400, 1600):
+        out, t = run_verb(["reduce", "s3", s3_vector(n), "--json"])
+        row(f"S3 vector n={n}", out, json.loads(out), t)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "datum.json")
+        for group in ("Trivial", "C3", "S3"):
+            for exp in (3, 5):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(datum(group, 10**exp), fh)
+                out, t = run_verb(["cg", "--datum", path, "--json"])
+                witness = json.loads(out)["certificate"]["witness"]
+                row(f"{group} genus 10^{exp}", out, witness, t)
+
+
+if __name__ == "__main__":
+    report()

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (diagnostic names the offending
 field), 2 parse/usage error.  `--json` switches every verb to a
-machine-readable single-line JSON payload carrying "schema": 1; output
-is byte-stable for fixed input.
+machine-readable single-line JSON payload carrying "schema": 2 (the
+output schema; datum and bundle files stay at schema 1); output is
+byte-stable for fixed input.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .errors import ParapicError, ParseError
 from .factorization import s3_reduce
 from .verlinde import rank_closed_form_A, s3_level1_rank
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _emit(args, payload: dict, human: list[str]) -> str:
@@ -27,21 +28,10 @@ def _emit(args, payload: dict, human: list[str]) -> str:
 
 
 def _split_specs(s: str) -> list[str]:
-    """Split on commas outside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
+    """Split on commas outside parentheses, dropping an empty last spec."""
+    out = [part.strip() for part in covers.split_top_level(s)]
+    if not out[-1]:
+        out.pop()
     return out
 
 

@@ -145,25 +145,30 @@ def parse_element(s: str) -> Perm:
     raise ParseError(f"cannot parse permutation {s!r} (use e, (12), (123), ...)")
 
 
-def parse_tuple(s: str) -> tuple[Perm, ...]:
-    """Parse a comma-separated list of cycles, e.g. "(12),(23),(132)"."""
-    text = s.strip()
-    if not text:
-        return ()
-    parts = []
-    depth, cur = 0, ""
-    for ch in text:
+def split_top_level(s: str) -> list[str]:
+    """Split on the commas outside parentheses; the parts keep their
+    surrounding whitespace, and ``s`` without such a comma is one part."""
+    parts, depth, cur = [], 0, []
+    for ch in s:
         if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
+            parts.append("".join(cur))
+            cur = []
             continue
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        cur += ch
-    parts.append(cur)
-    return tuple(parse_element(p) for p in parts)
+        cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+def parse_tuple(s: str) -> tuple[Perm, ...]:
+    """Parse a comma-separated list of cycles, e.g. "(12),(23),(132)"."""
+    text = s.strip()
+    if not text:
+        return ()
+    return tuple(parse_element(p) for p in split_top_level(text))
 
 
 @dataclass(frozen=True)

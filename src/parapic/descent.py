@@ -46,6 +46,7 @@ from .factorization import (
     _gsd2_sides,
     degenerate_gsd3,
     free_labels,
+    handle_vacua,
     pair_involution,
     pair_partition_gsd2,
     pq_sets_for_points,
@@ -158,24 +159,20 @@ def _common_base(d: GroupDatum):
     return base
 
 
-def _handle_shadow_points(d: GroupDatum, count: int) -> list[PointDatum]:
-    if count == 0:
-        return []
+def _with_handle_shadows(d: GroupDatum) -> GroupDatum:
+    """The datum with each handle pinched to two vacuum shadow points,
+    listed one by one: the C2 route pairs them like any other point."""
+    if not d.base_genus:
+        return d
     base = _common_base(d)
-    return [
+    shadows = tuple(
         PointDatum(label=lab, affine_type=twisted_type(base, 1),
                    facet=frozenset({0}))
-        for lab in free_labels({p.label for p in d.points}, "_handle", count)
-    ]
-
-
-def _with_handle_shadows(d: GroupDatum) -> GroupDatum:
-    """The datum with each handle pinched to two vacuum shadow points."""
-    shadows = _handle_shadow_points(d, 2 * d.base_genus)
-    if not shadows:
-        return d
+        for lab in free_labels({p.label for p in d.points}, "_handle",
+                               2 * d.base_genus)
+    )
     return GroupDatum(base_genus=d.base_genus, gamma=d.gamma,
-                      points=tuple(d.points) + tuple(shadows))
+                      points=tuple(d.points) + shadows)
 
 
 def _weight_fn(d: GroupDatum, b: WeightBundle, charge: int):
@@ -191,18 +188,20 @@ def _weight_fn(d: GroupDatum, b: WeightBundle, charge: int):
 
 def _route_gsd1(d, b, charge) -> DecompositionWitness:
     w = DecompositionWitness()
-    wt = _weight_fn(d, b, charge)
-    for p in list(d.points) + _handle_shadow_points(d, 2 * d.base_genus):
+    for p in d.points:
         w.factors.append(
             BaseCase(
                 kind=UNTWISTED_VACUUM,
                 elements=(IDENTITY,),
-                weights=(wt(p),),
+                weights=(weight_from_dict(b.coeffs(p.label)),),
                 labels=(p.label,),
                 types=(p.affine_type,),
             )
         )
     if d.base_genus:
+        _common_base(d)  # pinching handles needs one base type across points
+        w.factors += handle_vacua({p.label for p in d.points},
+                                  2 * d.base_genus, charge)
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
     return w
 
@@ -294,20 +293,14 @@ def _route_gsd6(d, b, charge) -> DecompositionWitness:
                 "no connected S3 cover of a genus-1 base with all "
                 "monodromies trivial"
             )
-        handles = iter(free_labels(set(labels), "_handle", 2 * d.base_genus))
-
-        def add_shadow(value) -> None:
-            lab = next(handles)
-            elements.append(value)
-            labels.append(lab)
-            weight_map[lab] = vacuum_weight(charge)
-
         if (t, m) == (0, 1):
             # a lone 3-cycle: one handle absorbs two conjugate copies,
             # completing an equal triple
             gamma = next(p for p in elements if perm_order(p) == 3)
-            add_shadow(gamma)
-            add_shadow(gamma)
+            for lab in free_labels(set(labels), "_handle", 2):
+                elements.append(gamma)
+                labels.append(lab)
+                weight_map[lab] = vacuum_weight(charge)
             steps.append(
                 {"op": "pinch-handles", "count": d.base_genus,
                  "absorbed": element_name(gamma)}
@@ -326,10 +319,11 @@ def _route_gsd6(d, b, charge) -> DecompositionWitness:
             elements = list(adjusted)
             shadow_count = 2 * d.base_genus
             steps.append({"op": "pinch-handles", "count": d.base_genus})
-        for _ in range(shadow_count):
-            add_shadow(IDENTITY)
     w = s3_reduce(elements, labels=labels, charge=charge, weight_map=weight_map)
     w.steps = steps + w.steps
+    if d.base_genus >= 1:
+        # the identity shadows split off last, as one vacuum factor
+        w.factors += handle_vacua(set(labels), shadow_count, charge)
     return w
 
 

@@ -322,7 +322,7 @@ def dual_kac_labels(t: AffineType) -> tuple[int, ...]:
     return t.dual_labels
 
 
-_TYPE_RE = re.compile(r"^([A-G])(\d+)(?:~([123]))?$")
+_TYPE_RE = re.compile(r"^([A-G])([0-9]+)(?:~([123]))?$")
 
 
 def parse_affine_type(s: str) -> AffineType:

@@ -88,6 +88,8 @@ class BaseCase:
     which original points the factor consumed.  For the exceptional S3
     cases ``elements`` is always the canonical literal; ``conjugator``
     and ``original`` record how to undo the normalization.
+    ``multiplicity`` counts identical copies of the factor, so ``2g``
+    pinched-handle vacua take one factor instead of ``2g``.
     """
 
     kind: str
@@ -98,8 +100,14 @@ class BaseCase:
     conjugator: Perm | None = None
     original: tuple[Perm, ...] | None = None
     params: tuple[int, ...] | None = None
+    multiplicity: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.multiplicity) is not int or self.multiplicity < 1:
+            raise DomainError(
+                f"factor multiplicity must be a positive integer, got "
+                f"{self.multiplicity!r}"
+            )
         els = tuple(tuple(p) for p in self.elements)
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
@@ -149,6 +157,8 @@ class BaseCase:
             d["original"] = [element_name(p) for p in self.original or ()]
         if self.params is not None:
             d["params"] = {"g": self.params[0], "n": self.params[1], "r": self.params[2]}
+        if self.multiplicity != 1:
+            d["multiplicity"] = self.multiplicity
         return d
 
 
@@ -161,13 +171,12 @@ class DecompositionWitness:
 
     @property
     def conservation(self) -> tuple[str, ...]:
-        """Multiset union (sorted) of the nontrivial factor monodromies."""
-        out = [
-            element_name(p)
-            for f in self.factors
-            for p in f.elements
-            if p != IDENTITY
-        ]
+        """Multiset union (sorted) of the nontrivial factor monodromies,
+        each factor counted ``multiplicity`` times."""
+        out = []
+        for f in self.factors:
+            names = [element_name(p) for p in f.elements if p != IDENTITY]
+            out += names * f.multiplicity
         return tuple(sorted(out))
 
     def conservation_multiset(self) -> dict[str, int]:
@@ -179,7 +188,8 @@ class DecompositionWitness:
             for p in els:
                 if p == IDENTITY:
                     continue
-                counts[element_name(p)] = counts.get(element_name(p), 0) + 1
+                name = element_name(p)
+                counts[name] = counts.get(name, 0) + f.multiplicity
         return counts
 
     def cycle_type_counts(self) -> dict[int, int]:
@@ -188,7 +198,7 @@ class DecompositionWitness:
             for p in f.elements:
                 o = perm_order(p)
                 if o > 1:
-                    out[o] = out.get(o, 0) + 1
+                    out[o] = out.get(o, 0) + f.multiplicity
         return out
 
     def to_json(self) -> str:
@@ -223,6 +233,26 @@ def free_labels(used, prefix: str, count: int) -> list[str]:
             out.append(lab)
         i += 1
     return out
+
+
+def handle_vacua(used, count: int, charge: int) -> list[BaseCase]:
+    """The ``count`` identity shadows of pinched handles as one vacuum
+    factor of that multiplicity (none when ``count`` is 0), named by the
+    first ``_handle`` label not in ``used``.  Each shadow is a rank-1
+    vacuum (propagation of vacua), so the copies need no separate
+    factors."""
+    if not count:
+        return []
+    (label,) = free_labels(used, "_handle", 1)
+    return [
+        BaseCase(
+            kind=UNTWISTED_VACUUM,
+            elements=(IDENTITY,),
+            weights=(vacuum_weight(charge),),
+            labels=(label,),
+            multiplicity=count,
+        )
+    ]
 
 
 def _gsd2_sides(d):
@@ -352,7 +382,8 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
     |R3+| = |R3-| mod 3 is required; k = |R3+| mod 3 inverse pairs are
     extracted first (scenarios a/b/c for k = 0/1/2), then each residual
     same-sign block splits into equal triples.  Handles of a positive
-    genus base pinch into trivial vacuum shadows.
+    genus base pinch into 2g trivial vacuum shadows, one factor of
+    multiplicity 2g.
     """
     if d.gamma.kind != "C3":
         raise DomainError(f"gsd-3 degeneration needs Galois group C3, got {d.gamma.kind}")
@@ -402,15 +433,7 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
                 types=(p.affine_type,),
             )
         )
-    for lab in free_labels({p.label for p in d.points}, "_handle", 2 * d.base_genus):
-        w.factors.append(
-            BaseCase(
-                kind=UNTWISTED_VACUUM,
-                elements=(IDENTITY,),
-                weights=(vacuum_weight(charge),),
-                labels=(lab,),
-            )
-        )
+    w.factors += handle_vacua({p.label for p in d.points}, 2 * d.base_genus, charge)
     if d.base_genus:
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
     return w
@@ -443,21 +466,20 @@ def _literal_base_case(values: tuple[Perm, ...]) -> str | None:
 
 
 def _move_to_front(seq: list, pos: int, front: int, steps: list) -> None:
-    """Bubble seq[pos] leftward to index ``front`` with the braid-style
-    rewrite (x, s) -> (s, s^-1 x s), one recorded swap per element
-    passed.  The mover's value is unchanged, so every passed element is
-    conjugated by the same s^-1."""
+    """Carry seq[pos] leftward to index ``front`` with one Hurwitz braid
+    move: (x_front, ..., x_{pos-1}, s) -> (s, s^-1 x_front s, ...,
+    s^-1 x_{pos-1} s).  The mover's value is unchanged and every passed
+    element is conjugated by the same s^-1, so one ``move`` step records
+    it; a move of distance 0 records nothing."""
+    if pos == front:
+        return
     ls, s = seq[pos]
     s_inv = inverse(s)
     by_s_inv = {x: conjugate(s_inv, x) for x in ELEMENTS}
-    name = element_name(s_inv)
-    passed = seq[front:pos]
-    seq[front + 1 : pos + 1] = [(lx, by_s_inv[x]) for lx, x in passed]
+    seq[front + 1 : pos + 1] = [(lx, by_s_inv[x]) for lx, x in seq[front:pos]]
     seq[front] = (ls, s)
-    steps += [
-        {"op": "swap", "mover": ls, "passed": lx, "conjugator": name}
-        for lx, _x in reversed(passed)
-    ]
+    steps.append({"op": "move", "mover": ls, "from": pos, "to": front,
+                  "conjugator": element_name(s_inv)})
 
 
 def _canonicalize(kind: str, values: tuple[Perm, ...]):
@@ -534,9 +556,12 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
 
     case1: list[BaseCase] = []
     exceptional: list[BaseCase] = []
+    # seq[:front] is split off and stays in place, so the positions the
+    # move steps record are absolute in the nontrivial subsequence
+    front = 0
 
     def trans_positions():
-        return [i for i, (_l, v) in enumerate(seq) if v in _TRANSPOSITIONS]
+        return [i for i in range(front, len(seq)) if seq[i][1] in _TRANSPOSITIONS]
 
     tp = trans_positions()
     while len(tp) > 2:
@@ -554,28 +579,28 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
                 "more than two transpositions but no equal pair"
             )
         a, b = found
-        _move_to_front(seq, a, 0, w.steps)
-        _move_to_front(seq, b, 1, w.steps)
-        (la, va), (lb, vb) = seq[0], seq[1]
+        _move_to_front(seq, a, front, w.steps)
+        _move_to_front(seq, b, front + 1, w.steps)
+        (la, va), (lb, vb) = seq[front], seq[front + 1]
         case1.append(
             BaseCase(kind=S3_CASE1, elements=(va, vb), weights=wts((la, lb)),
                      labels=(la, lb))
         )
-        del seq[0:2]
+        front += 2
         tp = trans_positions()
 
+    rest = seq[front:]
     if len(tp) == 2:
-        _move_to_front(seq, tp[0], 0, w.steps)
-        tp = trans_positions()
-        _move_to_front(seq, tp[1], 1, w.steps)
-        (l1, s1), (l2, s2) = seq[0], seq[1]
-        rest = seq[2:]
+        # moving tp[0] leaves the later tp[1] where it was
+        _move_to_front(seq, tp[0], front, w.steps)
+        _move_to_front(seq, tp[1], front + 1, w.steps)
+        (l1, s1), (l2, s2) = seq[front], seq[front + 1]
+        rest = seq[front + 2 :]
         if s1 == s2:
             case1.append(
                 BaseCase(kind=S3_CASE1, elements=(s1, s2),
                          weights=wts((l1, l2)), labels=(l1, l2))
             )
-            seq = rest
         else:
             c0 = compose(s1, s2)
             inv_pos = next(
@@ -622,10 +647,9 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
                 )
                 w.steps.append({"op": "canonicalize", "kind": S3_CASE4,
                                 "conjugator": element_name(delta)})
-            seq = rest
 
-    plus = [(l, v) for l, v in seq if v == C3_PLUS]
-    minus = [(l, v) for l, v in seq if v == inverse(C3_PLUS)]
+    plus = [(l, v) for l, v in rest if v == C3_PLUS]
+    minus = [(l, v) for l, v in rest if v == inverse(C3_PLUS)]
     case2: list[BaseCase] = []
     npair = min(len(plus), len(minus))
     for i in range(npair):

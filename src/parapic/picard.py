@@ -10,6 +10,7 @@ consists of bundles whose charges agree at every point.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Mapping
@@ -312,11 +313,17 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _check_schema(obj: dict, where: str) -> None:
+    # the integer itself: true and 1.0 compare equal to 1
+    schema = _require(obj, "schema", where)
+    if not _is_int(schema) or schema != SCHEMA_VERSION:
+        raise ParseError(f"{where}: unsupported schema {schema!r}")
+
+
 def datum_from_json(obj) -> GroupDatum:
     if not isinstance(obj, dict):
         raise ParseError("datum: expected a JSON object")
-    if _require(obj, "schema", "datum") != SCHEMA_VERSION:
-        raise ParseError(f"datum: unsupported schema {obj['schema']!r}")
+    _check_schema(obj, "datum")
     genus = _require(obj, "genus", "datum")
     if not _is_int(genus) or genus < 0:
         raise ParseError("datum: genus must be a nonnegative integer")
@@ -365,11 +372,15 @@ def bundle_to_json(b: WeightBundle) -> dict:
     }
 
 
+#: the vertex keys ``bundle_to_json`` writes, ``str(n)`` of an int n:
+#: ASCII digits, an optional leading minus, no leading zeros
+_VERTEX_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def bundle_from_json(obj) -> WeightBundle:
     if not isinstance(obj, dict):
         raise ParseError("bundle: expected a JSON object")
-    if _require(obj, "schema", "bundle") != SCHEMA_VERSION:
-        raise ParseError(f"bundle: unsupported schema {obj['schema']!r}")
+    _check_schema(obj, "bundle")
     raw = _require(obj, "weights", "bundle")
     if not isinstance(raw, dict):
         raise ParseError("bundle: weights must be an object")
@@ -385,9 +396,15 @@ def bundle_from_json(obj) -> WeightBundle:
                     f"got {n!r}"
                 )
             try:
-                coeffs[int(v)] = n
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"bundle: weights[{lab!r}]: {e}") from e
+                vertex = int(v) if _VERTEX_KEY.fullmatch(v) else None
+            except (TypeError, ValueError):  # not a string, or too many digits
+                vertex = None
+            if vertex is None:
+                raise ParseError(
+                    f"bundle: weights[{lab!r}] has vertex key {v!r}, expected "
+                    "a decimal integer such as '0' or '12'"
+                )
+            coeffs[vertex] = n
         weights[str(lab)] = coeffs
     return WeightBundle.from_dict(weights)
 

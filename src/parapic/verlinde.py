@@ -294,7 +294,8 @@ def s3_level1_rank(r) -> RankResult:
 
 
 def rank_lower_bound(w) -> int:
-    """Product of the factor ranks of a decomposition witness.
+    """Product of the factor ranks of a decomposition witness, each
+    raised to its factor's multiplicity.
 
     The undegenerated block contains a copy of the factor product, so
     its rank is >= the returned value.  Empty witnesses give 1.
@@ -303,7 +304,7 @@ def rank_lower_bound(w) -> int:
     bound = 1
     for f in factors:
         try:
-            bound *= base_case_rank(f).value
+            bound *= base_case_rank(f).value ** f.multiplicity
         except UnknownRankError as e:
             raise BoundUnavailableError(
                 f"factor {f.kind} at {f.labels} has unknown rank: {e}"

@@ -342,38 +342,37 @@ def s3_name(p):
 
 
 def replay_s3_trail(labels, values, steps):
-    """Apply the ``swap`` steps of an S3 rewrite trail to a labelled vector.
+    """Apply the ``move`` steps of an S3 rewrite trail to a labelled vector.
 
     The nontrivial entries are laid out in input order.  A step
-    (mover, passed, conjugator) requires ``passed`` to sit directly left
-    of ``mover`` and ``conjugator`` to name the mover's inverse; the two
-    trade places and the passed entry is conjugated, x -> c x c^-1.
-    Factors split off by the rewrite stay where they are, at the front.
+    (mover, from, to, conjugator) requires the mover to sit at index
+    ``from``, with 0 <= ``to`` < ``from``, and ``conjugator`` to name the
+    mover's inverse c.  The mover is carried to index ``to``; the entries
+    it passes, at [to, from), shift right by one and are conjugated,
+    x -> c x c^-1.  Factors split off by the rewrite stay where they
+    are, at the front.
 
     Returns (value by label after the replay, moves) with one
-    (mover, start index, end index) per run of steps by the same mover.
-    Raises AssertionError on the first step that does not replay.
+    (mover, from, to) per step.  Raises AssertionError on the first step
+    that does not replay.
     """
     seq = [lab for lab, v in zip(labels, values) if tuple(v) != (1, 2, 3)]
     value = {lab: tuple(v) for lab, v in zip(labels, values)}
-    pos = {lab: i for i, lab in enumerate(seq)}
     moves = []
     for step in steps:
-        if step["op"] != "swap":
+        if step["op"] != "move":
             continue
-        m, x = step["mover"], step["passed"]
-        i = pos[m]
-        assert i > 0 and seq[i - 1] == x, f"{m} is not right of {x}: {step}"
+        m, i, j = step["mover"], step["from"], step["to"]
+        assert type(i) is int and type(j) is int, f"non-integer position: {step}"
+        assert 0 <= j < i < len(seq) and seq[i] == m, f"{m} is not at {i}: {step}"
         c = s3_inv(value[m])
         assert step["conjugator"] == s3_name(c), f"wrong conjugator: {step}"
-        seq[i - 1], seq[i] = m, x
-        pos[m], pos[x] = i - 1, i
-        value[x] = s3_conj(c, value[x])
-        if moves and moves[-1][0] == m:
-            moves[-1][2] = i - 1
-        else:
-            moves.append([m, i, i - 1])
-    return value, [tuple(mv) for mv in moves]
+        passed = seq[j:i]
+        for x in passed:
+            value[x] = s3_conj(c, value[x])
+        seq[j : i + 1] = [m] + passed
+        moves.append((m, i, j))
+    return value, moves
 
 
 def s3_move_distances(order, movers):

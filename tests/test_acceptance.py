@@ -7,6 +7,7 @@ use fixed seeds so the suite is reproducible; the generators live in
 """
 from __future__ import annotations
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ from parapic import (
     PointDatum,
     RamificationVector,
     S3_GROUP,
+    WeightBundle,
     all_affine_types,
     c_delta,
     certify_descent,
@@ -33,6 +35,7 @@ from parapic import (
     enumerate_tuples,
     genus_riemann_hurwitz,
     is_connected_genus0,
+    load_datum,
     parse_affine_type,
     perm_order,
     pic_delta_rank,
@@ -43,6 +46,7 @@ from parapic import (
     s3_reduce,
     vacuum_bundle,
 )
+from parapic.cli import main
 from parapic.descent import DESCENDS, _gsd2_candidates
 
 T12, T23 = (2, 1, 3), (1, 3, 2)
@@ -260,3 +264,38 @@ def test_criterion_10_c2_pairing_search_at_40_points():
         rep = compute_cG(dense)
         assert rep.certificate.verdict == DESCENDS
         assert (rep.lower, rep.certified_charge) == (1, 3)
+
+
+def test_criterion_11_linear_witnesses_at_genus_1e5(tmp_path, capsys):
+    def datum(group, points):
+        return {"schema": 1, "genus": 10**5, "group": group, "points": [
+            {"label": f"p{i + 1}", "type": t, "facet": f, "monodromy": m}
+            for i, (t, f, m) in enumerate(points)
+        ]}
+
+    data = {
+        "Trivial": datum("Trivial", [("D4", [0, 1, 2, 3, 4], "e")]),
+        "C3": datum("C3", [("D4~3", [0, 1, 2], "(123)")] * 3),
+        "S3": datum("S3", [("D4~2", [0, 1, 2, 3], "(23)")] * 2),
+        "S3, lone 3-cycle": datum("S3", [("D4~3", [0, 1, 2], "(123)")]),
+    }
+    with budget("criterion 11 (cg --json at genus 10^5, in under 4 KB)"):
+        for name, obj in data.items():
+            path = tmp_path / "datum.json"
+            path.write_text(json.dumps(obj))
+            assert main(["cg", "--datum", str(path), "--json"]) == 0, name
+            out = capsys.readouterr().out
+            assert len(out.encode()) < 4096, name
+            rep = json.loads(out)
+            assert rep["exact"] == 1, name
+            # the 2g (lone 3-cycle: 2g - 2) identity shadows are one factor
+            handles = rep["certificate"]["witness"]["factors"][-1]
+            want = 2 * 10**5 - (2 if name.endswith("3-cycle") else 0)
+            assert handles["multiplicity"] == want, name
+            d = load_datum(str(path))
+            bundle = WeightBundle.from_dict({
+                lab: {int(v): n for v, n in m.items()}
+                for lab, m in rep["certificate"]["bundle"].items()
+            })
+            assert json.loads(certify_descent(d, bundle).to_json()) \
+                == rep["certificate"], name

@@ -56,7 +56,7 @@ def test_dynkin_info_json(capsys):
     assert code == 0
     assert out.rstrip("\n") == (
         '{"base": "A2", "cartan": [[2, -4], [-1, 2]], "dual_labels": [1, 2],'
-        ' "schema": 1, "twist": 2, "type": "A2~2", "vertices": [0, 1]}'
+        ' "schema": 2, "twist": 2, "type": "A2~2", "vertices": [0, 1]}'
     )
 
 
@@ -65,13 +65,13 @@ def test_picard_cdelta(capsys, a2_files):
     code, out, _ = run(capsys, "picard", "cdelta", "--datum", datum)
     assert (code, out) == (0, "c_delta = 2\n")
     code, out, _ = run(capsys, "picard", "cdelta", "--datum", datum, "--json")
-    assert (code, out) == (0, '{"c_delta": 2, "schema": 1}\n')
+    assert (code, out) == (0, '{"c_delta": 2, "schema": 2}\n')
 
 
 def test_picard_rank(capsys, a2_files):
     datum, _ = a2_files
     code, out, _ = run(capsys, "picard", "rank", "--datum", datum, "--json")
-    assert (code, out) == (0, '{"rank": 1, "schema": 1}\n')
+    assert (code, out) == (0, '{"rank": 1, "schema": 2}\n')
 
 
 def test_picard_check(capsys, a2_files):
@@ -90,7 +90,7 @@ def test_covers_genus(capsys):
 
 def test_covers_connected(capsys):
     code, out, _ = run(capsys, "covers", "connected", "(12),(12)", "--json")
-    assert (code, out) == (0, '{"connected": false, "schema": 1}\n')
+    assert (code, out) == (0, '{"connected": false, "schema": 2}\n')
 
 
 def test_covers_enumerate(capsys):
@@ -105,7 +105,7 @@ def test_covers_enumerate(capsys):
     assert code == 0
     assert json.loads(out) == {
         "count": 3,
-        "schema": 1,
+        "schema": 2,
         "tuples": [["(12)", "(12)"], ["(13)", "(13)"], ["(23)", "(23)"]],
     }
 
@@ -140,7 +140,7 @@ def test_verlinde_rank(capsys):
     assert code == 0
     assert out.rstrip("\n") == (
         '{"derivation": [["S3 level-1 sum t=2 m=2", 2]],'
-        ' "rank": 2, "schema": 1}'
+        ' "rank": 2, "schema": 2}'
     )
 
 
@@ -165,7 +165,7 @@ def test_cg_json(capsys, a2_files):
     code, out, _ = run(capsys, "cg", "--datum", datum, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert (payload["lower"], payload["certified_charge"], payload["exact"]) \
         == (2, 2, 2)
     cert = payload["certificate"]
@@ -229,8 +229,15 @@ def test_usage_error_is_exit_2(capsys):
                      A2_PAIR_DATUM["points"][1]]}, None),
         ({}, {"x1": {"1": 1.7}, "x2": {"1": 1}}),
         ({}, {"x1": {"1": True}, "x2": {"1": 1}}),
+        ({"schema": True}, None),
+        ({"schema": 1.0}, None),
+        ({}, {"x1": {" 1": 1}, "x2": {"1": 1}}),
+        ({}, {"x1": {"1_0": 1}, "x2": {"1": 1}}),
+        ({}, {"x1": {"\u0661": 1}, "x2": {"1": 1}}),
     ],
-    ids=["bool-genus", "bool-facet-vertex", "float-weight", "bool-weight"],
+    ids=["bool-genus", "bool-facet-vertex", "float-weight", "bool-weight",
+         "bool-schema", "float-schema", "spaced-vertex-key",
+         "underscored-vertex-key", "arabic-indic-vertex-key"],
 )
 def test_non_integer_input_is_exit_2(capsys, tmp_path, datum_patch, bundle_weights):
     datum = tmp_path / "datum.json"

@@ -68,8 +68,19 @@ def test_route_untwisted_vacuum():
         "untwisted vacuum factorization",
     )
     kinds = [f.kind for f in c.witness.factors]
-    assert kinds == ["UntwistedVacuum"] * 4  # 2 points + 2 handle shadows
+    assert kinds == ["UntwistedVacuum"] * 3  # 2 points + 2 handle shadows
+    assert [f.multiplicity for f in c.witness.factors] == [1, 1, 2]
+    assert c.witness.factors[-1].labels == ("_handle1",)
     assert {"op": "pinch-handles", "count": 1} in c.witness.steps
+
+
+def test_route_untwisted_vacuum_needs_one_base_type_to_pinch_handles():
+    pts = (good("p1", "A4", {0}), good("p2", "D4", {0}))
+    d0 = GroupDatum(0, TRIVIAL_GROUP, pts)
+    assert certify_descent(d0, vacuum_bundle(d0, 1)).verdict == DESCENDS
+    d1 = GroupDatum(1, TRIVIAL_GROUP, pts)
+    with pytest.raises(DomainError, match="single base type"):
+        certify_descent(d1, vacuum_bundle(d1, 1))
 
 
 def test_route_pair_partition():
@@ -197,9 +208,10 @@ def test_genus1_s3_records_class_adjustment():
         "original": ["(23)", "(23)"],
         "adjusted": ["(12)", "(12)"],
     }
-    # two handle shadows become vacuum factors
+    # two handle shadows become one vacuum factor of multiplicity 2
     kinds = [f.kind for f in c.witness.factors]
-    assert kinds == ["S3Case1", "UntwistedVacuum", "UntwistedVacuum"]
+    assert kinds == ["S3Case1", "UntwistedVacuum"]
+    assert c.witness.factors[-1].multiplicity == 2
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,9 @@ def test_parse_round_trip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["Z9", "A0", "E5", "F6", "G3", "B3~2", "A1~2", "F4~2", "D5~3", "A3~4", ""]
+    "bad",
+    ["Z9", "A0", "E5", "F6", "G3", "B3~2", "A1~2", "F4~2", "D5~3", "A3~4", "",
+     "A\u0663~2"],  # ARABIC-INDIC DIGIT THREE is a digit, but not ASCII
 )
 def test_parse_rejects_invalid_names(bad):
     with pytest.raises(ParseError):

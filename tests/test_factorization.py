@@ -15,6 +15,7 @@ from parapic import (
     CASE4_LITERAL,
     IDENTITY,
     BaseCase,
+    DecompositionWitness,
     DomainError,
     GroupDatum,
     NoCoverError,
@@ -102,13 +103,13 @@ def test_reduce_case4_literal_is_fixed_point():
     assert f.conjugator == IDENTITY
 
 
-def test_reduce_separated_pair_records_swap_steps():
+def test_reduce_separated_pair_records_one_move_step():
     w = s3_reduce((T12, C123, T12, C123), labels=("a", "b", "c", "d"))
     assert [f.kind for f in w.factors] == ["S3Case1", "S3Case2"]
     assert w.factors[0].labels == ("a", "c")
     assert set(w.factors[1].labels) == {"b", "d"}
-    assert w.steps and w.steps[0]["op"] == "swap"
-    assert w.steps[0]["mover"] == "c"
+    assert w.steps == [{"op": "move", "mover": "c", "from": 2, "to": 1,
+                        "conjugator": "(12)"}]
 
 
 def test_reduce_identities_become_vacuum_factors():
@@ -185,9 +186,12 @@ def test_reduce_invariants_random(seed):
 # the s3_reduce trail against an independent replay
 
 
-def _check_trail(values, labels) -> None:
+def _check_trail(values, labels, edit=None):
+    """Replay the trail of ``s3_reduce(values)`` with the oracle and check
+    it against the factors; ``edit`` overrides fields of the first step."""
     w = s3_reduce(values, labels=labels)
-    value, moves = oracles.replay_s3_trail(labels, values, w.steps)
+    steps = w.steps if edit is None else [{**w.steps[0], **edit}] + w.steps[1:]
+    value, moves = oracles.replay_s3_trail(labels, values, steps)
     seen = []
     for f in w.factors:
         got = tuple(value[lab] for lab in f.labels)
@@ -204,14 +208,13 @@ def _check_trail(values, labels) -> None:
     movers += [lab for f in w.factors if f.original is not None for lab in f.labels[:2]]
     order = [lab for lab, v in zip(labels, values) if v != IDENTITY]
     dist = oracles.s3_move_distances(order, movers)
-    swaps = [s for s in w.steps if s["op"] == "swap"]
-    assert len(swaps) == sum(dist)
     assert moves == [(m, k + d, k) for k, (m, d) in enumerate(zip(movers, dist)) if d]
-    for step, f in zip(
-        (s for s in w.steps if s["op"] == "canonicalize"),
-        (f for f in w.factors if f.original is not None),
-    ):
+    # one step per move, and nothing else but the canonicalizations
+    canon = [s for s in steps if s["op"] == "canonicalize"]
+    assert len(steps) == len(moves) + len(canon)
+    for step, f in zip(canon, (f for f in w.factors if f.original is not None)):
         assert step["conjugator"] == oracles.s3_name(f.conjugator)
+    return w
 
 
 @pytest.mark.parametrize("n", [2, 7, 40, 150, 400])
@@ -228,15 +231,22 @@ def test_trail_replays_on_hypothesis_vectors(prefix):
     _check_trail(values, tuple(f"q{len(values) - i}" for i in range(len(values))))
 
 
+def test_trail_at_1600_points_is_linear():
+    # one swap per element passed gave this vector a trail of 212,549 steps
+    r = random.Random("trail:1600")
+    values = oracles.s3_closed([r.choice(oracles.S3_TUPLES) for _ in range(1599)])
+    w = _check_trail(values, tuple(f"x{i}" for i in range(1600)))
+    assert len(w.steps) <= 2000
+
+
 def test_trail_replay_rejects_a_tampered_step():
     values = (T12, C123, T12, C123)
     labels = ("a", "b", "c", "d")
-    w = s3_reduce(values, labels=labels)
-    assert w.steps[0] == {"op": "swap", "mover": "c", "passed": "b",
-                          "conjugator": "(12)"}
-    for bad in ({"passed": "a"}, {"conjugator": "(13)"}):
+    _check_trail(values, labels)
+    for bad in ({"mover": "b"}, {"from": 3}, {"from": 1, "to": 0}, {"to": 0},
+                {"to": 2}, {"from": 2.0}, {"conjugator": "(13)"}):
         with pytest.raises(AssertionError):
-            oracles.replay_s3_trail(labels, values, [{**w.steps[0], **bad}])
+            _check_trail(values, labels, edit=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +275,30 @@ def test_base_case_validation():
             weights=(vacuum_weight(1),) * 3,
             labels=("a", "b", "c"),
         )
+
+
+@pytest.mark.parametrize("multiplicity", [0, -1, True, 2.0, "2", None])
+def test_base_case_rejects_a_non_positive_or_non_integer_multiplicity(multiplicity):
+    with pytest.raises(DomainError, match="multiplicity"):
+        BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
+                 weights=(vacuum_weight(1),), labels=("h",),
+                 multiplicity=multiplicity)
+
+
+def test_multiplicity_is_serialized_only_when_not_one_and_counts_copies():
+    one = BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
+                   weights=(vacuum_weight(1),), labels=("h",))
+    assert "multiplicity" not in one.as_dict()
+    two = BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
+                   weights=(vacuum_weight(1),), labels=("h",), multiplicity=2)
+    assert two.as_dict() == {**one.as_dict(), "multiplicity": 2}
+    tri = BaseCase(kind="EllipticTriple", elements=(C123,) * 3,
+                   weights=(vacuum_weight(1),) * 3, labels=("a", "b", "c"),
+                   multiplicity=2)
+    w = DecompositionWitness(factors=[tri, two])
+    assert w.conservation == ("(123)",) * 6
+    assert w.conservation_multiset() == {"(123)": 6}
+    assert w.cycle_type_counts() == {3: 6}
 
 
 def test_witness_serialization_is_stable():
@@ -468,12 +502,9 @@ def test_degenerate_gsd3_triple_with_handles():
     d = GroupDatum(1, C3_GROUP, pts)
     w = degenerate_gsd3(d)
     kinds = [f.kind for f in w.factors]
-    assert kinds == [
-        "EllipticTriple",
-        "UntwistedVacuum",
-        "UntwistedVacuum",
-        "UntwistedVacuum",
-    ]
+    # the point g1, then both handle shadows as one factor
+    assert kinds == ["EllipticTriple", "UntwistedVacuum", "UntwistedVacuum"]
+    assert [f.multiplicity for f in w.factors] == [1, 1, 2]
     assert w.factors[0].labels == ("q1", "q2", "q3")
     assert any(s.get("op") == "pinch-handles" for s in w.steps)
     assert rank_lower_bound(w) == 2  # elliptic factor contributes 2
@@ -487,7 +518,8 @@ def test_degenerate_gsd3_handle_labels_avoid_point_labels():
     )
     w = degenerate_gsd3(GroupDatum(1, C3_GROUP, pts))
     labels = [lab for f in w.factors for lab in f.labels]
-    assert labels == ["_handle1", "q2", "q3", "_handle2", "_handle3"]
+    assert labels == ["_handle1", "q2", "q3", "_handle2"]
+    assert w.factors[-1].multiplicity == 2
 
 
 def test_free_labels_skip_used_names():

@@ -275,6 +275,26 @@ def test_bundle_json_rejects_non_integer_weight(weight):
         bundle_from_json({"schema": 1, "weights": {"x": {"0": weight}}})
 
 
+@pytest.mark.parametrize("load", [datum_from_json, bundle_from_json])
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_json_loaders_reject_a_non_integer_schema(load, schema):
+    # true and 1.0 compare equal to 1
+    with pytest.raises(ParseError, match="unsupported schema"):
+        load({"schema": schema, "genus": 0, "group": "S3", "points": [],
+              "weights": {}})
+
+
+@pytest.mark.parametrize(
+    "key", [" 1", "1 ", "1_0", "\u0663", "01", "+1", "-0", "1.0", ""]
+)
+def test_bundle_json_rejects_non_canonical_vertex_keys(key):
+    # int() reads the first four as 1, 1, 10 and 3
+    with pytest.raises(ParseError, match="vertex key"):
+        bundle_from_json({"schema": 1, "weights": {"x": {key: 1}}})
+    assert bundle_from_json({"schema": 1, "weights": {"x": {"10": 1}}}) == \
+        WeightBundle.from_dict({"x": {10: 1}})
+
+
 @pytest.mark.parametrize("entry", [{0: 1.7}, {0: True}, {1.0: 1}, {True: 1}, {"0": 1}])
 def test_bundle_from_dict_rejects_non_integers(entry):
     with pytest.raises(DomainError, match="must be integers"):

@@ -250,6 +250,14 @@ def test_rank_lower_bound_multiplies_factors():
     assert rank_lower_bound([]) == 1
 
 
+def test_rank_lower_bound_raises_ranks_to_their_multiplicity():
+    tri = case("EllipticTriple", (C123,) * 3, multiplicity=3)
+    assert base_case_rank(tri).value == 2
+    assert rank_lower_bound([tri]) == 2**3
+    handles = case("UntwistedVacuum", (IDENTITY,), multiplicity=10**5)
+    assert rank_lower_bound([tri, handles]) == 8
+
+
 def test_rank_lower_bound_names_unknown_factor():
     c3 = case(
         "TwistedPair",
