@@ -1,7 +1,10 @@
 """Witness size and time, side by side, for S3 vectors and high-genus data.
 
-For seeded identity-product S3 vectors of n = 100, 400 and 1600 points
-this runs `parapic reduce s3 --json`; for Trivial, C3 and S3 data at
+For seeded identity-product S3 vectors of n = 100, 400 and 1600 points,
+and for the worst case of the rewrite at the same sizes (3-cycles first,
+then pairs of equal transpositions, so every braid move passes the whole
+run of 3-cycles), this runs `parapic reduce s3 --json`; for Trivial, C3
+and S3 data at
 base genus 10^3 and 10^5 it runs `parapic cg --json`.  Each row gives
 the trail steps, the factors, the bytes of the JSON line and the median
 wall time of five in-process runs of the verb (parsing, the rewrite or
@@ -48,6 +51,17 @@ def s3_vector(n: int) -> str:
     return ",".join(element_name(p) for p in values)
 
 
+def s3_cycles_first(n: int) -> str:
+    """About n/2 equal 3-cycles (a multiple of 3), then pairs of equal
+    transpositions up to n entries (n even)."""
+    r = random.Random(f"witness-sizes:cycles-first:{n}")
+    cycles = n // 2 - (n // 2) % 3
+    values = [ELEMENTS[4]] * cycles
+    while len(values) < n:
+        values += [r.choice(ELEMENTS[1:4])] * 2
+    return ",".join(element_name(p) for p in values)
+
+
 def datum(group: str, genus: int) -> dict:
     points = {
         "Trivial": [("D4", [0, 1, 2, 3, 4], "e")],
@@ -61,15 +75,16 @@ def datum(group: str, genus: int) -> dict:
 
 
 def row(name: str, out: str, witness: dict, seconds: float) -> None:
-    print(f"{name:<22} {len(witness['steps']):>6} {len(witness['factors']):>8}"
+    print(f"{name:<27} {len(witness['steps']):>6} {len(witness['factors']):>8}"
           f" {len(out.encode()):>9} {seconds * 1000:>9.2f}")
 
 
 def report() -> None:
-    print(f"{'input':<22} {'steps':>6} {'factors':>8} {'bytes':>9} {'ms':>9}")
-    for n in (100, 400, 1600):
-        out, t = run_verb(["reduce", "s3", s3_vector(n), "--json"])
-        row(f"S3 vector n={n}", out, json.loads(out), t)
+    print(f"{'input':<27} {'steps':>6} {'factors':>8} {'bytes':>9} {'ms':>9}")
+    for name, vector in (("S3 vector", s3_vector), ("S3 3-cycles first", s3_cycles_first)):
+        for n in (100, 400, 1600):
+            out, t = run_verb(["reduce", "s3", vector(n), "--json"])
+            row(f"{name} n={n}", out, json.loads(out), t)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "datum.json")
         for group in ("Trivial", "C3", "S3"):

@@ -14,9 +14,9 @@ import sys
 
 from . import covers, dynkin, picard
 from .descent import certify_descent, compute_cG
-from .errors import ParapicError, ParseError
+from .errors import DomainError, ParapicError, ParseError
 from .factorization import s3_reduce
-from .verlinde import rank_closed_form_A, s3_level1_rank
+from .verlinde import closed_form_A_log10, rank_closed_form_A, s3_level1_rank
 
 SCHEMA = 2
 
@@ -25,6 +25,18 @@ def _emit(args, payload: dict, human: list[str]) -> str:
     if args.json:
         return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True)
     return "\n".join(human)
+
+
+def _check_writable(value: int | None, what: str) -> None:
+    """Reject an integer with more decimal digits than the interpreter
+    writes (``sys.get_int_max_str_digits()``, 4300 by default; 0 means
+    no limit): writing it would raise mid-output."""
+    limit = sys.get_int_max_str_digits()
+    if limit and value is not None and abs(value) >= 10**limit:
+        raise DomainError(
+            f"{what} has more than {limit} decimal digits, the most Python "
+            "writes (sys.set_int_max_str_digits raises the limit)"
+        )
 
 
 def _split_specs(s: str) -> list[str]:
@@ -83,6 +95,7 @@ def _cmd_picard_check(args) -> str:
     picard.validate_bundle(d, b)
     dominant = picard.is_dominant(d, b)
     ok, charge = picard.is_pic_delta(d, b)
+    _check_writable(charge, "the charge")
     payload = {"dominant": dominant, "in_charge_lattice": ok, "charge": charge}
     human = [
         f"dominant: {str(dominant).lower()}",
@@ -96,6 +109,7 @@ def _cmd_covers_genus(args) -> str:
     gamma = covers.group_from_name(args.group)
     mono = covers.parse_tuple(args.tuple)
     shape = covers.genus_riemann_hurwitz(args.base_genus, gamma, mono)
+    _check_writable(shape.genus, "the genus")
     payload = {"genus": shape.genus, "components": shape.component_count}
     return _emit(
         args,
@@ -148,12 +162,22 @@ def _cmd_reduce_s3(args) -> str:
 def _cmd_verlinde_rank(args) -> str:
     mono = covers.parse_tuple(args.tuple)
     res = s3_level1_rank(mono)
+    _check_writable(res.value, "the rank")
     payload = {"rank": res.value, "derivation": [list(x) for x in res.derivation]}
     return _emit(args, payload, [f"rank = {res.value}"])
 
 
 def _cmd_verlinde_closed_form(args) -> str:
+    limit = sys.get_int_max_str_digits()
+    digits = closed_form_A_log10(args.g, args.n, args.r)
+    if limit and digits > limit + 1:
+        # refused before 2^g r^(g+n-1) is built: it may not fit in memory
+        raise DomainError(
+            f"the rank has about {digits:.4g} decimal digits, more than the "
+            f"{limit} Python writes (sys.set_int_max_str_digits raises the limit)"
+        )
     v = rank_closed_form_A(args.g, args.n, args.r)
+    _check_writable(v, "the rank")
     return _emit(args, {"rank": v}, [f"rank = {v}"])
 
 
@@ -161,6 +185,8 @@ def _cmd_descend(args) -> str:
     d = picard.load_datum(args.datum)
     b = picard.load_bundle(args.bundle)
     cert = certify_descent(d, b)
+    _check_writable(cert.charge, "the charge")
+    _check_writable(cert.rank_bound, "the rank bound")
     payload = cert.as_dict()
     human = [
         f"verdict: {cert.verdict}",
@@ -174,6 +200,8 @@ def _cmd_descend(args) -> str:
 def _cmd_cg(args) -> str:
     d = picard.load_datum(args.datum)
     report = compute_cG(d, budget=args.budget)
+    if args.json and report.certificate is not None:
+        _check_writable(report.certificate.rank_bound, "the rank bound")
     payload = report.as_dict()
     human = [f"lower bound (c_delta): {report.lower}"]
     if report.certified_charge is not None:

@@ -52,17 +52,16 @@ from .factorization import (
     pq_sets_for_points,
     s3_reduce,
     vacuum_weight,
-    weight_from_dict,
 )
 from .picard import (
     GroupDatum,
     PointDatum,
     WeightBundle,
-    bundle_to_json,
+    bundle_to_json,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     c_delta,
     cdelta_bundle,
     central_charge,
-    is_pic_delta,
+    is_pic_delta,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     vacuum_bundle,
     validate_bundle,
 )
@@ -127,7 +126,7 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
     common central charge."""
     validate_bundle(d, b)
     for p in d.points:
-        for v, c in sorted(b.coeffs(p.label).items()):
+        for v, c in b.weight(p.label):
             if c < 0:
                 raise NotDominantError(
                     f"bundle is not dominant: point {p.label!r} has "
@@ -180,7 +179,7 @@ def _weight_fn(d: GroupDatum, b: WeightBundle, charge: int):
 
     def wt(p: PointDatum):
         if p.label in real:
-            return weight_from_dict(b.coeffs(p.label))
+            return b.weight(p.label)
         return vacuum_weight(charge)
 
     return wt
@@ -193,7 +192,7 @@ def _route_gsd1(d, b, charge) -> DecompositionWitness:
             BaseCase(
                 kind=UNTWISTED_VACUUM,
                 elements=(IDENTITY,),
-                weights=(weight_from_dict(b.coeffs(p.label)),),
+                weights=(b.weight(p.label),),
                 labels=(p.label,),
                 types=(p.affine_type,),
             )
@@ -277,9 +276,7 @@ def _route_gsd3(d, b, charge) -> DecompositionWitness:
 def _route_gsd6(d, b, charge) -> DecompositionWitness:
     elements = [p.monodromy for p in d.points]
     labels = [p.label for p in d.points]
-    weight_map = {
-        p.label: weight_from_dict(b.coeffs(p.label)) for p in d.points
-    }
+    weight_map = {p.label: b.weight(p.label) for p in d.points}
     steps: list[dict] = []
     if d.base_genus >= 1:
         t = sum(1 for p in elements if perm_order(p) == 2)
@@ -381,7 +378,7 @@ def iwahori_theorem(d: GroupDatum) -> DescentCertificate:
     vertex set.
     """
     for p in d.points:
-        full = frozenset(p.affine_type.vertices)
+        full = p.affine_type.vertex_set
         if p.facet != full:
             missing = sorted(full - p.facet)
             raise DomainError(
@@ -586,21 +583,24 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
     """
     lower = c_delta(d)
     attempts = 0
-    tried: set[str] = set()
+    tried: set[tuple] = set()
     best: DescentCertificate | None = None
 
-    def try_candidate(bundle, **kwargs) -> bool:
-        """Certify one candidate; True means the bracket has closed."""
+    def try_candidate(bundle, charge, **kwargs) -> bool:
+        """Certify one candidate; True means the bracket has closed.
+
+        Each source builds a dominant bundle of one positive charge at
+        every point, so ``charge`` comes from the source and
+        ``certify_descent`` is the only validation.
+        """
         nonlocal attempts, best
         if attempts >= max(budget, 1):
             return False
-        ok, charge = is_pic_delta(d, bundle)
-        if not ok or charge is None or charge <= 0:
-            return False
         if best is not None and charge >= best.charge:
             return False
-        ser = json.dumps(bundle_to_json(bundle), sort_keys=True)
-        key = ser + "|" + json.dumps(sorted(kwargs.items()), default=str)
+        key = (bundle.entries, tuple(
+            (name, tuple(map(tuple, pairing))) for name, pairing in sorted(kwargs.items())
+        ))
         if key in tried:
             return False
         tried.add(key)
@@ -616,14 +616,15 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
 
     done = False
     if d.points and all(0 in p.facet for p in d.points):
-        done = try_candidate(vacuum_bundle(d, 1))
+        done = try_candidate(vacuum_bundle(d, 1), 1)
     if not done and d.points:
         try:
             cb = cdelta_bundle(d)
         except DomainError:
             cb = None
         if cb is not None:
-            done = try_candidate(cb)
+            first = d.points[0]
+            done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
     if not done and d.gamma.kind == "C2" and d.points:
         for charge, weights, kwargs in _staged_gsd2(d, budget):
             # sorted by charge: once one certifies, no later one can win
@@ -631,7 +632,7 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
                 best is not None and charge >= best.charge
             ):
                 break
-            if try_candidate(WeightBundle.from_dict(weights), **kwargs):
+            if try_candidate(WeightBundle.from_dict(weights), charge, **kwargs):
                 break
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -100,9 +99,10 @@ class VertexInvolution:
                 raise InvalidTypeError("involution is not self-inverse")
         if m.get(0, 0) != 0:
             raise InvalidTypeError("involution must fix the special vertex")
+        object.__setattr__(self, "_map", m)
 
     def __call__(self, i: int) -> int:
-        return dict(self.pairs).get(i, i)
+        return self._map.get(i, i)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -114,7 +114,12 @@ class VertexInvolution:
 
 @dataclass(frozen=True)
 class AffineType:
-    """A (possibly twisted) affine Dynkin type with its verified tables."""
+    """A (possibly twisted) affine Dynkin type with its verified tables.
+
+    ``vertices`` (the tuple 0..k) and ``vertex_set`` (the same as a
+    frozenset) are derived at construction; the hash is that of
+    ``(base, twist)``, computed once.
+    """
 
     base: FiniteType
     twist: int
@@ -124,9 +129,16 @@ class AffineType:
     #: index of the special vertex o
     special_vertex = 0
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(range(len(self.dual_labels)))
+    def __post_init__(self) -> None:
+        # derived once per type: every point of the type asks for them
+        vertices = tuple(range(len(self.dual_labels)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertex_set", frozenset(vertices))
+        object.__setattr__(self, "_hash", hash((self.base, self.twist)))
+
+    def __hash__(self) -> int:
+        # (base, twist) names the type; the tables follow from it
+        return self._hash
 
     def __str__(self) -> str:
         if self.twist == 1:
@@ -265,25 +277,26 @@ def _verify(t: AffineType) -> None:
         for j in range(n):
             if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
                 raise InvalidTypeError(f"{t}: bad off-diagonal pattern")
-    if _rank([[Fraction(x) for x in row] for row in a]) != n - 1:
+    if _integer_rank(a) != n - 1:
         raise InvalidTypeError(f"{t}: corank is not one")
 
 
-def _rank(rows) -> int:
-    rows = [row[:] for row in rows]
+def _integer_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    elimination: a row below the pivot row p becomes p[c] * row - row[c] * p,
+    which clears column c and keeps every entry an integer."""
+    rows = [list(row) for row in rows]
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [p[c] * x - f * y for x, y in zip(rows[i], p)]
         rank += 1
     return rank
 
@@ -325,7 +338,10 @@ def dual_kac_labels(t: AffineType) -> tuple[int, ...]:
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)(?:~([123]))?$")
 
 
+@lru_cache(maxsize=256)
 def parse_affine_type(s: str) -> AffineType:
+    """The type a name such as "A3~2" denotes; memoized per string (a
+    ParseError is raised afresh each time, never cached)."""
     m = _TYPE_RE.match(s.strip())
     if not m:
         raise ParseError(f"cannot parse affine type {s!r} (expected e.g. 'A3~2')")
@@ -336,6 +352,7 @@ def parse_affine_type(s: str) -> AffineType:
         raise ParseError(str(e)) from e
 
 
+@lru_cache(maxsize=64)
 def dual_involution(base: FiniteType) -> VertexInvolution:
     """The vertex involution i -> i* induced by minus the longest Weyl
     element on the finite diagram, extended to the affine diagram by

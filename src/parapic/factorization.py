@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm
 
 from .covers import (
@@ -79,6 +80,45 @@ def weight_from_dict(m) -> Weight:
     return tuple(sorted((int(v), int(c)) for v, c in m.items() if int(c) != 0))
 
 
+#: the most points a factor other than the closed form has (S3Case4)
+_MAX_FACTOR_POINTS = 4
+
+
+def _shape_error(kind: str, els: tuple[Perm, ...]) -> str | None:
+    """Why ``els`` cannot be the monodromies of a ``kind`` factor, or
+    None when they can (the closed form's parameters are not seen here)."""
+    if product(els) != IDENTITY:
+        return "factor monodromies do not multiply to e"
+    orders = tuple(perm_order(p) for p in els)
+    if kind == UNTWISTED_VACUUM:
+        ok = orders == (1,)
+    elif kind == TWISTED_PAIR:
+        # order 1 pairs are the untwisted node-gluing case
+        ok = len(els) == 2 and orders[0] == orders[1]
+    elif kind == ELLIPTIC_TRIPLE:
+        ok = orders == (3, 3, 3) and len(set(els)) == 1
+    elif kind == S3_CASE1:
+        ok = orders == (2, 2) and els[0] == els[1]
+    elif kind == S3_CASE2:
+        ok = (orders == (3, 3) and els[1] == inverse(els[0])) or (
+            orders == (3, 3, 3) and len(set(els)) == 1
+        )
+    elif kind == S3_CASE3:
+        ok = els == CASE3_LITERAL
+    elif kind == S3_CASE4:
+        ok = els == CASE4_LITERAL
+    elif kind == CLOSED_FORM_A:
+        ok = True
+    else:
+        return f"unknown factor kind {kind!r}"
+    return None if ok else f"malformed {kind} factor: {els}"
+
+
+#: per (kind, elements) of at most _MAX_FACTOR_POINTS points: about 25
+#: shapes are valid, so the bound is not the working limit
+_memo_shape_error = lru_cache(maxsize=1024)(_shape_error)
+
+
 @dataclass(frozen=True)
 class BaseCase:
     """One factor of a decomposition witness.
@@ -108,42 +148,22 @@ class BaseCase:
                 f"factor multiplicity must be a positive integer, got "
                 f"{self.multiplicity!r}"
             )
-        els = tuple(tuple(p) for p in self.elements)
+        els = tuple(map(tuple, self.elements))
         object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "weights", tuple(map(tuple, self.weights)))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         if self.weights and len(self.weights) != len(els):
             raise DomainError("factor weights do not match its points")
-        if product(els) != IDENTITY:
-            raise DomainError("factor monodromies do not multiply to e")
-        self._check_shape()
-
-    def _check_shape(self) -> None:
-        k, els = self.kind, self.elements
-        orders = tuple(perm_order(p) for p in els)
-        if k == UNTWISTED_VACUUM:
-            ok = orders == (1,)
-        elif k == TWISTED_PAIR:
-            # order 1 pairs are the untwisted node-gluing case
-            ok = len(els) == 2 and orders[0] == orders[1]
-        elif k == ELLIPTIC_TRIPLE:
-            ok = orders == (3, 3, 3) and len(set(els)) == 1
-        elif k == S3_CASE1:
-            ok = orders == (2, 2) and els[0] == els[1]
-        elif k == S3_CASE2:
-            ok = (orders == (3, 3) and els[1] == inverse(els[0])) or (
-                orders == (3, 3, 3) and len(set(els)) == 1
-            )
-        elif k == S3_CASE3:
-            ok = els == CASE3_LITERAL
-        elif k == S3_CASE4:
-            ok = els == CASE4_LITERAL
-        elif k == CLOSED_FORM_A:
-            ok = self.params is not None and len(self.params) == 3
-        else:
-            raise DomainError(f"unknown factor kind {k!r}")
-        if not ok:
-            raise DomainError(f"malformed {k} factor: {els}")
+        if self.kind != CLOSED_FORM_A and len(els) <= _MAX_FACTOR_POINTS:
+            error = _memo_shape_error(self.kind, els)
+        else:  # a whole vector: checked as is, never memoized
+            error = _shape_error(self.kind, els)
+        if error is None and self.kind == CLOSED_FORM_A and (
+            self.params is None or len(self.params) != 3
+        ):
+            error = f"malformed {CLOSED_FORM_A} factor: {els}"
+        if error is not None:
+            raise DomainError(error)
 
     def as_dict(self) -> dict:
         d: dict = {
@@ -390,7 +410,7 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
 
     def wt(p: PointDatum) -> Weight:
         if bundle is not None:
-            return weight_from_dict(bundle.coeffs(p.label))
+            return bundle.weight(p.label)
         return vacuum_weight(charge)
 
     part = monodromy_partition_gsd3(d.points)
@@ -465,21 +485,138 @@ def _literal_base_case(values: tuple[Perm, ...]) -> str | None:
     return None
 
 
-def _move_to_front(seq: list, pos: int, front: int, steps: list) -> None:
-    """Carry seq[pos] leftward to index ``front`` with one Hurwitz braid
-    move: (x_front, ..., x_{pos-1}, s) -> (s, s^-1 x_front s, ...,
-    s^-1 x_{pos-1} s).  The mover's value is unchanged and every passed
-    element is conjugated by the same s^-1, so one ``move`` step records
-    it; a move of distance 0 records nothing."""
-    if pos == front:
-        return
-    ls, s = seq[pos]
-    s_inv = inverse(s)
-    by_s_inv = {x: conjugate(s_inv, x) for x in ELEMENTS}
-    seq[front + 1 : pos + 1] = [(lx, by_s_inv[x]) for lx, x in seq[front:pos]]
-    seq[front] = (ls, s)
-    steps.append({"op": "move", "mover": ls, "from": pos, "to": front,
-                  "conjugator": element_name(s_inv)})
+def _pair_transpositions(seq: list, steps: list):
+    """Move the transpositions of ``seq`` (the nontrivial (label, value)
+    entries, in input order) to the front two at a time, recording the
+    braid moves in ``steps``.
+
+    While more than two transpositions remain, the first one with an
+    equal one later (it is among the first three) and the first such
+    later one are moved to the front and split off; the last two are
+    moved to the front as they are.  Returns (pairs, last, cycles):
+    the split-off pairs, the last two transpositions (or none), and the
+    3-cycles with their values after all the moves, in input order.
+
+    Two moves of one transposition s leave the entries before the first
+    mover unchanged (conjugated twice by s) and conjugate those between
+    the movers once, so the rewrite only tracks that span:
+
+    * A 3-cycle is inverted by every span it lies in.  One flip at each
+      end of a span and a running parity give every 3-cycle's final
+      value in one pass at the end.
+    * The transpositions are kept as ``proc[head:]``, the ones a span
+      has reached, whose values are those stored in ``val`` conjugated
+      by ``g``, followed by the untouched ones from ``nxt`` on.  A span
+      that ends in the untouched part covers all of ``proc`` after the
+      first mover, which one update of ``g`` conjugates.  A span that
+      ends inside ``proc`` is conjugated entry by entry.
+
+    The transpositions a span has reached always read r, ..., r followed
+    by entries of the two values other than r (each kind of step keeps
+    that shape), so a span ending inside ``proc`` is either a run of one
+    value, which the next pairs consume two at a time, or lies among the
+    three entries just taken into ``proc``.  Every entry joins ``proc``
+    once and is conjugated entry by entry at most once before it is
+    split off, so the rewrite takes time linear in the vector, as do the
+    recorded steps.
+    """
+    trans = [i for i, (_lab, v) in enumerate(seq) if v in _TRANSPOSITIONS]
+    val = [seq[i][1] for i in trans]
+    proc: list[int] = []  # indices into ``trans``
+    head = nxt = 0
+    g = IDENTITY
+    in_proc = dict.fromkeys(_TRANSPOSITIONS, 0)  # by stored value
+    untouched = dict.fromkeys(_TRANSPOSITIONS, 0)
+    for v in val:
+        untouched[v] += 1
+    flips = [0] * (len(seq) + 1)
+    pairs = []
+    front = 0  # the absolute position of the next split-off pair
+
+    def move(t: int, rank: int, to: int, s: Perm) -> str:
+        """Record the Hurwitz braid move of transposition ``t`` (value s,
+        ``rank`` remaining transpositions before it) leftward to ``to``:
+        (x_to, ..., x_{pos-1}, s) -> (s, s^-1 x_to s, ..., s^-1 x_{pos-1} s).
+        Every passed entry is conjugated by the same s^-1 = s, so one
+        ``move`` step records it; a move of distance 0 records nothing."""
+        label = seq[trans[t]][0]
+        # before it: trans[t] - t 3-cycles and ``rank`` transpositions
+        pos = front + trans[t] - t + rank
+        if pos != to:
+            steps.append({"op": "move", "mover": label, "from": pos, "to": to,
+                          "conjugator": element_name(s)})
+        return label
+
+    def conjugate_stored(lo: int, hi: int, h: Perm) -> None:
+        for q in range(lo, hi):
+            old = val[proc[q]]
+            val[proc[q]] = new = conjugate(h, old)
+            in_proc[old] -= 1
+            in_proc[new] += 1
+
+    while len(proc) - head + len(trans) - nxt > 2:
+        while len(proc) - head < 3:
+            v = conjugate(inverse(g), val[nxt])
+            untouched[val[nxt]] -= 1
+            in_proc[v] += 1
+            val[nxt] = v
+            proc.append(nxt)
+            nxt += 1
+        for i in range(3):  # the ones before it have no equal one later
+            sv = val[proc[head + i]]
+            s = conjugate(g, sv)
+            if in_proc[sv] + untouched[s] >= 2:
+                break
+        a = head + i
+        ta = proc[a]
+        in_proc[sv] -= 1
+        if in_proc[sv]:
+            k = a + 1
+            while val[proc[k]] != sv:
+                k += 1
+            tb, rank_b = proc[k], k - head
+            in_proc[sv] -= 1
+            conjugate_stored(a + 1, k, compose(inverse(g), compose(s, g)))
+            # close up over the two movers' slots
+            proc[head + 2 : k + 1] = proc[head:a] + proc[a + 1 : k]
+            head += 2
+        else:
+            k = nxt
+            while val[k] != s:
+                k += 1
+            tb, rank_b = k, len(proc) - head + k - nxt
+            g_new = compose(s, g)
+            # the ones before the first mover keep their values
+            conjugate_stored(head, a, compose(inverse(g_new), g))
+            proc[head + 1 : a + 1] = proc[head:a]
+            head += 1
+            g = g_new
+            g_inv = inverse(g)
+            for t in range(nxt, k):
+                untouched[val[t]] -= 1
+                val[t] = conjugate(g_inv, conjugate(s, val[t]))
+                in_proc[val[t]] += 1
+                proc.append(t)
+            untouched[s] -= 1
+            nxt = k + 1
+        pairs.append(((move(ta, i, front, s), s), (move(tb, rank_b, front + 1, s), s)))
+        flips[trans[ta] + 1] ^= 1
+        flips[trans[tb]] ^= 1
+        front += 2
+
+    rest = [(t, conjugate(g, val[t])) for t in proc[head:]]
+    rest += [(t, val[t]) for t in range(nxt, len(trans))]
+    last = [(move(t, rank, front + rank, v), v) for rank, (t, v) in enumerate(rest)]
+    if rest:
+        flips[trans[rest[0][0]] + 1] ^= 1
+        flips[trans[rest[1][0]]] ^= 1
+    cycles = []
+    parity = 0
+    for i, (lab, v) in enumerate(seq):
+        parity ^= flips[i]
+        if v not in _TRANSPOSITIONS:
+            cycles.append((lab, inverse(v) if parity else v))
+    return pairs, last, cycles
 
 
 def _canonicalize(kind: str, values: tuple[Perm, ...]):
@@ -554,48 +691,15 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
     seq = [(l, v) for l, v in zip(labels, values) if v != IDENTITY]
     vacua = [vac(l) for l, v in zip(labels, values) if v == IDENTITY]
 
-    case1: list[BaseCase] = []
+    pairs, last, rest = _pair_transpositions(seq, w.steps)
+    case1 = [
+        BaseCase(kind=S3_CASE1, elements=(va, vb), weights=wts((la, lb)),
+                 labels=(la, lb))
+        for (la, va), (lb, vb) in pairs
+    ]
     exceptional: list[BaseCase] = []
-    # seq[:front] is split off and stays in place, so the positions the
-    # move steps record are absolute in the nontrivial subsequence
-    front = 0
-
-    def trans_positions():
-        return [i for i in range(front, len(seq)) if seq[i][1] in _TRANSPOSITIONS]
-
-    tp = trans_positions()
-    while len(tp) > 2:
-        found = None
-        for a_i in range(len(tp)):
-            for b_i in range(a_i + 1, len(tp)):
-                a, b = tp[a_i], tp[b_i]
-                if seq[a][1] == seq[b][1]:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if found is None:  # pragma: no cover - pigeonhole on 3 classes
-            raise InternalInconsistencyError(
-                "more than two transpositions but no equal pair"
-            )
-        a, b = found
-        _move_to_front(seq, a, front, w.steps)
-        _move_to_front(seq, b, front + 1, w.steps)
-        (la, va), (lb, vb) = seq[front], seq[front + 1]
-        case1.append(
-            BaseCase(kind=S3_CASE1, elements=(va, vb), weights=wts((la, lb)),
-                     labels=(la, lb))
-        )
-        front += 2
-        tp = trans_positions()
-
-    rest = seq[front:]
-    if len(tp) == 2:
-        # moving tp[0] leaves the later tp[1] where it was
-        _move_to_front(seq, tp[0], front, w.steps)
-        _move_to_front(seq, tp[1], front + 1, w.steps)
-        (l1, s1), (l2, s2) = seq[front], seq[front + 1]
-        rest = seq[front + 2 :]
+    if last:
+        (l1, s1), (l2, s2) = last
         if s1 == s2:
             case1.append(
                 BaseCase(kind=S3_CASE1, elements=(s1, s2),

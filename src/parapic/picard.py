@@ -25,7 +25,7 @@ from .errors import (
 
 def _is_int(x) -> bool:
     """A true integer: ``bool`` is an ``int`` subclass but not a number here."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,17 @@ class PointDatum:
         object.__setattr__(self, "facet", frozenset(self.facet))
         if not self.facet:
             raise DomainError(f"point {self.label}: facet must be nonempty")
-        verts = set(self.affine_type.vertices)
+        verts = self.affine_type.vertex_set
         if not self.facet <= verts:
             bad = sorted(self.facet - verts)
             raise DomainError(
                 f"point {self.label}: facet vertices {bad} not in {self.affine_type}"
             )
-        if covers.perm_order(self.monodromy) != self.affine_type.twist:
+        order = covers.perm_order(self.monodromy)
+        if order != self.affine_type.twist:
             raise DomainError(
-                f"point {self.label}: monodromy order "
-                f"{covers.perm_order(self.monodromy)} does not match twist "
-                f"{self.affine_type.twist} of {self.affine_type}"
+                f"point {self.label}: monodromy order {order} does not match "
+                f"twist {self.affine_type.twist} of {self.affine_type}"
             )
         if not self.is_bad:
             if self.monodromy != covers.IDENTITY:
@@ -64,7 +64,7 @@ class PointDatum:
 
     @property
     def is_iwahori(self) -> bool:
-        return self.facet == set(self.affine_type.vertices)
+        return self.facet == self.affine_type.vertex_set
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,11 @@ class WeightBundle:
 
     def coeffs(self, label: str) -> dict[int, int]:
         return dict(self._index.get(label, ()))
+
+    def weight(self, label: str) -> tuple[tuple[int, int], ...]:
+        """The stored (vertex, coefficient) pairs of ``label``: sorted by
+        vertex, zeros dropped, () for a label the bundle omits."""
+        return self._index.get(label, ())
 
     def as_dict(self) -> dict[str, dict[int, int]]:
         return {lab: dict(pairs) for lab, pairs in self.entries}
@@ -339,7 +344,7 @@ def datum_from_json(obj) -> GroupDatum:
         label = str(_require(raw, "label", where))
         at = dynkin.parse_affine_type(str(_require(raw, "type", where)))
         facet = _require(raw, "facet", where)
-        if not isinstance(facet, list) or not all(_is_int(v) for v in facet):
+        if not isinstance(facet, list) or not all(map(_is_int, facet)):
             raise ParseError(f"{where}: facet must be a list of integers")
         monodromy = covers.parse_element(str(raw.get("monodromy", "e")))
         bad = raw.get("bad", monodromy != covers.IDENTITY)

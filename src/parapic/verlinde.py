@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import inf, log10, prod
 
 from .covers import (
     IDENTITY,
@@ -145,9 +146,7 @@ class RankResult:
             )
 
 
-def rank_closed_form_A(g: int, n: int, r: int) -> int:
-    """2^g * r^(g+n-1): the genus-g rank for 2n order-2 branch points of
-    type A_{2r-1} twisted, all weights vacuum at level one."""
+def _closed_form_args(g, n, r) -> tuple[int, int, int]:
     g, n, r = int(g), int(n), int(r)
     if g < 0:
         raise DomainError(f"genus must be >= 0, got {g}")
@@ -155,7 +154,25 @@ def rank_closed_form_A(g: int, n: int, r: int) -> int:
         raise DomainError(f"branch-pair count must be >= 1, got {n}")
     if r < 2:
         raise DomainError(f"type parameter r must be >= 2, got {r}")
+    return g, n, r
+
+
+def rank_closed_form_A(g: int, n: int, r: int) -> int:
+    """2^g * r^(g+n-1): the genus-g rank for 2n order-2 branch points of
+    type A_{2r-1} twisted, all weights vacuum at level one."""
+    g, n, r = _closed_form_args(g, n, r)
     return 2**g * r ** (g + n - 1)
+
+
+def closed_form_A_log10(g: int, n: int, r: int) -> float:
+    """log10 of ``rank_closed_form_A(g, n, r)`` in floating point, without
+    computing the rank (inf when the exponents exceed a float); the
+    rank has about this many decimal digits."""
+    g, n, r = _closed_form_args(g, n, r)
+    try:
+        return g * log10(2) + (g + n - 1) * log10(r)
+    except OverflowError:
+        return inf
 
 
 def _is_vacuum(weight, charge=None) -> bool:
@@ -175,11 +192,28 @@ def base_case_rank(b: BaseCase) -> RankResult:
     """Exact rank of one factor, per the recognized table.
 
     Raises UnknownRankError outside the table; note rank 0 (a known
-    vanishing) is different from unknown.
+    vanishing) is different from unknown.  The table reads a factor's
+    kind, point count, weights and (for twisted pairs) types only, so
+    every factor but the closed form is looked up by that shape.
     """
-    k = b.kind
+    if b.kind == CLOSED_FORM_A:
+        g, n, r = b.params
+        if b.weights and not all(_is_vacuum(w, 1) for w in b.weights):
+            raise UnknownRankError(
+                "the closed form applies to level-1 vacuum weights only"
+            )
+        v = rank_closed_form_A(g, n, r)
+        return RankResult(v, ((f"closed form g={g} n={n} r={r}", v),))
+    types = tuple(b.types) if b.kind == TWISTED_PAIR and b.types is not None else None
+    return _table_rank(b.kind, len(b.elements), b.weights, types)
+
+
+@lru_cache(maxsize=1024)
+def _table_rank(k: str, points: int, weights, types) -> RankResult:
+    """The table entry for one factor shape; memoized, as a workload
+    meets few shapes (an UnknownRankError is raised afresh each time)."""
     if k == UNTWISTED_VACUUM:
-        w = b.weights[0] if b.weights else vacuum_weight(1)
+        w = weights[0] if weights else vacuum_weight(1)
         if _is_vacuum(w):
             return RankResult(1, ((k, 1),))
         sv = _single_vertex(w)
@@ -190,18 +224,18 @@ def base_case_rank(b: BaseCase) -> RankResult:
             f"no rank table entry for a one-point weight {w}"
         )
     if k == TWISTED_PAIR:
-        w1, w2 = b.weights
-        if b.types is not None and b.types[0] != b.types[1]:
+        w1, w2 = weights
+        if types is not None and types[0] != types[1]:
             raise UnknownRankError(
                 "twisted pair rank needs matching point types"
             )
         if _is_vacuum(w1) and w1 == w2:
             return RankResult(1, ((k + " (vacuum)", 1),))
-        if b.types is None:
+        if types is None:
             raise UnknownRankError(
                 "twisted pair rank needs the point types for non-vacuum weights"
             )
-        t = b.types[0]
+        t = types[0]
         s1, s2 = _single_vertex(w1), _single_vertex(w2)
         if s1 is None or s2 is None:
             raise UnknownRankError(
@@ -223,13 +257,13 @@ def base_case_rank(b: BaseCase) -> RankResult:
             "order-3 twisted pairs are only tabulated at vacuum weights"
         )
     if k == ELLIPTIC_TRIPLE:
-        if all(_is_vacuum(w, 1) for w in b.weights):
+        if all(_is_vacuum(w, 1) for w in weights):
             return RankResult(2, ((k, 2),))
         raise UnknownRankError(
             "elliptic triples are only tabulated at level-1 vacuum weights"
         )
     if k in (S3_CASE1, S3_CASE2, S3_CASE3, S3_CASE4):
-        if not all(_is_vacuum(w, 1) for w in b.weights):
+        if not all(_is_vacuum(w, 1) for w in weights):
             raise UnknownRankError(
                 f"{k} is only tabulated at level-1 vacuum weights"
             )
@@ -237,20 +271,12 @@ def base_case_rank(b: BaseCase) -> RankResult:
             # cyclic treatment: one order-2 pair factor
             return RankResult(1, ((k + " (cyclic pair)", 1),))
         if k == S3_CASE2:
-            if len(b.elements) == 2:
+            if points == 2:
                 return RankResult(1, ((k + " (cyclic pair)", 1),))
             return RankResult(2, ((k + " (cyclic triple)", 2),))
         if k == S3_CASE3:
             return RankResult(1, ((k, 1),))
         return RankResult(2, ((S3_CASE4, 2),))
-    if k == CLOSED_FORM_A:
-        g, n, r = b.params
-        if b.weights and not all(_is_vacuum(w, 1) for w in b.weights):
-            raise UnknownRankError(
-                "the closed form applies to level-1 vacuum weights only"
-            )
-        v = rank_closed_form_A(g, n, r)
-        return RankResult(v, ((f"closed form g={g} n={n} r={r}", v),))
     raise UnknownRankError(f"unrecognized factor kind {k!r}")
 
 

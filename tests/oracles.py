@@ -352,12 +352,19 @@ def replay_s3_trail(labels, values, steps):
     x -> c x c^-1.  Factors split off by the rewrite stay where they
     are, at the front.
 
+    The values ride along as one byte each (their index in
+    ``S3_TUPLES``), so a move is one slice assignment of the passed bytes
+    run through the conjugation table of c by ``bytes.translate``: a trail
+    whose moves pass n entries each replays in about n byte copies per
+    move.
+
     Returns (value by label after the replay, moves) with one
     (mover, from, to) per step.  Raises AssertionError on the first step
     that does not replay.
     """
     seq = [lab for lab, v in zip(labels, values) if tuple(v) != (1, 2, 3)]
     value = {lab: tuple(v) for lab, v in zip(labels, values)}
+    code = bytearray(S3_TUPLES.index(value[lab]) for lab in seq)
     moves = []
     for step in steps:
         if step["op"] != "move":
@@ -365,13 +372,16 @@ def replay_s3_trail(labels, values, steps):
         m, i, j = step["mover"], step["from"], step["to"]
         assert type(i) is int and type(j) is int, f"non-integer position: {step}"
         assert 0 <= j < i < len(seq) and seq[i] == m, f"{m} is not at {i}: {step}"
-        c = s3_inv(value[m])
+        c = s3_inv(S3_TUPLES[code[i]])
         assert step["conjugator"] == s3_name(c), f"wrong conjugator: {step}"
-        passed = seq[j:i]
-        for x in passed:
-            value[x] = s3_conj(c, value[x])
-        seq[j : i + 1] = [m] + passed
+        table = bytes(S3_TUPLES.index(s3_conj(c, x)) for x in S3_TUPLES)
+        mover = code[i]
+        code[j + 1 : i + 1] = code[j:i].translate(table + bytes(256 - len(table)))
+        code[j] = mover
+        seq[j : i + 1] = [m] + seq[j:i]
         moves.append((m, i, j))
+    for lab, k in zip(seq, code):
+        value[lab] = S3_TUPLES[k]
     return value, moves
 
 

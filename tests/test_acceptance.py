@@ -299,3 +299,28 @@ def test_criterion_11_linear_witnesses_at_genus_1e5(tmp_path, capsys):
             })
             assert json.loads(certify_descent(d, bundle).to_json()) \
                 == rep["certificate"], name
+
+
+def test_criterion_12_linear_s3_rewrite_at_12800_points():
+    r = random.Random(0xC12)
+    transpositions = [p for p in oracles.S3_TUPLES if oracles.s3_order(p) == 2]
+    # 3-cycles first, then equal transposition pairs: every move passes
+    # the whole run of 3-cycles
+    cycles_first = [C123] * 6402
+    for _ in range(3199):
+        cycles_first += [r.choice(transpositions)] * 2
+    seeded = oracles.s3_closed([r.choice(oracles.S3_TUPLES) for _ in range(12799)])
+    vectors = [tuple(cycles_first), seeded]
+    labels = tuple(f"x{i}" for i in range(12800))
+    with budget("criterion 12 (S3 rewrite of two 12,800-entry vectors)"):
+        witnesses = [s3_reduce(v, labels=labels) for v in vectors]
+    for values, w in zip(vectors, witnesses):
+        assert len(values) == 12800
+        value, moves = oracles.replay_s3_trail(labels, values, w.steps)
+        assert len(moves) <= len(values)
+        seen = []
+        for f in w.factors:
+            got = tuple(value[lab] for lab in f.labels)
+            assert got == (f.original if f.original is not None else f.elements)
+            seen += f.labels
+        assert sorted(seen) == sorted(labels)

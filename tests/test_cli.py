@@ -252,3 +252,70 @@ def test_non_integer_input_is_exit_2(capsys, tmp_path, datum_patch, bundle_weigh
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+HIGH_GENUS_C2_DATUM = {
+    "schema": 1,
+    "genus": 20000,
+    "group": "C2",
+    "points": [
+        {"label": f"p{i}", "type": "A3~2", "facet": [0, 1, 2], "monodromy": "(12)"}
+        for i in (1, 2)
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verlinde", "closed-form", "100000", "1", "2"),
+        ("verlinde", "closed-form", "100000", "1", "2", "--json"),
+        # 2^(10^11) is refused before it is built
+        ("verlinde", "closed-form", "100000000000", "1", "2"),
+        # 2^14286 has 4301 digits, just past the limit
+        ("verlinde", "closed-form", "7143", "1", "2"),
+        ("cg", "--datum", "{datum}", "--json"),
+        ("descend", "--datum", "{datum}", "--bundle", "{bundle}", "--json"),
+        ("descend", "--datum", "{datum}", "--bundle", "{bundle}"),
+        # the level-1 sum of two transpositions and m 3-cycles is 2^(m-1)
+        ("verlinde", "rank", ",".join(["(12)", "(12)"] + ["(123)"] * 15000)),
+        # S3 genus from a 4,300-digit base genus: about 6g, 4,301 digits
+        ("covers", "genus", "--base-genus", "9" * 4300, "(12),(12)"),
+        # a 4,300-digit coefficient at a vertex of dual label 2
+        ("descend", "--datum", "{genus0}", "--bundle", "{big_bundle}"),
+        ("picard", "check", "--datum", "{genus0}", "--bundle", "{big_bundle}"),
+    ],
+    ids=["closed-form", "closed-form-json", "closed-form-1e11",
+         "closed-form-4301-digits", "cg-json", "descend-json", "descend",
+         "level-1-sum", "covers-genus", "descend-charge", "picard-check-charge"],
+)
+def test_integer_past_the_written_digit_limit_is_exit_1(capsys, tmp_path, argv):
+    # the closed form at genus 20000 is 2^40000, about 12,000 digits
+    datum = tmp_path / "datum.json"
+    bundle = tmp_path / "bundle.json"
+    datum.write_text(json.dumps(HIGH_GENUS_C2_DATUM))
+    bundle.write_text(json.dumps({"schema": 1, "weights": {"p1": {"0": 1}, "p2": {"0": 1}}}))
+    genus0 = tmp_path / "genus0.json"
+    genus0.write_text(json.dumps({**HIGH_GENUS_C2_DATUM, "genus": 0}))
+    big = int("9" * 4300)
+    big_bundle = tmp_path / "big_bundle.json"
+    big_bundle.write_text(json.dumps(
+        {"schema": 1, "weights": {"p1": {"2": big}, "p2": {"2": big}}}))
+    argv = [a.format(datum=datum, bundle=bundle, genus0=genus0, big_bundle=big_bundle)
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "4300 decimal digits" in err or "4300 Python writes" in err
+
+
+def test_integer_at_the_written_digit_limit_is_written(capsys, tmp_path):
+    # 2^14284 has exactly 4300 digits
+    code, out, _ = run(capsys, "verlinde", "closed-form", "7142", "1", "2")
+    assert code == 0
+    assert len(out) == len("rank = ") + 4300 + 1
+    # without --json, cg prints no rank, so the high-genus datum answers
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(HIGH_GENUS_C2_DATUM))
+    code, out, _ = run(capsys, "cg", "--datum", str(datum))
+    assert (code, out) == (0, "lower bound (c_delta): 1\ncertified charge: 1\nexact: 1\n")

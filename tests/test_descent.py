@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -281,3 +282,35 @@ def test_report_serialization():
     ]
     assert cert["bundle"] == {"x1": {1: 1}, "x2": {1: 1}}
     assert json.loads(rep.to_json())["exact"] == 2
+
+
+#: sha256 of the ``compute_cG`` reports of the corpora below, one JSON
+#: line each, recorded when the local lookups were memoized: any change
+#: of a report's bytes shows here
+PINNED_REPORT_DIGESTS = {
+    "iwahori-1": "7d9c89d28f59409668a962c5675669383407627b81835f7dad445dba11bebd19",
+    "iwahori-2": "e9c66c53cdf6b981b8b13869e32759648ab2ec299f7d85a918c325d6e7a6bb34",
+    "iwahori-3": "1737ecd26f414eb2e7091b30bf329870b8b2c9409fac908630fe352a4678c002",
+    "iwahori-6": "902d965eec47b9e2f1a37b2780c1b68418c1930e77e99a5b90f50eeb4deb849f",
+    "c2-budget-0": "6fb06dd917698568a0633e19dcfa83ab1e662f3c10ef0cd50822deff75a45b25",
+    "c2-budget-2": "fffa48aecb447d79f1a91c5594407231f59aa70efd85210bbc98278a0232001e",
+    "c2-budget-64": "3f0560d3bacea14bd22dda3d1a53837dc4b2549e361683e089e4c50ae73950ba",
+}
+
+
+def _report_digest(data, budget=64):
+    h = hashlib.sha256()
+    for d in data:
+        h.update(compute_cG(d, budget=budget).to_json().encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_reports_are_byte_identical_to_the_pinned_digests():
+    r = random.Random("pinned-reports")
+    got = {}
+    for degree, gen in sorted(datagen.IWAHORI_GENERATORS.items()):
+        got[f"iwahori-{degree}"] = _report_digest([gen(r) for _ in range(100)])
+    c2 = [datagen.c2_small_facet_datum(r) for _ in range(60)]
+    for budget in (0, 2, 64):
+        got[f"c2-budget-{budget}"] = _report_digest(c2, budget)
+    assert got == PINNED_REPORT_DIGESTS

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from parapic import (
     parse_affine_type,
     twisted_type,
 )
+from parapic.dynkin import _integer_rank
 
 ALL_TYPES = all_affine_types()
 TYPE_BY_NAME = {str(t): t for t in ALL_TYPES}
@@ -186,3 +188,58 @@ def test_types_are_interned_and_hashable():
     assert isinstance(t1, AffineType)
     assert t1.vertices == (0, 1, 2)
     assert str(t1) == "D4~3"
+    assert t1.vertex_set == frozenset(t1.vertices)
+
+
+def test_equal_types_hash_equal_whether_interned_or_built_directly():
+    for t in ALL_TYPES:
+        built = AffineType(base=FiniteType(t.base.series, t.base.rank),
+                           twist=t.twist, cartan=t.cartan, dual_labels=t.dual_labels)
+        assert built is not t
+        assert built == t and hash(built) == hash(t)
+        assert built.vertices == t.vertices and built.vertex_set == t.vertex_set
+        assert {built: 1}[t] == 1
+    # the hash names (base, twist): the 55 types hash apart
+    assert len({hash(t) for t in ALL_TYPES}) == 55
+
+
+def test_parse_is_memoized_and_still_rejects():
+    assert parse_affine_type("A3~2") is parse_affine_type("A3~2")
+    for _ in range(2):  # a rejection is raised afresh, never cached
+        with pytest.raises(ParseError):
+            parse_affine_type("B3~2")
+        with pytest.raises(ParseError):
+            parse_affine_type("A0")
+
+
+def _perturbed(rows, rng):
+    """Copies of an integer matrix whose corank differs from one: one
+    diagonal entry raised, a row doubled onto another, a row cleared."""
+    n = len(rows)
+    out = []
+    m = [list(r) for r in rows]
+    m[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, 2, 3))
+    out.append(m)
+    i, j = rng.sample(range(n), 2)
+    m = [list(r) for r in rows]
+    m[j] = [2 * x for x in m[i]]
+    out.append(m)
+    m = [list(r) for r in rows]
+    m[rng.randrange(n)] = [0] * n
+    m[rng.randrange(n)] = [0] * n
+    out.append(m)
+    return out
+
+
+def test_integer_rank_matches_the_rational_oracle():
+    rng = random.Random(0xC0)
+    coranks = set()
+    for t in ALL_TYPES:
+        n = len(t.cartan)
+        assert _integer_rank(t.cartan) == oracles.rational_rank(t.cartan) == n - 1
+        for m in _perturbed(t.cartan, rng):
+            rank = oracles.rational_rank(m)
+            assert _integer_rank(m) == rank
+            coranks.add(n - rank)
+    # the perturbations reach coranks other than one on both sides
+    assert {0, 2} <= coranks

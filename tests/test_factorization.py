@@ -277,6 +277,29 @@ def test_base_case_validation():
         )
 
 
+def test_an_invalid_factor_still_raises_after_a_valid_one_of_its_kind():
+    ok = dict(weights=(vacuum_weight(1),) * 2, labels=("a", "b"))
+    for _ in range(2):
+        BaseCase(kind="S3Case1", elements=(T12, T12), **ok)
+        BaseCase(kind="S3Case2", elements=(C123, C132), **ok)
+        with pytest.raises(DomainError, match="multiply to e"):
+            BaseCase(kind="S3Case1", elements=(T12, T23), **ok)
+        # multiplies to e, but 3-cycles are not an equal transposition pair
+        with pytest.raises(DomainError, match="malformed S3Case1"):
+            BaseCase(kind="S3Case1", elements=(C123, C132), **ok)
+        with pytest.raises(DomainError, match="unknown factor kind"):
+            BaseCase(kind="S3Case9", elements=(T12, T12), **ok)
+    # the closed form checks its parameters as well as its vector
+    vector = dict(elements=(T12,) * 6, weights=(vacuum_weight(1),) * 6,
+                  labels=tuple("abcdef"))
+    BaseCase(kind="ClosedFormA", params=(0, 3, 2), **vector)
+    with pytest.raises(DomainError, match="malformed ClosedFormA"):
+        BaseCase(kind="ClosedFormA", params=(0, 3), **vector)
+    with pytest.raises(DomainError, match="multiply to e"):
+        BaseCase(kind="ClosedFormA", params=(0, 3, 2),
+                 **{**vector, "elements": (T12,) * 5 + (T23,)})
+
+
 @pytest.mark.parametrize("multiplicity", [0, -1, True, 2.0, "2", None])
 def test_base_case_rejects_a_non_positive_or_non_integer_multiplicity(multiplicity):
     with pytest.raises(DomainError, match="multiplicity"):

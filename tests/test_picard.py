@@ -78,6 +78,24 @@ def test_point_validation():
     PointDatum("p", T("A2"), frozenset({1}), IDENTITY, is_bad=True)
 
 
+def test_an_invalid_point_still_raises_after_a_valid_one_of_its_type():
+    t = T("A3~2")
+    good = PointDatum("p", t, frozenset(t.vertices), (2, 1, 3), is_bad=True)
+    assert good.is_iwahori
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not in A3~2"):
+            PointDatum("q", t, frozenset({0, 3}), (2, 1, 3), is_bad=True)
+        with pytest.raises(DomainError, match="does not match twist"):
+            PointDatum("q", t, frozenset({0}), IDENTITY, is_bad=True)
+    obj = datum_to_json(GroupDatum(1, C2_GROUP, (good,)))
+    assert datum_from_json(obj).points == (good,)
+    bad = json.loads(json.dumps(obj))
+    bad["points"][0]["facet"] = [0, 3]
+    for _ in range(2):
+        with pytest.raises(ParseError, match="not in A3~2"):
+            datum_from_json(bad)
+
+
 def test_datum_validation():
     p1 = iwahori("p1", "A2")
     with pytest.raises(DomainError, match="nonnegative"):

@@ -206,6 +206,23 @@ def test_twisted_pair_unknowns():
         base_case_rank(no_types)
 
 
+def test_rank_lookup_by_shape_ignores_labels_and_repeats_unknowns():
+    a4 = (T("A4"),) * 2
+    dual = dict(types=a4, weights=(((1, 1),), ((4, 1),)))
+    first = case("TwistedPair", (IDENTITY, IDENTITY), labels=("a", "b"), **dual)
+    again = case("TwistedPair", (IDENTITY, IDENTITY), labels=("c", "d"), **dual)
+    assert base_case_rank(first) == base_case_rank(again)
+    # the types take part in the lookup: the same weights on B3 mismatch
+    b3 = case("TwistedPair", (IDENTITY, IDENTITY), types=(T("B3"),) * 2,
+              weights=dual["weights"])
+    assert base_case_rank(b3).value == 0
+    # an unknown rank is raised on every lookup of its shape
+    off = case("EllipticTriple", (C123,) * 3, weights=(VAC1, VAC1, ((1, 1),)))
+    for _ in range(2):
+        with pytest.raises(UnknownRankError, match="vacuum"):
+            base_case_rank(off)
+
+
 def test_elliptic_triple_rank():
     tri = case("EllipticTriple", (C123, C123, C123), types=(T("D4~3"),) * 3)
     assert base_case_rank(tri).value == 2
