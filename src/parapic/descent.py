@@ -15,11 +15,11 @@ listed by :mod:`parapic.pairing`.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice, repeat, starmap
 from itertools import product as iproduct
-from math import lcm
+from math import lcm, prod
+from operator import add
 
 from .covers import (
     IDENTITY,
@@ -49,7 +49,7 @@ from .factorization import (
     handle_vacua,
     pair_involution,
     pair_partition_gsd2,
-    pq_sets_for_points,
+    pq_sets_for_points,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     s3_reduce,
     vacuum_weight,
 )
@@ -402,23 +402,31 @@ def _pinch_options(side, split: bool) -> dict:
     side[i], vertex at side[j], dual label): common facet vertices (P)
     for branch pairs, dual-matched ones (Q) for split pairs.  Pairs of
     different types, or with no choice, are not pinchable and absent.
+
+    Facets are bitmasks here: P is the meet of the two facets and Q the
+    meet of the first facet with the second one's image under the pair
+    involution.  The choices of one (type, meet) are built once per call.
     """
+    masks = [sum(1 << v for v in p.facet) for p in side]
+    images = masks
+    if split:
+        images = []
+        for p in side:
+            inv = pair_involution(p.affine_type)
+            images.append(sum(1 << inv(v) for v in p.facet))
+    built: dict[tuple, tuple] = {}
     table = {}
     for j, y in enumerate(side):
+        t = y.affine_type
         for i in range(j):
-            x = side[i]
-            try:
-                p_set, q_set = pq_sets_for_points(x, y)
-            except DomainError:
+            meet = masks[i] & images[j]
+            if not meet or side[i].affine_type != t:
                 continue
-            labels = x.affine_type.dual_labels
-            if split:
-                inv = pair_involution(x.affine_type)
-                opts = tuple((v, inv(v), labels[v]) for v in q_set)
-            else:
-                opts = tuple((v, v, labels[v]) for v in p_set)
-            if opts:
-                table[i, j] = opts
+            if (t, meet) not in built:
+                labels, inv = t.dual_labels, pair_involution(t)
+                built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
+                                       for v in range(meet.bit_length()) if meet >> v & 1)
+            table[i, j] = built[t, meet]
     return table
 
 
@@ -430,83 +438,192 @@ def _pinch_tables(d):
     return (branch, _pinch_options(branch, False)), (split, _pinch_options(split, True))
 
 
-def _gsd2_candidates(d, budget):
-    """Single-vertex bundle candidates from pinching pairings.
+class _Half:
+    """One perfect matching of one side of a C2 datum.
 
-    Yields (charge, kwargs, pairs, picks) for the first max(8 * budget, 1)
-    candidates in matching order: branch matchings, then split matchings,
-    then one choice per pair in product order.  ``kwargs`` holds the two
-    pairings as label pairs, ``pairs`` the point pairs (branch first) and
-    ``picks`` the matching (vertex, vertex, dual label) choices; the
-    charge is the lcm of the chosen dual labels.
+    ``side`` is 0 for the branch side and 1 for the split side, and
+    ``options`` holds the options of each pair of ``matching`` (see
+    `_pinch_options`).  Its candidates are the product of those options,
+    in product order; it has ``size`` of them, and the blocks reach the
+    first ``need``.
     """
-    aug = _with_handle_shadows(d)
-    try:
-        (branch, btab), (split, stab) = _pinch_tables(aug)
-    except (NoCoverError, DomainError):
-        return
-    cap = max(8 * budget, 1)
+
+    __slots__ = ("side", "matching", "options", "size", "need", "charges")
+
+    def __init__(self, side: int, matching, table: dict):
+        self.side = side
+        self.matching = matching
+        self.options = list(map(table.__getitem__, matching))
+        self.size = prod(map(len, self.options))
+        self.need = 0
+        self.charges: list[int] = []
+
+    def pick(self, i: int):
+        """(pair, option) for each pair, as element ``i`` of the product
+        chooses them."""
+        for e, opts in zip(reversed(self.matching), reversed(self.options)):
+            i, r = divmod(i, len(opts))
+            yield e, opts[r]
+
+
+def _product_head(combine, unit, factors: list, n: int) -> list:
+    """``combine`` folded over each element of the product of ``factors``
+    (lists of values), for its first ``n`` elements in product order.
+
+    The product is built from the last factor back, as the head of the
+    product of the factors after the current one.  Once that head holds
+    n elements, the first n elements of every longer product take the
+    first value of each earlier factor; ``combine`` is associative and
+    commutative with identity ``unit`` (lcm and 1, or + and 0), so those
+    values, like those of one-value factors, fold into one.  No product is
+    walked past n."""
+    fixed, head = unit, [unit]
+    for values in reversed(factors):
+        if len(values) == 1 or len(head) >= n:
+            fixed = combine(fixed, values[0])
+        else:
+            head = list(islice(starmap(combine, iproduct(values, head)), n))
+    return list(map(combine, repeat(fixed), head))
+
+
+def _gsd2_blocks(sides, budget: int):
+    """The staged pairing candidates of a C2 datum, in blocks.
+
+    A block is one (branch matching, split matching) pair; its candidates
+    are the product of the options of its branch pairs and then of its
+    split pairs, so the branch choice varies slowest.  Blocks come in
+    matching order (branch matchings, then split matchings) and the first
+    max(8 * budget, 1) candidates are staged, so the last block may be
+    cut.  Returns (branch half, split half, count, charges) per block,
+    where ``charges`` holds the lcm of the chosen dual labels of each of
+    the block's ``count`` candidates, from the heads of the two halves'
+    lcm lists (`_product_head`).
+    """
+    (branch, btab), (split, stab) = sides
+    left = max(8 * budget, 1)
     # each pairing gives at least one candidate, so cap split matchings do
-    split_matchings = list(islice(perfect_matchings(len(split), stab), cap))
-    if not split_matchings:
-        return
-    out = 0
-    for bm in perfect_matchings(len(branch), btab):
-        for sm in split_matchings:
-            pairs = [(branch[i], branch[j]) for i, j in bm]
-            pairs += [(split[i], split[j]) for i, j in sm]
-            kwargs = {
-                "branch_pairing": [(x.label, y.label) for x, y in pairs[: len(bm)]],
-                "split_pairing": [(x.label, y.label) for x, y in pairs[len(bm) :]],
-            }
-            options = [btab[e] for e in bm] + [stab[e] for e in sm]
-            for picks in iproduct(*options):
-                yield lcm(*(a for _vx, _vy, a in picks)), kwargs, pairs, picks
-                out += 1
-                if out >= cap:
-                    return
+    split_halves = [_Half(1, m, stab)
+                    for m in islice(perfect_matchings(len(split), stab), left)]
+    blocks = []
+    if split_halves:
+        for bm in perfect_matchings(len(branch), btab):
+            bh = _Half(0, bm, btab)
+            for sh in split_halves:
+                count = min(bh.size * sh.size, left)
+                # the block reaches ceil(count / split size) branch choices
+                # and, when cut inside its first branch choice, count split ones
+                bh.need = max(bh.need, -(-count // sh.size))
+                sh.need = max(sh.need, min(sh.size, count))
+                blocks.append((bh, sh, count))
+                left -= count
+                if not left:
+                    break
+            if not left:
+                break
+    for half in {h for bh, sh, _count in blocks for h in (bh, sh)}:
+        labels = [[a for _vx, _vy, a in opts] for opts in half.options]
+        half.charges = _product_head(lcm, 1, labels, half.need)
+    return [(bh, sh, count,
+             list(islice(starmap(lcm, iproduct(bh.charges, sh.charges)), count)))
+            for bh, sh, count in blocks]
+
+
+def _level_candidates(sides, blocks, real: list[str], charge: int):
+    """The staged candidates of one charge, as (weights, kwargs), sorted
+    by (bundle JSON, pairing JSON).
+
+    A candidate of charge c sets one vertex v at every point, with
+    coefficient c // (dual label of v), so its bundle JSON lists the same
+    labels in the same order as every other candidate of that charge and
+    differs only in the per-point objects ``{"v": n}``.  Each of those
+    ends at its only closing brace, so ranking the objects the datum's
+    types can give at c by their JSON and reading the ranks in label
+    order as the digits of one integer orders the candidates as their
+    bundle JSON does.  Each real point lies in exactly one pinched pair,
+    so an option adds its points' digits and a candidate's key is the sum
+    over its options: the sums run in C over the heads of the two halves'
+    key lists (`_product_head`), as the charges do.
+
+    Equal bundles from different blocks are ordered by the blocks'
+    pairing JSON.  Blocks list their label pairs in the same shape, and
+    JSON strings are prefix-free, so that order is the lexicographic order
+    of the labels' own JSON strings, read pair by pair; the blocks of the
+    charge are sorted that way first, and a key ties only across blocks.
+    """
+    level = [b for b in blocks if charge in b[3]]
+    halves = {h for bh, sh, *_rest in level for h in (bh, sh)}
+    names = [[p.label for p in side] for side, _table in sides]
+
+    def labels(half):
+        side = names[half.side]
+        return [(side[i], side[j]) for i, j in half.matching]
+
+    if len(level) > 1:
+        json_rank = {lab: r for r, lab in enumerate(
+            sorted((lab for side in names for lab in side), key=json.dumps))}
+        pairing = {id(h): [json_rank[lab] for pair in labels(h) for lab in pair]
+                   for h in halves}
+        level.sort(key=lambda b: (pairing[id(b[0])], pairing[id(b[1])]))
+
+    # every object a vertex of a type in the datum could give, ordered by
+    # json.dumps({str(v): n}), which is this string for integers v and n
+    types = {p.affine_type for side, _table in sides for p in side}
+    objs = {(v, charge // a) for t in types
+            for v, a in enumerate(t.dual_labels) if charge % a == 0}
+    ranked = sorted(objs, key=lambda o: f'{{"{o[0]}": {o[1]}}}')
+    rank = {o: r for r, o in enumerate(ranked)}
+    digit = {lab: len(ranked) ** k for k, lab in enumerate(reversed(real))}
+    # each option's share of the key; one whose label does not divide the
+    # charge is never at it
+    parts = [{(i, j): [rank[vx, charge // a] * digit.get(side[i], 0)
+                       + rank[vy, charge // a] * digit.get(side[j], 0)
+                       if charge % a == 0 else 0
+                       for vx, vy, a in opts]
+              for (i, j), opts in table.items()}
+             for side, (_points, table) in zip(names, sides)]
+    heads = {id(h): _product_head(add, 0, list(map(parts[h.side].__getitem__, h.matching)),
+                                  h.need)
+             for h in halves}
+    staged = []
+    for r, (bh, sh, count, charges) in enumerate(level):
+        keys = starmap(add, iproduct(heads[id(bh)], heads[id(sh)]))
+        staged += compress(zip(keys, repeat(r), range(count)),
+                           map(charge.__eq__, charges))
+    staged.sort()
+
+    real_set = set(real)
+    for _key, r, i in staged:
+        bh, sh = level[r][:2]
+        ib, isplit = divmod(i, sh.size)
+        weights = {}
+        for half, k in ((bh, ib), (sh, isplit)):
+            side = names[half.side]
+            for (ix, iy), (vx, vy, a) in half.pick(k):
+                if side[ix] in real_set:
+                    weights[side[ix]] = {vx: charge // a}
+                if side[iy] in real_set:
+                    weights[side[iy]] = {vy: charge // a}
+        yield weights, {"branch_pairing": labels(bh), "split_pairing": labels(sh)}
 
 
 def _staged_gsd2(d, budget):
-    """The pairing candidates in certification order, lazily.
+    """The pairing candidates in certification order, one charge at a time.
 
-    Yields (charge, weights, kwargs) sorted by (charge, bundle JSON,
-    pairing JSON), sorting one charge only when the search reaches it.
-    A candidate sets one vertex at every point, so the bundle JSONs of
-    one charge list the same labels in the same order and differ only in
-    the per-point objects ``{"v": n}``.  Each of those ends at its only
-    closing brace, so the tuple of per-point JSON objects orders the
-    candidates exactly as the whole bundle JSON does, without building
-    it.
+    Yields (charge, candidates) for each charge of the candidates of
+    `_gsd2_blocks`, ascending, where ``candidates`` is the
+    `_level_candidates` generator of that charge.  It keys and sorts its
+    charge only once it is first advanced, so a search that stops at a
+    charge never pays for it.
     """
-    labels = sorted(p.label for p in d.points)
-    real = set(labels)
-    point_json: dict[tuple[int, int], str] = {}
-    pairing_json: dict[int, str] = {}  # by id of the shared kwargs
-    by_charge = defaultdict(list)
-    for charge, kwargs, pairs, picks in _gsd2_candidates(d, budget):
-        by_charge[charge].append((kwargs, pairs, picks))
-    for charge in sorted(by_charge):
-        staged = []
-        for kwargs, pairs, picks in by_charge[charge]:
-            chosen = {}
-            for (x, y), (vx, vy, a) in zip(pairs, picks):
-                chosen[x.label] = (vx, charge // a)
-                chosen[y.label] = (vy, charge // a)
-            key = []
-            for lab in labels:
-                vn = chosen[lab]
-                if vn not in point_json:
-                    point_json[vn] = json.dumps({str(vn[0]): vn[1]})
-                key.append(point_json[vn])
-            if id(kwargs) not in pairing_json:
-                pairing_json[id(kwargs)] = json.dumps(sorted(kwargs.items()),
-                                                      default=str)
-            staged.append((key, pairing_json[id(kwargs)], chosen, kwargs))
-        staged.sort(key=lambda c: c[:2])
-        for _key, _pairing, chosen, kwargs in staged:
-            weights = {lab: {v: n} for lab, (v, n) in chosen.items() if lab in real}
-            yield charge, weights, kwargs
+    aug = _with_handle_shadows(d)
+    try:
+        sides = _pinch_tables(aug)
+    except (NoCoverError, DomainError):
+        return
+    blocks = _gsd2_blocks(sides, budget)
+    real = sorted(p.label for p in d.points)
+    for charge in sorted({c for *_b, charges in blocks for c in charges}):
+        yield charge, _level_candidates(sides, blocks, real, charge)
 
 
 def best_lcmai_bound(d) -> int:
@@ -586,6 +703,11 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
     tried: set[tuple] = set()
     best: DescentCertificate | None = None
 
+    def settled(charge: int) -> bool:
+        """True when no candidate of this charge can still be tried or
+        improve the bracket."""
+        return attempts >= max(budget, 1) or (best is not None and charge >= best.charge)
+
     def try_candidate(bundle, charge, **kwargs) -> bool:
         """Certify one candidate; True means the bracket has closed.
 
@@ -594,9 +716,7 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
         ``certify_descent`` is the only validation.
         """
         nonlocal attempts, best
-        if attempts >= max(budget, 1):
-            return False
-        if best is not None and charge >= best.charge:
+        if settled(charge):
             return False
         key = (bundle.entries, tuple(
             (name, tuple(map(tuple, pairing))) for name, pairing in sorted(kwargs.items())
@@ -626,14 +746,15 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
             first = d.points[0]
             done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
     if not done and d.gamma.kind == "C2" and d.points:
-        for charge, weights, kwargs in _staged_gsd2(d, budget):
-            # sorted by charge: once one certifies, no later one can win
-            if attempts >= max(budget, 1) or (
-                best is not None and charge >= best.charge
-            ):
+        # sorted by charge: once one certifies, no later one can win, and
+        # the charge the search stops at is never keyed
+        for charge, candidates in _staged_gsd2(d, budget):
+            if settled(charge):
                 break
-            if try_candidate(WeightBundle.from_dict(weights), charge, **kwargs):
-                break
+            for weights, kwargs in candidates:
+                if settled(charge):
+                    break
+                try_candidate(WeightBundle.from_dict(weights), charge, **kwargs)
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None
     return CGReport(lower=lower, certified_charge=certified, exact=exact,

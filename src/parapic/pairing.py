@@ -122,40 +122,56 @@ def has_perfect_matching(n: int, edges: Iterable[tuple[int, int]]) -> bool:
 
 def perfect_matchings(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[Matching]:
     """Every perfect matching of the graph, lazily, in recursion order
-    (lowest remaining vertex first, its partners in increasing order)."""
+    (lowest remaining vertex first, its partners in increasing order).
+
+    The recursion runs on an explicit stack, so a call leaves no
+    reference cycle behind for the cyclic collector."""
     adj = _adjacency(n, edges)
-    alive = (1 << n) - 1
-    mate = _perfect(adj, alive)
+    full = (1 << n) - 1
+    mate = _perfect(adj, full)
     if mate is None:
         return
-    memo: dict[int, list[int] | None] = {alive: mate}
+    if not full:
+        yield ()
+        return
+    memo: dict[int, list[int] | None] = {full: mate}
+    pairs: list[tuple[int, int]] = []
+    # one frame per level of the recursion: the remaining vertex set, a
+    # perfect matching of it, its lowest vertex and that vertex's partners
+    # still to try; ``pairs`` holds the pair each deeper frame chose
+    stack = [(full, mate, 0, iter(adj[0]))]
+    while stack:
+        alive, mate, i, partners = stack[-1]
+        for j in partners:
+            if alive >> j & 1:
+                rest = alive & ~(1 << i | 1 << j)
+                if rest not in memo:
+                    memo[rest] = _without_pair(adj, mate, i, j, rest)
+                if memo[rest] is not None:
+                    break
+        else:
+            stack.pop()
+            if pairs:
+                pairs.pop()
+            continue
+        if rest:
+            pairs.append((i, j))
+            low = (rest & -rest).bit_length() - 1
+            stack.append((rest, memo[rest], low, iter(adj[low])))
+        else:
+            yield (*pairs, (i, j))
 
-    def child(mate: list[int], i: int, j: int, rest: int) -> list[int] | None:
-        if rest in memo:
-            return memo[rest]
-        sub = mate.copy()
-        a, b = mate[i], mate[j]
-        sub[i] = sub[j] = -1
-        if a != j:
-            # the freed mates a and b need one augmenting path between them
-            sub[a] = sub[b] = -1
-            if not _augment(adj, sub, a, rest):
-                sub = None
-        memo[rest] = sub
-        return sub
 
-    def walk(alive: int, mate: list[int]) -> Iterator[Matching]:
-        if not alive:
-            yield ()
-            return
-        i = (alive & -alive).bit_length() - 1
-        for j in adj[i]:
-            if not alive >> j & 1:
-                continue
-            rest = alive & ~(1 << i | 1 << j)
-            sub = child(mate, i, j, rest)
-            if sub is not None:
-                for tail in walk(rest, sub):
-                    yield ((i, j),) + tail
-
-    yield from walk(alive, mate)
+def _without_pair(adj: list[list[int]], mate: list[int], i: int, j: int,
+                  rest: int) -> list[int] | None:
+    """A perfect matching of ``rest``, the vertex set of ``mate`` less the
+    pair (i, j), or None when there is none."""
+    sub = mate.copy()
+    a, b = mate[i], mate[j]
+    sub[i] = sub[j] = -1
+    if a != j:
+        # the freed mates a and b need one augmenting path between them
+        sub[a] = sub[b] = -1
+        if not _augment(adj, sub, a, rest):
+            return None
+    return sub

@@ -223,45 +223,20 @@ def vacuum_bundle(d: GroupDatum, charge: int = 1) -> WeightBundle:
     return WeightBundle.from_dict({p.label: {0: charge} for p in d.points})
 
 
-def _representable(target: int, labels) -> bool:
-    ok = [False] * (target + 1)
-    ok[0] = True
-    for n in range(1, target + 1):
-        ok[n] = any(n >= a and ok[n - a] for a in labels)
-    return ok[target]
-
-
-def _single_vertex(p: PointDatum, charge: int):
-    labels = p.affine_type.dual_labels
-    for i in sorted(p.facet):
-        if charge % labels[i] == 0:
-            return {i: charge // labels[i]}
-    return None
-
-
-def _combination(p: PointDatum, charge: int) -> dict[int, int]:
-    verts = sorted(p.facet)
-    labels = p.affine_type.dual_labels
-
-    def go(idx: int, rem: int):
-        if rem == 0:
-            return {}
-        if idx == len(verts):
-            return None
-        v = verts[idx]
-        for n in range(rem // labels[v], -1, -1):
-            rest = go(idx + 1, rem - n * labels[v])
-            if rest is not None:
-                if n:
-                    rest = {v: n, **rest}
-                return rest
-        return None
-
-    out = go(0, charge)
-    if out is None:
-        raise InternalInconsistencyError(
-            f"point {p.label}: charge {charge} not representable"
-        )
+def _suffix_reach(labels: list[int], limit: int) -> list[int]:
+    """For each i, the totals 0..limit that nonnegative combinations of
+    ``labels[i:]`` reach, as a bitmask (bit t set when t is reached); the
+    last entry, for no labels, holds 0 alone."""
+    full = (2 << limit) - 1
+    out = [1]
+    for a in reversed(labels):
+        reach, step = out[-1], a
+        while step <= limit:
+            # after the shifts a, 2a, ..., 2^k a: every multiple below 2^(k+1) a
+            reach = (reach | reach << step) & full
+            step <<= 1
+        out.append(reach)
+    out.reverse()
     return out
 
 
@@ -270,22 +245,56 @@ def cdelta_bundle(d: GroupDatum) -> WeightBundle:
     c_delta representable as a nonnegative facet-label combination at
     every point (it equals c_delta itself whenever each facet has a
     label dividing it).  Single-vertex supports are preferred, smallest
-    qualifying vertex first."""
+    qualifying vertex first; otherwise the vertices are taken in
+    increasing order, each with the largest coefficient that leaves a
+    remainder the later vertices can still reach.
+
+    A point with a label dividing c_delta reaches every multiple of it.
+    Each other point reaches every multiple of the gcd g of its labels
+    from the square of its largest label on (Schur's bound on the
+    Frobenius number), so the first multiple of lcm(c_delta, every g)
+    past those squares bounds the charge, and one reach table per such
+    point up to that bound decides it.
+    """
     base = c_delta(d)
-    label_sets = [
-        sorted({p.affine_type.dual_labels[i] for i in p.facet}) for p in d.points
-    ]
-    for k in range(1, 201):
-        charge = base * k
-        if all(_representable(charge, ls) for ls in label_sets):
-            weights = {}
-            for p in d.points:
-                coeffs = _single_vertex(p, charge)
-                if coeffs is None:
-                    coeffs = _combination(p, charge)
-                weights[p.label] = coeffs
-            return WeightBundle.from_dict(weights)
-    raise InternalInconsistencyError("no representable multiple of c_delta found")
+    points = []
+    hard = []
+    for p in d.points:
+        verts = sorted(p.facet)
+        labels = [p.affine_type.dual_labels[v] for v in verts]
+        points.append((p, verts, labels))
+        if all(base % a for a in labels):
+            hard.append(labels)
+    charge = base
+    if hard:
+        step = lcm(base, *(gcd(*labels) for labels in hard))
+        top = max(max(labels) ** 2 for labels in hard)
+        # no further than the 200th multiple of c_delta
+        limit = min(step * -(-top // step), 200 * base)
+        common = (2 << limit) - 1
+        for labels in hard:
+            common &= _suffix_reach(labels, limit)[0]
+        charge = next((c for c in range(base, limit + 1, base) if common >> c & 1), 0)
+        if not charge:
+            raise InternalInconsistencyError("no representable multiple of c_delta found")
+    weights = {}
+    for p, verts, labels in points:
+        single = next(((v, a) for v, a in zip(verts, labels) if charge % a == 0), None)
+        if single is not None:
+            v, a = single
+            weights[p.label] = {v: charge // a}
+            continue
+        reach = _suffix_reach(labels, charge)
+        coeffs, rem = {}, charge
+        for v, a, rest in zip(verts, labels, reach[1:]):
+            n = rem // a
+            while not rest >> (rem - n * a) & 1:
+                n -= 1
+            if n:
+                coeffs[v] = n
+                rem -= n * a
+        weights[p.label] = coeffs
+    return WeightBundle.from_dict(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,27 @@ def c2_small_facet_datum(r: random.Random, max_points: int = 10) -> GroupDatum:
     return GroupDatum(r.randint(0, 1), C2_GROUP, tuple(pts))
 
 
+def c2_search_datum(r: random.Random, max_branch: int = 10) -> GroupDatum:
+    """A C2 datum shaped like the benchmark's c2-search corpus.
+
+    One base type: an even 2 to max_branch branch points (twisted type)
+    and 0 to 3 split points (untwisted type) in random order, facets of
+    one to three random vertices, genus 0 or 1 (a genus-1 base adds two
+    handle shadows to the split side, so with an odd split count the
+    side is padded by an auxiliary point).
+    """
+    base = r.choice(_TWIST2_BASES)
+    monos = [(2, 1, 3)] * (2 * r.randint(1, max_branch // 2)) + [IDENTITY] * r.randint(0, 3)
+    r.shuffle(monos)
+    pts = []
+    for i, mono in enumerate(monos):
+        t = twisted_type(base, 2 if mono != IDENTITY else 1)
+        facet = frozenset(r.sample(t.vertices, r.randint(1, min(3, len(t.vertices)))))
+        pts.append(PointDatum(f"p{i + 1}", t, facet, mono,
+                              is_bad=(mono != IDENTITY or 0 not in facet)))
+    return GroupDatum(r.randint(0, 1), C2_GROUP, tuple(pts))
+
+
 def random_small_datum(r: random.Random) -> GroupDatum:
     """Unramified datum with random small facets (for lattice ranks)."""
     n = r.randint(1, 4)

@@ -3,13 +3,20 @@
 Everything here is deliberately written from first principles (plain
 Gaussian elimination over Fraction, greedy Weyl-word descent, exhaustive
 product loops) rather than by calling into parapic internals, so a bug
-in the package cannot hide in its own oracle.
+in the package cannot hide in its own oracle.  The one exception,
+``staged_gsd2``, takes a datum's pairing sides and per-pair vertex sets
+from the package and checks the search and the order built on them.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
+
+from parapic import DomainError, WeightBundle, bundle_to_json, pq_sets_for_points
+from parapic.descent import _with_handle_shadows
+from parapic.factorization import _gsd2_sides, pair_involution
 
 
 def rational_rank(rows) -> int:
@@ -254,6 +261,79 @@ def perfect_matchings(items):
             yield (pair,) + tail
 
 
+def staged_gsd2(d, budget):
+    """The exhaustive C2 pairing search: every matching of both sides,
+    every vertex choice, the first max(8 * budget, 1) candidates staged
+    and sorted by (charge, bundle JSON, pairing JSON).
+
+    Yields (charge, weights, kwargs) as ``descent._staged_gsd2`` lists
+    them, flattened.  The two sides (with handle shadows and the ``_aux``
+    padding) and each pair's vertex sets come from the package; the
+    walk over every matching, the cap and the order are this function's
+    own.
+    """
+    aug = _with_handle_shadows(d)
+    try:
+        branch, others, aux = _gsd2_sides(aug)
+    except DomainError:
+        return
+    split = others + aux
+    real = {p.label for p in d.points}
+    staged = []
+
+    def options(bp, sp):
+        out = []
+        for pairs, split_side in ((bp, False), (sp, True)):
+            for x, y in pairs:
+                try:
+                    p_set, q_set = pq_sets_for_points(x, y)
+                except DomainError:
+                    return None
+                verts = q_set if split_side else p_set
+                if not verts:
+                    return None
+                inv = pair_involution(x.affine_type)
+                out.append([
+                    (x, y, v, inv(v) if split_side else v,
+                     x.affine_type.dual_labels[v])
+                    for v in verts
+                ])
+        return out
+
+    def candidates():
+        for bp in perfect_matchings(branch):
+            for sp in perfect_matchings(split):
+                opts = options(bp, sp)
+                if opts is None:
+                    continue
+                kwargs = {
+                    "branch_pairing": [(x.label, y.label) for x, y in bp],
+                    "split_pairing": [(x.label, y.label) for x, y in sp],
+                }
+                for picks in itertools.product(*opts):
+                    charge = 1
+                    for *_p, a in picks:
+                        charge = charge * a // gcd(charge, a)
+                    weights = {}
+                    for x, y, vx, vy, a in picks:
+                        if x.label in real:
+                            weights[x.label] = {vx: charge // a}
+                        if y.label in real:
+                            weights[y.label] = {vy: charge // a}
+                    yield charge, weights, kwargs
+
+    for charge, weights, kwargs in candidates():
+        ser = json.dumps(bundle_to_json(WeightBundle.from_dict(weights)),
+                         sort_keys=True)
+        staged.append((charge, ser, json.dumps(sorted(kwargs.items())),
+                       weights, kwargs))
+        if len(staged) >= max(8 * budget, 1):
+            break
+    staged.sort(key=lambda c: c[:3])
+    for charge, _ser, _pairing, weights, kwargs in staged:
+        yield charge, weights, kwargs
+
+
 def gcd_of_pinching_lcms(sides):
     """gcd, over every perfect matching of every side and every choice of
     one label per pair, of the lcm of the chosen labels.
@@ -395,3 +475,62 @@ def s3_move_distances(order, movers):
         out.append(i - k)
         seq.insert(k, seq.pop(i))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the c_Delta constructor bundle, by scanning multiples and backtracking
+
+
+def cdelta_weights(d):
+    """Per-point {vertex: coefficient} of the c_Delta constructor bundle.
+
+    c_Delta is the lcm over bad points of the gcd of their facet labels.
+    The charge is the first of its 200 first multiples that a dynamic
+    program over each point's facet labels finds representable at every
+    point.  A point takes its smallest vertex whose label divides the
+    charge, else the first combination a depth-first search finds with
+    the vertices in increasing order, each coefficient from its largest
+    value down.
+    """
+    base = 1
+    for p in d.points:
+        if p.is_bad:
+            labels = p.affine_type.dual_labels
+            g = 0
+            for v in p.facet:
+                g = gcd(g, labels[v])
+            base = base * g // gcd(base, g)
+
+    def representable(target, labels):
+        ok = [True] + [False] * target
+        for n in range(1, target + 1):
+            ok[n] = any(n >= a and ok[n - a] for a in labels)
+        return ok[target]
+
+    def combination(verts, labels, rem):
+        if rem == 0:
+            return {}
+        if not verts:
+            return None
+        for n in range(rem // labels[verts[0]], -1, -1):
+            rest = combination(verts[1:], labels, rem - n * labels[verts[0]])
+            if rest is not None:
+                return {verts[0]: n, **rest} if n else rest
+        return None
+
+    for k in range(1, 201):
+        charge = base * k
+        if not all(representable(charge, {p.affine_type.dual_labels[v] for v in p.facet})
+                   for p in d.points):
+            continue
+        weights = {}
+        for p in d.points:
+            labels = p.affine_type.dual_labels
+            verts = sorted(p.facet)
+            single = [v for v in verts if charge % labels[v] == 0]
+            if single:
+                weights[p.label] = {single[0]: charge // labels[single[0]]}
+            else:
+                weights[p.label] = combination(verts, labels, charge)
+        return weights
+    raise AssertionError("no representable multiple of c_Delta among the first 200")

@@ -47,7 +47,7 @@ from parapic import (
     vacuum_bundle,
 )
 from parapic.cli import main
-from parapic.descent import DESCENDS, _gsd2_candidates
+from parapic.descent import DESCENDS, _staged_gsd2
 
 T12, T23 = (2, 1, 3), (1, 3, 2)
 C123, C132 = (2, 3, 1), (3, 1, 2)
@@ -244,19 +244,22 @@ def test_criterion_9_charge_lattice_rank():
             assert pic_delta_rank(d) == oracles.charge_difference_kernel_rank(d)
 
 
+def forty_e6_branch_points(facet_of):
+    t = parse_affine_type("E6~2")
+    return GroupDatum(0, C2_GROUP, tuple(
+        PointDatum(f"p{i + 1}", t, frozenset(facet_of(i)), T12, is_bad=True)
+        for i in range(40)
+    ))
+
+
 def test_criterion_10_c2_pairing_search_at_40_points():
-    def datum(facet_of):
-        t = parse_affine_type("E6~2")
-        return GroupDatum(0, C2_GROUP, tuple(
-            PointDatum(f"p{i + 1}", t, frozenset(facet_of(i)), T12, is_bad=True)
-            for i in range(40)
-        ))
+    datum = forty_e6_branch_points
 
     with budget("criterion 10 (C2 pairing search at 40 branch points)"):
         # three points share only vertex 1, 37 only vertex 2: two odd
         # components, so no pairing is admissible
         blocked = datum(lambda i: {1} if i in (0, 13, 26) else {2})
-        assert next(_gsd2_candidates(blocked, 64), None) is None
+        assert next(_staged_gsd2(blocked, 64), None) is None
         rep = compute_cG(blocked)
         assert (rep.lower, rep.certified_charge, rep.exact) == (6, None, None)
         # every pair shares two vertices
@@ -264,6 +267,19 @@ def test_criterion_10_c2_pairing_search_at_40_points():
         rep = compute_cG(dense)
         assert rep.certificate.verdict == DESCENDS
         assert (rep.lower, rep.certified_charge) == (1, 3)
+
+
+def test_criterion_10_dense_pairing_search_at_large_budgets():
+    # 2^20 vertex choices per pairing: staging stops at the 8 * budget
+    # cap without building the product, and keys only the charges the
+    # search reaches
+    dense = forty_e6_branch_points(lambda i: {1, 2, 3} if i % 2 else {2, 3, 4})
+    with budget("criterion 10 (dense 40-point search at budgets 64 and 4000)"):
+        reports = [compute_cG(dense, budget=b) for b in (64, 4000)]
+    for rep in reports:
+        assert rep.certificate.verdict == DESCENDS
+        assert (rep.lower, rep.certified_charge, rep.exact) == (1, 3, None)
+    assert reports[0].to_json() == reports[1].to_json()
 
 
 def test_criterion_11_linear_witnesses_at_genus_1e5(tmp_path, capsys):

@@ -6,10 +6,10 @@ the reports of the exhaustive walk over every matching.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
-from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,15 +21,13 @@ from parapic import (
     DomainError,
     GroupDatum,
     PointDatum,
-    WeightBundle,
     best_lcmai_bound,
-    bundle_to_json,
     compute_cG,
     parse_affine_type,
     pq_sets_for_points,
 )
 from parapic import descent
-from parapic.factorization import _gsd2_sides, pair_involution
+from parapic.factorization import _gsd2_sides
 from parapic.pairing import has_perfect_matching, perfect_matchings
 
 T12 = (2, 1, 3)
@@ -134,68 +132,19 @@ def test_best_lcmai_bound_matches_oracle():
     assert seen >= 20
 
 
-def reference_staged_gsd2(d, budget):
-    """The exhaustive C2 search: every matching of both sides, every
-    vertex choice, the first max(8 * budget, 1) candidates staged and
-    sorted by (charge, bundle JSON, pairing JSON)."""
-    aug = descent._with_handle_shadows(d)
-    try:
-        branch, others, aux = _gsd2_sides(aug)
-    except DomainError:
-        return
-    split = others + aux
-    real = {p.label for p in d.points}
-    staged = []
+def staged(d, budget):
+    """``descent._staged_gsd2`` flattened to (charge, weights, kwargs)."""
+    return [(charge, weights, kwargs)
+            for charge, candidates in descent._staged_gsd2(d, budget)
+            for weights, kwargs in candidates]
 
-    def options(bp, sp):
-        out = []
-        for pairs, split_side in ((bp, False), (sp, True)):
-            for x, y in pairs:
-                try:
-                    p_set, q_set = pq_sets_for_points(x, y)
-                except DomainError:
-                    return None
-                verts = q_set if split_side else p_set
-                if not verts:
-                    return None
-                inv = pair_involution(x.affine_type)
-                out.append([
-                    (x, y, v, inv(v) if split_side else v,
-                     x.affine_type.dual_labels[v])
-                    for v in verts
-                ])
-        return out
 
-    def candidates():
-        for bp in oracles.perfect_matchings(branch):
-            for sp in oracles.perfect_matchings(split):
-                opts = options(bp, sp)
-                if opts is None:
-                    continue
-                kwargs = {
-                    "branch_pairing": [(x.label, y.label) for x, y in bp],
-                    "split_pairing": [(x.label, y.label) for x, y in sp],
-                }
-                for picks in itertools.product(*opts):
-                    charge = lcm(*(a for *_p, a in picks))
-                    weights = {}
-                    for x, y, vx, vy, a in picks:
-                        if x.label in real:
-                            weights[x.label] = {vx: charge // a}
-                        if y.label in real:
-                            weights[y.label] = {vy: charge // a}
-                    yield charge, weights, kwargs
-
-    for charge, weights, kwargs in candidates():
-        ser = json.dumps(bundle_to_json(WeightBundle.from_dict(weights)),
-                         sort_keys=True)
-        staged.append((charge, ser, json.dumps(sorted(kwargs.items())),
-                       weights, kwargs))
-        if len(staged) >= max(8 * budget, 1):
-            break
-    staged.sort(key=lambda c: c[:3])
-    for charge, _ser, _pairing, weights, kwargs in staged:
-        yield charge, weights, kwargs
+def oracle_levels(d, budget):
+    """``oracles.staged_gsd2`` grouped by charge, in the shape of
+    ``descent._staged_gsd2``."""
+    for charge, run in itertools.groupby(oracles.staged_gsd2(d, budget),
+                                         key=lambda c: c[0]):
+        yield charge, ((weights, kwargs) for _c, weights, kwargs in run)
 
 
 def test_compute_cg_matches_exhaustive_search(monkeypatch):
@@ -204,7 +153,7 @@ def test_compute_cg_matches_exhaustive_search(monkeypatch):
     for budget in (64, 2, 0):
         engine = [compute_cG(d, budget=budget).to_json() for d in data]
         with monkeypatch.context() as m:
-            m.setattr(descent, "_staged_gsd2", reference_staged_gsd2)
+            m.setattr(descent, "_staged_gsd2", oracle_levels)
             exhaustive = [compute_cG(d, budget=budget).to_json() for d in data]
         assert engine == exhaustive, budget
 
@@ -216,11 +165,83 @@ def test_candidate_cap_counts_candidates_in_matching_order():
         for i in range(1, 9)
     )
     d = GroupDatum(0, C2_GROUP, pts)
-    cands = list(descent._gsd2_candidates(d, budget=2))
+    cands = staged(d, budget=2)
     assert len(cands) == 16
     # 3^4 vertex choices per pairing: all 16 come from the first one
-    assert {json.dumps(c[1]) for c in cands} == {
+    assert {json.dumps(c[2]) for c in cands} == {
         json.dumps({"branch_pairing": [("p1", "p2"), ("p3", "p4"),
                                        ("p5", "p6"), ("p7", "p8")],
                     "split_pairing": []})
     }
+
+
+BUDGETS = (0, 1, 2, 3, 5, 64)
+
+
+def test_staged_sequence_matches_oracle_on_seeded_data():
+    r = random.Random(606)
+    data = [datagen.c2_small_facet_datum(r) for _ in range(125)]
+    data += [datagen.c2_search_datum(r, max_branch=6) for _ in range(250)]
+    reached = 0
+    for d in data:
+        for budget in BUDGETS:
+            got = staged(d, budget)
+            assert got == list(oracles.staged_gsd2(d, budget)), (d, budget)
+            reached += bool(got)
+    assert reached >= 1000
+
+
+def _c2_datum(genus, specs, base="E6"):
+    """A C2 datum from (label, branch?, facet) triples over one base."""
+    pts = tuple(
+        PointDatum(lab, parse_affine_type(base + ("~2" if branch else "")),
+                   frozenset(facet), T12 if branch else (1, 2, 3),
+                   is_bad=branch or 0 not in facet)
+        for lab, branch, facet in specs
+    )
+    return GroupDatum(genus, C2_GROUP, pts)
+
+
+HAND_BUILT = {
+    # 3 x 3 choices per pairing: a cap of 8 cuts the first block
+    "cut block": _c2_datum(0, [(f"p{i}", True, {1, 2, 3}) for i in range(4)]),
+    # one shared vertex everywhere: every pairing gives the same bundle
+    "equal bundles": _c2_datum(0, [(f"p{i}", True, {2}) for i in range(6)]),
+    # JSON escapes reorder these labels against plain string order
+    "escaped labels": _c2_datum(0, [(lab, True, {2, 3}) for lab in
+                                    ("b", "\u00e9", "\u00e9t\u00e9", 'a"', "a", "\\z")]),
+    "genus-1 shadows": _c2_datum(1, [("p1", True, {1, 2}), ("p2", True, {2, 3}),
+                                     ("s1", False, {0, 1}), ("s2", False, {0, 6})]),
+    "aux padding": _c2_datum(0, [("p1", True, {2}), ("p2", True, {2, 4}),
+                                 ("s1", False, {0, 2}), ("s2", False, {0, 4}),
+                                 ("s3", False, {0, 1, 6})]),
+    "shadows and padding": _c2_datum(1, [("_handle1", True, {1, 2}), ("p2", True, {1, 2}),
+                                         ("s1", False, {0})]),
+}
+
+
+def test_staged_sequence_matches_oracle_on_hand_built_data():
+    for name, d in HAND_BUILT.items():
+        for budget in BUDGETS:
+            got = staged(d, budget)
+            assert got, (name, budget)
+            assert got == list(oracles.staged_gsd2(d, budget)), (name, budget)
+    assert len(staged(HAND_BUILT["cut block"], 1)) == 8
+    tied = staged(HAND_BUILT["equal bundles"], 64)
+    assert len(tied) == 15
+    assert len({json.dumps(w, sort_keys=True) for _c, w, _k in tied}) == 1
+
+
+def test_matching_walk_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(perfect_matchings(4, {(0, 1), (1, 2), (2, 3), (0, 3)}))) == 2
+        walk = perfect_matchings(8, {(i, j) for j in range(8) for i in range(j)})
+        next(walk)
+        next(walk)
+        walk.close()
+        del walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -212,6 +212,43 @@ def test_cdelta_bundle_properties(seed):
     assert is_dominant(d, b)
 
 
+def test_cdelta_bundle_matches_scanning_oracle():
+    # every generator, and a seeded corpus shaped like the c2-search one
+    r = random.Random(0xCD)
+    gens = list(datagen.IWAHORI_GENERATORS.values()) + [
+        datagen.c2_small_facet_datum, datagen.c2_search_datum,
+        datagen.random_small_datum,
+    ]
+    above = 0
+    for gen in gens:
+        for _ in range(150):
+            d = gen(r)
+            b = cdelta_bundle(d)
+            assert b == WeightBundle.from_dict(oracles.cdelta_weights(d)), d
+            above += is_pic_delta(d, b)[1] > c_delta(d)
+    # some charges lie past c_Delta, so the reach tables decide them
+    assert above >= 10
+
+
+def test_cdelta_bundle_combines_vertices():
+    # E8 facet {4} has label 5, so c_Delta = 5
+    p2 = PointDatum("p2", T("E8"), frozenset({4}), IDENTITY, is_bad=True)
+    # E7 facet {2, 3} has labels 3 and 4: no single vertex reaches 5 or
+    # 10 at the first point, but 3 + 3 + 4 = 10 does
+    p1 = PointDatum("p1", T("E7"), frozenset({2, 3}), IDENTITY, is_bad=True)
+    # E8 facet {1, 2, 7} has labels 2, 3, 2: 5 = 2 + 3 = 3 + 2, and the
+    # first vertex takes the largest coefficient that leaves a reachable
+    # remainder
+    q1 = PointDatum("p1", T("E8"), frozenset({1, 2, 7}), IDENTITY, is_bad=True)
+    for d, want in (
+        (GroupDatum(0, TRIVIAL_GROUP, (p1, p2)), {"p1": {2: 2, 3: 1}, "p2": {4: 2}}),
+        (GroupDatum(0, TRIVIAL_GROUP, (q1, p2)), {"p1": {1: 1, 2: 1}, "p2": {4: 1}}),
+    ):
+        b = cdelta_bundle(d)
+        assert b.as_dict() == want
+        assert b == WeightBundle.from_dict(oracles.cdelta_weights(d))
+
+
 def test_pic_delta_rank_formula_anchors():
     d1 = GroupDatum(0, TRIVIAL_GROUP, (point("p1", "A3", {0, 1, 2}),))
     assert pic_delta_rank(d1) == 3
