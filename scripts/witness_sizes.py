@@ -4,8 +4,10 @@ For seeded identity-product S3 vectors of n = 100, 400 and 1600 points,
 and for the worst case of the rewrite at the same sizes (3-cycles first,
 then pairs of equal transpositions, so every braid move passes the whole
 run of 3-cycles), this runs `parapic reduce s3 --json`; for Trivial, C3
-and S3 data at
-base genus 10^3 and 10^5 it runs `parapic cg --json`.  Each row gives
+and S3 data at base genus 10^3 and 10^5, and for a C2 datum (two `D4~2`
+branch points and one `D4` split point, all Iwahori) at genus 10^3, 10^4
+and 10^5, it runs `parapic cg --json`.  The C2 route still lists its 2g
+handle shadows in pairs, so its rows grow with the genus.  Each row gives
 the trail steps, the factors, the bytes of the JSON line and the median
 wall time of five in-process runs of the verb (parsing, the rewrite or
 certificate search, and emission; no interpreter start-up).
@@ -67,6 +69,7 @@ def datum(group: str, genus: int) -> dict:
         "Trivial": [("D4", [0, 1, 2, 3, 4], "e")],
         "C3": [("D4~3", [0, 1, 2], "(123)")] * 3,
         "S3": [("D4~2", [0, 1, 2, 3], "(23)")] * 2,
+        "C2": [("D4~2", [0, 1, 2, 3], "(12)")] * 2 + [("D4", [0, 1, 2, 3, 4], "e")],
     }[group]
     return {"schema": 1, "genus": genus, "group": group, "points": [
         {"label": f"p{i + 1}", "type": t, "facet": f, "monodromy": m}
@@ -87,8 +90,9 @@ def report() -> None:
             row(f"{name} n={n}", out, json.loads(out), t)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "datum.json")
-        for group in ("Trivial", "C3", "S3"):
-            for exp in (3, 5):
+        for group, exps in (("Trivial", (3, 5)), ("C3", (3, 5)), ("S3", (3, 5)),
+                            ("C2", (3, 4, 5))):
+            for exp in exps:
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(datum(group, 10**exp), fh)
                 out, t = run_verb(["cg", "--datum", path, "--json"])

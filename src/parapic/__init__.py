@@ -78,7 +78,6 @@ from .factorization import (
     DecompositionWitness,
     degenerate_gsd3,
     lcmai_bound,
-    pair_partition_gsd2,
     pq_sets,
     pq_sets_for_points,
     s3_parity_check,

@@ -15,6 +15,7 @@ listed by :mod:`parapic.pairing`.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import compress, islice, repeat, starmap
 from itertools import product as iproduct
@@ -27,7 +28,6 @@ from .covers import (
     element_name,
     perm_order,
 )
-from .dynkin import twisted_type
 from .errors import (
     BoundUnavailableError,
     DomainError,
@@ -43,9 +43,11 @@ from .factorization import (
     UNTWISTED_VACUUM,
     BaseCase,
     DecompositionWitness,
+    Gsd2Sides,
     _gsd2_sides,
     degenerate_gsd3,
     free_labels,
+    handle_base,
     handle_vacua,
     pair_involution,
     pair_partition_gsd2,
@@ -147,42 +149,24 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
     return charge
 
 
-def _common_base(d: GroupDatum):
-    bases = {p.affine_type.base for p in d.points}
-    if len(bases) != 1:
-        raise DomainError(
-            "handle pinching needs a single base type across points, got "
-            + ", ".join(sorted(str(t) for t in bases))
-        )
-    (base,) = bases
-    return base
+#: [datum, its side split or None] while `compute_cG` works on a datum
+_shared_sides: ContextVar[list | None] = ContextVar("shared_sides", default=None)
 
 
-def _with_handle_shadows(d: GroupDatum) -> GroupDatum:
-    """The datum with each handle pinched to two vacuum shadow points,
-    listed one by one: the C2 route pairs them like any other point."""
-    if not d.base_genus:
-        return d
-    base = _common_base(d)
-    shadows = tuple(
-        PointDatum(label=lab, affine_type=twisted_type(base, 1),
-                   facet=frozenset({0}))
-        for lab in free_labels({p.label for p in d.points}, "_handle",
-                               2 * d.base_genus)
-    )
-    return GroupDatum(base_genus=d.base_genus, gamma=d.gamma,
-                      points=tuple(d.points) + shadows)
+def _c2_sides(d: GroupDatum) -> Gsd2Sides:
+    """The side split of a C2 datum, with its 2g handle shadows as pads.
 
-
-def _weight_fn(d: GroupDatum, b: WeightBundle, charge: int):
-    real = {p.label for p in d.points}
-
-    def wt(p: PointDatum):
-        if p.label in real:
-            return b.weight(p.label)
-        return vacuum_weight(charge)
-
-    return wt
+    While `compute_cG` works on ``d`` the split is computed at its first
+    use and then shared, so its staging and every candidate it certifies
+    split the datum once.  A failed split is not kept: it raises again
+    at each call.
+    """
+    shared = _shared_sides.get()
+    if shared is None or shared[0] is not d:
+        return _gsd2_sides(d.points, 2 * d.base_genus)
+    if shared[1] is None:
+        shared[1] = _gsd2_sides(d.points, 2 * d.base_genus)
+    return shared[1]
 
 
 def _route_gsd1(d, b, charge) -> DecompositionWitness:
@@ -198,7 +182,7 @@ def _route_gsd1(d, b, charge) -> DecompositionWitness:
             )
         )
     if d.base_genus:
-        _common_base(d)  # pinching handles needs one base type across points
+        handle_base(d.points)  # pinching handles needs one base type across points
         w.factors += handle_vacua({p.label for p in d.points},
                                   2 * d.base_genus, charge)
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
@@ -244,28 +228,44 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
         )
         w.steps.append({"op": "closed-form", "g": g, "n": n, "r": r})
         return w
-    aug = _with_handle_shadows(d)
-    part = pair_partition_gsd2(aug, branch_pairing=branch_pairing,
+    sides = _c2_sides(d)
+    part = pair_partition_gsd2(sides, branch_pairing=branch_pairing,
                                split_pairing=split_pairing)
-    wt = _weight_fn(d, b, charge)
     w = DecompositionWitness()
     if d.base_genus:
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
-    if part.aux_points:
-        w.steps.append(
-            {"op": "pad-split-side",
-             "labels": [p.label for p in part.aux_points]}
-        )
-    for x, y in part.branch_pairs + part.split_pairs:
+    if sides.aux is not None:
+        w.steps.append({"op": "pad-split-side", "labels": [sides.aux]})
+    for x, y in part.branch_pairs:
         w.factors.append(
             BaseCase(
                 kind=TWISTED_PAIR,
                 elements=(x.monodromy, y.monodromy),
-                weights=(wt(x), wt(y)),
+                weights=(b.weight(x.label), b.weight(y.label)),
                 labels=(x.label, y.label),
                 types=(x.affine_type, y.affine_type),
             )
         )
+    # a pad is an untwisted vacuum point, so every pair of pads is one
+    # factor, checked once and then relabelled
+    pad = (IDENTITY, vacuum_weight(charge), sides.pad_type)
+    real = sides.split
+
+    def entry(lab):
+        p = real.get(lab)
+        return pad if p is None else (p.monodromy, b.weight(lab), p.affine_type)
+
+    shadow_pair = None
+    for x, y in part.split_pairs:
+        if x in real or y in real or shadow_pair is None:
+            elements, weights, types = zip(entry(x), entry(y))
+            factor = BaseCase(kind=TWISTED_PAIR, elements=elements, weights=weights,
+                              labels=(x, y), types=types)
+            if x not in real and y not in real:
+                shadow_pair = factor
+        else:
+            factor = shadow_pair.relabelled((x, y))
+        w.factors.append(factor)
     return w
 
 
@@ -430,11 +430,13 @@ def _pinch_options(side, split: bool) -> dict:
     return table
 
 
-def _pinch_tables(d):
+def _pinch_tables(sides: Gsd2Sides):
     """The branch side and the (padded) split side of a C2 datum, each
-    with its table of pinchable pairs."""
-    branch, others, aux = _gsd2_sides(d)
-    split = others + aux
+    with its table of pinchable pairs.  The tables read a pad as a
+    vacuum point; the search meets pads at genus 0 and 1 in practice."""
+    branch = list(sides.branch)
+    split = [*sides.split.values(),
+             *(PointDatum(lab, sides.pad_type, frozenset({0})) for lab in sides.pads)]
     return (branch, _pinch_options(branch, False)), (split, _pinch_options(split, True))
 
 
@@ -615,10 +617,11 @@ def _staged_gsd2(d, budget):
     charge only once it is first advanced, so a search that stops at a
     charge never pays for it.
     """
-    aug = _with_handle_shadows(d)
+    if d.base_genus:
+        handle_base(d.points)  # mixed base types at a positive genus raise
     try:
-        sides = _pinch_tables(aug)
-    except (NoCoverError, DomainError):
+        sides = _pinch_tables(_c2_sides(d))
+    except DomainError:
         return
     blocks = _gsd2_blocks(sides, budget)
     real = sorted(p.label for p in d.points)
@@ -642,7 +645,7 @@ def best_lcmai_bound(d) -> int:
     """
     if d.gamma.kind != "C2":
         raise DomainError(f"lcm bound needs Galois group C2, got {d.gamma.kind}")
-    sides = _pinch_tables(d)
+    sides = _pinch_tables(_gsd2_sides(d.points))
     if not all(has_perfect_matching(len(side), table) for side, table in sides):
         raise PairingError(
             "pairing inadmissible: every pairing leaves some pair with no "
@@ -734,27 +737,32 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
                 best = cert
         return best is not None and best.charge == lower
 
-    done = False
-    if d.points and all(0 in p.facet for p in d.points):
-        done = try_candidate(vacuum_bundle(d, 1), 1)
-    if not done and d.points:
-        try:
-            cb = cdelta_bundle(d)
-        except DomainError:
-            cb = None
-        if cb is not None:
-            first = d.points[0]
-            done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
-    if not done and d.gamma.kind == "C2" and d.points:
-        # sorted by charge: once one certifies, no later one can win, and
-        # the charge the search stops at is never keyed
-        for charge, candidates in _staged_gsd2(d, budget):
-            if settled(charge):
-                break
-            for weights, kwargs in candidates:
+    # the side split is shared until the search ends
+    token = _shared_sides.set([d, None])
+    try:
+        done = False
+        if d.points and all(0 in p.facet for p in d.points):
+            done = try_candidate(vacuum_bundle(d, 1), 1)
+        if not done and d.points:
+            try:
+                cb = cdelta_bundle(d)
+            except DomainError:
+                cb = None
+            if cb is not None:
+                first = d.points[0]
+                done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
+        if not done and d.gamma.kind == "C2" and d.points:
+            # sorted by charge: once one certifies, no later one can win, and
+            # the charge the search stops at is never keyed
+            for charge, candidates in _staged_gsd2(d, budget):
                 if settled(charge):
                     break
-                try_candidate(WeightBundle.from_dict(weights), charge, **kwargs)
+                for weights, kwargs in candidates:
+                    if settled(charge):
+                        break
+                    try_candidate(WeightBundle.from_dict(weights), charge, **kwargs)
+    finally:
+        _shared_sides.reset(token)
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None
     return CGReport(lower=lower, certified_charge=certified, exact=exact,

@@ -50,11 +50,24 @@ from .errors import InvalidTypeError, ParseError
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 
-#: Inventory bounds for :func:`all_affine_types` (the constructor itself
-#: accepts any rank above the series minimum).
+#: Inventory bounds for :func:`all_affine_types`.
 _UNTWISTED_MAX_RANK = 8
 _A2_MAX_RANK = 17
 _D2_MAX_RANK = 8
+
+#: (series, twist) -> the largest rank `parse_affine_type` accepts, for
+#: the series whose rank the series and twist do not fix: the inventory,
+#: and for untwisted A the bases of A~2 up to A17~2, since such a C2
+#: datum has untwisted split points and pads of its base type.
+#: `twisted_type` refuses any base above rank 17, so its memo stays small.
+_INVENTORY_MAX_RANK = {
+    ("A", 1): _A2_MAX_RANK,
+    ("B", 1): _UNTWISTED_MAX_RANK,
+    ("C", 1): _UNTWISTED_MAX_RANK,
+    ("D", 1): _UNTWISTED_MAX_RANK,
+    ("A", 2): _A2_MAX_RANK,
+    ("D", 2): _D2_MAX_RANK,
+}
 
 
 @dataclass(frozen=True)
@@ -307,21 +320,23 @@ def twisted_type(base: FiniteType, order: int) -> AffineType:
     diagram automorphism (r = 1 is the untwisted affinization)."""
     if order not in (1, 2, 3):
         raise InvalidTypeError(f"twist order must be 1, 2 or 3, got {order}")
+    if order == 2 and not (
+        (base.series == "A" and base.rank >= 2)
+        or base.series == "D"
+        or (base.series == "E" and base.rank == 6)
+    ):
+        raise InvalidTypeError(f"({base}, 2) admits no order-2 twist")
+    if order == 3 and (base.series, base.rank) != ("D", 4):
+        raise InvalidTypeError(f"({base}, 3) admits no order-3 twist")
+    if base.rank > _A2_MAX_RANK:
+        raise InvalidTypeError(
+            f"{base} is above rank {_A2_MAX_RANK}, the largest base of the "
+            "implemented types"
+        )
     if order == 1:
         cartan, labels = _untwisted_tables(base)
-    elif order == 2:
-        ok = (
-            (base.series == "A" and base.rank >= 2)
-            or base.series == "D"
-            or (base.series == "E" and base.rank == 6)
-        )
-        if not ok:
-            raise InvalidTypeError(f"({base}, 2) admits no order-2 twist")
-        cartan, labels = _twisted_tables(base, 2)
     else:
-        if (base.series, base.rank) != ("D", 4):
-            raise InvalidTypeError(f"({base}, 3) admits no order-3 twist")
-        cartan, labels = _twisted_tables(base, 3)
+        cartan, labels = _twisted_tables(base, order)
     t = AffineType(base=base, twist=order, cartan=cartan, dual_labels=labels)
     _verify(t)
     return t
@@ -341,11 +356,23 @@ _TYPE_RE = re.compile(r"^([A-G])([0-9]+)(?:~([123]))?$")
 @lru_cache(maxsize=256)
 def parse_affine_type(s: str) -> AffineType:
     """The type a name such as "A3~2" denotes; memoized per string (a
-    ParseError is raised afresh each time, never cached)."""
+    ParseError is raised afresh each time, never cached).
+
+    A rank above the implemented inventory (`all_affine_types`) is
+    rejected before any table is built."""
     m = _TYPE_RE.match(s.strip())
     if not m:
         raise ParseError(f"cannot parse affine type {s!r} (expected e.g. 'A3~2')")
-    series, rank, twist = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+    series, digits, twist = m.group(1), m.group(2), int(m.group(3) or 1)
+    bound = _INVENTORY_MAX_RANK.get((series, twist))
+    # no implemented rank has three digits; longer ones are never converted
+    if len(digits) > 2 or (bound is not None and int(digits) > bound):
+        raise ParseError(
+            f"affine type {s!r} is outside the implemented inventory"
+            + ("" if bound is None else
+               f": {series}~{twist} ranks stop at {bound}")
+        )
+    rank = int(digits)
     try:
         return twisted_type(FiniteType(series, rank), twist)
     except InvalidTypeError as e:

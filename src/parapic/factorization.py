@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .covers import (
     C3_PLUS,
@@ -165,6 +166,13 @@ class BaseCase:
         if error is not None:
             raise DomainError(error)
 
+    def relabelled(self, labels: tuple[str, ...]) -> "BaseCase":
+        """This factor at the points ``labels`` (a tuple of str, one per
+        point): the checked shape is shared, so nothing is checked again."""
+        out = object.__new__(BaseCase)
+        out.__dict__.update(self.__dict__, labels=labels)
+        return out
+
     def as_dict(self) -> dict:
         d: dict = {
             "kind": self.kind,
@@ -234,11 +242,41 @@ class DecompositionWitness:
 # ---------------------------------------------------------------------------
 
 
+class Gsd2Sides(NamedTuple):
+    """The two sides of a C2 datum's pinching.
+
+    ``branch`` holds the points with order-2 monodromy, in input order.
+    The split side lists ``split_labels``: the labels of the points with
+    trivial monodromy (``split``, by label, in input order), then the
+    pads, which are the labels of the pinched handles' shadows and, when
+    the real split count is odd, of one ``_aux`` point that makes the
+    side even.  Every pad is a vacuum point of ``pad_type``, the
+    untwisted common base type, with facet {0}, and is kept as its label:
+    a witness needs no more of it.
+    """
+
+    branch: tuple[PointDatum, ...]
+    split: dict[str, PointDatum]
+    split_labels: tuple[str, ...]
+    pad_type: AffineType | None
+
+    @property
+    def pads(self) -> tuple[str, ...]:
+        return self.split_labels[len(self.split):]
+
+    @property
+    def aux(self) -> str | None:
+        """The label of the ``_aux`` pad, or None when there is none."""
+        return self.split_labels[-1] if len(self.split) % 2 else None
+
+
 @dataclass(frozen=True)
 class Gsd2Partition:
+    """A pinching: branch pairs of points, split pairs of labels (a
+    label is a real split point of the sides or a pad)."""
+
     branch_pairs: tuple[tuple[PointDatum, PointDatum], ...]
-    split_pairs: tuple[tuple[PointDatum, PointDatum], ...]
-    aux_points: tuple[PointDatum, ...]
+    split_pairs: tuple[tuple[str, str], ...]
 
 
 def free_labels(used, prefix: str, count: int) -> list[str]:
@@ -275,80 +313,96 @@ def handle_vacua(used, count: int, charge: int) -> list[BaseCase]:
     ]
 
 
-def _gsd2_sides(d):
-    """Split points into the degree-2 branch locus and the rest.
+def handle_base(points):
+    """The one base type of ``points``, which pinching handles needs."""
+    bases = {p.affine_type.base for p in points}
+    if len(bases) != 1:
+        raise DomainError(
+            "handle pinching needs a single base type across points, got "
+            + ", ".join(sorted(str(t) for t in bases))
+        )
+    (base,) = bases
+    return base
+
+
+def _gsd2_sides(points, shadow_count: int = 0) -> Gsd2Sides:
+    """Split points into the degree-2 branch locus and the split side.
 
     Branch points are exactly those with order-2 monodromy; bad points
     with trivial monodromy sit over split points of the cover and go to
-    the second side.  The second side is padded to even cardinality with
-    an auxiliary vacuum point of the (common) untwisted base type.
+    the split side, followed by ``shadow_count`` handle shadows (2g for a
+    genus-g base) and, when the real split count is odd, one auxiliary
+    pad (see `Gsd2Sides`).  Pads need one base type across the points.
     """
-    branch = [p for p in d.points if perm_order(p.monodromy) == 2]
-    others = [p for p in d.points if perm_order(p.monodromy) == 1]
+    branch, split = [], {}
+    for p in points:
+        order = perm_order(p.monodromy)
+        if order == 2:
+            branch.append(p)
+        elif order == 1:
+            split[p.label] = p
+        else:
+            raise DomainError(
+                f"pair partition needs monodromies of order 1 or 2, point "
+                f"{p.label!r} has order {order}"
+            )
+    pad_type, pads = None, []
+    if shadow_count:
+        pad_type = twisted_type(handle_base(points), 1)
     if len(branch) % 2 == 1:
         raise NoCoverError("no C2 cover exists: odd number of branch points")
-    aux: list[PointDatum] = []
-    if len(others) % 2 == 1:
-        bases = {p.affine_type.base for p in d.points}
-        if len(bases) != 1:
-            raise DomainError(
-                "cannot pad the split side: points have mixed base types"
-            )
-        (base,) = bases
-        (label,) = free_labels({p.label for p in d.points}, "_aux", 1)
-        aux.append(
-            PointDatum(
-                label=label,
-                affine_type=twisted_type(base, 1),
-                facet=frozenset({0}),
-            )
-        )
-    return branch, others, aux
+    if shadow_count or len(split) % 2:
+        used = {p.label for p in points}
+        pads = free_labels(used, "_handle", shadow_count)
+        if len(split) % 2:
+            bases = {p.affine_type.base for p in points}
+            if len(bases) != 1:
+                raise DomainError(
+                    "cannot pad the split side: points have mixed base types"
+                )
+            pad_type = twisted_type(*bases, 1)
+            pads += free_labels(used, "_aux", 1)
+    return Gsd2Sides(branch=tuple(branch), split=split,
+                     split_labels=(*split, *pads), pad_type=pad_type)
 
 
-def _adjacent_pairs(items):
-    return tuple((items[i], items[i + 1]) for i in range(0, len(items), 2))
-
-
-def _resolve_pairing(side, pairing, what):
-    """Turn a user-supplied list of label pairs into point pairs."""
-    by_label = {p.label: p for p in side}
+def _resolve_pairing(side: dict, pairing, what):
+    """Turn a user-supplied list of label pairs into pairs of the values
+    ``side`` maps those labels to."""
     seen: set[str] = set()
     out = []
     for a, b in pairing:
         for x in (a, b):
-            if x not in by_label:
+            if x not in side:
                 raise PairingError(f"pairing names unknown {what} point {x!r}")
             if x in seen:
                 raise PairingError(f"pairing repeats {what} point {x!r}")
             seen.add(x)
-        out.append((by_label[a], by_label[b]))
+        out.append((side[a], side[b]))
     if len(seen) != len(side):
-        missing = sorted(set(by_label) - seen)
+        missing = sorted(set(side) - seen)
         raise PairingError(f"pairing misses {what} points {missing}")
     return tuple(out)
 
 
-def pair_partition_gsd2(d, branch_pairing=None, split_pairing=None) -> Gsd2Partition:
-    """Choose a pinching of a genus-0 datum with Galois group C2.
+def pair_partition_gsd2(sides: Gsd2Sides, branch_pairing=None,
+                        split_pairing=None) -> Gsd2Partition:
+    """Choose a pinching of the two sides of a C2 datum.
 
-    Default pairing is adjacent-in-input-order on each side; explicit
+    Default pairing is adjacent-in-side-order on each side; explicit
     pairings are given as lists of label pairs and must be perfect
-    matchings of their side.
+    matchings of their side, pads included.
     """
-    if d.gamma.kind != "C2":
-        raise DomainError(f"pair partition needs Galois group C2, got {d.gamma.kind}")
-    branch, others, aux = _gsd2_sides(d)
-    split_side = others + aux
+    branch, labels = sides.branch, sides.split_labels
     if branch_pairing is None:
-        bp = _adjacent_pairs(branch)
+        bp = tuple(zip(branch[::2], branch[1::2]))
     else:
-        bp = _resolve_pairing(branch, branch_pairing, "branch")
+        bp = _resolve_pairing({p.label: p for p in branch}, branch_pairing, "branch")
     if split_pairing is None:
-        sp = _adjacent_pairs(split_side)
+        sp = tuple(zip(labels[::2], labels[1::2]))
     else:
-        sp = _resolve_pairing(split_side, split_pairing, "split")
-    return Gsd2Partition(branch_pairs=bp, split_pairs=sp, aux_points=tuple(aux))
+        sp = _resolve_pairing(dict(zip(labels, labels)), split_pairing, "split")
+    return Gsd2Partition(branch_pairs=bp, split_pairs=sp)
 
 
 # ---------------------------------------------------------------------------

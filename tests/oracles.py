@@ -4,8 +4,8 @@ Everything here is deliberately written from first principles (plain
 Gaussian elimination over Fraction, greedy Weyl-word descent, exhaustive
 product loops) rather than by calling into parapic internals, so a bug
 in the package cannot hide in its own oracle.  The one exception,
-``staged_gsd2``, takes a datum's pairing sides and per-pair vertex sets
-from the package and checks the search and the order built on them.
+``staged_gsd2``, takes each pair's vertex sets from the package and
+checks the sides, the search and the order built on them.
 """
 from __future__ import annotations
 
@@ -14,9 +14,16 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from parapic import DomainError, WeightBundle, bundle_to_json, pq_sets_for_points
-from parapic.descent import _with_handle_shadows
-from parapic.factorization import _gsd2_sides, pair_involution
+from parapic import (
+    IDENTITY,
+    DomainError,
+    PointDatum,
+    WeightBundle,
+    bundle_to_json,
+    pq_sets_for_points,
+    twisted_type,
+)
+from parapic.factorization import pair_involution
 
 
 def rational_rank(rows) -> int:
@@ -261,23 +268,53 @@ def perfect_matchings(items):
             yield (pair,) + tail
 
 
+def c2_sides(d):
+    """The branch side and the split side of a C2 datum, or None when it
+    has an odd branch count or an odd split side of mixed base types.
+
+    Each handle pinches to two vacuum points of the untwisted common base
+    type with facet {0}, named by the free ``_handle`` labels and listed
+    after the real split points; an odd split side then gets one such
+    point named by the first free ``_aux`` label.  Mixed base types at a
+    positive genus raise DomainError, since no handle can be pinched.
+    """
+    used = {p.label for p in d.points}
+
+    def vacua(prefix, count):
+        out, i = [], 0
+        while len(out) < count:
+            i += 1
+            if f"{prefix}{i}" not in used:
+                out.append(PointDatum(f"{prefix}{i}", twisted_type(base, 1),
+                                      frozenset({0})))
+        return out
+
+    bases = {p.affine_type.base for p in d.points}
+    base = next(iter(bases)) if len(bases) == 1 else None
+    if d.base_genus and base is None:
+        raise DomainError("handles of mixed base types cannot be pinched")
+    branch = [p for p in d.points if p.monodromy != IDENTITY]
+    split = [p for p in d.points if p.monodromy == IDENTITY]
+    split += vacua("_handle", 2 * d.base_genus)
+    if len(branch) % 2 or (len(split) % 2 and base is None):
+        return None
+    return branch, split + vacua("_aux", len(split) % 2)
+
+
 def staged_gsd2(d, budget):
     """The exhaustive C2 pairing search: every matching of both sides,
     every vertex choice, the first max(8 * budget, 1) candidates staged
     and sorted by (charge, bundle JSON, pairing JSON).
 
     Yields (charge, weights, kwargs) as ``descent._staged_gsd2`` lists
-    them, flattened.  The two sides (with handle shadows and the ``_aux``
-    padding) and each pair's vertex sets come from the package; the
-    walk over every matching, the cap and the order are this function's
-    own.
+    them, flattened.  Each pair's vertex sets come from the package; the
+    sides (`c2_sides`), the walk over every matching, the cap and the
+    order are this function's own.
     """
-    aug = _with_handle_shadows(d)
-    try:
-        branch, others, aux = _gsd2_sides(aug)
-    except DomainError:
+    sides = c2_sides(d)
+    if sides is None:
         return
-    split = others + aux
+    branch, split = sides
     real = {p.label for p in d.points}
     staged = []
 

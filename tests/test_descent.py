@@ -314,3 +314,91 @@ def test_reports_are_byte_identical_to_the_pinned_digests():
     for budget in (0, 2, 64):
         got[f"c2-budget-{budget}"] = _report_digest(c2, budget)
     assert got == PINNED_REPORT_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# C2 handle shadows at high genus
+
+
+def c2_iwahori(genus, twisted, branch, split):
+    """A C2 Iwahori datum: order-2 points of type ``twisted`` labelled
+    ``branch``, then trivial-monodromy points of its untwisted base."""
+    tb, ts = T(twisted), T(twisted.split("~")[0])
+    pts = [PointDatum(lab, tb, tb.vertex_set, T12, is_bad=True) for lab in branch]
+    pts += [PointDatum(lab, ts, ts.vertex_set, IDENTITY, is_bad=True) for lab in split]
+    return GroupDatum(genus, C2_GROUP, tuple(pts))
+
+
+#: odd and even real split counts, a split side of shadows only, and
+#: labels that take the first free ``_handle`` and ``_aux`` names
+HIGH_GENUS_C2 = {
+    "genus-1-odd": (1, "D4~2", ["b1", "b2"], ["s1"]),
+    "genus-2-even": (2, "D4~2", ["b1", "b2"], ["s1", "s2"]),
+    "genus-3-odd": (3, "E6~2", ["b1", "b2", "b3", "b4"], ["s1", "s2", "s3"]),
+    "genus-17-even": (17, "A5~2", ["b1", "b2"], ["s1", "s2"]),
+    "genus-1000-odd": (1000, "D4~2", ["b1", "b2"], ["s1"]),
+    "genus-1000-shadows-only": (1000, "D4~2", ["b1", "b2"], []),
+    "genus-2-label-clash": (2, "D4~2", ["_handle1", "_handle3"], ["_aux1"]),
+}
+
+#: sha256 of each datum's ``compute_cG`` report, recorded when every
+#: shadow was still built as a point
+PINNED_HIGH_GENUS_DIGESTS = {
+    "genus-1-odd": "e31886e70af218704ed13684268b22e4b341944f16067d71b924e56ba58c4e32",
+    "genus-2-even": "1e2bcb50acd7d137eee085a136a5098a049a79785f735d31aba375adc62adac5",
+    "genus-3-odd": "843a4345514b3dc4cee9073d90129f062ccecc4105ecdef99c87a2e00aaa737c",
+    "genus-17-even": "aacfcfc0a4386ddaadae79e3bc770d5f4fb236de19dedd4170e2f360f68190ad",
+    "genus-1000-odd": "49aa79517b4b75959c92f7c8cc8c39b1ebae999abd9c6abb5ee7ebc7e5295b2f",
+    "genus-1000-shadows-only": "435a425efa67ee01ce04a0354f8c8dfe26d2ced84669c71a853a618ec68baa26",
+    "genus-2-label-clash": "ccfe47709034132db6b1c78624ec91255d052bf2842d91bcd745b79c6ca61eaf",
+}
+
+
+def test_high_genus_c2_reports_are_byte_identical_to_the_pinned_digests():
+    got = {name: hashlib.sha256(compute_cG(c2_iwahori(*args)).to_json().encode())
+           .hexdigest() for name, args in HIGH_GENUS_C2.items()}
+    assert got == PINNED_HIGH_GENUS_DIGESTS
+
+
+def test_high_genus_c2_certificates_replay_with_pairings_naming_the_shadows():
+    for name, args in HIGH_GENUS_C2.items():
+        d = c2_iwahori(*args)
+        out = compute_cG(d).to_json()
+        cert = json.loads(out)["certificate"]
+        # the pairings the witness records, read off as a replay reads them
+        pairings = {"branch_pairing": [], "split_pairing": []}
+        for f in cert["witness"]["factors"]:
+            side = "split_pairing" if f["elements"][0] == "e" else "branch_pairing"
+            pairings[side].append(tuple(f["labels"]))
+        shadows = [lab for pair in pairings["split_pairing"] for lab in pair
+                   if lab.startswith("_handle") and lab not in args[2] + args[3]]
+        assert len(shadows) == 2 * d.base_genus, name
+        bundle = WeightBundle.from_dict({
+            lab: {int(v): n for v, n in m.items()} for lab, m in cert["bundle"].items()
+        })
+        replay = certify_descent(d, bundle, **pairings).to_json()
+        assert f'"certificate": {replay}' in out, name
+
+
+def test_explicit_pairings_resolve_shadow_and_aux_labels():
+    d = c2_iwahori(1, "D4~2", ["b1", "b2"], ["s1"])
+    cert = certify_descent(d, vacuum_bundle(d, 1), split_pairing=[
+        ("_aux1", "s1"), ("_handle2", "_handle1")])
+    assert cert.verdict == DESCENDS
+    split = [f for f in cert.witness.factors if f.elements[0] == IDENTITY]
+    assert [f.labels for f in split] == [("_aux1", "s1"), ("_handle2", "_handle1")]
+    assert all(f.types == (T("D4"), T("D4")) for f in split)
+    assert all(f.weights == (((0, 1),), ((0, 1),)) for f in split)
+    with pytest.raises(DomainError, match="misses split points"):
+        certify_descent(d, vacuum_bundle(d, 1), split_pairing=[("_aux1", "s1")])
+
+
+def test_shadows_never_become_points_on_the_certification_path(monkeypatch):
+    d = c2_iwahori(1000, "D4~2", ["b1", "b2"], ["s1"])
+    built = []
+    init = PointDatum.__post_init__
+    monkeypatch.setattr(PointDatum, "__post_init__",
+                        lambda self: built.append(self.label) or init(self))
+    rep = compute_cG(d)
+    assert rep.exact == 1 and len(rep.certificate.witness.factors) == 1 + 1001
+    assert built == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,9 @@ from parapic import (
     parse_affine_type,
     twisted_type,
 )
+from parapic.cli import main
 from parapic.dynkin import _integer_rank
+from parapic.picard import datum_from_json
 
 ALL_TYPES = all_affine_types()
 TYPE_BY_NAME = {str(t): t for t in ALL_TYPES}
@@ -154,6 +157,7 @@ def test_involution_fixes_special_vertex_and_labels(t):
 
 
 def test_parse_round_trip():
+    assert len(ALL_TYPES) == 55  # the inventory bound keeps all of them
     for t in ALL_TYPES:
         assert parse_affine_type(str(t)) is twisted_type(t.base, t.twist)
 
@@ -166,6 +170,34 @@ def test_parse_round_trip():
 def test_parse_rejects_invalid_names(bad):
     with pytest.raises(ParseError):
         parse_affine_type(bad)
+
+
+OUT_OF_INVENTORY = ["A400", "A4000", "A18~2", "D9~2", "A18", "B9"]
+
+
+def _rejected_fast(call, error):
+    t0 = perf_counter()
+    with pytest.raises(error, match="implemented"):
+        call()
+    # building an A400 table alone took 0.1 s, and A4000 minutes
+    assert perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("name", OUT_OF_INVENTORY)
+def test_ranks_above_the_inventory_are_rejected_before_any_table(name, capsys):
+    _rejected_fast(lambda: parse_affine_type(name), ParseError)
+    datum = {"schema": 1, "genus": 0, "group": "Trivial",
+             "points": [{"label": "x", "type": name, "facet": [0]}]}
+    _rejected_fast(lambda: datum_from_json(datum), ParseError)
+    assert main(["dynkin", "info", name]) == 2
+    assert "outside the implemented inventory" in capsys.readouterr().err
+
+
+def test_twisted_type_rejects_bases_above_the_inventory():
+    _rejected_fast(lambda: twisted_type(FiniteType("A", 4000), 1), InvalidTypeError)
+    # the largest base any inventory type has: an A17~2 datum has A17
+    # split points and pads
+    assert parse_affine_type("A17") is twisted_type(FiniteType("A", 17), 1)
 
 
 def test_twisted_type_validates_twist_compatibility():

@@ -27,7 +27,6 @@ from parapic import (
     conjugate,
     degenerate_gsd3,
     lcmai_bound,
-    pair_partition_gsd2,
     parse_affine_type,
     perm_order,
     pq_sets,
@@ -37,7 +36,12 @@ from parapic import (
     vacuum_weight,
     weight_from_dict,
 )
-from parapic.factorization import free_labels, pair_involution
+from parapic.factorization import (
+    _gsd2_sides,
+    free_labels,
+    pair_involution,
+    pair_partition_gsd2,
+)
 
 T = parse_affine_type
 T12, T23, T13 = (2, 1, 3), (1, 3, 2), (3, 2, 1)
@@ -339,6 +343,11 @@ def test_witness_serialization_is_stable():
 # degree-2 pairing
 
 
+def partition(d, **pairings):
+    """``pair_partition_gsd2`` on the sides of ``d``, shadows included."""
+    return pair_partition_gsd2(_gsd2_sides(d.points, 2 * d.base_genus), **pairings)
+
+
 def test_pair_partition_default_adjacent():
     d = GroupDatum(
         0,
@@ -350,10 +359,10 @@ def test_pair_partition_default_adjacent():
             good("s2", "A3", {0, 3}),
         ),
     )
-    part = pair_partition_gsd2(d)
+    part = partition(d)
     assert [(x.label, y.label) for x, y in part.branch_pairs] == [("b1", "b2")]
-    assert [(x.label, y.label) for x, y in part.split_pairs] == [("s1", "s2")]
-    assert part.aux_points == ()
+    assert part.split_pairs == (("s1", "s2"),)
+    assert _gsd2_sides(d.points).aux is None
 
 
 def test_pair_partition_explicit_pairing():
@@ -367,8 +376,8 @@ def test_pair_partition_explicit_pairing():
             good("s2", "A3", {0, 3}),
         ),
     )
-    part = pair_partition_gsd2(d, split_pairing=[("s2", "s1")])
-    assert [(x.label, y.label) for x, y in part.split_pairs] == [("s2", "s1")]
+    part = partition(d, split_pairing=[("s2", "s1")])
+    assert part.split_pairs == (("s2", "s1"),)
 
 
 def test_pair_partition_pads_odd_split_side():
@@ -381,21 +390,16 @@ def test_pair_partition_pads_odd_split_side():
             good("s1", "A3", {0, 1}),
         ),
     )
-    part = pair_partition_gsd2(d)
-    (aux,) = part.aux_points
-    assert aux.label.startswith("_aux")
-    assert str(aux.affine_type) == "A3"  # untwisted common base
-    assert aux.facet == frozenset({0})  # vacuum support only
-    assert [(x.label, y.label) for x, y in part.split_pairs] == [
-        ("s1", aux.label)
-    ]
+    sides = _gsd2_sides(d.points)
+    assert sides.pads == (sides.aux,)
+    assert sides.aux.startswith("_aux")
+    assert str(sides.pad_type) == "A3"  # untwisted common base
+    assert partition(d).split_pairs == (("s1", sides.aux),)
 
 
 def test_pair_partition_rejections():
     with pytest.raises(NoCoverError, match="odd number of branch points"):
-        pair_partition_gsd2(
-            GroupDatum(1, C2_GROUP, (bad("b1", "A3~2", {0}, T12),))
-        )
+        partition(GroupDatum(1, C2_GROUP, (bad("b1", "A3~2", {0}, T12),)))
     d = GroupDatum(
         0,
         C2_GROUP,
@@ -407,13 +411,13 @@ def test_pair_partition_rejections():
         ),
     )
     with pytest.raises(PairingError, match="unknown branch point"):
-        pair_partition_gsd2(d, branch_pairing=[("b1", "zz")])
+        partition(d, branch_pairing=[("b1", "zz")])
     with pytest.raises(PairingError, match="repeats"):
-        pair_partition_gsd2(d, branch_pairing=[("b1", "b1")])
+        partition(d, branch_pairing=[("b1", "b1")])
     with pytest.raises(PairingError, match="repeats"):
-        pair_partition_gsd2(d, split_pairing=[("s1", "s1")])
-    with pytest.raises(DomainError):
-        pair_partition_gsd2(
+        partition(d, split_pairing=[("s1", "s1")])
+    with pytest.raises(DomainError, match="order 1 or 2"):
+        partition(
             GroupDatum(
                 0,
                 C3_GROUP,

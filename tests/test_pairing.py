@@ -115,8 +115,10 @@ def test_best_lcmai_bound_matches_oracle():
     seen = 0
     for _ in range(60):
         d = datagen.c2_small_facet_datum(r)
-        branch, others, aux = _gsd2_sides(d)
-        split = others + aux
+        sides = _gsd2_sides(d.points)
+        branch = sides.branch
+        split = [*sides.split.values(), *(
+            PointDatum(lab, sides.pad_type, {0}) for lab in sides.pads)]
         expected = oracles.gcd_of_pinching_lcms(
             [(len(branch), _labels_offered(branch, False)),
              (len(split), _labels_offered(split, True))]
