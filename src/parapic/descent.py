@@ -15,7 +15,6 @@ listed by :mod:`parapic.pairing`.
 from __future__ import annotations
 
 import json
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import compress, islice, repeat, starmap
 from itertools import product as iproduct
@@ -149,26 +148,6 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
     return charge
 
 
-#: [datum, its side split or None] while `compute_cG` works on a datum
-_shared_sides: ContextVar[list | None] = ContextVar("shared_sides", default=None)
-
-
-def _c2_sides(d: GroupDatum) -> Gsd2Sides:
-    """The side split of a C2 datum, with its 2g handle shadows as pads.
-
-    While `compute_cG` works on ``d`` the split is computed at its first
-    use and then shared, so its staging and every candidate it certifies
-    split the datum once.  A failed split is not kept: it raises again
-    at each call.
-    """
-    shared = _shared_sides.get()
-    if shared is None or shared[0] is not d:
-        return _gsd2_sides(d.points, 2 * d.base_genus)
-    if shared[1] is None:
-        shared[1] = _gsd2_sides(d.points, 2 * d.base_genus)
-    return shared[1]
-
-
 def _route_gsd1(d, b, charge) -> DecompositionWitness:
     w = DecompositionWitness()
     for p in d.points:
@@ -228,7 +207,7 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
         )
         w.steps.append({"op": "closed-form", "g": g, "n": n, "r": r})
         return w
-    sides = _c2_sides(d)
+    sides = _gsd2_sides(d.points, 2 * d.base_genus)
     part = pair_partition_gsd2(sides, branch_pairing=branch_pairing,
                                split_pairing=split_pairing)
     w = DecompositionWitness()
@@ -246,26 +225,23 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
                 types=(x.affine_type, y.affine_type),
             )
         )
-    # a pad is an untwisted vacuum point, so every pair of pads is one
-    # factor, checked once and then relabelled
+    # a pad is an untwisted vacuum point, so every pair of pads shares
+    # one (elements, weights, types) triple
     pad = (IDENTITY, vacuum_weight(charge), sides.pad_type)
+    pad_pair = tuple(zip(pad, pad))
     real = sides.split
 
     def entry(lab):
         p = real.get(lab)
         return pad if p is None else (p.monodromy, b.weight(lab), p.affine_type)
 
-    shadow_pair = None
     for x, y in part.split_pairs:
-        if x in real or y in real or shadow_pair is None:
+        if x in real or y in real:
             elements, weights, types = zip(entry(x), entry(y))
-            factor = BaseCase(kind=TWISTED_PAIR, elements=elements, weights=weights,
-                              labels=(x, y), types=types)
-            if x not in real and y not in real:
-                shadow_pair = factor
         else:
-            factor = shadow_pair.relabelled((x, y))
-        w.factors.append(factor)
+            elements, weights, types = pad_pair
+        w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=elements,
+                                  weights=weights, labels=(x, y), types=types))
     return w
 
 
@@ -617,12 +593,15 @@ def _staged_gsd2(d, budget):
     charge only once it is first advanced, so a search that stops at a
     charge never pays for it.
     """
-    if d.base_genus:
-        handle_base(d.points)  # mixed base types at a positive genus raise
     try:
-        sides = _pinch_tables(_c2_sides(d))
-    except DomainError:
+        split = _gsd2_sides(d.points, 2 * d.base_genus)
+    except NoCoverError:
         return
+    except DomainError:
+        if d.base_genus:
+            raise  # pinching handles needs one base type across points
+        return  # an odd split side of mixed base types has no pad
+    sides = _pinch_tables(split)
     blocks = _gsd2_blocks(sides, budget)
     real = sorted(p.label for p in d.points)
     for charge in sorted({c for *_b, charges in blocks for c in charges}):
@@ -737,32 +716,27 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
                 best = cert
         return best is not None and best.charge == lower
 
-    # the side split is shared until the search ends
-    token = _shared_sides.set([d, None])
-    try:
-        done = False
-        if d.points and all(0 in p.facet for p in d.points):
-            done = try_candidate(vacuum_bundle(d, 1), 1)
-        if not done and d.points:
-            try:
-                cb = cdelta_bundle(d)
-            except DomainError:
-                cb = None
-            if cb is not None:
-                first = d.points[0]
-                done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
-        if not done and d.gamma.kind == "C2" and d.points:
-            # sorted by charge: once one certifies, no later one can win, and
-            # the charge the search stops at is never keyed
-            for charge, candidates in _staged_gsd2(d, budget):
+    done = False
+    if d.points and all(0 in p.facet for p in d.points):
+        done = try_candidate(vacuum_bundle(d, 1), 1)
+    if not done and d.points:
+        try:
+            cb = cdelta_bundle(d)
+        except DomainError:
+            cb = None
+        if cb is not None:
+            first = d.points[0]
+            done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
+    if not done and d.gamma.kind == "C2" and d.points:
+        # sorted by charge: once one certifies, no later one can win, and
+        # the charge the search stops at is never keyed
+        for charge, candidates in _staged_gsd2(d, budget):
+            if settled(charge):
+                break
+            for weights, kwargs in candidates:
                 if settled(charge):
                     break
-                for weights, kwargs in candidates:
-                    if settled(charge):
-                        break
-                    try_candidate(WeightBundle.from_dict(weights), charge, **kwargs)
-    finally:
-        _shared_sides.reset(token)
+                try_candidate(WeightBundle.from_dict(weights), charge, **kwargs)
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None
     return CGReport(lower=lower, certified_charge=certified, exact=exact,

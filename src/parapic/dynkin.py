@@ -55,13 +55,16 @@ _UNTWISTED_MAX_RANK = 8
 _A2_MAX_RANK = 17
 _D2_MAX_RANK = 8
 
+#: The largest base rank of an implemented type (the base of A17~2).
+#: `twisted_type` refuses any larger base, so its memo stays small.
+_MAX_BASE_RANK = _A2_MAX_RANK
+
 #: (series, twist) -> the largest rank `parse_affine_type` accepts, for
 #: the series whose rank the series and twist do not fix: the inventory,
-#: and for untwisted A the bases of A~2 up to A17~2, since such a C2
-#: datum has untwisted split points and pads of its base type.
-#: `twisted_type` refuses any base above rank 17, so its memo stays small.
+#: and for untwisted A every base of an A~2 type, since such a C2 datum
+#: has untwisted split points and pads of its base type.
 _INVENTORY_MAX_RANK = {
-    ("A", 1): _A2_MAX_RANK,
+    ("A", 1): _MAX_BASE_RANK,
     ("B", 1): _UNTWISTED_MAX_RANK,
     ("C", 1): _UNTWISTED_MAX_RANK,
     ("D", 1): _UNTWISTED_MAX_RANK,
@@ -328,9 +331,9 @@ def twisted_type(base: FiniteType, order: int) -> AffineType:
         raise InvalidTypeError(f"({base}, 2) admits no order-2 twist")
     if order == 3 and (base.series, base.rank) != ("D", 4):
         raise InvalidTypeError(f"({base}, 3) admits no order-3 twist")
-    if base.rank > _A2_MAX_RANK:
+    if base.rank > _MAX_BASE_RANK:
         raise InvalidTypeError(
-            f"{base} is above rank {_A2_MAX_RANK}, the largest base of the "
+            f"{base} is above rank {_MAX_BASE_RANK}, the largest base of the "
             "implemented types"
         )
     if order == 1:

@@ -166,13 +166,6 @@ class BaseCase:
         if error is not None:
             raise DomainError(error)
 
-    def relabelled(self, labels: tuple[str, ...]) -> "BaseCase":
-        """This factor at the points ``labels`` (a tuple of str, one per
-        point): the checked shape is shared, so nothing is checked again."""
-        out = object.__new__(BaseCase)
-        out.__dict__.update(self.__dict__, labels=labels)
-        return out
-
     def as_dict(self) -> dict:
         d: dict = {
             "kind": self.kind,
@@ -346,21 +339,22 @@ def _gsd2_sides(points, shadow_count: int = 0) -> Gsd2Sides:
                 f"pair partition needs monodromies of order 1 or 2, point "
                 f"{p.label!r} has order {order}"
             )
-    pad_type, pads = None, []
-    if shadow_count:
-        pad_type = twisted_type(handle_base(points), 1)
+    base = handle_base(points) if shadow_count else None
     if len(branch) % 2 == 1:
         raise NoCoverError("no C2 cover exists: odd number of branch points")
-    if shadow_count or len(split) % 2:
+    if base is None and len(split) % 2:
+        bases = {p.affine_type.base for p in points}
+        if len(bases) != 1:
+            raise DomainError(
+                "cannot pad the split side: points have mixed base types"
+            )
+        (base,) = bases
+    pad_type, pads = None, []
+    if base is not None:
+        pad_type = twisted_type(base, 1)
         used = {p.label for p in points}
         pads = free_labels(used, "_handle", shadow_count)
         if len(split) % 2:
-            bases = {p.affine_type.base for p in points}
-            if len(bases) != 1:
-                raise DomainError(
-                    "cannot pad the split side: points have mixed base types"
-                )
-            pad_type = twisted_type(*bases, 1)
             pads += free_labels(used, "_aux", 1)
     return Gsd2Sides(branch=tuple(branch), split=split,
                      split_labels=(*split, *pads), pad_type=pad_type)
