@@ -92,7 +92,6 @@ def _cmd_picard_rank(args) -> str:
 def _cmd_picard_check(args) -> str:
     d = picard.load_datum(args.datum)
     b = picard.load_bundle(args.bundle)
-    picard.validate_bundle(d, b)
     dominant = picard.is_dominant(d, b)
     ok, charge = picard.is_pic_delta(d, b)
     _check_writable(charge, "the charge")
@@ -143,11 +142,7 @@ def _cmd_covers_enumerate(args) -> str:
 def _cmd_reduce_s3(args) -> str:
     mono = covers.parse_tuple(args.tuple)
     w = s3_reduce(mono)
-    payload = {
-        "factors": [f.as_dict() for f in w.factors],
-        "steps": w.steps,
-        "conservation": list(w.conservation),
-    }
+    payload = {**w.as_dict(), "conservation": list(w.conservation)}
     human = [f"factors: {len(w.factors)}"]
     for f in w.factors:
         line = f"  {f.kind}: " + ",".join(

@@ -125,10 +125,6 @@ def perm_order(p: Perm) -> int:
         raise _not_elements(p) from None
 
 
-def sign(p: Perm) -> int:
-    return 1 if perm_order(p) in (1, 3) else -1
-
-
 def element_name(p: Perm) -> str:
     try:
         return _NAMES[p]
@@ -201,11 +197,6 @@ def group_from_name(name: str) -> FiniteGroup:
         raise ParseError(f"unknown group {name!r} (expected Trivial/C2/C3/S3)") from None
 
 
-def gsd(gamma: FiniteGroup) -> int:
-    """Generic splitting degree: the group order."""
-    return len(gamma)
-
-
 def subgroup_generated(elements) -> frozenset[Perm]:
     gens = [p for p in elements if p != IDENTITY]
     closure = {IDENTITY, *gens}
@@ -251,10 +242,6 @@ class CoverShape:
     component_count: int
 
 
-def product_identity_check(r: RamificationVector) -> bool:
-    return product(r.elements) == IDENTITY
-
-
 def genus_riemann_hurwitz(g_base: int, gamma: FiniteGroup, monodromies) -> CoverShape:
     """Genus of the Galois cover from local monodromy orders.
 
@@ -286,7 +273,7 @@ def genus_riemann_hurwitz(g_base: int, gamma: FiniteGroup, monodromies) -> Cover
 
 
 def is_connected_genus0(r: RamificationVector) -> bool:
-    if not product_identity_check(r):
+    if product(r.elements) != IDENTITY:
         raise DomainError("ordered product of monodromies is not the identity")
     return len(subgroup_generated(r.elements)) == len(r.group)
 
@@ -333,21 +320,6 @@ def enumerate_tuples(gamma: FiniteGroup, classes, connected_only: bool = False):
     key = {p: i for i, p in enumerate(ELEMENTS)}
     out.sort(key=lambda tup: tuple(key[p] for p in tup))
     return len(out), out
-
-
-def equivalent_cover_data(
-    r1: RamificationVector, r2: RamificationVector, ambient: FiniteGroup
-):
-    """A conjugator d in ``ambient`` with r1 = d r2 d^-1 entrywise (and
-    the two groups conjugate as subsets), or None."""
-    if len(r1.elements) != len(r2.elements):
-        raise DomainError("ramification vectors have different lengths")
-    for d in ambient.elements:
-        if any(conjugate(d, y) != x for x, y in zip(r1.elements, r2.elements)):
-            continue
-        if {conjugate(d, g) for g in r2.group.elements} == set(r1.group.elements):
-            return d
-    return None
 
 
 def class_preserving_identity_tuple(elements):

@@ -89,12 +89,7 @@ class DescentCertificate:
             "rank_bound": self.rank_bound,
             "route": self.route,
             "bundle": self.bundle.as_dict(),
-            "witness": None
-            if self.witness is None
-            else {
-                "factors": [f.as_dict() for f in self.witness.factors],
-                "steps": self.witness.steps,
-            },
+            "witness": None if self.witness is None else self.witness.as_dict(),
         }
 
     def to_json(self) -> str:
@@ -346,31 +341,6 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
     )
 
 
-def iwahori_theorem(d: GroupDatum) -> DescentCertificate:
-    """The charge-1 certificate for data whose facets are all Iwahori.
-
-    Works for every generic splitting degree in {1, 2, 3, 6}; raises a
-    domain error naming the first point whose facet is not the full
-    vertex set.
-    """
-    for p in d.points:
-        full = p.affine_type.vertex_set
-        if p.facet != full:
-            missing = sorted(full - p.facet)
-            raise DomainError(
-                f"point {p.label!r} is not Iwahori: facet omits "
-                f"vertices {missing}"
-            )
-    if not d.points:
-        raise DomainError("needs at least one marked point")
-    cert = certify_descent(d, vacuum_bundle(d, 1))
-    if cert.verdict != DESCENDS:  # pragma: no cover - theorem guarantee
-        raise InternalInconsistencyError(
-            "vacuum bundle failed to certify on an Iwahori datum"
-        )
-    return cert
-
-
 def _pinch_options(side, split: bool) -> dict:
     """The pinchable pairs of one side of a C2 datum, with their choices.
 
@@ -595,12 +565,8 @@ def _staged_gsd2(d, budget):
     """
     try:
         split = _gsd2_sides(d.points, 2 * d.base_genus)
-    except NoCoverError:
+    except DomainError:  # no cover, or pads of mixed base types
         return
-    except DomainError:
-        if d.base_genus:
-            raise  # pinching handles needs one base type across points
-        return  # an odd split side of mixed base types has no pad
     sides = _pinch_tables(split)
     blocks = _gsd2_blocks(sides, budget)
     real = sorted(p.label for p in d.points)

@@ -120,13 +120,6 @@ class VertexInvolution:
     def __call__(self, i: int) -> int:
         return self._map.get(i, i)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in self.pairs)
-
 
 @dataclass(frozen=True)
 class AffineType:
@@ -343,14 +336,6 @@ def twisted_type(base: FiniteType, order: int) -> AffineType:
     t = AffineType(base=base, twist=order, cartan=cartan, dual_labels=labels)
     _verify(t)
     return t
-
-
-def affine_cartan_matrix(t: AffineType) -> tuple[tuple[int, ...], ...]:
-    return t.cartan
-
-
-def dual_kac_labels(t: AffineType) -> tuple[int, ...]:
-    return t.dual_labels
 
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)(?:~([123]))?$")

@@ -23,10 +23,8 @@ ClosedFormA         genus-g closed form, parameters (g, n, r)
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
 from typing import NamedTuple
 
 from .covers import (
@@ -77,10 +75,6 @@ def vacuum_weight(charge: int = 1) -> Weight:
     return ((0, int(charge)),)
 
 
-def weight_from_dict(m) -> Weight:
-    return tuple(sorted((int(v), int(c)) for v, c in m.items() if int(c) != 0))
-
-
 #: the most points a factor other than the closed form has (S3Case4)
 _MAX_FACTOR_POINTS = 4
 
@@ -116,7 +110,8 @@ def _shape_error(kind: str, els: tuple[Perm, ...]) -> str | None:
 
 
 #: per (kind, elements) of at most _MAX_FACTOR_POINTS points: about 25
-#: shapes are valid, so the bound is not the working limit
+#: shapes are valid; `s3_reduce` also asks the four S3 kinds of each
+#: vector with at most that many nontrivial entries, valid or not
 _memo_shape_error = lru_cache(maxsize=1024)(_shape_error)
 
 
@@ -200,34 +195,8 @@ class DecompositionWitness:
             out += names * f.multiplicity
         return tuple(sorted(out))
 
-    def conservation_multiset(self) -> dict[str, int]:
-        """Nontrivial monodromy counts across all factors (post-conjugation
-        entries are mapped back through each factor's recorded conjugator)."""
-        counts: dict[str, int] = {}
-        for f in self.factors:
-            els = f.original if f.original is not None else f.elements
-            for p in els:
-                if p == IDENTITY:
-                    continue
-                name = element_name(p)
-                counts[name] = counts.get(name, 0) + f.multiplicity
-        return counts
-
-    def cycle_type_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in self.factors:
-            for p in f.elements:
-                o = perm_order(p)
-                if o > 1:
-                    out[o] = out.get(o, 0) + f.multiplicity
-        return out
-
-    def to_json(self) -> str:
-        payload = {
-            "factors": [f.as_dict() for f in self.factors],
-            "steps": self.steps,
-        }
-        return json.dumps(payload, sort_keys=True)
+    def as_dict(self) -> dict:
+        return {"factors": [f.as_dict() for f in self.factors], "steps": self.steps}
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +276,12 @@ def handle_vacua(used, count: int, charge: int) -> list[BaseCase]:
 
 
 def handle_base(points):
-    """The one base type of ``points``, which pinching handles needs."""
+    """The one base type of ``points``, which the pads of a pinching (its
+    handle shadows and ``_aux`` point) need."""
     bases = {p.affine_type.base for p in points}
     if len(bases) != 1:
         raise DomainError(
-            "handle pinching needs a single base type across points, got "
+            "pinching needs a single base type across points, got "
             + ", ".join(sorted(str(t) for t in bases))
         )
     (base,) = bases
@@ -339,19 +309,11 @@ def _gsd2_sides(points, shadow_count: int = 0) -> Gsd2Sides:
                 f"pair partition needs monodromies of order 1 or 2, point "
                 f"{p.label!r} has order {order}"
             )
-    base = handle_base(points) if shadow_count else None
     if len(branch) % 2 == 1:
         raise NoCoverError("no C2 cover exists: odd number of branch points")
-    if base is None and len(split) % 2:
-        bases = {p.affine_type.base for p in points}
-        if len(bases) != 1:
-            raise DomainError(
-                "cannot pad the split side: points have mixed base types"
-            )
-        (base,) = bases
     pad_type, pads = None, []
-    if base is not None:
-        pad_type = twisted_type(base, 1)
+    if shadow_count or len(split) % 2:
+        pad_type = twisted_type(handle_base(points), 1)
         used = {p.label for p in points}
         pads = free_labels(used, "_handle", shadow_count)
         if len(split) % 2:
@@ -428,14 +390,6 @@ def pq_sets_for_points(pn: PointDatum, pm: PointDatum):
             f"({pn.affine_type} vs {pm.affine_type})"
         )
     return pq_sets(pn.facet, pm.facet, pair_involution(pn.affine_type))
-
-
-def lcmai_bound(labels) -> int:
-    """lcm of the chosen dual labels; empty choice contributes 1."""
-    labels = tuple(int(x) for x in labels)
-    if any(x <= 0 for x in labels):
-        raise DomainError("dual labels must be positive")
-    return lcm(*labels) if labels else 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +469,6 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
 def s3_parity_check(elements) -> bool:
     """True when the number of odd permutations is even."""
     return sum(1 for p in elements if perm_order(p) == 2) % 2 == 0
-
-
-def _literal_base_case(values: tuple[Perm, ...]) -> str | None:
-    """Detect inputs that already are a single base-case payload."""
-    orders = tuple(perm_order(p) for p in values)
-    if len(values) == 2 and orders == (2, 2) and values[0] == values[1]:
-        return S3_CASE1
-    if len(values) == 2 and orders == (3, 3) and values[1] == inverse(values[0]):
-        return S3_CASE2
-    if len(values) == 3 and orders == (3, 3, 3) and len(set(values)) == 1:
-        return S3_CASE2
-    if values == CASE3_LITERAL:
-        return S3_CASE3
-    if values == CASE4_LITERAL:
-        return S3_CASE4
-    return None
 
 
 def _pair_transpositions(seq: list, steps: list):
@@ -721,7 +659,11 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
         return tuple(wt_of(lab) for lab in labs)
 
     nontrivial = tuple(v for v in values if v != IDENTITY)
-    lit = _literal_base_case(nontrivial)
+    # a vector that already is one S3 factor's payload stays whole
+    lit = None
+    if len(nontrivial) <= _MAX_FACTOR_POINTS:
+        lit = next((k for k in (S3_CASE1, S3_CASE2, S3_CASE3, S3_CASE4)
+                    if _memo_shape_error(k, nontrivial) is None), None)
     if lit is not None:
         labs = tuple(l for l, v in zip(labels, values) if v != IDENTITY)
         extra = {}

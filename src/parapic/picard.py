@@ -62,10 +62,6 @@ class PointDatum:
                     f"point {self.label}: a good point's facet must contain o"
                 )
 
-    @property
-    def is_iwahori(self) -> bool:
-        return self.facet == self.affine_type.vertex_set
-
 
 @dataclass(frozen=True)
 class GroupDatum:
@@ -162,11 +158,6 @@ def validate_bundle(d: GroupDatum, b: WeightBundle) -> None:
                     f"point {lab}: coefficient at vertex {v} outside facet "
                     f"{sorted(p.facet)}"
                 )
-
-
-def pic_basis(p: PointDatum) -> list[int]:
-    """Basis vertex indices of the point's Picard lattice, increasing."""
-    return sorted(p.facet)
 
 
 def central_charge(p: PointDatum, coeffs: Mapping[int, int]) -> int:
@@ -301,24 +292,6 @@ def cdelta_bundle(d: GroupDatum) -> WeightBundle:
 # JSON schema (versioned: "schema": 1)
 
 SCHEMA_VERSION = 1
-
-
-def datum_to_json(d: GroupDatum) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "genus": d.base_genus,
-        "group": d.gamma.kind,
-        "points": [
-            {
-                "label": p.label,
-                "type": str(p.affine_type),
-                "facet": sorted(p.facet),
-                "monodromy": covers.element_name(p.monodromy),
-                "bad": p.is_bad,
-            }
-            for p in d.points
-        ],
-    }
 
 
 def _require(obj: dict, key: str, where: str):

@@ -1,9 +1,9 @@
 """Exact rank evaluation for block factors.
 
-Three ingredients: an exact scalar type closed under the arithmetic the
-level-1 S3 character sum needs (rationals times an optional factor of
-sqrt(2)); the rank table for the recognized base cases; and the genus-g
-closed form 2^g * r^(g+n-1) for order-2 twists of type A_{2r-1}.
+Three ingredients, all in integers: the rank table for the recognized
+base cases; the level-1 S3 character sum, which is the power of two
+2^(t/2+m-2); and the genus-g closed form 2^g * r^(g+n-1) for order-2
+twists of type A_{2r-1}.
 
 Unknown ranks are a distinct outcome (:class:`UnknownRankError`), never
 conflated with 0 — the descent criterion is one-sided, so a missing
@@ -12,13 +12,11 @@ table entry must not be read as vanishing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import inf, log10, prod
 
 from .covers import (
     IDENTITY,
-    RamificationVector,
     S3_GROUP,
     compose,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     perm_order,
@@ -44,90 +42,6 @@ from .factorization import (
     BaseCase,
     vacuum_weight,
 )
-
-
-@dataclass(frozen=True)
-class ExactScalar:
-    """A number of the form q * sqrt(2)^h with q rational.
-
-    Canonical form keeps h in {0, 1} (even powers of sqrt(2) are
-    absorbed into q) and represents zero as (0, 0).
-    """
-
-    rational: Fraction
-    root2_exponent: int
-
-    @staticmethod
-    def make(rational, root2_exponent: int = 0) -> "ExactScalar":
-        q = Fraction(rational)
-        h = int(root2_exponent)
-        if q == 0:
-            return ExactScalar(Fraction(0), 0)
-        if h >= 2 or h <= -1:
-            # shift h into {0, 1}
-            shift = h - (h % 2)
-            q *= Fraction(2) ** (shift // 2)
-            h -= shift
-        return ExactScalar(q, h)
-
-    @property
-    def sign(self) -> int:
-        if self.rational > 0:
-            return 1
-        if self.rational < 0:
-            return -1
-        return 0
-
-    def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar.make(
-            self.rational * other.rational,
-            self.root2_exponent + other.root2_exponent,
-        )
-
-    def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        if other.rational == 0:
-            raise ZeroDivisionError("division by zero ExactScalar")
-        # 1/sqrt(2) = sqrt(2)/2
-        return ExactScalar.make(
-            self.rational / other.rational / (2 if other.root2_exponent else 1),
-            self.root2_exponent + other.root2_exponent,
-        )
-
-    def __pow__(self, n: int) -> "ExactScalar":
-        n = int(n)
-        if n < 0:
-            return ONE / (self ** (-n))
-        return ExactScalar.make(self.rational**n, self.root2_exponent * n)
-
-    def is_integer(self) -> bool:
-        return self.root2_exponent == 0 and self.rational.denominator == 1
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise DomainError(f"{self} is not an integer")
-        return int(self.rational)
-
-    def __str__(self) -> str:
-        if self.root2_exponent == 0:
-            return str(self.rational)
-        return f"{self.rational}*sqrt(2)"
-
-
-ONE = ExactScalar.make(1)
-
-#: vacuum-column S-matrix entries for the level-1 S3 character sum
-S_00 = ExactScalar.make(Fraction(1, 2))
-S_TRANSPOSITION_00 = ExactScalar.make(Fraction(1, 2), 1)  # = 2^(-1/2)
-S_THREE_CYCLE_00 = ExactScalar.make(1)
-
-
-def s_entry(p) -> ExactScalar:
-    o = perm_order(p)
-    if o == 1:
-        return S_00
-    if o == 2:
-        return S_TRANSPOSITION_00
-    return S_THREE_CYCLE_00
 
 
 @dataclass(frozen=True)
@@ -284,18 +198,19 @@ def s3_level1_rank(r) -> RankResult:
     """The level-1 S3 character-sum rank for a connected genus-0 cover
     with vacuum weights: prod_i S^{gamma_i}_00 / S_00^(s-2).
 
+    The vacuum-column entries are 1/2 (identity), 2^(-1/2) (transposition)
+    and 1 (3-cycle), so a vector with t transpositions and m 3-cycles has
+    rank 2^(t/2 + m - 2).  A vector that multiplies to e has t even, and
+    one that also generates S3 has t >= 2 and, if t = 2, m >= 1, so the
+    exponent is a nonnegative integer.
+
     The two anchor instances are ((12),(23),(132)) -> 1 and
     ((12),(23),(123),(123)) -> 2.  Applying the same sum to *other*
     generating vacuum vectors extends those instances; the extension
     rests on the vacuum column being the only contributing row at level
-    one, and results are integer-checked.
+    one.
     """
-    if isinstance(r, RamificationVector):
-        if r.group.kind != "S3":
-            raise DomainError(f"S3 rank formula needs group S3, got {r.group.kind}")
-        elements = r.elements
-    else:
-        elements = tuple(tuple(p) for p in r)
+    elements = tuple(tuple(p) for p in r)
     if product(elements) != IDENTITY:
         raise DomainError("monodromies do not multiply to the identity")
     if subgroup_generated(elements) != frozenset(S3_GROUP.elements):
@@ -303,19 +218,9 @@ def s3_level1_rank(r) -> RankResult:
             "monodromies do not generate S3 (disconnected cover); "
             "use the factor decomposition instead"
         )
-    s = len(elements)
-    num = ONE
-    for p in elements:
-        num = num * s_entry(p)
-    value = num / (S_00 ** (s - 2))
-    if not value.is_integer() or value.as_integer() < 0:
-        raise InternalInconsistencyError(
-            f"character sum gave non-integer rank {value}; "
-            "input violates a precondition"
-        )
-    v = value.as_integer()
-    t = sum(1 for p in elements if perm_order(p) == 2)
-    m = sum(1 for p in elements if perm_order(p) == 3)
+    orders = [perm_order(p) for p in elements]
+    t, m = orders.count(2), orders.count(3)
+    v = 2 ** (t // 2 + m - 2)
     return RankResult(v, ((f"S3 level-1 sum t={t} m={m}", v),))
 
 

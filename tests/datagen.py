@@ -22,21 +22,20 @@ from __future__ import annotations
 
 import random
 
-from parapic import (
+from parapic.covers import (
     C2_GROUP,
     C3_GROUP,
     IDENTITY,
     S3_GROUP,
     TRIVIAL_GROUP,
-    FiniteType,
-    GroupDatum,
-    PointDatum,
     compose,
+    element_name,
     inverse,
     perm_order,
     subgroup_generated,
-    twisted_type,
 )
+from parapic.dynkin import FiniteType, twisted_type
+from parapic.picard import SCHEMA_VERSION, GroupDatum, PointDatum
 
 TRANSPOSITIONS = ((2, 1, 3), (3, 2, 1), (1, 3, 2))
 THREE_CYCLES = ((2, 3, 1), (3, 1, 2))
@@ -234,3 +233,23 @@ def random_small_datum(r: random.Random) -> GroupDatum:
             )
         )
     return GroupDatum(r.randint(0, 2), TRIVIAL_GROUP, tuple(pts))
+
+
+def datum_to_json(d: GroupDatum) -> dict:
+    """The datum file object (schema 1) that ``picard.datum_from_json``
+    reads back as ``d``."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "genus": d.base_genus,
+        "group": d.gamma.kind,
+        "points": [
+            {
+                "label": p.label,
+                "type": str(p.affine_type),
+                "facet": sorted(p.facet),
+                "monodromy": element_name(p.monodromy),
+                "bad": p.is_bad,
+            }
+            for p in d.points
+        ],
+    }

@@ -14,16 +14,11 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from parapic import (
-    IDENTITY,
-    DomainError,
-    PointDatum,
-    WeightBundle,
-    bundle_to_json,
-    pq_sets_for_points,
-    twisted_type,
-)
-from parapic.factorization import pair_involution
+from parapic.covers import IDENTITY
+from parapic.dynkin import twisted_type
+from parapic.errors import DomainError
+from parapic.factorization import pair_involution, pq_sets_for_points
+from parapic.picard import PointDatum, WeightBundle, bundle_to_json
 
 
 def rational_rank(rows) -> int:
@@ -270,13 +265,14 @@ def perfect_matchings(items):
 
 def c2_sides(d):
     """The branch side and the split side of a C2 datum, or None when it
-    has an odd branch count or an odd split side of mixed base types.
+    has an odd branch count, or mixed base types and a pad to place.
 
     Each handle pinches to two vacuum points of the untwisted common base
     type with facet {0}, named by the free ``_handle`` labels and listed
     after the real split points; an odd split side then gets one such
-    point named by the first free ``_aux`` label.  Mixed base types at a
-    positive genus raise DomainError, since no handle can be pinched.
+    point named by the first free ``_aux`` label.  With mixed base types
+    no pad has a common type, so a positive genus or an odd split side
+    leaves no pinching.
     """
     used = {p.label for p in d.points}
 
@@ -292,7 +288,7 @@ def c2_sides(d):
     bases = {p.affine_type.base for p in d.points}
     base = next(iter(bases)) if len(bases) == 1 else None
     if d.base_genus and base is None:
-        raise DomainError("handles of mixed base types cannot be pinched")
+        return None
     branch = [p for p in d.points if p.monodromy != IDENTITY]
     split = [p for p in d.points if p.monodromy == IDENTITY]
     split += vacua("_handle", 2 * d.base_genus)
@@ -441,6 +437,40 @@ def s3_closed(prefix):
     for p in prefix:
         acc = s3_mul(acc, p)
     return tuple(prefix) + (s3_inv(acc),)
+
+
+def s3_vacuum_column_rank(values):
+    """The level-1 S3 character sum prod_i S^{g_i}_00 / S_00^(s-2) of a
+    vector whose ordered product is e and which generates S3, or None for
+    any other vector.
+
+    The vacuum-column entries are S_00 = 1/2 at the identity, 2^(-1/2) at
+    a transposition and 1 at a 3-cycle.  The sum is carried exactly, as a
+    Fraction q times sqrt(2)^h, and must come out a nonnegative integer.
+    """
+    acc = (1, 2, 3)
+    for p in values:
+        acc = s3_mul(acc, p)
+    group = {(1, 2, 3)}
+    while True:
+        grown = group | {s3_mul(x, p) for x in group for p in values}
+        if grown == group:
+            break
+        group = grown
+    if acc != (1, 2, 3) or len(group) != 6:
+        return None
+    q, h = Fraction(1), 0
+    for p in values:
+        order = s3_order(p)
+        if order == 1:
+            q /= 2
+        elif order == 2:
+            q, h = q / 2, h + 1
+    q /= Fraction(1, 2) ** (len(values) - 2)
+    q *= 2 ** (h // 2)  # sqrt(2)^h = 2^(h // 2) sqrt(2)^(h % 2)
+    if h % 2 or q.denominator != 1 or q < 0:
+        raise AssertionError(f"the character sum of {values} is not an integer")
+    return int(q)
 
 
 def s3_name(p):

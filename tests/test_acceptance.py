@@ -16,38 +16,37 @@ from math import gcd
 
 import datagen
 import oracles
-from parapic import (
+from parapic.cli import main
+from parapic.covers import (
     C2_GROUP,
-    CASE3_LITERAL,
-    CASE4_LITERAL,
     IDENTITY,
-    GroupDatum,
-    PointDatum,
-    RamificationVector,
     S3_GROUP,
-    WeightBundle,
-    all_affine_types,
-    c_delta,
-    certify_descent,
+    RamificationVector,
     compose,
-    compute_cG,
     conjugate,
     enumerate_tuples,
     genus_riemann_hurwitz,
     is_connected_genus0,
-    load_datum,
-    parse_affine_type,
     perm_order,
-    pic_delta_rank,
-    rank_closed_form_A,
-    rank_lower_bound,
-    s3_level1_rank,
+)
+from parapic.descent import DESCENDS, _staged_gsd2, certify_descent, compute_cG
+from parapic.dynkin import all_affine_types, parse_affine_type
+from parapic.factorization import (
+    CASE3_LITERAL,
+    CASE4_LITERAL,
     s3_parity_check,
     s3_reduce,
+)
+from parapic.picard import (
+    GroupDatum,
+    PointDatum,
+    WeightBundle,
+    c_delta,
+    load_datum,
+    pic_delta_rank,
     vacuum_bundle,
 )
-from parapic.cli import main
-from parapic.descent import DESCENDS, _staged_gsd2
+from parapic.verlinde import rank_closed_form_A, rank_lower_bound, s3_level1_rank
 
 T12, T23 = (2, 1, 3), (1, 3, 2)
 C123, C132 = (2, 3, 1), (3, 1, 2)

@@ -7,17 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from parapic import (
+from parapic.covers import (
     C2_GROUP,
     C3_GROUP,
     ELEMENTS,
     IDENTITY,
     S3_GROUP,
     TRIVIAL_GROUP,
-    DomainError,
-    InconsistentRamificationError,
-    NoCoverError,
-    ParseError,
     RamificationVector,
     class_preserving_identity_tuple,
     compose,
@@ -25,21 +21,24 @@ from parapic import (
     conjugate,
     element_name,
     enumerate_tuples,
-    equivalent_cover_data,
     genus_riemann_hurwitz,
     group_from_name,
-    gsd,
     inverse,
     is_connected_genus0,
     monodromy_partition_gsd3,
     parse_element,
     parse_tuple,
     perm_order,
-    s3_parity_check,
-    sign,
+    product,
     subgroup_generated,
 )
-from parapic.covers import product
+from parapic.errors import (
+    DomainError,
+    InconsistentRamificationError,
+    NoCoverError,
+    ParseError,
+)
+from parapic.factorization import CASE3_LITERAL, CASE4_LITERAL, s3_parity_check, s3_reduce
 
 T12, T13, T23 = (2, 1, 3), (3, 2, 1), (1, 3, 2)
 C123, C132 = (2, 3, 1), (3, 1, 2)
@@ -64,7 +63,6 @@ def test_composition_anchors():
     assert perm_order(IDENTITY) == 1
     assert perm_order(T13) == 2
     assert perm_order(C132) == 3
-    assert sign(IDENTITY) == 1 and sign(T12) == -1 and sign(C123) == 1
 
 
 def test_element_names_round_trip():
@@ -79,12 +77,6 @@ def test_element_names_round_trip():
 
 def test_group_constants_and_gsd():
     assert [len(g) for g in (TRIVIAL_GROUP, C2_GROUP, C3_GROUP, S3_GROUP)] == [
-        1,
-        2,
-        3,
-        6,
-    ]
-    assert [gsd(g) for g in (TRIVIAL_GROUP, C2_GROUP, C3_GROUP, S3_GROUP)] == [
         1,
         2,
         3,
@@ -213,15 +205,14 @@ def test_enumerate_tuples_matches_exhaustive_oracle():
 
 
 def test_equivalent_cover_data_finds_witness():
-    r1 = RamificationVector(S3_GROUP, (T12, T12))
-    r2 = RamificationVector(S3_GROUP, (T13, T13))
-    d = equivalent_cover_data(r1, r2, S3_GROUP)
-    assert d is not None
-    assert all(conjugate(d, y) == x for x, y in zip(r1.elements, r2.elements))
-    r3 = RamificationVector(S3_GROUP, (T12, T13))
-    assert equivalent_cover_data(r1, r3, S3_GROUP) is None
-    with pytest.raises(DomainError):
-        equivalent_cover_data(r1, RamificationVector(S3_GROUP, (T12,)), S3_GROUP)
+    # every conjugate of an exceptional literal reduces to that literal,
+    # with a recorded conjugator that maps it back entrywise
+    for d in ELEMENTS:
+        for literal in (CASE3_LITERAL, CASE4_LITERAL):
+            vec = tuple(conjugate(d, x) for x in literal)
+            (f,) = s3_reduce(vec).factors
+            assert (f.elements, f.original) == (literal, vec)
+            assert tuple(conjugate(f.conjugator, y) for y in vec) == literal
 
 
 def test_class_preserving_adjustment_exhaustive_small():
@@ -298,7 +289,6 @@ def test_non_elements_raise_domain_error(bad):
     # computed by iterating compose would never return on it
     for call in (
         lambda: perm_order(bad),
-        lambda: sign(bad),
         lambda: s3_parity_check((T12, bad)),
         lambda: inverse(bad),
         lambda: element_name(bad),

@@ -7,28 +7,23 @@ import random
 import pytest
 
 import datagen
-from parapic import (
-    C2_GROUP,
-    C3_GROUP,
-    IDENTITY,
-    S3_GROUP,
-    TRIVIAL_GROUP,
+from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
+from parapic.descent import DESCENDS, certify_descent, compute_cG
+from parapic.dynkin import parse_affine_type
+from parapic.errors import (
     DomainError,
-    GroupDatum,
     NoCoverError,
     NotDominantError,
     NotInPicDeltaError,
+)
+from parapic.picard import (
+    GroupDatum,
     PointDatum,
     WeightBundle,
     c_delta,
     cdelta_bundle,
-    certify_descent,
-    compute_cG,
-    iwahori_theorem,
-    parse_affine_type,
     vacuum_bundle,
 )
-from parapic.descent import DESCENDS
 
 T = parse_affine_type
 T12, T23 = (2, 1, 3), (1, 3, 2)
@@ -223,18 +218,22 @@ def test_iwahori_certificate_every_degree():
     rng = random.Random(7)
     for gsd, gen in sorted(datagen.IWAHORI_GENERATORS.items()):
         for _ in range(10):
-            c = iwahori_theorem(gen(rng))
+            d = gen(rng)
+            c = certify_descent(d, vacuum_bundle(d, 1))
             assert (c.verdict, c.charge) == (DESCENDS, 1), f"degree {gsd}"
 
 
 def test_iwahori_rejects_partial_facet():
-    with pytest.raises(DomainError, match="'x1' is not Iwahori.*\\[0\\]"):
-        iwahori_theorem(a2_pair())
+    # the charge-1 vacuum needs the special vertex in every facet
+    with pytest.raises(DomainError, match="x1: facet does not contain the special vertex"):
+        vacuum_bundle(a2_pair())
+    assert compute_cG(a2_pair()).certified_charge == 2
 
 
 def test_iwahori_rejects_empty_datum():
-    with pytest.raises(DomainError, match="at least one marked point"):
-        iwahori_theorem(GroupDatum(0, TRIVIAL_GROUP, ()))
+    # with no marked point there is no candidate to certify
+    rep = compute_cG(GroupDatum(0, TRIVIAL_GROUP, ()))
+    assert (rep.lower, rep.certified_charge, rep.certificate) == (1, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from parapic import (
+from parapic.cli import main
+from parapic.dynkin import (
     AffineType,
     FiniteType,
-    InvalidTypeError,
-    ParseError,
-    affine_cartan_matrix,
+    _integer_rank,
     all_affine_types,
     dual_involution,
-    dual_kac_labels,
     parse_affine_type,
     twisted_type,
 )
-from parapic.cli import main
-from parapic.dynkin import _integer_rank
+from parapic.errors import InvalidTypeError, ParseError
 from parapic.picard import datum_from_json
 
 ALL_TYPES = all_affine_types()
@@ -49,8 +46,8 @@ def test_inventory_is_the_expected_55():
 
 @given(any_type)
 def test_dual_labels_are_the_primitive_positive_left_null_covector(t):
-    a = affine_cartan_matrix(t)
-    labels = dual_kac_labels(t)
+    a = t.cartan
+    labels = t.dual_labels
     n = len(labels)
     # direct null-covector identity
     for j in range(n):
@@ -64,13 +61,13 @@ def test_dual_labels_are_the_primitive_positive_left_null_covector(t):
 
 @given(any_type)
 def test_cartan_matrix_has_corank_one(t):
-    a = affine_cartan_matrix(t)
+    a = t.cartan
     assert oracles.rational_rank(a) == len(a) - 1
 
 
 @given(any_type)
 def test_cartan_matrix_sign_pattern(t):
-    a = affine_cartan_matrix(t)
+    a = t.cartan
     n = len(a)
     for i in range(n):
         assert a[i][i] == 2
@@ -96,7 +93,7 @@ def test_dual_coxeter_sums_match_closed_forms():
         expect = exceptional.get(s)
         if expect is None:
             expect = forms[t.base.series](t.base.rank)
-        assert sum(dual_kac_labels(t)) == expect, s
+        assert sum(t.dual_labels) == expect, s
 
 
 def _transpose(m):
@@ -108,23 +105,23 @@ def test_twisted_tables_are_transposes_of_untwisted_partners():
     pairs += [(f"D{l}~2", f"C{l - 1}") for l in range(4, 9)]
     pairs += [("E6~2", "F4"), ("D4~3", "G2")]
     for twisted, partner in pairs:
-        a = affine_cartan_matrix(TYPE_BY_NAME[twisted])
-        b = affine_cartan_matrix(TYPE_BY_NAME[partner])
+        a = TYPE_BY_NAME[twisted].cartan
+        b = TYPE_BY_NAME[partner].cartan
         assert a == _transpose(b), (twisted, partner)
 
 
 def test_a2_even_twist_anchor():
     # the rank-1 twisted table, smallest member of its family
     t = TYPE_BY_NAME["A2~2"]
-    assert affine_cartan_matrix(t) == ((2, -4), (-1, 2))
-    assert dual_kac_labels(t) == (1, 2)
+    assert t.cartan == ((2, -4), (-1, 2))
+    assert t.dual_labels == (1, 2)
 
 
 def test_involution_matches_longest_element_oracle():
     for t in ALL_TYPES:
         if t.twist != 1:
             continue
-        a = affine_cartan_matrix(t)
+        a = t.cartan
         n = len(a)
         finite = [[a[i][j] for j in range(1, n)] for i in range(1, n)]
         expect = oracles.weyl_longest_involution(finite)
@@ -150,7 +147,7 @@ def test_a_series_involution_is_index_reversal():
 def test_involution_fixes_special_vertex_and_labels(t):
     inv = dual_involution(t.base)
     assert inv(0) == 0
-    labels = dual_kac_labels(twisted_type(t.base, 1))
+    labels = twisted_type(t.base, 1).dual_labels
     for i in range(len(labels)):
         assert inv(inv(i)) == i
         assert labels[inv(i)] == labels[i]

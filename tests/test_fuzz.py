@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parapic import GroupDatum, ParseError, WeightBundle, bundle_from_json, datum_from_json
 from parapic.cli import main
+from parapic.errors import ParseError
+from parapic.picard import GroupDatum, WeightBundle, bundle_from_json, datum_from_json
 
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-2, 7)

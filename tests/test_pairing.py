@@ -16,19 +16,15 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
-from parapic import (
-    C2_GROUP,
-    DomainError,
-    GroupDatum,
-    PointDatum,
-    best_lcmai_bound,
-    compute_cG,
-    parse_affine_type,
-    pq_sets_for_points,
-)
 from parapic import descent
-from parapic.factorization import _gsd2_sides
+from parapic.cli import main
+from parapic.covers import C2_GROUP
+from parapic.descent import best_lcmai_bound, compute_cG
+from parapic.dynkin import parse_affine_type
+from parapic.errors import DomainError
+from parapic.factorization import _gsd2_sides, pq_sets_for_points
 from parapic.pairing import has_perfect_matching, perfect_matchings
+from parapic.picard import GroupDatum, PointDatum
 
 T12 = (2, 1, 3)
 
@@ -232,6 +228,26 @@ def test_staged_sequence_matches_oracle_on_hand_built_data():
     tied = staged(HAND_BUILT["equal bundles"], 64)
     assert len(tied) == 15
     assert len({json.dumps(w, sort_keys=True) for _c, w, _k in tied}) == 1
+
+
+def test_mixed_base_types_at_positive_genus_end_the_search(tmp_path, capsys):
+    # no pad has the base type of every point, so at genus 1 no pairing
+    # is staged and cg reports no certificate; genus 0 needs no pad
+    branch, split = parse_affine_type("A3~2"), parse_affine_type("D4")
+    pts = (
+        PointDatum("b1", branch, frozenset({0, 1, 2}), T12, is_bad=True),
+        PointDatum("b2", branch, frozenset({0, 1, 2}), T12, is_bad=True),
+        PointDatum("s1", split, frozenset({0})),
+        PointDatum("s2", split, frozenset({0})),
+    )
+    assert compute_cG(GroupDatum(0, C2_GROUP, pts)).exact == 1
+    d = GroupDatum(1, C2_GROUP, pts)
+    assert staged(d, 64) == list(oracles.staged_gsd2(d, 64)) == []
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datagen.datum_to_json(d)))
+    assert main(["cg", "--datum", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["lower"], rep["certified_charge"], rep["exact"]) == (1, None, None)
 
 
 def test_matching_walk_leaves_no_reference_cycles():

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
-from parapic import (
-    C2_GROUP,
-    IDENTITY,
-    S3_GROUP,
-    TRIVIAL_GROUP,
-    DomainError,
+from parapic.covers import C2_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
+from parapic.dynkin import parse_affine_type
+from parapic.errors import DomainError, ParseError
+from parapic.picard import (
     GroupDatum,
-    ParseError,
     PointDatum,
     WeightBundle,
     bundle_from_json,
@@ -25,13 +22,10 @@ from parapic import (
     cdelta_bundle,
     central_charge,
     datum_from_json,
-    datum_to_json,
     is_dominant,
     is_pic_delta,
     load_bundle,
     load_datum,
-    parse_affine_type,
-    pic_basis,
     pic_delta_rank,
     vacuum_bundle,
     validate_bundle,
@@ -81,13 +75,13 @@ def test_point_validation():
 def test_an_invalid_point_still_raises_after_a_valid_one_of_its_type():
     t = T("A3~2")
     good = PointDatum("p", t, frozenset(t.vertices), (2, 1, 3), is_bad=True)
-    assert good.is_iwahori
+    assert good.facet == t.vertex_set
     for _ in range(2):
         with pytest.raises(DomainError, match="not in A3~2"):
             PointDatum("q", t, frozenset({0, 3}), (2, 1, 3), is_bad=True)
         with pytest.raises(DomainError, match="does not match twist"):
             PointDatum("q", t, frozenset({0}), IDENTITY, is_bad=True)
-    obj = datum_to_json(GroupDatum(1, C2_GROUP, (good,)))
+    obj = datagen.datum_to_json(GroupDatum(1, C2_GROUP, (good,)))
     assert datum_from_json(obj).points == (good,)
     bad = json.loads(json.dumps(obj))
     bad["points"][0]["facet"] = [0, 3]
@@ -123,8 +117,12 @@ def test_central_charge_anchors():
 
 
 def test_pic_basis_sorted():
+    # a point's Picard basis is its facet: the rank counts its vertices,
+    # and a bundle lists their coefficients in increasing vertex order
     p = point("x", "C3", {2, 0, 3})
-    assert pic_basis(p) == [0, 2, 3]
+    assert pic_delta_rank(GroupDatum(0, TRIVIAL_GROUP, (p,))) == 3
+    b = WeightBundle.from_dict({"x": {3: 1, 0: 2, 2: 5}})
+    assert list(bundle_to_json(b)["weights"]["x"]) == ["0", "2", "3"]
 
 
 def test_bundle_constructors_and_validation():
@@ -270,12 +268,12 @@ def test_datum_json_round_trip():
     r = random.Random(4)
     for gen in datagen.IWAHORI_GENERATORS.values():
         d = gen(r)
-        blob = datum_to_json(d)
+        blob = datagen.datum_to_json(d)
         assert blob["schema"] == 1
         assert datum_from_json(blob) == d
         # byte-stable under sort_keys
         s = json.dumps(blob, sort_keys=True)
-        assert json.dumps(datum_to_json(datum_from_json(json.loads(s))),
+        assert json.dumps(datagen.datum_to_json(datum_from_json(json.loads(s))),
                           sort_keys=True) == s
 
 
@@ -302,7 +300,7 @@ def test_load_helpers(tmp_path):
     b = cdelta_bundle(d)
     dp = tmp_path / "datum.json"
     bp = tmp_path / "bundle.json"
-    dp.write_text(json.dumps(datum_to_json(d)))
+    dp.write_text(json.dumps(datagen.datum_to_json(d)))
     bp.write_text(json.dumps(bundle_to_json(b)))
     assert load_datum(str(dp)) == d
     assert load_bundle(str(bp)) == b
@@ -310,7 +308,7 @@ def test_load_helpers(tmp_path):
 
 @pytest.mark.parametrize("genus", [True, False, 1.0, "1"])
 def test_datum_json_rejects_non_integer_genus(genus):
-    obj = datum_to_json(a2_two_special_datum())
+    obj = datagen.datum_to_json(a2_two_special_datum())
     obj["genus"] = genus
     with pytest.raises(ParseError, match="genus"):
         datum_from_json(obj)
@@ -318,7 +316,7 @@ def test_datum_json_rejects_non_integer_genus(genus):
 
 @pytest.mark.parametrize("vertex", [True, 1.0])
 def test_datum_json_rejects_non_integer_facet_vertex(vertex):
-    obj = datum_to_json(a2_two_special_datum())
+    obj = datagen.datum_to_json(a2_two_special_datum())
     obj["points"][0]["facet"] = [vertex]
     with pytest.raises(ParseError, match="facet"):
         datum_from_json(obj)
