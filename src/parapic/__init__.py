@@ -41,7 +41,6 @@ from .picard import (
     c_delta,
     cdelta_bundle,
     datum_from_json,
-    is_dominant,
     is_pic_delta,
     load_bundle,
     load_datum,

@@ -92,8 +92,8 @@ def _cmd_picard_rank(args) -> str:
 def _cmd_picard_check(args) -> str:
     d = picard.load_datum(args.datum)
     b = picard.load_bundle(args.bundle)
-    dominant = picard.is_dominant(d, b)
-    ok, charge = picard.is_pic_delta(d, b)
+    ok, charge = picard.is_pic_delta(d, b)  # validates the bundle once
+    dominant = b.dominant
     _check_writable(charge, "the charge")
     payload = {"dominant": dominant, "in_charge_lattice": ok, "charge": charge}
     human = [

@@ -210,33 +210,20 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
     if sides.aux is not None:
         w.steps.append({"op": "pad-split-side", "labels": [sides.aux]})
-    for x, y in part.branch_pairs:
-        w.factors.append(
-            BaseCase(
-                kind=TWISTED_PAIR,
-                elements=(x.monodromy, y.monodromy),
-                weights=(b.weight(x.label), b.weight(y.label)),
-                labels=(x.label, y.label),
-                types=(x.affine_type, y.affine_type),
-            )
-        )
-    # a pad is an untwisted vacuum point, so every pair of pads shares
-    # one (elements, weights, types) triple
+    # the branch pairs, then the split pairs, where a pad (a label no
+    # point has) is an untwisted vacuum point
     pad = (IDENTITY, vacuum_weight(charge), sides.pad_type)
-    pad_pair = tuple(zip(pad, pad))
-    real = sides.split
+    real = {p.label: p for p in sides.branch} | sides.split
 
     def entry(lab):
         p = real.get(lab)
         return pad if p is None else (p.monodromy, b.weight(lab), p.affine_type)
 
-    for x, y in part.split_pairs:
-        if x in real or y in real:
-            elements, weights, types = zip(entry(x), entry(y))
-        else:
-            elements, weights, types = pad_pair
-        w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=elements,
-                                  weights=weights, labels=(x, y), types=types))
+    pairs = [(x.label, y.label) for x, y in part.branch_pairs] + list(part.split_pairs)
+    for x, y in pairs:
+        (ex, wx, tx), (ey, wy, ty) = entry(x), entry(y)
+        w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
+                                  weights=(wx, wy), labels=(x, y), types=(tx, ty)))
     return w
 
 

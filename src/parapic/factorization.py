@@ -115,18 +115,16 @@ def _shape_error(kind: str, els: tuple[Perm, ...]) -> str | None:
 _memo_shape_error = lru_cache(maxsize=1024)(_shape_error)
 
 
-@dataclass(frozen=True)
-class BaseCase:
-    """One factor of a decomposition witness.
+@lru_cache(maxsize=1024)
+def _json_shape(elements: tuple[Perm, ...], weights: tuple[Weight, ...]):
+    """A factor's element names and weight items as JSON writes them
+    (vertex keys as strings); memoized like `_memo_shape_error`."""
+    return (tuple(map(element_name, elements)),
+            tuple(tuple((str(v), c) for v, c in w) for w in weights))
 
-    ``elements`` are the monodromies at the factor's marked points (in
-    order), ``weights`` the matching weight assignments and ``labels``
-    which original points the factor consumed.  For the exceptional S3
-    cases ``elements`` is always the canonical literal; ``conjugator``
-    and ``original`` record how to undo the normalization.
-    ``multiplicity`` counts identical copies of the factor, so ``2g``
-    pinched-handle vacua take one factor instead of ``2g``.
-    """
+
+class _Factor(NamedTuple):
+    """The fields of a `BaseCase`."""
 
     kind: str
     elements: tuple[Perm, ...] = ()
@@ -138,35 +136,66 @@ class BaseCase:
     params: tuple[int, ...] | None = None
     multiplicity: int = 1
 
-    def __post_init__(self) -> None:
-        if type(self.multiplicity) is not int or self.multiplicity < 1:
+
+class BaseCase(_Factor):
+    """One factor of a decomposition witness.
+
+    ``elements`` are the monodromies at the factor's marked points (in
+    order), ``weights`` the matching weight assignments and ``labels``
+    which original points the factor consumed.  For the exceptional S3
+    cases ``elements`` is always the canonical literal; ``conjugator``
+    and ``original`` record how to undo the normalization.
+    ``multiplicity`` counts identical copies of the factor, so ``2g``
+    pinched-handle vacua take one factor instead of ``2g``.
+
+    A factor is a named tuple, and every way to build one is checked and
+    cheap: a tuple argument is kept (a tuple of labels must hold
+    strings), another sequence copied.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, elements=(), weights=(), labels=(), types=None,
+                conjugator=None, original=None, params=None, multiplicity=1):
+        if type(multiplicity) is not int or multiplicity < 1:
             raise DomainError(
                 f"factor multiplicity must be a positive integer, got "
-                f"{self.multiplicity!r}"
+                f"{multiplicity!r}"
             )
-        els = tuple(map(tuple, self.elements))
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "weights", tuple(map(tuple, self.weights)))
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
-        if self.weights and len(self.weights) != len(els):
+        if type(elements) is not tuple:
+            elements = tuple(map(tuple, elements))
+        if type(weights) is not tuple:
+            weights = tuple(map(tuple, weights))
+        if type(labels) is not tuple:
+            labels = tuple(map(str, labels))
+        if weights and len(weights) != len(elements):
             raise DomainError("factor weights do not match its points")
-        if self.kind != CLOSED_FORM_A and len(els) <= _MAX_FACTOR_POINTS:
-            error = _memo_shape_error(self.kind, els)
+        if kind != CLOSED_FORM_A and len(elements) <= _MAX_FACTOR_POINTS:
+            error = _memo_shape_error(kind, elements)
         else:  # a whole vector: checked as is, never memoized
-            error = _shape_error(self.kind, els)
-        if error is None and self.kind == CLOSED_FORM_A and (
-            self.params is None or len(self.params) != 3
+            error = _shape_error(kind, elements)
+        if error is None and kind == CLOSED_FORM_A and (
+            params is None or len(params) != 3
         ):
-            error = f"malformed {CLOSED_FORM_A} factor: {els}"
+            error = f"malformed {CLOSED_FORM_A} factor: {elements}"
         if error is not None:
             raise DomainError(error)
+        return tuple.__new__(cls, (kind, elements, weights, labels, types,
+                                   conjugator, original, params, multiplicity))
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` checks as well
+        return cls(*iterable)
 
     def as_dict(self) -> dict:
+        small = len(self.elements) <= _MAX_FACTOR_POINTS  # else a whole vector
+        names, weights = (_json_shape if small else _json_shape.__wrapped__)(
+            self.elements, self.weights)
         d: dict = {
             "kind": self.kind,
-            "elements": [element_name(p) for p in self.elements],
+            "elements": list(names),
             "labels": list(self.labels),
-            "weights": [{str(v): c for v, c in w} for w in self.weights],
+            "weights": list(map(dict, weights)),
         }
         if self.conjugator is not None:
             d["conjugator"] = element_name(self.conjugator)

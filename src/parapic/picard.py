@@ -145,6 +145,11 @@ class WeightBundle:
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.entries)
 
+    @property
+    def dominant(self) -> bool:
+        """Every coefficient is nonnegative."""
+        return all(n >= 0 for _, pairs in self.entries for _, n in pairs)
+
 
 def validate_bundle(d: GroupDatum, b: WeightBundle) -> None:
     known = {p.label: p for p in d.points}
@@ -171,11 +176,6 @@ def central_charge(p: PointDatum, coeffs: Mapping[int, int]) -> int:
             )
         total += n * labels[v]
     return total
-
-
-def is_dominant(d: GroupDatum, b: WeightBundle) -> bool:
-    validate_bundle(d, b)
-    return all(n >= 0 for lab in b.labels for n in b.coeffs(lab).values())
 
 
 def is_pic_delta(d: GroupDatum, b: WeightBundle):
@@ -307,6 +307,28 @@ def _check_schema(obj: dict, where: str) -> None:
         raise ParseError(f"{where}: unsupported schema {schema!r}")
 
 
+#: a checked point per shape key, so a repeated shape is not checked
+#: again; emptied when it reaches the bound
+_point_shapes: dict[tuple, PointDatum] = {}
+_MAX_POINT_SHAPES = 256
+_INT_ONLY = frozenset({int})
+
+
+def _shape_key(raw) -> tuple | None:
+    """The fields a point's checks read (all but the label) when each has
+    the type of its valid values, so that equal keys mean equal fields
+    (``true`` and ``1`` never share one); None when one has not."""
+    if type(raw) is not dict:
+        return None
+    t, facet, mono = raw.get("type"), raw.get("facet"), raw.get("monodromy", "e")
+    bad = raw.get("bad")  # None only when absent: a null flag fails the test
+    if (type(t) is str and type(mono) is str and type(facet) is list
+            and (type(bad) is bool or "bad" not in raw)
+            and _INT_ONLY.issuperset(map(type, facet))):
+        return t, tuple(facet), mono, bad
+    return None
+
+
 def datum_from_json(obj) -> GroupDatum:
     if not isinstance(obj, dict):
         raise ParseError("datum: expected a JSON object")
@@ -320,6 +342,14 @@ def datum_from_json(obj) -> GroupDatum:
     if not isinstance(raw_points, list):
         raise ParseError("datum: points must be a list")
     for i, raw in enumerate(raw_points):
+        key = _shape_key(raw)
+        seen = _point_shapes.get(key)
+        if seen is not None and "label" in raw:
+            # the checks never read the label: relabel the checked point
+            p = object.__new__(PointDatum)
+            vars(p).update(vars(seen), label=str(raw["label"]))
+            points.append(p)
+            continue
         where = f"points[{i}]"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
@@ -344,6 +374,10 @@ def datum_from_json(obj) -> GroupDatum:
             )
         except DomainError as e:
             raise ParseError(f"{where}: {e}") from e
+        if key is not None:
+            if len(_point_shapes) >= _MAX_POINT_SHAPES:
+                _point_shapes.clear()
+            _point_shapes[key] = points[-1]
     try:
         return GroupDatum(base_genus=genus, gamma=gamma, points=tuple(points))
     except DomainError as e:

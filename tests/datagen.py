@@ -84,18 +84,19 @@ def _assemble(
     return GroupDatum(genus, gamma, tuple(pts))
 
 
-def iwahori_datum_gsd1(r: random.Random) -> GroupDatum:
+def iwahori_datum_gsd1(r: random.Random, genus: int | None = None) -> GroupDatum:
     # a datum models one group scheme, so all points share a base type
-    genus = r.randint(0, 2)
+    genus = r.randint(0, 2) if genus is None else genus
     n = r.randint(1, 4)
     affine = twisted_type(r.choice(_UNTWISTED_BASES), 1)
     pts = [_iwahori_point(f"p{i + 1}", affine, IDENTITY) for i in range(n)]
     return GroupDatum(genus, TRIVIAL_GROUP, tuple(pts))
 
 
-def iwahori_datum_gsd2(r: random.Random) -> GroupDatum:
-    genus = r.randint(0, 2)
-    base = r.choice(_TWIST2_BASES)
+def iwahori_datum_gsd2(r: random.Random, genus: int | None = None,
+                       base: FiniteType | None = None) -> GroupDatum:
+    genus = r.randint(0, 2) if genus is None else genus
+    base = r.choice(_TWIST2_BASES) if base is None else base
     branch = 2 * (r.randint(1, 2) if genus == 0 else r.randint(0, 2))
     good = r.randint(0 if branch else 1, 2)
     monos = [(2, 1, 3)] * branch + [IDENTITY] * good
@@ -106,8 +107,8 @@ def iwahori_datum_gsd2(r: random.Random) -> GroupDatum:
     return _assemble(r, genus, C2_GROUP, monos, type_of)
 
 
-def iwahori_datum_gsd3(r: random.Random) -> GroupDatum:
-    genus = r.randint(0, 2)
+def iwahori_datum_gsd3(r: random.Random, genus: int | None = None) -> GroupDatum:
+    genus = r.randint(0, 2) if genus is None else genus
     designs = [(1, 1), (2, 2), (3, 0), (0, 3), (4, 1)]
     if genus >= 1:
         designs.append((0, 0))
@@ -121,12 +122,14 @@ def iwahori_datum_gsd3(r: random.Random) -> GroupDatum:
     return _assemble(r, genus, C3_GROUP, monos, type_of)
 
 
-def iwahori_datum_gsd6(r: random.Random) -> GroupDatum:
-    genus = r.randint(0, 2)
+def iwahori_datum_gsd6(r: random.Random, genus: int | None = None,
+                       n: int | None = None) -> GroupDatum:
+    """``n`` fixes the point count of a genus-0 datum (3 to 6 when None)."""
+    genus = r.randint(0, 2) if genus is None else genus
     if genus == 0:
         while True:
-            n = r.randint(3, 6)
-            monos = [r.choice(S3_GROUP.elements) for _ in range(n - 1)]
+            k = r.randint(3, 6) if n is None else n
+            monos = [r.choice(S3_GROUP.elements) for _ in range(k - 1)]
             acc = IDENTITY
             for m in monos:
                 acc = compose(acc, m)

@@ -83,6 +83,20 @@ def test_picard_check(capsys, a2_files):
     assert out == "dominant: true\nin charge lattice: true\ncharge: 2\n"
 
 
+def test_picard_check_validates_the_bundle_once(capsys, a2_files, monkeypatch):
+    from parapic import picard
+
+    calls = []
+    validate = picard.validate_bundle
+    monkeypatch.setattr(picard, "validate_bundle",
+                        lambda d, b: calls.append(1) or validate(d, b))
+    datum, bundle = a2_files
+    code, out, _ = run(capsys, "picard", "check", "--datum", datum,
+                       "--bundle", bundle, "--json")
+    assert (code, len(calls)) == (0, 1)
+    assert json.loads(out)["dominant"] is True
+
+
 def test_covers_genus(capsys):
     code, out, _ = run(capsys, "covers", "genus", "(12),(23),(132)")
     assert (code, out) == (0, "genus = 0\ncomponents = 1\n")

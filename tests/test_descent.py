@@ -22,6 +22,7 @@ from parapic.picard import (
     WeightBundle,
     c_delta,
     cdelta_bundle,
+    datum_from_json,
     vacuum_bundle,
 )
 
@@ -357,6 +358,51 @@ def test_high_genus_c2_reports_are_byte_identical_to_the_pinned_digests():
     got = {name: hashlib.sha256(compute_cG(c2_iwahori(*args)).to_json().encode())
            .hexdigest() for name, args in HIGH_GENUS_C2.items()}
     assert got == PINNED_HIGH_GENUS_DIGESTS
+
+
+def big_witness_shaped_data():
+    """Data shaped like the benchmark's big-witness corpus: genus-0 S3
+    vectors of 50 to 400 points and Trivial, C2, C3 and S3 data at
+    genus 10^2 to 10^4."""
+    r = random.Random("pinned-big-witness")
+    data = {f"s3-genus-0-n{n}": [datagen.iwahori_datum_gsd6(r, genus=0, n=n)
+                                 for _ in range(3)] for n in (50, 200, 400)}
+    data["trivial-genus-100"] = [datagen.iwahori_datum_gsd1(r, genus=100)
+                                 for _ in range(3)]
+    data["c3-genus-1000"] = [datagen.iwahori_datum_gsd3(r, genus=1000)
+                             for _ in range(3)]
+    data["s3-genus-10000"] = [datagen.iwahori_datum_gsd6(r, genus=10_000)
+                              for _ in range(3)]
+    for base in ("D5", "E6"):
+        data[f"c2-genus-1000-{base}"] = [
+            datagen.iwahori_datum_gsd2(r, genus=1000, base=T(base).base)
+            for _ in range(3)]
+    return data
+
+
+#: sha256 of the reports of `big_witness_shaped_data`, each datum read
+#: back from its datum JSON first, recorded before factors and points
+#: were built from per-shape memos
+PINNED_BIG_WITNESS_DIGESTS = {
+    "s3-genus-0-n50": "9d887b8eb00898080d91af5ce66f4dc8f3d3cfdc50205d926615972692b0fcf9",
+    "s3-genus-0-n200": "abe43b4f3a9092b8cddb1a4e568220fd4708abf013260644dd0dc6eb1b32a156",
+    "s3-genus-0-n400": "a0199e6bd5d4e477b6794530be418461fb01581598b423e83586b3f821dba129",
+    "trivial-genus-100": "1116f229cbe5b52b4ab4c16cbb9d7409046fb666559e39bb6a310f6cd79ac806",
+    "c3-genus-1000": "dbfd3238751843bfacbf22098a4a8f1504a6ac5c50c8c5ba635ce9cf4a65a9a1",
+    "s3-genus-10000": "709c393fed299ddd94a06c3a14331ae2acdc58631f19141bb34eecc8d8d377ef",
+    "c2-genus-1000-D5": "8f35e3530841daaeccd6d9ae35ad0510b64d46322eae267d74a35b2603560f19",
+    "c2-genus-1000-E6": "a2da8a8fc9fb5395d818b7db568fbaa0406f12c919b84cd24e30c96ebadb8f60",
+}
+
+
+def test_big_witness_shaped_reports_are_byte_identical_to_the_pinned_digests():
+    got = {}
+    for name, data in big_witness_shaped_data().items():
+        parsed = [datum_from_json(json.loads(json.dumps(datagen.datum_to_json(d))))
+                  for d in data]
+        assert parsed == data, name
+        got[name] = _report_digest(parsed)
+    assert got == PINNED_BIG_WITNESS_DIGESTS
 
 
 def test_high_genus_c2_certificates_replay_with_pairings_naming_the_shadows():

@@ -280,6 +280,9 @@ def test_an_invalid_factor_still_raises_after_a_valid_one_of_its_kind():
             BaseCase(kind="S3Case1", elements=(C123, C132), **ok)
         with pytest.raises(DomainError, match="unknown factor kind"):
             BaseCase(kind="S3Case9", elements=(T12, T12), **ok)
+        with pytest.raises(DomainError, match="weights do not match"):
+            BaseCase(kind="S3Case1", elements=(T12, T12),
+                     weights=(vacuum_weight(1),), labels=("a", "b"))
     # the closed form checks its parameters as well as its vector
     vector = dict(elements=(T12,) * 6, weights=(vacuum_weight(1),) * 6,
                   labels=tuple("abcdef"))
@@ -311,6 +314,22 @@ def test_multiplicity_is_serialized_only_when_not_one_and_counts_copies():
                    multiplicity=2)
     w = DecompositionWitness(factors=[tri, two])
     assert w.conservation == ("(123)",) * 6
+
+
+def test_factor_keeps_tuples_copies_other_sequences_and_serializes_fresh_lists():
+    weights, labels = (vacuum_weight(1),) * 2, ("a", "b")
+    f = BaseCase(kind="S3Case1", elements=(T12, T12), weights=weights, labels=labels)
+    assert f.weights is weights and f.labels is labels
+    g = BaseCase(kind="S3Case1", elements=[list(T12), list(T12)],
+                 weights=[[(0, 1)], [(0, 1)]], labels=["a", "b"])
+    assert g == f and g.elements == (T12, T12)
+    with pytest.raises(DomainError, match="multiply to e"):
+        f._replace(elements=(T12, T23))
+    first = f.as_dict()
+    first["elements"].append("(13)")
+    first["weights"][0]["5"] = 1
+    assert g.as_dict() == {"kind": "S3Case1", "elements": ["(12)", "(12)"],
+                           "labels": ["a", "b"], "weights": [{"0": 1}, {"0": 1}]}
 
 
 def test_witness_serialization_is_stable():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from parapic import picard
 from parapic.cli import main
 from parapic.errors import ParseError
 from parapic.picard import GroupDatum, WeightBundle, bundle_from_json, datum_from_json
@@ -139,6 +140,27 @@ def test_datum_loader_accepts_or_raises_parse_error(obj):
     except ParseError:
         return
     assert isinstance(d, GroupDatum)
+
+
+def _parse_or_message(obj):
+    try:
+        return datum_from_json(obj)
+    except ParseError as e:
+        return str(e)
+
+
+#: every valid point template as one datum, to fill the point shape memo
+_ALL_TEMPLATES = {"schema": 1, "genus": 1, "group": "S3", "points": [
+    {"label": f"t{i}", **t} for i, t in enumerate(TEMPLATES["S3"])]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(datum_objs | JUNK)
+def test_datum_loader_answers_alike_with_a_cold_and_a_warm_memo(obj):
+    picard._point_shapes.clear()
+    cold = _parse_or_message(obj)
+    datum_from_json(_ALL_TEMPLATES)
+    assert _parse_or_message(obj) == cold
 
 
 @settings(max_examples=50, deadline=None)

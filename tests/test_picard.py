@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
+from parapic import picard
 from parapic.covers import C2_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError, ParseError
@@ -22,7 +23,6 @@ from parapic.picard import (
     cdelta_bundle,
     central_charge,
     datum_from_json,
-    is_dominant,
     is_pic_delta,
     load_bundle,
     load_datum,
@@ -90,6 +90,55 @@ def test_an_invalid_point_still_raises_after_a_valid_one_of_its_type():
             datum_from_json(bad)
 
 
+def test_a_repeated_shape_with_a_field_of_another_type_still_raises():
+    obj = datagen.datum_to_json(a2_two_special_datum())
+    datum_from_json(obj)  # the shape (A2~2, [1], (12), true) is now known
+    # true == 1 == 1.0 and their hashes agree: only the type tells them apart
+    for key, value, match in (("bad", 1, "bad must be a boolean"),
+                              ("facet", [True], "facet must be a list of integers"),
+                              ("facet", [1.0], "facet must be a list of integers"),
+                              ("monodromy", True, "cannot parse permutation")):
+        changed = json.loads(json.dumps(obj))
+        changed["points"][1][key] = value
+        with pytest.raises(ParseError, match=match):
+            datum_from_json(changed)
+    # an absent bad flag is not a null one, and a known shape needs a label
+    changed = json.loads(json.dumps(obj))
+    changed["points"][1]["bad"] = None
+    with pytest.raises(ParseError, match=r"points\[1\]: bad must be a boolean"):
+        datum_from_json(changed)
+    changed = json.loads(json.dumps(obj))
+    del changed["points"][1]["label"]
+    with pytest.raises(ParseError, match=r"points\[1\]: missing field 'label'"):
+        datum_from_json(changed)
+
+
+def test_each_repeat_of_an_invalid_shape_names_its_own_point():
+    good = {"type": "A3~2", "facet": [0, 1, 2], "monodromy": "(12)", "bad": True}
+    wrong = dict(good, facet=[0, 3])
+    for i in range(4):
+        pts = [dict(good, label=f"x{j}") for j in range(4)]
+        pts[i] = dict(wrong, label=f"y{i}")
+        obj = {"schema": 1, "genus": 0, "group": "C2", "points": pts}
+        with pytest.raises(ParseError) as info:
+            datum_from_json(obj)
+        assert str(info.value) == (
+            f"points[{i}]: point y{i}: facet vertices [3] not in A3~2")
+
+
+def test_the_point_shape_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(picard, "_point_shapes", {})
+    n = picard._MAX_POINT_SHAPES + 40
+    # facets [0], [0, 0], ... are distinct shapes of one point
+    obj = {"schema": 1, "genus": 0, "group": "Trivial", "points": [
+        {"label": f"p{k}", "type": "D4", "facet": [0] * k} for k in range(1, n + 1)]}
+    want = GroupDatum(0, TRIVIAL_GROUP, tuple(
+        PointDatum(f"p{k}", T("D4"), frozenset({0})) for k in range(1, n + 1)))
+    for _ in range(2):
+        assert datum_from_json(obj) == want
+        assert 0 < len(picard._point_shapes) <= picard._MAX_POINT_SHAPES
+
+
 def test_datum_validation():
     p1 = iwahori("p1", "A2")
     with pytest.raises(DomainError, match="nonnegative"):
@@ -132,7 +181,7 @@ def test_bundle_constructors_and_validation():
     assert b.coeffs("nope") == {}
     validate_bundle(d, b)
     assert is_pic_delta(d, b) == (True, 1)
-    assert is_dominant(d, b)
+    assert b.dominant
     bad = WeightBundle.from_dict({"zzz": {0: 1}})
     with pytest.raises(DomainError, match="unknown point"):
         validate_bundle(d, bad)
@@ -142,7 +191,7 @@ def test_bundle_constructors_and_validation():
         validate_bundle(dd, outside)
     neg = WeightBundle.from_dict({"p1": {0: -1}, "p2": {0: -1}})
     assert is_pic_delta(d, neg) == (True, -1)
-    assert not is_dominant(d, neg)
+    assert not neg.dominant
     skew = WeightBundle.from_dict({"p1": {0: 1}, "p2": {0: 2}})
     assert is_pic_delta(d, skew) == (False, None)
 
@@ -207,7 +256,7 @@ def test_cdelta_bundle_properties(seed):
     b = cdelta_bundle(d)
     ok, charge = is_pic_delta(d, b)
     assert ok and charge % c_delta(d) == 0 and charge > 0
-    assert is_dominant(d, b)
+    assert b.dominant
 
 
 def test_cdelta_bundle_matches_scanning_oracle():
