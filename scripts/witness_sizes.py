@@ -6,11 +6,14 @@ then pairs of equal transpositions, so every braid move passes the whole
 run of 3-cycles), this runs `parapic reduce s3 --json`; for Trivial, C3
 and S3 data at base genus 10^3 and 10^5, and for a C2 datum (two `D4~2`
 branch points and one `D4` split point, all Iwahori) at genus 10^3, 10^4
-and 10^5, it runs `parapic cg --json`.  The C2 route still lists its 2g
-handle shadows in pairs, so its rows grow with the genus.  Each row gives
-the trail steps, the factors, the bytes of the JSON line and the median
-wall time of five in-process runs of the verb (parsing, the rewrite or
-certificate search, and emission; no interpreter start-up).
+and 10^5, it runs `parapic cg --json`.  The C2 witness holds its 2g
+handle shadows as one labelled run, but schema 2 still writes one
+`TwistedPair` per shadow pair, so the C2 rows' output grows with the
+genus.  Each row gives the trail steps, the factors the JSON lists, the
+factors the witness holds in memory (`held`), the bytes of the JSON line
+and the median wall time of five in-process runs of the verb (parsing,
+the rewrite or certificate search, and emission; no interpreter
+start-up).
 
     python scripts/witness_sizes.py
 """
@@ -26,6 +29,7 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 
+from parapic import compute_cG, load_datum, parse_tuple, s3_reduce
 from parapic.covers import ELEMENTS, element_name, inverse, product
 from parapic.cli import main
 
@@ -77,17 +81,19 @@ def datum(group: str, genus: int) -> dict:
     ]}
 
 
-def row(name: str, out: str, witness: dict, seconds: float) -> None:
+def row(name: str, out: str, witness: dict, held: int, seconds: float) -> None:
     print(f"{name:<27} {len(witness['steps']):>6} {len(witness['factors']):>8}"
-          f" {len(out.encode()):>9} {seconds * 1000:>9.2f}")
+          f" {held:>6} {len(out.encode()):>9} {seconds * 1000:>9.2f}")
 
 
 def report() -> None:
-    print(f"{'input':<27} {'steps':>6} {'factors':>8} {'bytes':>9} {'ms':>9}")
+    print(f"{'input':<27} {'steps':>6} {'factors':>8} {'held':>6} {'bytes':>9} {'ms':>9}")
     for name, vector in (("S3 vector", s3_vector), ("S3 3-cycles first", s3_cycles_first)):
         for n in (100, 400, 1600):
-            out, t = run_verb(["reduce", "s3", vector(n), "--json"])
-            row(f"{name} n={n}", out, json.loads(out), t)
+            tup = vector(n)
+            out, t = run_verb(["reduce", "s3", tup, "--json"])
+            held = len(s3_reduce(parse_tuple(tup)).factors)
+            row(f"{name} n={n}", out, json.loads(out), held, t)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "datum.json")
         for group, exps in (("Trivial", (3, 5)), ("C3", (3, 5)), ("S3", (3, 5)),
@@ -97,7 +103,8 @@ def report() -> None:
                     json.dump(datum(group, 10**exp), fh)
                 out, t = run_verb(["cg", "--datum", path, "--json"])
                 witness = json.loads(out)["certificate"]["witness"]
-                row(f"{group} genus 10^{exp}", out, witness, t)
+                held = len(compute_cG(load_datum(path)).certificate.witness.factors)
+                row(f"{group} genus 10^{exp}", out, witness, held, t)
 
 
 if __name__ == "__main__":

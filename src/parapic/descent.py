@@ -212,18 +212,34 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
         w.steps.append({"op": "pad-split-side", "labels": [sides.aux]})
     # the branch pairs, then the split pairs, where a pad (a label no
     # point has) is an untwisted vacuum point
-    pad = (IDENTITY, vacuum_weight(charge), sides.pad_type)
+    vac, pad_type = vacuum_weight(charge), sides.pad_type
+    pad = (IDENTITY, vac, pad_type)
     real = {p.label: p for p in sides.branch} | sides.split
 
     def entry(lab):
         p = real.get(lab)
         return pad if p is None else (p.monodromy, b.weight(lab), p.affine_type)
 
+    def pad_run(labels):
+        """Consecutive pad pairs, each the same factor, as one labelled run."""
+        return BaseCase(kind=TWISTED_PAIR, elements=(IDENTITY, IDENTITY),
+                        weights=(vac, vac), labels=tuple(labels),
+                        types=(pad_type, pad_type), multiplicity=len(labels) // 2)
+
     pairs = [(x.label, y.label) for x, y in part.branch_pairs] + list(part.split_pairs)
+    run: list[str] = []  # the labels of the pad pairs since the last real point
     for x, y in pairs:
-        (ex, wx, tx), (ey, wy, ty) = entry(x), entry(y)
-        w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
-                                  weights=(wx, wy), labels=(x, y), types=(tx, ty)))
+        if x in real or y in real:
+            if run:
+                w.factors.append(pad_run(run))
+                run = []
+            (ex, wx, tx), (ey, wy, ty) = entry(x), entry(y)
+            w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
+                                      weights=(wx, wy), labels=(x, y), types=(tx, ty)))
+        else:
+            run += (x, y)
+    if run:
+        w.factors.append(pad_run(run))
     return w
 
 

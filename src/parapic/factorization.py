@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .covers import (
@@ -146,7 +147,10 @@ class BaseCase(_Factor):
     cases ``elements`` is always the canonical literal; ``conjugator``
     and ``original`` record how to undo the normalization.
     ``multiplicity`` counts identical copies of the factor, so ``2g``
-    pinched-handle vacua take one factor instead of ``2g``.
+    pinched-handle vacua take one factor instead of ``2g``.  A *copy
+    run* has ``len(elements)`` labels, which every copy shares; a
+    *labelled run* has ``multiplicity × len(elements)`` labels, the
+    copies' labels one after another (see `entries`).
 
     A factor is a named tuple, and every way to build one is checked and
     cheap: a tuple argument is kept (a tuple of labels must hold
@@ -168,9 +172,14 @@ class BaseCase(_Factor):
             weights = tuple(map(tuple, weights))
         if type(labels) is not tuple:
             labels = tuple(map(str, labels))
-        if weights and len(weights) != len(elements):
+        k, n = len(elements), len(labels)
+        if weights and len(weights) != k:
             raise DomainError("factor weights do not match its points")
-        if kind != CLOSED_FORM_A and len(elements) <= _MAX_FACTOR_POINTS:
+        if n and n != k and n != multiplicity * k:
+            raise DomainError(
+                f"factor has {n} labels for {k} points and multiplicity {multiplicity}"
+            )
+        if kind != CLOSED_FORM_A and k <= _MAX_FACTOR_POINTS:
             error = _memo_shape_error(kind, elements)
         else:  # a whole vector: checked as is, never memoized
             error = _shape_error(kind, elements)
@@ -187,14 +196,21 @@ class BaseCase(_Factor):
     def _make(cls, iterable):  # so that ``_replace`` checks as well
         return cls(*iterable)
 
-    def as_dict(self) -> dict:
-        small = len(self.elements) <= _MAX_FACTOR_POINTS  # else a whole vector
+    def entries(self) -> list[dict]:
+        """The factor's schema-2 entries.
+
+        A labelled run writes one entry per copy, each with its own
+        labels, and all of them share one ``elements`` and one
+        ``weights`` list.  Any other factor is one entry, which carries
+        ``multiplicity`` when it is not 1.
+        """
+        labels, k = self.labels, len(self.elements)
+        small = k <= _MAX_FACTOR_POINTS  # else a whole vector
         names, weights = (_json_shape if small else _json_shape.__wrapped__)(
             self.elements, self.weights)
         d: dict = {
             "kind": self.kind,
             "elements": list(names),
-            "labels": list(self.labels),
             "weights": list(map(dict, weights)),
         }
         if self.conjugator is not None:
@@ -202,9 +218,12 @@ class BaseCase(_Factor):
             d["original"] = [element_name(p) for p in self.original or ()]
         if self.params is not None:
             d["params"] = {"g": self.params[0], "n": self.params[1], "r": self.params[2]}
+        if len(labels) > k:  # a labelled run: its labels, k at a time
+            return [{**d, "labels": copy} for copy in map(list, zip(*[iter(labels)] * k))]
+        d["labels"] = list(labels)
         if self.multiplicity != 1:
             d["multiplicity"] = self.multiplicity
-        return d
+        return [d]
 
 
 @dataclass
@@ -225,7 +244,8 @@ class DecompositionWitness:
         return tuple(sorted(out))
 
     def as_dict(self) -> dict:
-        return {"factors": [f.as_dict() for f in self.factors], "steps": self.steps}
+        return {"factors": list(chain.from_iterable(map(BaseCase.entries, self.factors))),
+                "steps": self.steps}
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,17 @@ def pic_delta_rank(d: GroupDatum) -> int:
 
 def vacuum_bundle(d: GroupDatum, charge: int = 1) -> WeightBundle:
     """The bundle with coefficient ``charge`` at the special vertex of
-    every point (defined only when every facet contains o)."""
+    every point (defined only when every facet contains o).  The entries
+    are those `WeightBundle.from_dict` makes, built directly."""
+    if not _is_int(charge):
+        raise DomainError(f"vacuum charge {charge!r} must be an integer")
     for p in d.points:
         if 0 not in p.facet:
             raise DomainError(
                 f"point {p.label}: facet does not contain the special vertex"
             )
-    return WeightBundle.from_dict({p.label: {0: charge} for p in d.points})
+    weight = ((0, charge),) if charge else ()
+    return WeightBundle(tuple(sorted((p.label, weight) for p in d.points)))
 
 
 def _suffix_reach(labels: list[int], limit: int) -> list[int]:

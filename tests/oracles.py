@@ -3,9 +3,11 @@
 Everything here is deliberately written from first principles (plain
 Gaussian elimination over Fraction, greedy Weyl-word descent, exhaustive
 product loops) rather than by calling into parapic internals, so a bug
-in the package cannot hide in its own oracle.  The one exception,
-``staged_gsd2``, takes each pair's vertex sets from the package and
-checks the sides, the search and the order built on them.
+in the package cannot hide in its own oracle.  Two exceptions take one
+local fact each from the package: ``staged_gsd2`` takes each pair's
+vertex sets and checks the sides, the search and the order built on
+them, and ``c2_pair_witness`` takes each pair's rank and checks the
+witness built around it.
 """
 from __future__ import annotations
 
@@ -16,9 +18,10 @@ from math import gcd
 
 from parapic.covers import IDENTITY
 from parapic.dynkin import twisted_type
-from parapic.errors import DomainError
-from parapic.factorization import pair_involution, pq_sets_for_points
+from parapic.errors import DomainError, UnknownRankError
+from parapic.factorization import BaseCase, pair_involution, pq_sets_for_points
 from parapic.picard import PointDatum, WeightBundle, bundle_to_json
+from parapic.verlinde import base_case_rank
 
 
 def rational_rank(rows) -> int:
@@ -365,6 +368,53 @@ def staged_gsd2(d, budget):
     staged.sort(key=lambda c: c[:3])
     for charge, _ser, _pairing, weights, kwargs in staged:
         yield charge, weights, kwargs
+
+
+def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):
+    """The schema-2 witness of a C2 pair partition and its rank bound,
+    built pair by pair: one ``TwistedPair`` entry per pinched pair.
+
+    The sides are `c2_sides`; a pairing is adjacent in side order unless
+    given as label pairs.  A pad (a handle shadow or the ``_aux`` point)
+    carries the vacuum weight of ``charge``.  The bound is the product of
+    the pairs' ranks, None when one is unknown.
+    """
+    branch, split = c2_sides(d)
+    points = {p.label: p for p in branch + split}
+    real = {p.label for p in d.points}
+
+    def pairs(side, pairing):
+        if pairing is None:
+            return [(side[i].label, side[i + 1].label) for i in range(0, len(side), 2)]
+        return [tuple(pair) for pair in pairing]
+
+    def weight(lab):
+        return bundle.weight(lab) if lab in real else ((0, charge),)
+
+    factors, bound = [], 1
+    for x, y in pairs(branch, branch_pairing) + pairs(split, split_pairing):
+        px, py = points[x], points[y]
+        factors.append({
+            "kind": "TwistedPair",
+            "elements": [s3_name(px.monodromy), s3_name(py.monodromy)],
+            "labels": [x, y],
+            "weights": [{str(v): c for v, c in weight(lab)} for lab in (x, y)],
+        })
+        if bound is not None:
+            try:
+                bound *= base_case_rank(BaseCase(
+                    kind="TwistedPair", elements=(px.monodromy, py.monodromy),
+                    weights=(weight(x), weight(y)), labels=(x, y),
+                    types=(px.affine_type, py.affine_type))).value
+            except UnknownRankError:
+                bound = None
+    steps = []
+    if d.base_genus:
+        steps.append({"op": "pinch-handles", "count": d.base_genus})
+    if sum(p.monodromy == IDENTITY for p in d.points) % 2:
+        # an odd real split side ends in its _aux pad
+        steps.append({"op": "pad-split-side", "labels": [split[-1].label]})
+    return {"factors": factors, "steps": steps}, bound
 
 
 def gcd_of_pinching_lcms(sides):

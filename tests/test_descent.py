@@ -5,8 +5,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import datagen
+import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
 from parapic.descent import DESCENDS, certify_descent, compute_cG
 from parapic.dynkin import parse_affine_type
@@ -16,6 +19,7 @@ from parapic.errors import (
     NotDominantError,
     NotInPicDeltaError,
 )
+from parapic.factorization import BaseCase
 from parapic.picard import (
     GroupDatum,
     PointDatum,
@@ -438,12 +442,61 @@ def test_explicit_pairings_resolve_shadow_and_aux_labels():
         certify_descent(d, vacuum_bundle(d, 1), split_pairing=[("_aux1", "s1")])
 
 
+def _split_into_pairs(order):
+    return [tuple(order[i:i + 2]) for i in range(0, len(order), 2)]
+
+
+@st.composite
+def c2_pairing_cases(draw):
+    """A C2 Iwahori datum at genus 0 to 6, a single-vertex bundle of
+    charge 1 or 2, and random explicit pairings of both sides, pads
+    included."""
+    genus = draw(st.integers(0, 6))
+    # a genus-0 cover needs branch points, and a datum some point
+    branch = [f"b{i}" for i in range(1, 2 * draw(st.integers(1 if genus == 0 else 0, 2)) + 1)]
+    split = [f"s{i}" for i in range(1, draw(st.integers(0 if branch else 1, 3)) + 1)]
+    d = c2_iwahori(genus, "D4~2", branch, split)
+    charge = draw(st.sampled_from([1, 2]))
+    weights = {}
+    for p in d.points:
+        labels = p.affine_type.dual_labels
+        v = draw(st.sampled_from([v for v in sorted(p.facet) if charge % labels[v] == 0]))
+        weights[p.label] = {v: charge // labels[v]}
+    sides = oracles.c2_sides(d)
+    orders = [draw(st.permutations([p.label for p in side])) for side in sides]
+    pairings = dict(zip(("branch_pairing", "split_pairing"), map(_split_into_pairs, orders)))
+    return d, weights, charge, pairings
+
+
+@settings(max_examples=80, deadline=None)
+@given(c2_pairing_cases())
+@example((  # pad pairs between real pairs, a reversed pad pair and the _aux pad
+    c2_iwahori(2, "D4~2", ["b1", "b2"], ["s1", "s2", "s3"]),
+    {lab: {0: 1} for lab in ("b1", "b2", "s1", "s2", "s3")}, 1,
+    {"branch_pairing": [("b2", "b1")],
+     "split_pairing": [("s1", "_handle3"), ("_handle2", "_handle1"), ("s2", "s3"),
+                       ("_aux1", "_handle4")]},
+))
+def test_pad_runs_serialize_as_the_per_pair_witness(case):
+    d, weights, charge, pairings = case
+    b = WeightBundle.from_dict(weights)
+    cert = json.loads(certify_descent(d, b, **pairings).to_json())
+    witness, bound = oracles.c2_pair_witness(d, b, charge, **pairings)
+    assert json.dumps(cert["witness"], sort_keys=True) == json.dumps(witness, sort_keys=True)
+    assert cert["rank_bound"] == bound
+
+
 def test_shadows_never_become_points_on_the_certification_path(monkeypatch):
     d = c2_iwahori(1000, "D4~2", ["b1", "b2"], ["s1"])
-    built = []
-    init = PointDatum.__post_init__
+    built, factors = [], []
+    init, new = PointDatum.__post_init__, BaseCase.__new__
     monkeypatch.setattr(PointDatum, "__post_init__",
                         lambda self: built.append(self.label) or init(self))
+    monkeypatch.setattr(BaseCase, "__new__",
+                        lambda cls, *a, **k: factors.append(k) or new(cls, *a, **k))
     rep = compute_cG(d)
-    assert rep.exact == 1 and len(rep.certificate.witness.factors) == 1 + 1001
+    witness = rep.certificate.witness
+    assert rep.exact == 1 and len(witness.as_dict()["factors"]) == 1 + 1001
+    # the 1000 pad pairs after (s1, _handle1) are one labelled run
+    assert len(witness.factors) <= 3 and len(factors) <= 3
     assert built == []

@@ -302,13 +302,48 @@ def test_base_case_rejects_a_non_positive_or_non_integer_multiplicity(multiplici
                  multiplicity=multiplicity)
 
 
+PAD_PAIR = {"kind": "TwistedPair", "elements": (IDENTITY, IDENTITY),
+            "weights": (vacuum_weight(1),) * 2, "multiplicity": 3}
+
+
+@pytest.mark.parametrize("count", [0, 2, 6])
+def test_base_case_accepts_no_labels_one_copy_or_every_copy_labelled(count):
+    labels = tuple(f"h{i}" for i in range(count))
+    assert BaseCase(**PAD_PAIR, labels=labels).labels == labels
+
+
+def test_base_case_rejects_other_label_counts_also_in_replace():
+    with pytest.raises(DomainError, match="4 labels for 2 points and multiplicity 3"):
+        BaseCase(**PAD_PAIR, labels=("a", "b", "c", "d"))
+    f = BaseCase(**PAD_PAIR, labels=("a", "b"))
+    with pytest.raises(DomainError, match="3 labels for 2 points"):
+        f._replace(labels=("a", "b", "c"))
+    with pytest.raises(DomainError, match="6 labels for 2 points and multiplicity 2"):
+        BaseCase(**PAD_PAIR, labels=tuple("abcdef"))._replace(multiplicity=2)
+
+
+def test_labelled_run_writes_one_entry_per_copy_and_a_copy_run_one_entry():
+    run = BaseCase(**PAD_PAIR, labels=("h2", "h1", "h3", "a1", "h4", "h5"))
+    entries = run.entries()
+    assert [e["labels"] for e in entries] == [["h2", "h1"], ["h3", "a1"], ["h4", "h5"]]
+    assert all(e == {"kind": "TwistedPair", "elements": ["e", "e"],
+                     "labels": e["labels"], "weights": [{"0": 1}, {"0": 1}]}
+               for e in entries)
+    # the copies share one elements list and one weights list
+    assert len({id(e["elements"]) for e in entries}) == 1
+    assert len({id(e["weights"]) for e in entries}) == 1
+    copies = BaseCase(**PAD_PAIR, labels=("h1", "h2"))
+    assert copies.entries() == [{**entries[0], "labels": ["h1", "h2"], "multiplicity": 3}]
+    assert rank_lower_bound([run]) == rank_lower_bound([copies]) == 1
+
+
 def test_multiplicity_is_serialized_only_when_not_one_and_counts_copies():
     one = BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
                    weights=(vacuum_weight(1),), labels=("h",))
-    assert "multiplicity" not in one.as_dict()
+    assert "multiplicity" not in one.entries()[0]
     two = BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
                    weights=(vacuum_weight(1),), labels=("h",), multiplicity=2)
-    assert two.as_dict() == {**one.as_dict(), "multiplicity": 2}
+    assert two.entries() == [{**one.entries()[0], "multiplicity": 2}]
     tri = BaseCase(kind="EllipticTriple", elements=(C123,) * 3,
                    weights=(vacuum_weight(1),) * 3, labels=("a", "b", "c"),
                    multiplicity=2)
@@ -325,11 +360,11 @@ def test_factor_keeps_tuples_copies_other_sequences_and_serializes_fresh_lists()
     assert g == f and g.elements == (T12, T12)
     with pytest.raises(DomainError, match="multiply to e"):
         f._replace(elements=(T12, T23))
-    first = f.as_dict()
+    (first,) = f.entries()
     first["elements"].append("(13)")
     first["weights"][0]["5"] = 1
-    assert g.as_dict() == {"kind": "S3Case1", "elements": ["(12)", "(12)"],
-                           "labels": ["a", "b"], "weights": [{"0": 1}, {"0": 1}]}
+    assert g.entries() == [{"kind": "S3Case1", "elements": ["(12)", "(12)"],
+                            "labels": ["a", "b"], "weights": [{"0": 1}, {"0": 1}]}]
 
 
 def test_witness_serialization_is_stable():
@@ -337,7 +372,7 @@ def test_witness_serialization_is_stable():
     blob = json.dumps(w.as_dict(), sort_keys=True)
     assert '"kind": "S3Case1"' in blob
     assert w.conservation == ("(12)", "(12)")
-    d = w.factors[0].as_dict()
+    (d,) = w.factors[0].entries()
     assert d["elements"] == ["(12)", "(12)"]
     assert d["weights"] == [{"0": 1}, {"0": 1}]
 

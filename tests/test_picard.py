@@ -206,6 +206,23 @@ def test_vacuum_bundle():
         vacuum_bundle(d2)
 
 
+@pytest.mark.parametrize("charge", [0, 1, 7])
+def test_vacuum_bundle_equals_the_bundle_from_its_dict(charge):
+    r = random.Random(f"vacuum-bundle:{charge}")
+    for gen in datagen.IWAHORI_GENERATORS.values():
+        for _ in range(10):
+            d = gen(r)
+            want = WeightBundle.from_dict({p.label: {0: charge} for p in d.points})
+            assert vacuum_bundle(d, charge).entries == want.entries
+
+
+@pytest.mark.parametrize("charge", [True, False, 1.0, 0.0])
+def test_vacuum_bundle_rejects_a_bool_or_float_charge(charge):
+    d = GroupDatum(0, TRIVIAL_GROUP, (iwahori("p1", "A2"),))
+    with pytest.raises(DomainError, match="integer"):
+        vacuum_bundle(d, charge)
+
+
 def test_c_delta_iwahori_is_one():
     d = GroupDatum(
         0,
