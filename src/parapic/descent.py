@@ -56,7 +56,6 @@ from .factorization import (
 )
 from .picard import (
     GroupDatum,
-    PointDatum,
     WeightBundle,
     bundle_to_json,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     c_delta,
@@ -120,7 +119,7 @@ class CGReport:
 def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
     """Dominance and charge-lattice membership checks; returns the
     common central charge."""
-    validate_bundle(d, b)
+    charges = validate_bundle(d, b)
     for p in d.points:
         for v, c in b.weight(p.label):
             if c < 0:
@@ -128,7 +127,6 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
                     f"bundle is not dominant: point {p.label!r} has "
                     f"coefficient {c} at vertex {v}"
                 )
-    charges = {p.label: central_charge(p, b.coeffs(p.label)) for p in d.points}
     distinct = sorted(set(charges.values()))
     if len(distinct) > 1:
         raise NotInPicDeltaError(
@@ -176,7 +174,7 @@ def _closed_form_applicable(d, b, charge):
         return None
     if any(perm_order(p.monodromy) != 2 for p in d.points):
         return None
-    if any(b.coeffs(p.label) != {0: 1} for p in d.points):
+    if any(b.weight(p.label) != ((0, 1),) for p in d.points):
         return None
     if len(d.points) % 2 == 1:
         # the pair route raises the cover-parity rejection
@@ -203,8 +201,8 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
         w.steps.append({"op": "closed-form", "g": g, "n": n, "r": r})
         return w
     sides = _gsd2_sides(d.points, 2 * d.base_genus)
-    part = pair_partition_gsd2(sides, branch_pairing=branch_pairing,
-                               split_pairing=split_pairing)
+    branch_pairs, split_pairs = pair_partition_gsd2(
+        sides, branch_pairing=branch_pairing, split_pairing=split_pairing)
     w = DecompositionWitness()
     if d.base_genus:
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
@@ -214,10 +212,9 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
     # point has) is an untwisted vacuum point
     vac, pad_type = vacuum_weight(charge), sides.pad_type
     pad = (IDENTITY, vac, pad_type)
-    real = {p.label: p for p in sides.branch} | sides.split
 
     def entry(lab):
-        p = real.get(lab)
+        p = sides.points.get(lab)
         return pad if p is None else (p.monodromy, b.weight(lab), p.affine_type)
 
     def pad_run(labels):
@@ -226,25 +223,21 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
                         weights=(vac, vac), labels=tuple(labels),
                         types=(pad_type, pad_type), multiplicity=len(labels) // 2)
 
-    pairs = [(x.label, y.label) for x, y in part.branch_pairs] + list(part.split_pairs)
     run: list[str] = []  # the labels of the pad pairs since the last real point
-    for x, y in pairs:
-        if x in real or y in real:
-            if run:
-                w.factors.append(pad_run(run))
-                run = []
-            (ex, wx, tx), (ey, wy, ty) = entry(x), entry(y)
-            w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
-                                      weights=(wx, wy), labels=(x, y), types=(tx, ty)))
-        else:
+    for x, y in (*branch_pairs, *split_pairs):
+        fx, fy = entry(x), entry(y)
+        if fx is pad and fy is pad:
             run += (x, y)
+            continue
+        if run:
+            w.factors.append(pad_run(run))
+            run = []
+        (ex, wx, tx), (ey, wy, ty) = fx, fy
+        w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
+                                  weights=(wx, wy), labels=(x, y), types=(tx, ty)))
     if run:
         w.factors.append(pad_run(run))
     return w
-
-
-def _route_gsd3(d, b, charge) -> DecompositionWitness:
-    return degenerate_gsd3(d, bundle=b, charge=charge)
 
 
 def _route_gsd6(d, b, charge) -> DecompositionWitness:
@@ -324,7 +317,7 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
         witness = _route_gsd2(d, b, charge, branch_pairing=branch_pairing,
                               split_pairing=split_pairing)
     elif kind == "C3":
-        witness = _route_gsd3(d, b, charge)
+        witness = degenerate_gsd3(d, b, charge)
     elif kind == "S3":
         witness = _route_gsd6(d, b, charge)
     else:  # pragma: no cover - FiniteGroup admits only the four kinds
@@ -344,11 +337,12 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
     )
 
 
-def _pinch_options(side, split: bool) -> dict:
+def _pinch_options(shapes, split: bool) -> dict:
     """The pinchable pairs of one side of a C2 datum, with their choices.
 
-    Maps (i, j), i < j in side order, to the tuple of choices (vertex at
-    side[i], vertex at side[j], dual label): common facet vertices (P)
+    ``shapes`` holds the (type, facet) of each label of the side.  Maps
+    (i, j), i < j in side order, to the tuple of choices (vertex at
+    label i, vertex at label j, dual label): common facet vertices (P)
     for branch pairs, dual-matched ones (Q) for split pairs.  Pairs of
     different types, or with no choice, are not pinchable and absent.
 
@@ -356,20 +350,19 @@ def _pinch_options(side, split: bool) -> dict:
     meet of the first facet with the second one's image under the pair
     involution.  The choices of one (type, meet) are built once per call.
     """
-    masks = [sum(1 << v for v in p.facet) for p in side]
+    masks = [sum(1 << v for v in facet) for _t, facet in shapes]
     images = masks
     if split:
         images = []
-        for p in side:
-            inv = pair_involution(p.affine_type)
-            images.append(sum(1 << inv(v) for v in p.facet))
+        for t, facet in shapes:
+            inv = pair_involution(t)
+            images.append(sum(1 << inv(v) for v in facet))
     built: dict[tuple, tuple] = {}
     table = {}
-    for j, y in enumerate(side):
-        t = y.affine_type
+    for j, (t, _facet) in enumerate(shapes):
         for i in range(j):
             meet = masks[i] & images[j]
-            if not meet or side[i].affine_type != t:
+            if not meet or shapes[i][0] != t:
                 continue
             if (t, meet) not in built:
                 labels, inv = t.dual_labels, pair_involution(t)
@@ -380,13 +373,18 @@ def _pinch_options(side, split: bool) -> dict:
 
 
 def _pinch_tables(sides: Gsd2Sides):
-    """The branch side and the (padded) split side of a C2 datum, each
-    with its table of pinchable pairs.  The tables read a pad as a
-    vacuum point; the search meets pads at genus 0 and 1 in practice."""
-    branch = list(sides.branch)
-    split = [*sides.split.values(),
-             *(PointDatum(lab, sides.pad_type, frozenset({0})) for lab in sides.pads)]
-    return (branch, _pinch_options(branch, False)), (split, _pinch_options(split, True))
+    """The branch labels and the (padded) split labels of a C2 datum,
+    each with its table of pinchable pairs.  The tables read a pad as a
+    vacuum point, (``pad_type``, {0}); the search meets pads at genus 0
+    and 1 in practice."""
+    pad = (sides.pad_type, (0,))
+
+    def shape(lab):
+        p = sides.points.get(lab)
+        return pad if p is None else (p.affine_type, p.facet)
+
+    return tuple((side, _pinch_options(list(map(shape, side)), split))
+                 for side, split in ((sides.branch, False), (sides.split, True)))
 
 
 class _Half:
@@ -487,8 +485,8 @@ def _level_candidates(sides, blocks, real: list[str], charge: int):
     coefficient c // (dual label of v), so its bundle JSON lists the same
     labels in the same order as every other candidate of that charge and
     differs only in the per-point objects ``{"v": n}``.  Each of those
-    ends at its only closing brace, so ranking the objects the datum's
-    types can give at c by their JSON and reading the ranks in label
+    ends at its only closing brace, so ranking the objects the options of
+    the tables can give at c by their JSON and reading the ranks in label
     order as the digits of one integer orders the candidates as their
     bundle JSON does.  Each real point lies in exactly one pinched pair,
     so an option adds its points' digits and a candidate's key is the sum
@@ -503,7 +501,7 @@ def _level_candidates(sides, blocks, real: list[str], charge: int):
     """
     level = [b for b in blocks if charge in b[3]]
     halves = {h for bh, sh, *_rest in level for h in (bh, sh)}
-    names = [[p.label for p in side] for side, _table in sides]
+    names = [side for side, _table in sides]
 
     def labels(half):
         side = names[half.side]
@@ -516,11 +514,10 @@ def _level_candidates(sides, blocks, real: list[str], charge: int):
                    for h in halves}
         level.sort(key=lambda b: (pairing[id(b[0])], pairing[id(b[1])]))
 
-    # every object a vertex of a type in the datum could give, ordered by
+    # every object an option could give at this charge, ordered by
     # json.dumps({str(v): n}), which is this string for integers v and n
-    types = {p.affine_type for side, _table in sides for p in side}
-    objs = {(v, charge // a) for t in types
-            for v, a in enumerate(t.dual_labels) if charge % a == 0}
+    objs = {(v, charge // a) for _side, table in sides for opts in table.values()
+            for vx, vy, a in opts if charge % a == 0 for v in (vx, vy)}
     ranked = sorted(objs, key=lambda o: f'{{"{o[0]}": {o[1]}}}')
     rank = {o: r for r, o in enumerate(ranked)}
     digit = {lab: len(ranked) ** k for k, lab in enumerate(reversed(real))}
@@ -651,7 +648,6 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
     """
     lower = c_delta(d)
     attempts = 0
-    tried: set[tuple] = set()
     best: DescentCertificate | None = None
 
     def settled(charge: int) -> bool:
@@ -664,17 +660,13 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
 
         Each source builds a dominant bundle of one positive charge at
         every point, so ``charge`` comes from the source and
-        ``certify_descent`` is the only validation.
+        ``certify_descent`` is the only validation.  No candidate comes
+        twice: the staged ones are distinct and name their pairings, and
+        a c_Delta bundle equal to the vacuum bundle is not tried.
         """
         nonlocal attempts, best
         if settled(charge):
             return False
-        key = (bundle.entries, tuple(
-            (name, tuple(map(tuple, pairing))) for name, pairing in sorted(kwargs.items())
-        ))
-        if key in tried:
-            return False
-        tried.add(key)
         attempts += 1
         try:
             cert = certify_descent(d, bundle, **kwargs)
@@ -685,17 +677,18 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
                 best = cert
         return best is not None and best.charge == lower
 
-    done = False
+    done, vacuum = False, None
     if d.points and all(0 in p.facet for p in d.points):
-        done = try_candidate(vacuum_bundle(d, 1), 1)
+        vacuum = vacuum_bundle(d, 1)
+        done = try_candidate(vacuum, 1)
     if not done and d.points:
         try:
             cb = cdelta_bundle(d)
         except DomainError:
             cb = None
-        if cb is not None:
+        if cb is not None and cb != vacuum:
             first = d.points[0]
-            done = try_candidate(cb, central_charge(first, cb.coeffs(first.label)))
+            done = try_candidate(cb, central_charge(first, cb.weight(first.label)))
     if not done and d.gamma.kind == "C2" and d.points:
         # sorted by charge: once one certifies, no later one can win, and
         # the charge the search stops at is never keyed

@@ -254,40 +254,26 @@ class DecompositionWitness:
 
 
 class Gsd2Sides(NamedTuple):
-    """The two sides of a C2 datum's pinching.
+    """The two sides of a C2 datum's pinching, as tuples of labels.
 
-    ``branch`` holds the points with order-2 monodromy, in input order.
-    The split side lists ``split_labels``: the labels of the points with
-    trivial monodromy (``split``, by label, in input order), then the
-    pads, which are the labels of the pinched handles' shadows and, when
+    ``branch`` holds the labels of the points with order-2 monodromy and
+    ``split`` those of the points with trivial monodromy, in input order,
+    then the pads: the labels of the pinched handles' shadows and, when
     the real split count is odd, of one ``_aux`` point that makes the
-    side even.  Every pad is a vacuum point of ``pad_type``, the
-    untwisted common base type, with facet {0}, and is kept as its label:
-    a witness needs no more of it.
+    side even.  ``points`` maps each real label to its point; a pad is a
+    label it does not hold, a vacuum point of ``pad_type`` (the untwisted
+    common base type) with facet {0}, and nothing but its label is kept.
     """
 
-    branch: tuple[PointDatum, ...]
-    split: dict[str, PointDatum]
-    split_labels: tuple[str, ...]
+    branch: tuple[str, ...]
+    split: tuple[str, ...]
+    points: dict[str, PointDatum]
     pad_type: AffineType | None
-
-    @property
-    def pads(self) -> tuple[str, ...]:
-        return self.split_labels[len(self.split):]
 
     @property
     def aux(self) -> str | None:
         """The label of the ``_aux`` pad, or None when there is none."""
-        return self.split_labels[-1] if len(self.split) % 2 else None
-
-
-@dataclass(frozen=True)
-class Gsd2Partition:
-    """A pinching: branch pairs of points, split pairs of labels (a
-    label is a real split point of the sides or a pad)."""
-
-    branch_pairs: tuple[tuple[PointDatum, PointDatum], ...]
-    split_pairs: tuple[tuple[str, str], ...]
+        return self.split[-1] if (len(self.points) - len(self.branch)) % 2 else None
 
 
 def free_labels(used, prefix: str, count: int) -> list[str]:
@@ -346,13 +332,13 @@ def _gsd2_sides(points, shadow_count: int = 0) -> Gsd2Sides:
     genus-g base) and, when the real split count is odd, one auxiliary
     pad (see `Gsd2Sides`).  Pads need one base type across the points.
     """
-    branch, split = [], {}
+    branch, split = [], []
     for p in points:
         order = perm_order(p.monodromy)
         if order == 2:
-            branch.append(p)
+            branch.append(p.label)
         elif order == 1:
-            split[p.label] = p
+            split.append(p.label)
         else:
             raise DomainError(
                 f"pair partition needs monodromies of order 1 or 2, point "
@@ -360,22 +346,23 @@ def _gsd2_sides(points, shadow_count: int = 0) -> Gsd2Sides:
             )
     if len(branch) % 2 == 1:
         raise NoCoverError("no C2 cover exists: odd number of branch points")
+    real = {p.label: p for p in points}
     pad_type, pads = None, []
     if shadow_count or len(split) % 2:
         pad_type = twisted_type(handle_base(points), 1)
-        used = {p.label for p in points}
-        pads = free_labels(used, "_handle", shadow_count)
+        pads = free_labels(real, "_handle", shadow_count)
         if len(split) % 2:
-            pads += free_labels(used, "_aux", 1)
-    return Gsd2Sides(branch=tuple(branch), split=split,
-                     split_labels=(*split, *pads), pad_type=pad_type)
+            pads += free_labels(real, "_aux", 1)
+    return Gsd2Sides(tuple(branch), (*split, *pads), real, pad_type)
 
 
-def _resolve_pairing(side: dict, pairing, what):
-    """Turn a user-supplied list of label pairs into pairs of the values
-    ``side`` maps those labels to."""
-    seen: set[str] = set()
-    out = []
+def _resolve_pairing(labels, pairing, what):
+    """The label pairs of one side: adjacent in side order when
+    ``pairing`` is None, else the user's list of label pairs, which must
+    be a perfect matching of ``labels``."""
+    if pairing is None:
+        return tuple(zip(labels[::2], labels[1::2]))
+    side, seen, out = set(labels), set(), []
     for a, b in pairing:
         for x in (a, b):
             if x not in side:
@@ -383,31 +370,20 @@ def _resolve_pairing(side: dict, pairing, what):
             if x in seen:
                 raise PairingError(f"pairing repeats {what} point {x!r}")
             seen.add(x)
-        out.append((side[a], side[b]))
+        out.append((a, b))
     if len(seen) != len(side):
-        missing = sorted(set(side) - seen)
+        missing = sorted(side - seen)
         raise PairingError(f"pairing misses {what} points {missing}")
     return tuple(out)
 
 
-def pair_partition_gsd2(sides: Gsd2Sides, branch_pairing=None,
-                        split_pairing=None) -> Gsd2Partition:
-    """Choose a pinching of the two sides of a C2 datum.
-
-    Default pairing is adjacent-in-side-order on each side; explicit
-    pairings are given as lists of label pairs and must be perfect
-    matchings of their side, pads included.
-    """
-    branch, labels = sides.branch, sides.split_labels
-    if branch_pairing is None:
-        bp = tuple(zip(branch[::2], branch[1::2]))
-    else:
-        bp = _resolve_pairing({p.label: p for p in branch}, branch_pairing, "branch")
-    if split_pairing is None:
-        sp = tuple(zip(labels[::2], labels[1::2]))
-    else:
-        sp = _resolve_pairing(dict(zip(labels, labels)), split_pairing, "split")
-    return Gsd2Partition(branch_pairs=bp, split_pairs=sp)
+def pair_partition_gsd2(sides: Gsd2Sides, branch_pairing=None, split_pairing=None):
+    """A pinching of the two sides of a C2 datum, as (branch pairs, split
+    pairs) of labels: adjacent in side order by default; an explicit
+    pairing is a list of label pairs, a perfect matching of its side,
+    pads included."""
+    return (_resolve_pairing(sides.branch, branch_pairing, "branch"),
+            _resolve_pairing(sides.split, split_pairing, "split"))
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +422,18 @@ def pq_sets_for_points(pn: PointDatum, pm: PointDatum):
 # ---------------------------------------------------------------------------
 
 
-def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
+def degenerate_gsd3(d, bundle, charge: int) -> DecompositionWitness:
     """Decompose a C3 datum into twisted pairs, elliptic triples and
     untwisted vacua.
 
     |R3+| = |R3-| mod 3 is required; k = |R3+| mod 3 inverse pairs are
     extracted first (scenarios a/b/c for k = 0/1/2), then each residual
-    same-sign block splits into equal triples.  Handles of a positive
-    genus base pinch into 2g trivial vacuum shadows, one factor of
-    multiplicity 2g.
+    same-sign block splits into equal triples.  Each point carries its
+    weight in ``bundle``.  Handles of a positive genus base pinch into 2g
+    trivial vacuum shadows of ``charge``, one factor of multiplicity 2g.
     """
     if d.gamma.kind != "C3":
         raise DomainError(f"gsd-3 degeneration needs Galois group C3, got {d.gamma.kind}")
-
-    def wt(p: PointDatum) -> Weight:
-        if bundle is not None:
-            return bundle.weight(p.label)
-        return vacuum_weight(charge)
-
     part = monodromy_partition_gsd3(d.points)
     plus, minus = list(part.plus), list(part.minus)
     trivial = [p for p in d.points if p.monodromy == IDENTITY]
@@ -477,7 +447,7 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
             BaseCase(
                 kind=TWISTED_PAIR,
                 elements=(x.monodromy, y.monodromy),
-                weights=(wt(x), wt(y)),
+                weights=(bundle.weight(x.label), bundle.weight(y.label)),
                 labels=(x.label, y.label),
                 types=(x.affine_type, y.affine_type),
             )
@@ -489,7 +459,7 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
                 BaseCase(
                     kind=ELLIPTIC_TRIPLE,
                     elements=tuple(p.monodromy for p in trio),
-                    weights=tuple(wt(p) for p in trio),
+                    weights=tuple(bundle.weight(p.label) for p in trio),
                     labels=tuple(p.label for p in trio),
                     types=tuple(p.affine_type for p in trio),
                 )
@@ -499,7 +469,7 @@ def degenerate_gsd3(d, bundle=None, charge: int = 1) -> DecompositionWitness:
             BaseCase(
                 kind=UNTWISTED_VACUUM,
                 elements=(IDENTITY,),
-                weights=(wt(p),),
+                weights=(bundle.weight(p.label),),
                 labels=(p.label,),
                 types=(p.affine_type,),
             )

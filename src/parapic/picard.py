@@ -99,22 +99,26 @@ class GroupDatum:
 class WeightBundle:
     """Per-point coefficient maps; absent vertices mean coefficient 0.
 
-    ``entries`` is the whole value (equality, hashing, order); a
-    label index built once per instance makes ``coeffs`` a lookup.
+    ``entries`` is the whole value (equality, hashing, order), one per
+    label; a label index built once per instance makes ``weight`` a
+    lookup.
     """
 
     entries: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self) -> None:
-        index: dict[str, tuple[tuple[int, int], ...]] = {}
-        for lab, pairs in self.entries:
-            index.setdefault(lab, pairs)
+        index = dict(self.entries)
+        if len(index) != len(self.entries):
+            labels = [lab for lab, _ in self.entries]
+            twice = next(lab for lab in labels if labels.count(lab) > 1)
+            raise DomainError(f"bundle gives point {twice!r} more than one weight")
         object.__setattr__(self, "_index", index)
 
     @staticmethod
     def from_dict(weights: Mapping[str, Mapping[int, int]]) -> "WeightBundle":
         """Build from per-point {vertex: coefficient} maps; vertices and
-        coefficients must be integers (not bools), zero entries drop."""
+        coefficients must be integers (not bools), zero entries drop, and
+        no two keys may have the same ``str`` (the label)."""
         for lab, m in weights.items():
             for v, n in m.items():
                 if not (_is_int(v) and _is_int(n)):
@@ -130,9 +134,6 @@ class WeightBundle:
         )
         return WeightBundle(entries)
 
-    def coeffs(self, label: str) -> dict[int, int]:
-        return dict(self._index.get(label, ()))
-
     def weight(self, label: str) -> tuple[tuple[int, int], ...]:
         """The stored (vertex, coefficient) pairs of ``label``: sorted by
         vertex, zeros dropped, () for a label the bundle omits."""
@@ -142,33 +143,30 @@ class WeightBundle:
         return {lab: dict(pairs) for lab, pairs in self.entries}
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.entries)
-
-    @property
     def dominant(self) -> bool:
         """Every coefficient is nonnegative."""
         return all(n >= 0 for _, pairs in self.entries for _, n in pairs)
 
 
-def validate_bundle(d: GroupDatum, b: WeightBundle) -> None:
+def validate_bundle(d: GroupDatum, b: WeightBundle) -> dict[str, int]:
+    """Check that ``b`` names points of ``d`` and vertices of their
+    facets only; returns the central charge at each point of ``d`` by
+    label (0 at a point ``b`` omits)."""
     known = {p.label: p for p in d.points}
-    for lab in b.labels:
+    charges = dict.fromkeys(known, 0)
+    for lab, pairs in b.entries:
         if lab not in known:
             raise DomainError(f"bundle names unknown point {lab!r}")
-        p = known[lab]
-        for v in b.coeffs(lab):
-            if v not in p.facet:
-                raise DomainError(
-                    f"point {lab}: coefficient at vertex {v} outside facet "
-                    f"{sorted(p.facet)}"
-                )
+        charges[lab] = central_charge(known[lab], pairs)
+    return charges
 
 
-def central_charge(p: PointDatum, coeffs: Mapping[int, int]) -> int:
+def central_charge(p: PointDatum, weight) -> int:
+    """sum n * l_v over the (vertex v, coefficient n) pairs of
+    ``weight``, each v a vertex of p's facet."""
     labels = p.affine_type.dual_labels
     total = 0
-    for v, n in coeffs.items():
+    for v, n in weight:
         if v not in p.facet:
             raise DomainError(
                 f"point {p.label}: coefficient at vertex {v} outside facet "
@@ -181,8 +179,7 @@ def central_charge(p: PointDatum, coeffs: Mapping[int, int]) -> int:
 def is_pic_delta(d: GroupDatum, b: WeightBundle):
     """(True, common charge) when all central charges agree, else
     (False, None)."""
-    validate_bundle(d, b)
-    charges = [central_charge(p, b.coeffs(p.label)) for p in d.points]
+    charges = list(validate_bundle(d, b).values())
     if len(set(charges)) <= 1:
         return True, (charges[0] if charges else 0)
     return False, None

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import datagen
 import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
-from parapic.descent import DESCENDS, certify_descent, compute_cG
+from parapic import descent
+from parapic.descent import DESCENDS, best_lcmai_bound, certify_descent, compute_cG
 from parapic.dynkin import parse_affine_type
 from parapic.errors import (
     DomainError,
@@ -500,3 +501,76 @@ def test_shadows_never_become_points_on_the_certification_path(monkeypatch):
     # the 1000 pad pairs after (s1, _handle1) are one labelled run
     assert len(witness.factors) <= 3 and len(factors) <= 3
     assert built == []
+
+
+def test_staging_and_the_pinching_bound_build_no_pad_points(monkeypatch):
+    # genus 1 with one split point: two handle shadows and the _aux pad
+    d = c2_iwahori(1, "D4~2", ["b1", "b2"], ["s1"])
+    built = []
+    init = PointDatum.__post_init__
+    monkeypatch.setattr(PointDatum, "__post_init__",
+                        lambda self: built.append(self.label) or init(self))
+    staged = [kwargs for _charge, candidates in descent._staged_gsd2(d, 64)
+              for _weights, kwargs in candidates]
+    assert any("_aux1" in pair for kw in staged for pair in kw["split_pairing"])
+    assert best_lcmai_bound(d) == 1
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# every candidate is certified at most once
+
+
+def _key(b, kwargs):
+    return b.entries, tuple(sorted(
+        (name, tuple(map(tuple, pairing))) for name, pairing in kwargs.items()))
+
+
+def _certified_keys(monkeypatch, d, budget):
+    """The (bundle entries, pairings) that one ``compute_cG`` call certifies."""
+    keys, certify = [], descent.certify_descent
+
+    def counted(d, b, **kwargs):
+        keys.append(_key(b, kwargs))
+        return certify(d, b, **kwargs)
+
+    monkeypatch.setattr(descent, "certify_descent", counted)
+    compute_cG(d, budget=budget)
+    return keys
+
+
+def _seeded_corpora():
+    r = random.Random("certified-once")
+    data = [gen(r) for gen in datagen.IWAHORI_GENERATORS.values() for _ in range(50)]
+    c2 = [datagen.c2_search_datum(r) for _ in range(60)]
+    return data, c2 + [datagen.c2_small_facet_datum(r) for _ in range(60)]
+
+
+def test_no_candidate_is_certified_twice(monkeypatch):
+    data, c2 = _seeded_corpora()
+    runs = [(d, 64) for d in data] + [(d, budget) for d in c2 for budget in (64, 4000)]
+    for d, budget in runs:
+        keys = _certified_keys(monkeypatch, d, budget)
+        assert keys and len(set(keys)) == len(keys), d
+
+
+def test_staged_candidates_are_distinct():
+    # the search above stops at its first certificate; all staged ones differ
+    staged = 0
+    for d in _seeded_corpora()[1]:
+        for budget in (64, 4000):
+            keys = [_key(WeightBundle.from_dict(weights), kwargs)
+                    for _charge, candidates in descent._staged_gsd2(d, budget)
+                    for weights, kwargs in candidates]
+            assert len(set(keys)) == len(keys), d
+            staged += len(keys)
+    assert staged > 10000
+
+
+def test_a_cdelta_bundle_equal_to_the_vacuum_bundle_is_certified_once(monkeypatch):
+    # the vacuum pairs two types, so it stays Unknown and c_Delta = 1 is tried next
+    d = GroupDatum(0, C2_GROUP, (bad("b1", "A3~2", {0}, T12), bad("b2", "A5~2", {0}, T12)))
+    vacuum = vacuum_bundle(d, 1)
+    assert cdelta_bundle(d) == vacuum
+    assert certify_descent(d, vacuum).verdict != DESCENDS
+    assert _certified_keys(monkeypatch, d, 64) == [(vacuum.entries, ())]

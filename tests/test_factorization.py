@@ -28,7 +28,7 @@ from parapic.factorization import (
     s3_reduce,
     vacuum_weight,
 )
-from parapic.picard import GroupDatum, PointDatum, c_delta
+from parapic.picard import GroupDatum, PointDatum, c_delta, vacuum_bundle
 from parapic.verlinde import rank_lower_bound
 
 T = parse_affine_type
@@ -397,9 +397,9 @@ def test_pair_partition_default_adjacent():
             good("s2", "A3", {0, 3}),
         ),
     )
-    part = partition(d)
-    assert [(x.label, y.label) for x, y in part.branch_pairs] == [("b1", "b2")]
-    assert part.split_pairs == (("s1", "s2"),)
+    branch_pairs, split_pairs = partition(d)
+    assert branch_pairs == (("b1", "b2"),)
+    assert split_pairs == (("s1", "s2"),)
     assert _gsd2_sides(d.points).aux is None
 
 
@@ -414,8 +414,8 @@ def test_pair_partition_explicit_pairing():
             good("s2", "A3", {0, 3}),
         ),
     )
-    part = partition(d, split_pairing=[("s2", "s1")])
-    assert part.split_pairs == (("s2", "s1"),)
+    _branch_pairs, split_pairs = partition(d, split_pairing=[("s2", "s1")])
+    assert split_pairs == (("s2", "s1"),)
 
 
 def test_pair_partition_pads_odd_split_side():
@@ -429,10 +429,12 @@ def test_pair_partition_pads_odd_split_side():
         ),
     )
     sides = _gsd2_sides(d.points)
-    assert sides.pads == (sides.aux,)
+    pads = tuple(lab for lab in sides.split if lab not in sides.points)
+    assert pads == (sides.aux,)
     assert sides.aux.startswith("_aux")
     assert str(sides.pad_type) == "A3"  # untwisted common base
-    assert partition(d).split_pairs == (("s1", sides.aux),)
+    _branch_pairs, split_pairs = partition(d)
+    assert split_pairs == (("s1", sides.aux),)
 
 
 def test_pair_partition_rejections():
@@ -549,7 +551,7 @@ def test_degenerate_gsd3_inverse_pair():
         C3_GROUP,
         (bad("q1", "D4~3", {0, 1, 2}, C123), bad("q2", "D4~3", {0, 1, 2}, C132)),
     )
-    w = degenerate_gsd3(d)
+    w = degenerate_gsd3(d, vacuum_bundle(d), 1)
     (f,) = w.factors
     assert f.kind == "TwistedPair"
     assert f.elements == (C123, C132)
@@ -567,7 +569,7 @@ def test_degenerate_gsd3_triple_with_handles():
     pts = tuple(bad(f"q{i}", "D4~3", {0}, C123) for i in (1, 2, 3))
     pts += (good("g1", "D4", {0, 1}),)
     d = GroupDatum(1, C3_GROUP, pts)
-    w = degenerate_gsd3(d)
+    w = degenerate_gsd3(d, vacuum_bundle(d), 1)
     kinds = [f.kind for f in w.factors]
     # the point g1, then both handle shadows as one factor
     assert kinds == ["EllipticTriple", "UntwistedVacuum", "UntwistedVacuum"]
@@ -583,7 +585,8 @@ def test_degenerate_gsd3_handle_labels_avoid_point_labels():
         bad("q2", "D4~3", {0}, C123),
         bad("q3", "D4~3", {0}, C123),
     )
-    w = degenerate_gsd3(GroupDatum(1, C3_GROUP, pts))
+    d = GroupDatum(1, C3_GROUP, pts)
+    w = degenerate_gsd3(d, vacuum_bundle(d), 1)
     labels = [lab for f in w.factors for lab in f.labels]
     assert labels == ["_handle1", "q2", "q3", "_handle2"]
     assert w.factors[-1].multiplicity == 2
@@ -599,7 +602,7 @@ def test_free_labels_skip_used_names():
 def test_degenerate_gsd3_rejects_mod3_mismatch():
     d = GroupDatum(1, C3_GROUP, (bad("q1", "D4~3", {0}, C123),))
     with pytest.raises(NoCoverError, match="modulo 3"):
-        degenerate_gsd3(d)
+        degenerate_gsd3(d, vacuum_bundle(d), 1)
 
 
 def test_degenerate_gsd3_requires_c3():
@@ -607,4 +610,4 @@ def test_degenerate_gsd3_requires_c3():
         0, C2_GROUP, (bad("b1", "A3~2", {0}, T12), bad("b2", "A3~2", {0}, T12))
     )
     with pytest.raises(DomainError):
-        degenerate_gsd3(d)
+        degenerate_gsd3(d, vacuum_bundle(d), 1)

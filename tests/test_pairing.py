@@ -112,9 +112,9 @@ def test_best_lcmai_bound_matches_oracle():
     for _ in range(60):
         d = datagen.c2_small_facet_datum(r)
         sides = _gsd2_sides(d.points)
-        branch = sides.branch
-        split = [*sides.split.values(), *(
-            PointDatum(lab, sides.pad_type, {0}) for lab in sides.pads)]
+        branch = [sides.points[lab] for lab in sides.branch]
+        split = [sides.points.get(lab) or PointDatum(lab, sides.pad_type, {0})
+                 for lab in sides.split]
         expected = oracles.gcd_of_pinching_lcms(
             [(len(branch), _labels_offered(branch, False)),
              (len(split), _labels_offered(split, True))]

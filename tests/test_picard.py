@@ -156,13 +156,13 @@ def test_datum_validation():
 def test_central_charge_anchors():
     p = point("x", "A2~2", {1}, (2, 1, 3))
     assert p.affine_type.dual_labels == (1, 2)
-    assert central_charge(p, {1: 1}) == 2
-    assert central_charge(p, {}) == 0
+    assert central_charge(p, ((1, 1),)) == 2
+    assert central_charge(p, ()) == 0
     q = iwahori("q", "A1")
-    assert central_charge(q, {0: 1}) == 1
-    assert central_charge(q, {0: 2, 1: 3}) == 5
+    assert central_charge(q, ((0, 1),)) == 1
+    assert central_charge(q, ((0, 2), (1, 3))) == 5
     with pytest.raises(DomainError, match="outside facet"):
-        central_charge(p, {0: 1})
+        central_charge(p, ((0, 1),))
 
 
 def test_pic_basis_sorted():
@@ -177,9 +177,9 @@ def test_pic_basis_sorted():
 def test_bundle_constructors_and_validation():
     d = GroupDatum(0, TRIVIAL_GROUP, (iwahori("p1", "A2"), iwahori("p2", "B3")))
     b = WeightBundle.from_dict({"p1": {0: 1, 1: 0}, "p2": {0: 1}})
-    assert b.coeffs("p1") == {0: 1}  # zero coefficients are dropped
-    assert b.coeffs("nope") == {}
-    validate_bundle(d, b)
+    assert b.weight("p1") == ((0, 1),)  # zero coefficients are dropped
+    assert b.weight("nope") == ()
+    assert validate_bundle(d, b) == {"p1": 1, "p2": 1}
     assert is_pic_delta(d, b) == (True, 1)
     assert b.dominant
     bad = WeightBundle.from_dict({"zzz": {0: 1}})
@@ -241,7 +241,7 @@ def test_c_delta_two_special_points_is_two():
     assert c_delta(d) == 2
     b = cdelta_bundle(d)
     assert is_pic_delta(d, b) == (True, 2)
-    assert b.coeffs("x1") == {1: 1} and b.coeffs("x2") == {1: 1}
+    assert b.weight("x1") == ((1, 1),) and b.weight("x2") == ((1, 1),)
 
 
 def test_c_delta_ignores_good_points():
@@ -418,3 +418,12 @@ def test_bundle_json_rejects_non_canonical_vertex_keys(key):
 def test_bundle_from_dict_rejects_non_integers(entry):
     with pytest.raises(DomainError, match="must be integers"):
         WeightBundle.from_dict({"p1": entry})
+
+
+def test_bundle_from_dict_rejects_two_keys_of_one_label():
+    # 1 and "1" both name the point "1": one weight would certify, the other print
+    with pytest.raises(DomainError, match="more than one weight"):
+        WeightBundle.from_dict({1: {0: 1}, "1": {0: 2}})
+    with pytest.raises(DomainError, match="more than one weight"):
+        WeightBundle((("p1", ((0, 1),)), ("p1", ((0, 2),))))
+    assert WeightBundle.from_dict({1: {0: 1}, "2": {0: 2}}).as_dict() == {"1": {0: 1}, "2": {0: 2}}
