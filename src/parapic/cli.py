@@ -9,22 +9,26 @@ byte-stable for fixed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import covers, dynkin, picard
 from .descent import certify_descent, compute_cG
 from .errors import DomainError, ParapicError, ParseError
 from .factorization import s3_reduce
+from .picard import _json_object, _json_value
 from .verlinde import closed_form_A_log10, rank_closed_form_A, s3_level1_rank
 
 SCHEMA = 2
 
 
-def _emit(args, payload: dict, human: list[str]) -> str:
-    if args.json:
-        return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True)
-    return "\n".join(human)
+def _emit(args, payload, human: list[str]) -> str:
+    """The ``human`` lines, or with --json "schema": 2 and ``payload``: a
+    dict of values, or a function (called only then) of (key, JSON text) pairs."""
+    if not args.json:
+        return "\n".join(human)
+    items = ([(k, _json_value(v)) for k, v in payload.items()]
+             if isinstance(payload, dict) else payload())
+    return _json_object([("schema", _json_value(SCHEMA)), *items])
 
 
 def _check_writable(value: int | None, what: str) -> None:
@@ -142,7 +146,8 @@ def _cmd_covers_enumerate(args) -> str:
 def _cmd_reduce_s3(args) -> str:
     mono = covers.parse_tuple(args.tuple)
     w = s3_reduce(mono)
-    payload = {**w.as_dict(), "conservation": list(w.conservation)}
+    def payload():
+        return [*w._json_items(), ("conservation", _json_value(list(w.conservation)))]
     human = [f"factors: {len(w.factors)}"]
     for f in w.factors:
         line = f"  {f.kind}: " + ",".join(
@@ -182,7 +187,7 @@ def _cmd_descend(args) -> str:
     cert = certify_descent(d, b)
     _check_writable(cert.charge, "the charge")
     _check_writable(cert.rank_bound, "the rank bound")
-    payload = cert.as_dict()
+    payload = cert._json_items
     human = [
         f"verdict: {cert.verdict}",
         f"charge: {cert.charge}",
@@ -197,7 +202,7 @@ def _cmd_cg(args) -> str:
     report = compute_cG(d, budget=args.budget)
     if args.json and report.certificate is not None:
         _check_writable(report.certificate.rank_bound, "the rank bound")
-    payload = report.as_dict()
+    payload = report._json_items
     human = [f"lower bound (c_delta): {report.lower}"]
     if report.certified_charge is not None:
         human.append(f"certified charge: {report.certified_charge}")

@@ -57,6 +57,8 @@ from .factorization import (
 from .picard import (
     GroupDatum,
     WeightBundle,
+    _json_object,
+    _json_value,
     bundle_to_json,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     c_delta,
     cdelta_bundle,
@@ -81,18 +83,15 @@ class DescentCertificate:
     verdict: str
     route: str
 
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "charge": self.charge,
-            "rank_bound": self.rank_bound,
-            "route": self.route,
-            "bundle": self.bundle.as_dict(),
-            "witness": None if self.witness is None else self.witness.as_dict(),
-        }
+    def _json_items(self) -> list[tuple[str, str]]:
+        w = self.witness
+        return [("verdict", _json_value(self.verdict)), ("charge", _json_value(self.charge)),
+                ("rank_bound", _json_value(self.rank_bound)), ("route", _json_value(self.route)),
+                ("bundle", self.bundle._json()),
+                ("witness", "null" if w is None else _json_object(w._json_items()))]
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return _json_object(self._json_items())
 
 
 @dataclass
@@ -102,18 +101,14 @@ class CGReport:
     exact: int | None
     certificate: DescentCertificate | None
 
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "certified_charge": self.certified_charge,
-            "exact": self.exact,
-            "certificate": None
-            if self.certificate is None
-            else self.certificate.as_dict(),
-        }
+    def _json_items(self) -> list[tuple[str, str]]:
+        cert = self.certificate
+        return [("lower", _json_value(self.lower)), ("exact", _json_value(self.exact)),
+                ("certified_charge", _json_value(self.certified_charge)),
+                ("certificate", "null" if cert is None else cert.to_json())]
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return _json_object(self._json_items())
 
 
 def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
@@ -337,7 +332,7 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
     )
 
 
-def _pinch_options(shapes, split: bool) -> dict:
+def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
     """The pinchable pairs of one side of a C2 datum, with their choices.
 
     ``shapes`` holds the (type, facet) of each label of the side.  Maps
@@ -345,6 +340,7 @@ def _pinch_options(shapes, split: bool) -> dict:
     label i, vertex at label j, dual label): common facet vertices (P)
     for branch pairs, dual-matched ones (Q) for split pairs.  Pairs of
     different types, or with no choice, are not pinchable and absent.
+    Returned with the (vertex, dual label) pairs of every choice.
 
     Facets are bitmasks here: P is the meet of the two facets and Q the
     meet of the first facet with the second one's image under the pair
@@ -358,6 +354,7 @@ def _pinch_options(shapes, split: bool) -> dict:
             inv = pair_involution(t)
             images.append(sum(1 << inv(v) for v in facet))
     built: dict[tuple, tuple] = {}
+    offered: set[tuple[int, int]] = set()
     table = {}
     for j, (t, _facet) in enumerate(shapes):
         for i in range(j):
@@ -366,24 +363,25 @@ def _pinch_options(shapes, split: bool) -> dict:
                 continue
             if (t, meet) not in built:
                 labels, inv = t.dual_labels, pair_involution(t)
-                built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
-                                       for v in range(meet.bit_length()) if meet >> v & 1)
+                opts = built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
+                                              for v in range(meet.bit_length()) if meet >> v & 1)
+                offered.update((v, a) for vx, vy, a in opts for v in (vx, vy))
             table[i, j] = built[t, meet]
-    return table
+    return table, offered
 
 
 def _pinch_tables(sides: Gsd2Sides):
     """The branch labels and the (padded) split labels of a C2 datum,
-    each with its table of pinchable pairs.  The tables read a pad as a
-    vacuum point, (``pad_type``, {0}); the search meets pads at genus 0
-    and 1 in practice."""
+    each with its `_pinch_options` table and offered pairs.  The tables
+    read a pad as a vacuum point, (``pad_type``, {0}); the search meets
+    pads at genus 0 and 1 in practice."""
     pad = (sides.pad_type, (0,))
 
     def shape(lab):
         p = sides.points.get(lab)
         return pad if p is None else (p.affine_type, p.facet)
 
-    return tuple((side, _pinch_options(list(map(shape, side)), split))
+    return tuple((side, *_pinch_options(list(map(shape, side)), split))
                  for side, split in ((sides.branch, False), (sides.split, True)))
 
 
@@ -448,7 +446,7 @@ def _gsd2_blocks(sides, budget: int):
     the block's ``count`` candidates, from the heads of the two halves'
     lcm lists (`_product_head`).
     """
-    (branch, btab), (split, stab) = sides
+    (branch, btab, _), (split, stab, _) = sides
     left = max(8 * budget, 1)
     # each pairing gives at least one candidate, so cap split matchings do
     split_halves = [_Half(1, m, stab)
@@ -501,7 +499,7 @@ def _level_candidates(sides, blocks, real: list[str], charge: int):
     """
     level = [b for b in blocks if charge in b[3]]
     halves = {h for bh, sh, *_rest in level for h in (bh, sh)}
-    names = [side for side, _table in sides]
+    names = [side for side, *_rest in sides]
 
     def labels(half):
         side = names[half.side]
@@ -516,8 +514,8 @@ def _level_candidates(sides, blocks, real: list[str], charge: int):
 
     # every object an option could give at this charge, ordered by
     # json.dumps({str(v): n}), which is this string for integers v and n
-    objs = {(v, charge // a) for _side, table in sides for opts in table.values()
-            for vx, vy, a in opts if charge % a == 0 for v in (vx, vy)}
+    objs = {(v, charge // a) for *_rest, offered in sides for v, a in offered
+            if charge % a == 0}
     ranked = sorted(objs, key=lambda o: f'{{"{o[0]}": {o[1]}}}')
     rank = {o: r for r, o in enumerate(ranked)}
     digit = {lab: len(ranked) ** k for k, lab in enumerate(reversed(real))}
@@ -528,7 +526,7 @@ def _level_candidates(sides, blocks, real: list[str], charge: int):
                        if charge % a == 0 else 0
                        for vx, vy, a in opts]
               for (i, j), opts in table.items()}
-             for side, (_points, table) in zip(names, sides)]
+             for side, table, _offered in sides]
     heads = {id(h): _product_head(add, 0, list(map(parts[h.side].__getitem__, h.matching)),
                                   h.need)
              for h in halves}
@@ -591,13 +589,12 @@ def best_lcmai_bound(d) -> int:
     if d.gamma.kind != "C2":
         raise DomainError(f"lcm bound needs Galois group C2, got {d.gamma.kind}")
     sides = _pinch_tables(_gsd2_sides(d.points))
-    if not all(has_perfect_matching(len(side), table) for side, table in sides):
+    if not all(has_perfect_matching(len(side), table) for side, table, _offered in sides):
         raise PairingError(
             "pairing inadmissible: every pairing leaves some pair with no "
             "shared vertex"
         )
-    labels = {a for _side, table in sides for opts in table.values()
-              for _vx, _vy, a in opts}
+    labels = {a for *_rest, offered in sides for _v, a in offered}
 
     def feasible(p: int, t: int) -> bool:
         return all(
@@ -605,7 +602,7 @@ def best_lcmai_bound(d) -> int:
                 e for e, opts in table.items()
                 if min(_valuation(a, p) for _vx, _vy, a in opts) <= t
             ])
-            for side, table in sides
+            for side, table, _offered in sides
         )
 
     bound = 1

@@ -48,7 +48,7 @@ from .errors import (
     NoCoverError,
     PairingError,
 )
-from .picard import PointDatum
+from .picard import PointDatum, _json_object, _json_str, _json_value
 
 # factor kinds
 UNTWISTED_VACUUM = "UntwistedVacuum"
@@ -117,11 +117,20 @@ _memo_shape_error = lru_cache(maxsize=1024)(_shape_error)
 
 
 @lru_cache(maxsize=1024)
-def _json_shape(elements: tuple[Perm, ...], weights: tuple[Weight, ...]):
-    """A factor's element names and weight items as JSON writes them
-    (vertex keys as strings); memoized like `_memo_shape_error`."""
-    return (tuple(map(element_name, elements)),
-            tuple(tuple((str(v), c) for v, c in w) for w in weights))
+def _entry_frame(kind, elements, weights, conjugator, original, params):
+    """The JSON text of a schema-2 factor entry of this shape around its
+    list of labels, memoized like `_memo_shape_error`: the entry composed
+    with a NUL for its labels (no JSON text holds one unescaped), cut there."""
+    items = [("kind", _json_value(kind)), ("labels", "\0"),
+             ("elements", _json_value(list(map(element_name, elements)))),
+             ("weights", _json_value([{str(v): c for v, c in w} for w in weights]))]
+    if conjugator is not None:
+        items += [("conjugator", _json_value(element_name(conjugator))),
+                  ("original", _json_value([element_name(p) for p in original or ()]))]
+    if params is not None:
+        items.append(("params", _json_value(dict(zip("gnr", params)))))
+    head, tail = _json_object(items).split("\0")
+    return head + "[", "]" + tail
 
 
 class _Factor(NamedTuple):
@@ -150,7 +159,7 @@ class BaseCase(_Factor):
     pinched-handle vacua take one factor instead of ``2g``.  A *copy
     run* has ``len(elements)`` labels, which every copy shares; a
     *labelled run* has ``multiplicity × len(elements)`` labels, the
-    copies' labels one after another (see `entries`).
+    copies' labels one after another (see `DecompositionWitness._json_items`).
 
     A factor is a named tuple, and every way to build one is checked and
     cheap: a tuple argument is kept (a tuple of labels must hold
@@ -196,35 +205,6 @@ class BaseCase(_Factor):
     def _make(cls, iterable):  # so that ``_replace`` checks as well
         return cls(*iterable)
 
-    def entries(self) -> list[dict]:
-        """The factor's schema-2 entries.
-
-        A labelled run writes one entry per copy, each with its own
-        labels, and all of them share one ``elements`` and one
-        ``weights`` list.  Any other factor is one entry, which carries
-        ``multiplicity`` when it is not 1.
-        """
-        labels, k = self.labels, len(self.elements)
-        small = k <= _MAX_FACTOR_POINTS  # else a whole vector
-        names, weights = (_json_shape if small else _json_shape.__wrapped__)(
-            self.elements, self.weights)
-        d: dict = {
-            "kind": self.kind,
-            "elements": list(names),
-            "weights": list(map(dict, weights)),
-        }
-        if self.conjugator is not None:
-            d["conjugator"] = element_name(self.conjugator)
-            d["original"] = [element_name(p) for p in self.original or ()]
-        if self.params is not None:
-            d["params"] = {"g": self.params[0], "n": self.params[1], "r": self.params[2]}
-        if len(labels) > k:  # a labelled run: its labels, k at a time
-            return [{**d, "labels": copy} for copy in map(list, zip(*[iter(labels)] * k))]
-        d["labels"] = list(labels)
-        if self.multiplicity != 1:
-            d["multiplicity"] = self.multiplicity
-        return [d]
-
 
 @dataclass
 class DecompositionWitness:
@@ -243,9 +223,26 @@ class DecompositionWitness:
             out += names * f.multiplicity
         return tuple(sorted(out))
 
-    def as_dict(self) -> dict:
-        return {"factors": list(chain.from_iterable(map(BaseCase.entries, self.factors))),
-                "steps": self.steps}
+    def _json_items(self) -> list[tuple[str, str]]:
+        """The witness's keys with their JSON texts.  A labelled run writes
+        one entry per copy, each with its own labels; any other factor is
+        one entry, which carries ``multiplicity`` when it is not 1."""
+        parts = []  # joined once: no string per entry
+        for f in self.factors:
+            k, labels = len(f.elements), list(map(_json_str, f.labels))
+            run = len(labels) > k
+            small = k <= _MAX_FACTOR_POINTS and f.kind != CLOSED_FORM_A  # else a whole vector
+            head, tail = (_entry_frame if small else _entry_frame.__wrapped__)(
+                f.kind, f.elements, f.weights, f.conjugator, f.original, f.params)
+            if f.multiplicity != 1 and not run:  # "multiplicity" sorts right after "labels"
+                tail = f'], "multiplicity": {_json_value(f.multiplicity)}{tail[1:]}'
+            if run:  # between two copies' labels: one's tail, the next one's head
+                seps = ([", "] * (k - 1) + [tail + ", " + head]) * (len(labels) // k)
+                seps[-1] = tail
+                parts += (", ", head, *chain.from_iterable(zip(labels, seps)))
+            else:
+                parts += (", ", head, ", ".join(labels), tail)
+        return [("factors", "".join(["[", *parts[1:], "]"])), ("steps", _json_value(self.steps))]
 
 
 # ---------------------------------------------------------------------------

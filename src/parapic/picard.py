@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 from typing import Mapping
 
@@ -21,6 +23,23 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
 )
+
+
+#: ``json.dumps(value, sort_keys=True)``: the one encoder every report
+#: value goes through, so an int past the digit limit raises ValueError
+_json_value = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_object(items) -> str:
+    """The JSON object of (key, JSON text) pairs, keys sorted, as
+    ``json.dumps(..., sort_keys=True)`` writes it: reports compose these."""
+    parts = [s for k, v in sorted(items) for s in (", ", _json_str(k), ": ", v)]
+    return "".join(["{", *parts[1:], "}"])  # one join: a large value is copied once
+
+
+#: one point's weight as ``json.dumps(dict(pairs), sort_keys=True)`` writes
+#: it (vertex keys sorted as ints); bundles repeat few weights
+_weight_json = lru_cache(maxsize=1024)(lambda pairs: _json_value(dict(pairs)))
 
 
 def _is_int(x) -> bool:
@@ -139,8 +158,10 @@ class WeightBundle:
         vertex, zeros dropped, () for a label the bundle omits."""
         return self._index.get(label, ())
 
-    def as_dict(self) -> dict[str, dict[int, int]]:
-        return {lab: dict(pairs) for lab, pairs in self.entries}
+    def _json(self) -> str:
+        """The bundle as its certificate writes it: labels sorted, each
+        with its weight object."""
+        return _json_object([(lab, _weight_json(pairs)) for lab, pairs in self.entries])
 
     @property
     def dominant(self) -> bool:

@@ -651,3 +651,60 @@ def cdelta_weights(d):
                 weights[p.label] = combination(verts, labels, charge)
         return weights
     raise AssertionError("no representable multiple of c_Delta among the first 200")
+
+
+# ---------------------------------------------------------------------------
+# the report JSON, built as a dict tree and written by json.dumps
+
+
+def factor_entries(f) -> list[dict]:
+    """The schema-2 entries of one factor, from its fields.
+
+    A labelled run (more labels than points) is one entry per copy, each
+    with its own labels; any other factor is one entry, which carries
+    ``multiplicity`` when it is not 1.
+    """
+    labels, k = list(f.labels), len(f.elements)
+    d = {
+        "kind": f.kind,
+        "elements": [s3_name(p) for p in f.elements],
+        "weights": [{str(v): c for v, c in w} for w in f.weights],
+    }
+    if f.conjugator is not None:
+        d["conjugator"] = s3_name(f.conjugator)
+        d["original"] = [s3_name(p) for p in f.original or ()]
+    if f.params is not None:
+        d["params"] = {"g": f.params[0], "n": f.params[1], "r": f.params[2]}
+    if len(labels) > k:
+        return [{**d, "labels": labels[i:i + k]} for i in range(0, len(labels), k)]
+    d["labels"] = labels
+    if f.multiplicity != 1:
+        d["multiplicity"] = f.multiplicity
+    return [d]
+
+
+def certificate_dict(c) -> dict:
+    """A certificate's fields as the dict tree its JSON writes."""
+    w = c.witness
+    return {
+        "verdict": c.verdict,
+        "charge": c.charge,
+        "rank_bound": c.rank_bound,
+        "route": c.route,
+        "bundle": {lab: dict(pairs) for lab, pairs in c.bundle.entries},
+        "witness": None if w is None else {
+            "factors": [e for f in w.factors for e in factor_entries(f)],
+            "steps": w.steps,
+        },
+    }
+
+
+def report_json(r) -> str:
+    """A `compute_cG` report's JSON: its dict tree through
+    ``json.dumps(..., sort_keys=True)``."""
+    return json.dumps({
+        "lower": r.lower,
+        "certified_charge": r.certified_charge,
+        "exact": r.exact,
+        "certificate": None if r.certificate is None else certificate_dict(r.certificate),
+    }, sort_keys=True)

@@ -99,7 +99,7 @@ def test_criterion_4_iwahori_charge_is_one():
             for i in range(200):
                 d = gen(rng)
                 rep = compute_cG(d)
-                assert rep.exact == 1, (gsd, i, rep.as_dict())
+                assert rep.exact == 1, (gsd, i, rep.to_json())
 
 
 def test_criterion_5_closed_form_and_descent():

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: byte-stable goldens and exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -333,3 +334,101 @@ def test_integer_at_the_written_digit_limit_is_written(capsys, tmp_path):
     datum.write_text(json.dumps(HIGH_GENUS_C2_DATUM))
     code, out, _ = run(capsys, "cg", "--datum", str(datum))
     assert (code, out) == (0, "lower bound (c_delta): 1\ncertified charge: 1\nexact: 1\n")
+
+
+def _pt(label, t, facet, mono="e"):
+    return {"label": label, "type": t, "facet": facet, "monodromy": mono}
+
+def _vacua(*labels):
+    return {"schema": 1, "weights": {lab: {"0": 1} for lab in labels}}
+
+#: (datum, bundle) files the ``--json`` digests below are taken on
+PINNED_CLI_DATA = {
+    "readme": (A2_PAIR_DATUM, A2_PAIR_BUNDLE),
+    # labels that JSON escapes; an odd split side and two handles pad
+    "c2-genus-2-escaped": (
+        {"schema": 1, "genus": 2, "group": "C2", "points": [
+            _pt('b"1', "A3~2", [0, 1, 2], "(12)"), _pt("b\\2", "A3~2", [0, 1, 2], "(12)"),
+            _pt("ñ-s1", "A3", [0, 1, 2, 3])]},
+        _vacua('b"1', "b\\2", "ñ-s1")),
+    # a pairing search that certifies above c_delta
+    "c2-search": (
+        {"schema": 1, "genus": 0, "group": "C2", "points": [
+            {**_pt("p1", "E6~2", [2, 3, 4], "(12)"), "bad": True}, _pt("p2", "E6", [0, 2]),
+            {**_pt("p3", "E6", [1, 3]), "bad": True}, _pt("p4", "E6~2", [0, 3, 4], "(12)"),
+            {**_pt("p5", "E6", [2, 4, 5]), "bad": True}]},
+        {"schema": 1, "weights": {"p1": {"4": 1}, "p2": {"0": 2}, "p3": {"1": 2},
+                                  "p4": {"4": 1}, "p5": {"5": 2}}}),
+    "c2-closed-form": (
+        {"schema": 1, "genus": 3, "group": "C2", "points": [
+            _pt("x1", "A5~2", [0, 1, 2, 3], "(12)"), _pt("x2", "A5~2", [0, 1, 2, 3], "(12)")]},
+        _vacua("x1", "x2")),
+    "s3-case3-escaped": (
+        {"schema": 1, "genus": 0, "group": "S3", "points": [
+            _pt("té", "D4~2", [0, 1, 2, 3], "(12)"), _pt("t\\", "D4~2", [0, 1, 2, 3], "(23)"),
+            _pt('c"', "D4~3", [0, 1, 2], "(132)")]},
+        _vacua("té", "t\\", 'c"')),
+    "s3-genus-2": (
+        {"schema": 1, "genus": 2, "group": "S3", "points": [
+            _pt("p1", "D4", [0, 1, 2, 3, 4]), _pt("p2", "D4~2", [0, 1, 2, 3], "(23)"),
+            _pt("p3", "D4~3", [0, 1, 2], "(123)"), _pt("p4", "D4", [0, 1, 2, 3, 4]),
+            _pt("p5", "D4~2", [0, 1, 2, 3], "(23)"), _pt("p6", "D4~2", [0, 1, 2, 3], "(13)"),
+            _pt("p7", "D4~3", [0, 1, 2], "(132)"), _pt("p8", "D4~2", [0, 1, 2, 3], "(23)")]},
+        _vacua(*(f"p{i}" for i in range(1, 9)))),
+}
+PINNED_S3_TUPLES = ("(12),(12),(123),(132)", "(12),(23),(132)",
+                    "(12),(23),(123),(123),(13),(13),(12),(12)")
+
+#: sha256 of the ``--json`` output of ``cg`` and ``descend`` on each of
+#: PINNED_CLI_DATA and of ``reduce s3`` on each of PINNED_S3_TUPLES,
+#: recorded while reports were still built as dicts for ``json.dumps``
+PINNED_CLI_DIGESTS = {
+    ("cg", "readme"):
+        "f3369a8ef269bcf08aceb1b9d1ce220ff3dd3a5ada1eae4c0ca9e5804ee3a133",
+    ("descend", "readme"):
+        "f3196fcfdb3c56dff3dc973632ef2747c4687b914e2433298c3fc34f1ce41358",
+    ("cg", "c2-genus-2-escaped"):
+        "176702793484db2af0935611650042862195b44989278c592d3296e9eab271c4",
+    ("descend", "c2-genus-2-escaped"):
+        "93a9481a1e70e7adcca184668fded3c26ab607d9da9043df28ab43491d0492f5",
+    ("cg", "c2-search"):
+        "5f9e16824b42b6d1665a6cad5100cd53ec7288198f58e18731199e8361a57eff",
+    ("descend", "c2-search"):
+        "98c29353b251c56f675a92e316f739f31cdbe7ffbd6ae61e185c78b73e2aebcf",
+    ("cg", "c2-closed-form"):
+        "1fb4f0bb2e9360d455baf9b4453217a7209467ada67c29a02ba86aa949a4109d",
+    ("descend", "c2-closed-form"):
+        "ad9795268d158ab103083745b7aca42ca3c42b3f7b42e734ea7f311001cb2336",
+    ("cg", "s3-case3-escaped"):
+        "4e43125929b357b92a7e446837d7a4679efb487338b56648357970f1f9400684",
+    ("descend", "s3-case3-escaped"):
+        "2502f81d23b23dd0459e13d35ebc655d86fbd457745b3121bf803b9c3aafb570",
+    ("cg", "s3-genus-2"):
+        "d4de24588bdb9760dde6324327f21fb89fc14c778bc3da34c9f56637ea3c8d15",
+    ("descend", "s3-genus-2"):
+        "6c3196ba62aaa07ca7d2f8307c2ef520e7e39e21c87bbed41eaf1811dfd52730",
+    ("reduce", "(12),(12),(123),(132)"):
+        "a7fb0203901869d12c6337a9d901a882945f86decbd11d76216af6f154560fbd",
+    ("reduce", "(12),(23),(132)"):
+        "cbaa08010432db73e58bb17a5c153298345cd81ac048ceb02bb92970b2a486b5",
+    ("reduce", "(12),(23),(123),(123),(13),(13),(12),(12)"):
+        "3097df491fabef373cbdbf020696f868cce643003256965e628964c14de8c85d",
+}
+
+
+def test_json_output_is_byte_identical_to_the_pinned_digests(capsys, tmp_path):
+    got = {}
+    for name, (datum, bundle) in PINNED_CLI_DATA.items():
+        dp, bp = tmp_path / f"{name}.json", tmp_path / f"{name}-bundle.json"
+        dp.write_text(json.dumps(datum))
+        bp.write_text(json.dumps(bundle))
+        for verb, argv in (("cg", ("cg", "--datum", str(dp))),
+                           ("descend", ("descend", "--datum", str(dp), "--bundle", str(bp)))):
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 0, (verb, name)
+            got[verb, name] = hashlib.sha256(out.encode()).hexdigest()
+    for t in PINNED_S3_TUPLES:
+        code, out, _ = run(capsys, "reduce", "s3", t, "--json")
+        assert code == 0, t
+        got["reduce", t] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_CLI_DIGESTS

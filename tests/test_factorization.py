@@ -28,7 +28,7 @@ from parapic.factorization import (
     s3_reduce,
     vacuum_weight,
 )
-from parapic.picard import GroupDatum, PointDatum, c_delta, vacuum_bundle
+from parapic.picard import GroupDatum, PointDatum, _json_object, c_delta, vacuum_bundle
 from parapic.verlinde import rank_lower_bound
 
 T = parse_affine_type
@@ -322,28 +322,38 @@ def test_base_case_rejects_other_label_counts_also_in_replace():
         BaseCase(**PAD_PAIR, labels=tuple("abcdef"))._replace(multiplicity=2)
 
 
+def witness_json(factors) -> str:
+    """The JSON text a certificate writes for a witness of ``factors``."""
+    return _json_object(DecompositionWitness(factors=list(factors))._json_items())
+
+
+def entries(f: BaseCase) -> list[dict]:
+    """The schema-2 entries of one factor, read back from its JSON."""
+    return json.loads(witness_json([f]))["factors"]
+
+
 def test_labelled_run_writes_one_entry_per_copy_and_a_copy_run_one_entry():
     run = BaseCase(**PAD_PAIR, labels=("h2", "h1", "h3", "a1", "h4", "h5"))
-    entries = run.entries()
-    assert [e["labels"] for e in entries] == [["h2", "h1"], ["h3", "a1"], ["h4", "h5"]]
+    got = entries(run)
+    assert [e["labels"] for e in got] == [["h2", "h1"], ["h3", "a1"], ["h4", "h5"]]
     assert all(e == {"kind": "TwistedPair", "elements": ["e", "e"],
                      "labels": e["labels"], "weights": [{"0": 1}, {"0": 1}]}
-               for e in entries)
-    # the copies share one elements list and one weights list
-    assert len({id(e["elements"]) for e in entries}) == 1
-    assert len({id(e["weights"]) for e in entries}) == 1
+               for e in got)
+    # the copies share one text before their labels
+    text = witness_json([run])
+    assert text.count(text[len('{"factors": ['):text.index('"h2"')]) == 3
     copies = BaseCase(**PAD_PAIR, labels=("h1", "h2"))
-    assert copies.entries() == [{**entries[0], "labels": ["h1", "h2"], "multiplicity": 3}]
+    assert entries(copies) == [{**got[0], "labels": ["h1", "h2"], "multiplicity": 3}]
     assert rank_lower_bound([run]) == rank_lower_bound([copies]) == 1
 
 
 def test_multiplicity_is_serialized_only_when_not_one_and_counts_copies():
     one = BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
                    weights=(vacuum_weight(1),), labels=("h",))
-    assert "multiplicity" not in one.entries()[0]
+    assert "multiplicity" not in entries(one)[0]
     two = BaseCase(kind="UntwistedVacuum", elements=(IDENTITY,),
                    weights=(vacuum_weight(1),), labels=("h",), multiplicity=2)
-    assert two.entries() == [{**one.entries()[0], "multiplicity": 2}]
+    assert entries(two) == [{**entries(one)[0], "multiplicity": 2}]
     tri = BaseCase(kind="EllipticTriple", elements=(C123,) * 3,
                    weights=(vacuum_weight(1),) * 3, labels=("a", "b", "c"),
                    multiplicity=2)
@@ -360,19 +370,19 @@ def test_factor_keeps_tuples_copies_other_sequences_and_serializes_fresh_lists()
     assert g == f and g.elements == (T12, T12)
     with pytest.raises(DomainError, match="multiply to e"):
         f._replace(elements=(T12, T23))
-    (first,) = f.entries()
+    (first,) = entries(f)
     first["elements"].append("(13)")
     first["weights"][0]["5"] = 1
-    assert g.entries() == [{"kind": "S3Case1", "elements": ["(12)", "(12)"],
-                            "labels": ["a", "b"], "weights": [{"0": 1}, {"0": 1}]}]
+    assert entries(g) == [{"kind": "S3Case1", "elements": ["(12)", "(12)"],
+                           "labels": ["a", "b"], "weights": [{"0": 1}, {"0": 1}]}]
 
 
 def test_witness_serialization_is_stable():
     w = s3_reduce((T12, T12))
-    blob = json.dumps(w.as_dict(), sort_keys=True)
+    blob = _json_object(w._json_items())
     assert '"kind": "S3Case1"' in blob
     assert w.conservation == ("(12)", "(12)")
-    (d,) = w.factors[0].entries()
+    (d,) = entries(w.factors[0])
     assert d["elements"] == ["(12)", "(12)"]
     assert d["weights"] == [{"0": 1}, {"0": 1}]
 

@@ -305,11 +305,11 @@ def test_cdelta_bundle_combines_vertices():
     # remainder
     q1 = PointDatum("p1", T("E8"), frozenset({1, 2, 7}), IDENTITY, is_bad=True)
     for d, want in (
-        (GroupDatum(0, TRIVIAL_GROUP, (p1, p2)), {"p1": {2: 2, 3: 1}, "p2": {4: 2}}),
-        (GroupDatum(0, TRIVIAL_GROUP, (q1, p2)), {"p1": {1: 1, 2: 1}, "p2": {4: 1}}),
+        (GroupDatum(0, TRIVIAL_GROUP, (p1, p2)), (("p1", ((2, 2), (3, 1))), ("p2", ((4, 2),)))),
+        (GroupDatum(0, TRIVIAL_GROUP, (q1, p2)), (("p1", ((1, 1), (2, 1))), ("p2", ((4, 1),)))),
     ):
         b = cdelta_bundle(d)
-        assert b.as_dict() == want
+        assert b.entries == want
         assert b == WeightBundle.from_dict(oracles.cdelta_weights(d))
 
 
@@ -426,4 +426,4 @@ def test_bundle_from_dict_rejects_two_keys_of_one_label():
         WeightBundle.from_dict({1: {0: 1}, "1": {0: 2}})
     with pytest.raises(DomainError, match="more than one weight"):
         WeightBundle((("p1", ((0, 1),)), ("p1", ((0, 2),))))
-    assert WeightBundle.from_dict({1: {0: 1}, "2": {0: 2}}).as_dict() == {"1": {0: 1}, "2": {0: 2}}
+    assert WeightBundle.from_dict({1: {0: 1}, "2": {0: 2}}).entries == (("1", ((0, 1),)), ("2", ((0, 2),)))
