@@ -43,6 +43,17 @@ def _check_writable(value: int | None, what: str) -> None:
         )
 
 
+def _nonnegative(text: str) -> int:
+    """The argparse type of a count option: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 def _split_specs(s: str) -> list[str]:
     """Split on commas outside parentheses, dropping an empty last spec."""
     out = [part.strip() for part in covers.split_top_level(s)]
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cov_sub.add_parser("genus", parents=[common],
                            help="Riemann-Hurwitz genus")
     p.add_argument("--group", default="S3")
-    p.add_argument("--base-genus", type=int, default=0)
+    p.add_argument("--base-genus", type=_nonnegative, default=0)
     p.add_argument("tuple", help='monodromies, e.g. "(12),(23),(132)"')
     p.set_defaults(func=_cmd_covers_genus)
     p = cov_sub.add_parser("connected", parents=[common],
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True,
                    help='e.g. "transposition,transposition,3-cycle"')
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_nonnegative, default=None,
                    help="cap the number of listed tuples")
     p.set_defaults(func=_cmd_covers_enumerate)
 
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cg", parents=[common],
                        help="bracket the descending-charge generator")
     p.add_argument("--datum", required=True)
-    p.add_argument("--budget", type=int, default=64,
+    p.add_argument("--budget", type=_nonnegative, default=64,
                    help="certificate search bound")
     p.set_defaults(func=_cmd_cg)
 

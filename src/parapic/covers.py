@@ -17,13 +17,15 @@ from itertools import product as iproduct
 from .errors import (
     DomainError,
     InconsistentRamificationError,
-    NoCoverError,
     ParseError,
 )
 
 Perm = tuple[int, int, int]
 
 IDENTITY: Perm = (1, 2, 3)
+
+#: the designated "+" generator of C3
+C3_PLUS: Perm = (2, 3, 1)
 
 #: canonical element order used for deterministic search and serialization
 ELEMENTS: tuple[Perm, ...] = (
@@ -251,6 +253,8 @@ def genus_riemann_hurwitz(g_base: int, gamma: FiniteGroup, monodromies) -> Cover
     base; for base genus >= 1 it is reported as 1 (handle monodromies are
     free and can always be chosen to connect the cover).
     """
+    if g_base < 0:
+        raise DomainError("base genus must be nonnegative")
     n = len(gamma)
     monodromies = tuple(monodromies)
     for p in monodromies:
@@ -359,42 +363,3 @@ def class_preserving_identity_tuple(elements):
     if product(out) != IDENTITY:  # pragma: no cover - construction is total
         raise AssertionError("class-preserving adjustment failed")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Gsd3Partition:
-    plus: tuple
-    minus: tuple
-    scenario: str
-
-
-#: the designated "+" generator of C3
-C3_PLUS: Perm = (2, 3, 1)
-
-
-def monodromy_partition_gsd3(points) -> Gsd3Partition:
-    """Split order-3 marked points by which C3 generator they carry.
-
-    Accepts point records (anything with a ``monodromy`` attribute) or
-    raw permutations; trivial-monodromy entries are skipped.  The
-    scenario letter follows |plus| mod 3: 0 -> a, 1 -> b, 2 -> c.
-    """
-    plus, minus = [], []
-    for x in points:
-        p = getattr(x, "monodromy", x)
-        if p == IDENTITY:
-            continue
-        if p == C3_PLUS:
-            plus.append(x)
-        elif p == inverse(C3_PLUS):
-            minus.append(x)
-        else:
-            raise DomainError(
-                f"monodromy {element_name(p)} does not lie in C3"
-            )
-    if len(plus) % 3 != len(minus) % 3:
-        raise NoCoverError(
-            "no such cover exists: |R3+| and |R3-| disagree modulo 3"
-        )
-    scenario = {0: "a", 1: "b", 2: "c"}[len(plus) % 3]
-    return Gsd3Partition(tuple(plus), tuple(minus), scenario)

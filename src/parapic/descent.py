@@ -50,6 +50,7 @@ from .factorization import (
     handle_vacua,
     pair_involution,
     pair_partition_gsd2,
+    point_factor,
     pq_sets_for_points,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     s3_reduce,
     vacuum_weight,
@@ -137,17 +138,7 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
 
 
 def _route_gsd1(d, b, charge) -> DecompositionWitness:
-    w = DecompositionWitness()
-    for p in d.points:
-        w.factors.append(
-            BaseCase(
-                kind=UNTWISTED_VACUUM,
-                elements=(IDENTITY,),
-                weights=(b.weight(p.label),),
-                labels=(p.label,),
-                types=(p.affine_type,),
-            )
-        )
+    w = DecompositionWitness([point_factor(UNTWISTED_VACUUM, (p,), b) for p in d.points])
     if d.base_genus:
         handle_base(d.points)  # pinching handles needs one base type across points
         w.factors += handle_vacua({p.label for p in d.points},
@@ -179,22 +170,12 @@ def _closed_form_applicable(d, b, charge):
 
 
 def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
-    params = _closed_form_applicable(d, b, charge)
-    if params is not None and branch_pairing is None and split_pairing is None:
+    if branch_pairing is None and split_pairing is None and (
+            params := _closed_form_applicable(d, b, charge)) is not None:
+        # every weight is vacuum_weight(1), which the check has compared
         g, n, r = params
-        w = DecompositionWitness()
-        w.factors.append(
-            BaseCase(
-                kind=CLOSED_FORM_A,
-                elements=tuple(p.monodromy for p in d.points),
-                weights=tuple(vacuum_weight(1) for _ in d.points),
-                labels=tuple(p.label for p in d.points),
-                types=tuple(p.affine_type for p in d.points),
-                params=(g, n, r),
-            )
-        )
-        w.steps.append({"op": "closed-form", "g": g, "n": n, "r": r})
-        return w
+        return DecompositionWitness([point_factor(CLOSED_FORM_A, d.points, b, params=params)],
+                                    [{"op": "closed-form", "g": g, "n": n, "r": r}])
     sides = _gsd2_sides(d.points, 2 * d.base_genus)
     branch_pairs, split_pairs = pair_partition_gsd2(
         sides, branch_pairing=branch_pairing, split_pairing=split_pairing)

@@ -37,7 +37,6 @@ from .covers import (
     conjugate,
     element_name,
     inverse,
-    monodromy_partition_gsd3,
     perm_order,
     product,
 )
@@ -62,11 +61,12 @@ CLOSED_FORM_A = "ClosedFormA"
 
 _T12: Perm = (2, 1, 3)
 _T23: Perm = (1, 3, 2)
+_C3_MINUS: Perm = inverse(C3_PLUS)
 
 _TRANSPOSITIONS = frozenset(p for p in ELEMENTS if perm_order(p) == 2)
 
 #: canonical literal payloads for the exceptional S3 factors
-CASE3_LITERAL: tuple[Perm, ...] = (_T12, _T23, inverse(C3_PLUS))
+CASE3_LITERAL: tuple[Perm, ...] = (_T12, _T23, _C3_MINUS)
 CASE4_LITERAL: tuple[Perm, ...] = (_T12, _T23, C3_PLUS, C3_PLUS)
 
 Weight = tuple[tuple[int, int], ...]
@@ -204,6 +204,19 @@ class BaseCase(_Factor):
     @classmethod
     def _make(cls, iterable):  # so that ``_replace`` checks as well
         return cls(*iterable)
+
+
+def point_factor(kind: str, points, bundle, **extra) -> BaseCase:
+    """The ``kind`` factor of ``points``: their monodromies, weights in
+    ``bundle``, labels and affine types, in order, with ``extra`` fields
+    such as ``params``."""
+    if len(points) == 1:  # most factors: no transpose, as cheap as literal tuples
+        (p,) = points
+        return BaseCase(kind, (p.monodromy,), (bundle.weight(p.label),), (p.label,),
+                        (p.affine_type,), **extra)
+    els, weights, labels, types = zip(
+        *[(p.monodromy, bundle.weight(p.label), p.label, p.affine_type) for p in points])
+    return BaseCase(kind, els, weights, labels, types, **extra)
 
 
 @dataclass
@@ -431,46 +444,20 @@ def degenerate_gsd3(d, bundle, charge: int) -> DecompositionWitness:
     """
     if d.gamma.kind != "C3":
         raise DomainError(f"gsd-3 degeneration needs Galois group C3, got {d.gamma.kind}")
-    part = monodromy_partition_gsd3(d.points)
-    plus, minus = list(part.plus), list(part.minus)
-    trivial = [p for p in d.points if p.monodromy == IDENTITY]
-    w = DecompositionWitness()
-    w.steps.append({"op": "gsd3-partition", "scenario": part.scenario,
-                    "plus": len(plus), "minus": len(minus)})
+    # a C3 datum's monodromies are e, C3_PLUS and its inverse
+    plus = [p for p in d.points if p.monodromy == C3_PLUS]
+    minus = [p for p in d.points if p.monodromy == _C3_MINUS]
+    if len(plus) % 3 != len(minus) % 3:
+        raise NoCoverError("no such cover exists: |R3+| and |R3-| disagree modulo 3")
     k = len(plus) % 3
-    for i in range(k):
-        x, y = plus[i], minus[i]
-        w.factors.append(
-            BaseCase(
-                kind=TWISTED_PAIR,
-                elements=(x.monodromy, y.monodromy),
-                weights=(bundle.weight(x.label), bundle.weight(y.label)),
-                labels=(x.label, y.label),
-                types=(x.affine_type, y.affine_type),
-            )
-        )
-    for side in (plus[k:], minus[k:]):
-        for i in range(0, len(side), 3):
-            trio = side[i : i + 3]
-            w.factors.append(
-                BaseCase(
-                    kind=ELLIPTIC_TRIPLE,
-                    elements=tuple(p.monodromy for p in trio),
-                    weights=tuple(bundle.weight(p.label) for p in trio),
-                    labels=tuple(p.label for p in trio),
-                    types=tuple(p.affine_type for p in trio),
-                )
-            )
-    for p in trivial:
-        w.factors.append(
-            BaseCase(
-                kind=UNTWISTED_VACUUM,
-                elements=(IDENTITY,),
-                weights=(bundle.weight(p.label),),
-                labels=(p.label,),
-                types=(p.affine_type,),
-            )
-        )
+    w = DecompositionWitness()
+    w.steps.append({"op": "gsd3-partition", "scenario": "abc"[k],
+                    "plus": len(plus), "minus": len(minus)})
+    w.factors += [point_factor(TWISTED_PAIR, pair, bundle) for pair in zip(plus[:k], minus[:k])]
+    w.factors += [point_factor(ELLIPTIC_TRIPLE, side[i : i + 3], bundle)
+                  for side in (plus[k:], minus[k:]) for i in range(0, len(side), 3)]
+    w.factors += [point_factor(UNTWISTED_VACUUM, (p,), bundle)
+                  for p in d.points if p.monodromy == IDENTITY]
     w.factors += handle_vacua({p.label for p in d.points}, 2 * d.base_genus, charge)
     if d.base_genus:
         w.steps.append({"op": "pinch-handles", "count": d.base_genus})
@@ -663,124 +650,57 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
             return tuple(weight_map[lab])
         return vacuum_weight(charge)
 
-    def vac(lab: str) -> BaseCase:
-        return BaseCase(
-            kind=UNTWISTED_VACUUM,
-            elements=(IDENTITY,),
-            weights=(wt_of(lab),),
-            labels=(lab,),
-        )
+    def factor(kind: str, entries) -> BaseCase:
+        """The ``kind`` factor of (label, value) entries; an exceptional
+        one holds its literal and the conjugator onto it."""
+        labs, els = zip(*entries)
+        extra = {}
+        if kind in (S3_CASE3, S3_CASE4):
+            extra = {"conjugator": _canonicalize(kind, els), "original": els}
+            els = CASE3_LITERAL if kind == S3_CASE3 else CASE4_LITERAL
+        return BaseCase(kind, els, tuple(map(wt_of, labs)), labs, **extra)
 
-    def wts(labs) -> tuple[Weight, ...]:
-        return tuple(wt_of(lab) for lab in labs)
-
-    nontrivial = tuple(v for v in values if v != IDENTITY)
+    seq = [(l, v) for l, v in zip(labels, values) if v != IDENTITY]
+    vacua = [factor(UNTWISTED_VACUUM, [e]) for e in zip(labels, values) if e[1] == IDENTITY]
+    nontrivial = tuple(v for _l, v in seq)
     # a vector that already is one S3 factor's payload stays whole
-    lit = None
     if len(nontrivial) <= _MAX_FACTOR_POINTS:
         lit = next((k for k in (S3_CASE1, S3_CASE2, S3_CASE3, S3_CASE4)
                     if _memo_shape_error(k, nontrivial) is None), None)
-    if lit is not None:
-        labs = tuple(l for l, v in zip(labels, values) if v != IDENTITY)
-        extra = {}
-        if lit in (S3_CASE3, S3_CASE4):
-            extra = {"conjugator": IDENTITY, "original": nontrivial}
-        w.factors.append(
-            BaseCase(kind=lit, elements=nontrivial, weights=wts(labs),
-                     labels=labs, **extra)
-        )
-        for lab, v in zip(labels, values):
-            if v == IDENTITY:
-                w.factors.append(vac(lab))
-        return w
-
-    seq = [(l, v) for l, v in zip(labels, values) if v != IDENTITY]
-    vacua = [vac(l) for l, v in zip(labels, values) if v == IDENTITY]
+        if lit is not None:
+            w.factors = [factor(lit, seq), *vacua]
+            return w
 
     pairs, last, rest = _pair_transpositions(seq, w.steps)
-    case1 = [
-        BaseCase(kind=S3_CASE1, elements=(va, vb), weights=wts((la, lb)),
-                 labels=(la, lb))
-        for (la, va), (lb, vb) in pairs
-    ]
+    case1 = [factor(S3_CASE1, pair) for pair in pairs]
     exceptional: list[BaseCase] = []
     if last:
-        (l1, s1), (l2, s2) = last
+        (_l1, s1), (_l2, s2) = last
         if s1 == s2:
-            case1.append(
-                BaseCase(kind=S3_CASE1, elements=(s1, s2),
-                         weights=wts((l1, l2)), labels=(l1, l2))
-            )
+            case1.append(factor(S3_CASE1, last))
         else:
+            # one 3-cycle inverse to the pair's product completes it to
+            # Case3, else two equal to the product to Case4
             c0 = compose(s1, s2)
-            inv_pos = next(
-                (i for i, (_l, v) in enumerate(rest) if v == inverse(c0)), None
-            )
-            if inv_pos is not None:
-                lz, vz = rest.pop(inv_pos)
-                orig = (s1, s2, vz)
-                delta = _canonicalize(S3_CASE3, orig)
-                exceptional.append(
-                    BaseCase(
-                        kind=S3_CASE3,
-                        elements=CASE3_LITERAL,
-                        weights=wts((l1, l2, lz)),
-                        labels=(l1, l2, lz),
-                        conjugator=delta,
-                        original=orig,
-                    )
-                )
-                w.steps.append({"op": "canonicalize", "kind": S3_CASE3,
-                                "conjugator": element_name(delta)})
-            else:
-                picks = [i for i, (_l, v) in enumerate(rest) if v == c0][:2]
-                if len(picks) < 2:  # pragma: no cover - forced by product e
-                    raise InternalInconsistencyError(
-                        "residual pair admits neither a three- nor a "
-                        "four-point completion"
-                    )
-                (lz1, vz1) = rest[picks[0]]
-                (lz2, vz2) = rest[picks[1]]
-                for i in sorted(picks, reverse=True):
-                    rest.pop(i)
-                orig = (s1, s2, vz1, vz2)
-                delta = _canonicalize(S3_CASE4, orig)
-                exceptional.append(
-                    BaseCase(
-                        kind=S3_CASE4,
-                        elements=CASE4_LITERAL,
-                        weights=wts((l1, l2, lz1, lz2)),
-                        labels=(l1, l2, lz1, lz2),
-                        conjugator=delta,
-                        original=orig,
-                    )
-                )
-                w.steps.append({"op": "canonicalize", "kind": S3_CASE4,
-                                "conjugator": element_name(delta)})
+            c0_inv = inverse(c0)
+            picks = [i for i, (_l, v) in enumerate(rest) if v == c0_inv][:1]
+            kind = S3_CASE3 if picks else S3_CASE4
+            picks = picks or [i for i, (_l, v) in enumerate(rest) if v == c0][:2]
+            entries = [*last, *(rest[i] for i in picks)]
+            for i in reversed(picks):
+                rest.pop(i)
+            exceptional = [factor(kind, entries)]
+            w.steps.append({"op": "canonicalize", "kind": kind,
+                            "conjugator": element_name(exceptional[0].conjugator)})
 
-    plus = [(l, v) for l, v in rest if v == C3_PLUS]
-    minus = [(l, v) for l, v in rest if v == inverse(C3_PLUS)]
-    case2: list[BaseCase] = []
-    npair = min(len(plus), len(minus))
-    for i in range(npair):
-        (lp, vp), (lm, vm) = plus[i], minus[i]
-        case2.append(
-            BaseCase(kind=S3_CASE2, elements=(vp, vm), weights=wts((lp, lm)),
-                     labels=(lp, lm))
-        )
+    plus = [e for e in rest if e[1] == C3_PLUS]
+    minus = [e for e in rest if e[1] == _C3_MINUS]
+    case2 = [factor(S3_CASE2, pair) for pair in zip(plus, minus)]
+    npair = len(case2)
     longer = plus[npair:] or minus[npair:]
     if len(longer) % 3 != 0:  # pragma: no cover - forced by product e
         raise InternalInconsistencyError("unbalanced 3-cycle residue")
-    for i in range(0, len(longer), 3):
-        trio = longer[i : i + 3]
-        case2.append(
-            BaseCase(
-                kind=S3_CASE2,
-                elements=tuple(v for _l, v in trio),
-                weights=wts(tuple(l for l, _v in trio)),
-                labels=tuple(l for l, _v in trio),
-            )
-        )
+    case2 += [factor(S3_CASE2, longer[i : i + 3]) for i in range(0, len(longer), 3)]
 
     w.factors = case1 + exceptional + case2 + vacua
     return w

@@ -114,6 +114,15 @@ class GroupDatum:
         return tuple(p for p in self.points if p.is_bad)
 
 
+def _check_integers(label, pairs) -> None:
+    """Reject a weight whose (vertex, coefficient) pairs are not integers."""
+    for v, n in pairs:
+        if not (_is_int(v) and _is_int(n)):
+            raise DomainError(
+                f"point {label}: vertex {v!r} and coefficient {n!r} must be integers"
+            )
+
+
 @dataclass(frozen=True)
 class WeightBundle:
     """Per-point coefficient maps; absent vertices mean coefficient 0.
@@ -131,6 +140,11 @@ class WeightBundle:
             labels = [lab for lab, _ in self.entries]
             twice = next(lab for lab in labels if labels.count(lab) > 1)
             raise DomainError(f"bundle gives point {twice!r} more than one weight")
+        last = None  # a weight shared with the entry before is checked
+        for lab, w in self.entries:
+            if w is not last:  # by identity: ((0, True),) == ((0, 1),)
+                _check_integers(lab, w)
+                last = w
         object.__setattr__(self, "_index", index)
 
     @staticmethod
@@ -139,12 +153,7 @@ class WeightBundle:
         coefficients must be integers (not bools), zero entries drop, and
         no two keys may have the same ``str`` (the label)."""
         for lab, m in weights.items():
-            for v, n in m.items():
-                if not (_is_int(v) and _is_int(n)):
-                    raise DomainError(
-                        f"point {lab}: vertex {v!r} and coefficient {n!r} "
-                        "must be integers"
-                    )
+            _check_integers(lab, m.items())
         entries = tuple(
             sorted(
                 (str(lab), tuple(sorted((v, n) for v, n in m.items() if n != 0)))

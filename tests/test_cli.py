@@ -225,6 +225,17 @@ def test_missing_file_is_exit_2(capsys, tmp_path):
     assert "No such file" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("covers", "genus", "--group", "C2", "--base-genus", "-1", ",".join(["(12)"] * 10)),
+    ("covers", "enumerate", "--classes", "(12),(12)", "--limit", "-1"),
+    ("cg", "--datum", "{datum}", "--budget", "-3"),
+], ids=["base-genus", "limit", "budget"])
+def test_negative_count_option_is_exit_2(capsys, a2_files, argv):
+    code, out, err = run(capsys, *(a.format(datum=a2_files[0]) for a in argv))
+    assert (code, out) == (2, "")
+    assert "expected a nonnegative integer, got '-" in err
+
+
 def test_domain_error_is_exit_1(capsys):
     code, _, err = run(capsys, "verlinde", "rank", "(12),(12)")
     assert code == 1

@@ -25,7 +25,6 @@ from parapic.covers import (
     group_from_name,
     inverse,
     is_connected_genus0,
-    monodromy_partition_gsd3,
     parse_element,
     parse_tuple,
     perm_order,
@@ -35,7 +34,6 @@ from parapic.covers import (
 from parapic.errors import (
     DomainError,
     InconsistentRamificationError,
-    NoCoverError,
     ParseError,
 )
 from parapic.factorization import CASE3_LITERAL, CASE4_LITERAL, s3_parity_check, s3_reduce
@@ -143,6 +141,12 @@ def test_riemann_hurwitz_rejects_impossible_data():
         genus_riemann_hurwitz(0, C2_GROUP, (C123,))
 
 
+def test_riemann_hurwitz_rejects_a_negative_base_genus():
+    # ten branch points would make 2g - 2 = 2 over "genus -1"
+    with pytest.raises(DomainError, match="base genus must be nonnegative"):
+        genus_riemann_hurwitz(-1, C2_GROUP, (T12,) * 10)
+
+
 @given(st.lists(s3_elem, max_size=7))
 def test_riemann_hurwitz_euler_parity(mono):
     try:
@@ -242,21 +246,6 @@ def test_class_preserving_adjustment_random(elems):
     else:
         assert _prod(out) == IDENTITY
         assert [perm_order(p) for p in out] == [perm_order(p) for p in elems]
-
-
-def test_gsd3_partition_scenarios():
-    part = monodromy_partition_gsd3([C123, C132])
-    assert (len(part.plus), len(part.minus), part.scenario) == (1, 1, "b")
-    part = monodromy_partition_gsd3([C123] * 3)
-    assert (len(part.plus), len(part.minus), part.scenario) == (3, 0, "a")
-    part = monodromy_partition_gsd3([C123, C123, C132, C132])
-    assert part.scenario == "c"
-    part = monodromy_partition_gsd3([IDENTITY, C123, IDENTITY, C132])
-    assert (len(part.plus), len(part.minus)) == (1, 1)
-    with pytest.raises(NoCoverError, match="modulo 3"):
-        monodromy_partition_gsd3([C123])
-    with pytest.raises(DomainError):
-        monodromy_partition_gsd3([T12])
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,61 @@ def test_big_witness_shaped_reports_are_byte_identical_to_the_pinned_digests():
     assert got == PINNED_BIG_WITNESS_DIGESTS
 
 
+def random_facet_data(degree, count=100):
+    """``count`` data of ``datagen.iwahori_datum_gsd{degree}``, each facet
+    redrawn as one to three random vertices of its point's type and every
+    point bad: the c_Δ bundles of these data put weight off the special
+    vertex, and many of their certificates are Unknown."""
+    r = random.Random(f"pinned-random-facets-{degree}")
+    out = []
+    for _ in range(count):
+        d = datagen.IWAHORI_GENERATORS[degree](r)
+        pts = []
+        for p in d.points:
+            t = p.affine_type
+            facet = r.sample(t.vertices, r.randint(1, min(3, len(t.vertices))))
+            pts.append(PointDatum(p.label, t, frozenset(facet), p.monodromy, is_bad=True))
+        out.append(GroupDatum(d.base_genus, d.gamma, tuple(pts)))
+    return out
+
+
+def _json_or_error(call):
+    try:
+        return call().to_json()
+    except Exception as e:  # the class name pins which rejection it was
+        return type(e).__name__
+
+
+#: sha256 of the c_Δ-bundle certificates and the reports of
+#: `random_facet_data`, one line each (the exception's class name where
+#: a call raises), recorded before the witness factors of the Trivial,
+#: C3 and closed-form routes and of `s3_reduce` came from one
+#: constructor per input shape
+PINNED_RANDOM_FACET_DIGESTS = {
+    "cdelta-certificate-1": "103eeff0dc67f3d072e029ee3572477c6dd965588732239ae4cfc3fe8c16703d",
+    "report-1": "d2b7ede56bbb982f480bcdf5611ce8b4c9455272013a288ac534fa94df6cf5a1",
+    "cdelta-certificate-2": "1e84896a9e5685c101bd7831913cfbedfadf4508f37fe1540c2ce38fda539a7d",
+    "report-2": "5dd1810667bcb218b2e49031ab51dcbe35645b5f30cd43663a836fe5ea44c725",
+    "cdelta-certificate-3": "dc1553665075edf5c21e39c88581656254c2a8134a6dac43cfaac5706b02d5fc",
+    "report-3": "fd238c97c413c573417ffa632c31c6be7d302214352d624fba9c84d01a050c0c",
+    "cdelta-certificate-6": "a564c3b2fbefb76ab3d9819d80e53b8de265f2cf623030ca222ae25786ef9ebd",
+    "report-6": "a3d41765a4f0c8de85b524b3075310de919249a068a81ba38f4c0be8a4d85819",
+}
+
+
+def test_random_facet_reports_are_byte_identical_to_the_pinned_digests():
+    got = {}
+    for degree in sorted(datagen.IWAHORI_GENERATORS):
+        data = random_facet_data(degree)
+        for name, call in (("cdelta-certificate", lambda d: certify_descent(d, cdelta_bundle(d))),
+                           ("report", compute_cG)):
+            h = hashlib.sha256()
+            for d in data:
+                h.update(_json_or_error(lambda: call(d)).encode() + b"\n")
+            got[f"{name}-{degree}"] = h.hexdigest()
+    assert got == PINNED_RANDOM_FACET_DIGESTS
+
+
 def test_high_genus_c2_certificates_replay_with_pairings_naming_the_shadows():
     for name, args in HIGH_GENUS_C2.items():
         d = c2_iwahori(*args)

@@ -602,6 +602,31 @@ def test_degenerate_gsd3_handle_labels_avoid_point_labels():
     assert w.factors[-1].multiplicity == 2
 
 
+def c3_datum(monos, genus=0):
+    pts = tuple(good(f"q{i}", "D4", {0}) if m == IDENTITY else bad(f"q{i}", "D4~3", {0}, m)
+                for i, m in enumerate(monos, 1))
+    return GroupDatum(genus, C3_GROUP, pts)
+
+
+def test_degenerate_gsd3_partition_scenarios():
+    for monos, plus, minus, scenario in (
+        ([C123, C132], 1, 1, "b"),
+        ([C123] * 3, 3, 0, "a"),
+        ([C123, C123, C132, C132], 2, 2, "c"),
+        ([IDENTITY, C123, IDENTITY, C132], 1, 1, "b"),
+    ):
+        d = c3_datum(monos)
+        w = degenerate_gsd3(d, vacuum_bundle(d), 1)
+        assert w.steps[0] == {"op": "gsd3-partition", "scenario": scenario,
+                              "plus": plus, "minus": minus}
+    d = c3_datum([C123], genus=1)
+    with pytest.raises(NoCoverError, match="modulo 3"):
+        degenerate_gsd3(d, vacuum_bundle(d), 1)
+    # a monodromy outside C3 never reaches the partition
+    with pytest.raises(DomainError, match="not in C3"):
+        GroupDatum(1, C3_GROUP, (bad("q1", "D4~2", {0}, T12),))
+
+
 def test_free_labels_skip_used_names():
     assert free_labels({"_aux1", "_aux3", "x"}, "_aux", 3) == [
         "_aux2", "_aux4", "_aux5"

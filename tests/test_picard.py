@@ -420,6 +420,13 @@ def test_bundle_from_dict_rejects_non_integers(entry):
         WeightBundle.from_dict({"p1": entry})
 
 
+@pytest.mark.parametrize("pairs", [((0, 1.7),), ((0, True),), ((1.0, 1),), ((True, 1),), (("0", 1),)])
+def test_bundle_constructor_rejects_what_from_dict_rejects(pairs):
+    # after an int weight, so that one equal to it is checked too
+    with pytest.raises(DomainError, match="must be integers"):
+        WeightBundle((("p0", ((0, 1),)), ("p1", pairs)))
+
+
 def test_bundle_from_dict_rejects_two_keys_of_one_label():
     # 1 and "1" both name the point "1": one weight would certify, the other print
     with pytest.raises(DomainError, match="more than one weight"):
