@@ -11,7 +11,6 @@ to this convention; ordered-product checks depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     InconsistentRamificationError,
     ParseError,
 )
+from .values import Value, setfield
 
 Perm = tuple[int, int, int]
 
@@ -169,10 +169,12 @@ def parse_tuple(s: str) -> tuple[Perm, ...]:
     return tuple(parse_element(p) for p in split_top_level(text))
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    kind: str
-    elements: tuple[Perm, ...]
+class FiniteGroup(Value):
+    _fields = ("kind", "elements")
+
+    def __init__(self, kind: str, elements: tuple[Perm, ...]):
+        setfield(self, "kind", kind)
+        setfield(self, "elements", elements)
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements
@@ -220,28 +222,28 @@ def conjugacy_class(gamma: FiniteGroup, p: Perm) -> tuple[Perm, ...]:
     return tuple(e for e in ELEMENTS if e in cls)
 
 
-@dataclass(frozen=True)
-class RamificationVector:
+class RamificationVector(Value):
     """Ordered local monodromies of marked points on a genus-0 base."""
 
-    group: FiniteGroup
-    elements: tuple[Perm, ...]
+    _fields = ("group", "elements")
 
-    def __post_init__(self):
-        for p in self.elements:
-            if p not in self.group:
-                raise DomainError(
-                    f"monodromy {element_name(p)} is not in {self.group}"
-                )
+    def __init__(self, group: FiniteGroup, elements: tuple[Perm, ...]):
+        setfield(self, "group", group)
+        setfield(self, "elements", elements)
+        for p in elements:
+            if p not in group:
+                raise DomainError(f"monodromy {element_name(p)} is not in {group}")
 
     def __str__(self) -> str:
         return ",".join(element_name(p) for p in self.elements)
 
 
-@dataclass(frozen=True)
-class CoverShape:
-    genus: int
-    component_count: int
+class CoverShape(Value):
+    _fields = ("genus", "component_count")
+
+    def __init__(self, genus: int, component_count: int):
+        setfield(self, "genus", genus)
+        setfield(self, "component_count", component_count)
 
 
 def genus_riemann_hurwitz(g_base: int, gamma: FiniteGroup, monodromies) -> CoverShape:

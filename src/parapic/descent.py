@@ -15,7 +15,6 @@ listed by :mod:`parapic.pairing`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import compress, islice, repeat, starmap
 from itertools import product as iproduct
 from math import lcm, prod
@@ -69,20 +68,20 @@ from .picard import (
     validate_bundle,
 )
 from .pairing import has_perfect_matching, perfect_matchings
+from .values import Record
 from .verlinde import rank_lower_bound
 
 DESCENDS = "Descends"
 UNKNOWN = "Unknown"
 
 
-@dataclass
-class DescentCertificate:
-    bundle: WeightBundle
-    charge: int
-    witness: DecompositionWitness | None
-    rank_bound: int | None
-    verdict: str
-    route: str
+class DescentCertificate(Record):
+    _fields = ("bundle", "charge", "witness", "rank_bound", "verdict", "route")
+
+    def __init__(self, bundle: WeightBundle, charge: int, witness: DecompositionWitness | None,
+                 rank_bound: int | None, verdict: str, route: str):
+        self.bundle, self.charge, self.witness = bundle, charge, witness
+        self.rank_bound, self.verdict, self.route = rank_bound, verdict, route
 
     def _json_items(self) -> list[tuple[str, str]]:
         w = self.witness
@@ -95,12 +94,13 @@ class DescentCertificate:
         return _json_object(self._json_items())
 
 
-@dataclass
-class CGReport:
-    lower: int
-    certified_charge: int | None
-    exact: int | None
-    certificate: DescentCertificate | None
+class CGReport(Record):
+    _fields = ("lower", "certified_charge", "exact", "certificate")
+
+    def __init__(self, lower: int, certified_charge: int | None, exact: int | None,
+                 certificate: DescentCertificate | None):
+        self.lower, self.certified_charge = lower, certified_charge
+        self.exact, self.certificate = exact, certificate
 
     def _json_items(self) -> list[tuple[str, str]]:
         cert = self.certificate

@@ -42,11 +42,11 @@ the compact form (no "~1") is used on output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import InvalidTypeError, ParseError
+from .values import Value, setfield
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 
@@ -73,56 +73,55 @@ _INVENTORY_MAX_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class FiniteType:
+class FiniteType(Value):
     """A simple finite type such as A5 or E7."""
 
-    series: str
-    rank: int
+    _fields = ("series", "rank")
 
-    def __post_init__(self):
-        if self.series not in "ABCDEFG":
-            raise InvalidTypeError(f"unknown series {self.series!r}")
-        if self.series == "E":
-            if self.rank not in (6, 7, 8):
-                raise InvalidTypeError(f"E{self.rank} is not a finite type")
-        elif self.series == "F":
-            if self.rank != 4:
-                raise InvalidTypeError(f"F{self.rank} is not a finite type")
-        elif self.series == "G":
-            if self.rank != 2:
-                raise InvalidTypeError(f"G{self.rank} is not a finite type")
-        elif self.rank < _SERIES_MIN_RANK[self.series]:
+    def __init__(self, series: str, rank: int):
+        setfield(self, "series", series)
+        setfield(self, "rank", rank)
+        if series not in "ABCDEFG":
+            raise InvalidTypeError(f"unknown series {series!r}")
+        if series == "E":
+            if rank not in (6, 7, 8):
+                raise InvalidTypeError(f"E{rank} is not a finite type")
+        elif series == "F":
+            if rank != 4:
+                raise InvalidTypeError(f"F{rank} is not a finite type")
+        elif series == "G":
+            if rank != 2:
+                raise InvalidTypeError(f"G{rank} is not a finite type")
+        elif rank < _SERIES_MIN_RANK[series]:
             raise InvalidTypeError(
-                f"{self.series}{self.rank} is below the minimal rank "
-                f"{_SERIES_MIN_RANK[self.series]} of series {self.series}"
+                f"{series}{rank} is below the minimal rank "
+                f"{_SERIES_MIN_RANK[series]} of series {series}"
             )
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
 
 
-@dataclass(frozen=True)
-class VertexInvolution:
+class VertexInvolution(Value):
     """A self-inverse vertex map, fixing the special vertex 0."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
-        m = dict(self.pairs)
-        for i, j in self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        m = dict(pairs)
+        for i, j in pairs:
             if m.get(j) != i:
                 raise InvalidTypeError("involution is not self-inverse")
         if m.get(0, 0) != 0:
             raise InvalidTypeError("involution must fix the special vertex")
-        object.__setattr__(self, "_map", m)
+        setfield(self, "pairs", pairs)
+        setfield(self, "_map", m)
 
     def __call__(self, i: int) -> int:
         return self._map.get(i, i)
 
 
-@dataclass(frozen=True)
-class AffineType:
+class AffineType(Value):
     """A (possibly twisted) affine Dynkin type with its verified tables.
 
     ``vertices`` (the tuple 0..k) and ``vertex_set`` (the same as a
@@ -130,20 +129,22 @@ class AffineType:
     ``(base, twist)``, computed once.
     """
 
-    base: FiniteType
-    twist: int
-    cartan: tuple[tuple[int, ...], ...]
-    dual_labels: tuple[int, ...]
+    _fields = ("base", "twist", "cartan", "dual_labels")
 
     #: index of the special vertex o
     special_vertex = 0
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: FiniteType, twist: int,
+                 cartan: tuple[tuple[int, ...], ...], dual_labels: tuple[int, ...]):
         # derived once per type: every point of the type asks for them
-        vertices = tuple(range(len(self.dual_labels)))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "vertex_set", frozenset(vertices))
-        object.__setattr__(self, "_hash", hash((self.base, self.twist)))
+        vertices = tuple(range(len(dual_labels)))
+        setfield(self, "base", base)
+        setfield(self, "twist", twist)
+        setfield(self, "cartan", cartan)
+        setfield(self, "dual_labels", dual_labels)
+        setfield(self, "vertices", vertices)
+        setfield(self, "vertex_set", frozenset(vertices))
+        setfield(self, "_hash", hash((base, twist)))
 
     def __hash__(self) -> int:
         # (base, twist) names the type; the tables follow from it

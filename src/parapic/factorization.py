@@ -23,7 +23,6 @@ ClosedFormA         genus-g closed form, parameters (g, n, r)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -47,7 +46,8 @@ from .errors import (
     NoCoverError,
     PairingError,
 )
-from .picard import PointDatum, _json_object, _json_str, _json_value
+from .picard import PointDatum, _check_integers, _json_object, _json_str, _json_value
+from .values import Record
 
 # factor kinds
 UNTWISTED_VACUUM = "UntwistedVacuum"
@@ -188,6 +188,11 @@ class BaseCase(_Factor):
             raise DomainError(
                 f"factor has {n} labels for {k} points and multiplicity {multiplicity}"
             )
+        for w in weights:  # by type: a memo keyed by weights takes True for 1
+            for v, c in w:
+                if type(v) is not int or type(c) is not int:
+                    for i, x in enumerate(weights):
+                        _check_integers(labels[i] if labels else i, x)
         if kind != CLOSED_FORM_A and k <= _MAX_FACTOR_POINTS:
             error = _memo_shape_error(kind, elements)
         else:  # a whole vector: checked as is, never memoized
@@ -219,12 +224,14 @@ def point_factor(kind: str, points, bundle, **extra) -> BaseCase:
     return BaseCase(kind, els, weights, labels, types, **extra)
 
 
-@dataclass
-class DecompositionWitness:
-    """Outcome of a degeneration: factors plus replay bookkeeping."""
+class DecompositionWitness(Record):
+    """Outcome of a degeneration: factors plus replay bookkeeping (fresh lists by default)."""
 
-    factors: list[BaseCase] = field(default_factory=list)
-    steps: list[dict] = field(default_factory=list)
+    _fields = ("factors", "steps")
+
+    def __init__(self, factors: list[BaseCase] | None = None, steps: list[dict] | None = None):
+        self.factors = [] if factors is None else factors
+        self.steps = [] if steps is None else steps
 
     @property
     def conservation(self) -> tuple[str, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
@@ -23,6 +22,7 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
 )
+from .values import Value, setfield
 
 
 #: ``json.dumps(value, sort_keys=True)``: the one encoder every report
@@ -47,62 +47,64 @@ def _is_int(x) -> bool:
     return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
 
 
-@dataclass(frozen=True)
-class PointDatum:
-    label: str
-    affine_type: dynkin.AffineType
-    facet: frozenset[int]
-    monodromy: covers.Perm = covers.IDENTITY
-    is_bad: bool = False
+class PointDatum(Value):
+    _fields = ("label", "affine_type", "facet", "monodromy", "is_bad")
 
-    def __post_init__(self):
-        object.__setattr__(self, "facet", frozenset(self.facet))
-        if not self.facet:
-            raise DomainError(f"point {self.label}: facet must be nonempty")
-        verts = self.affine_type.vertex_set
-        if not self.facet <= verts:
-            bad = sorted(self.facet - verts)
+    def __init__(self, label: str, affine_type: dynkin.AffineType, facet: frozenset[int],
+                 monodromy: covers.Perm = covers.IDENTITY, is_bad: bool = False):
+        facet = frozenset(facet)
+        setfield(self, "label", label)
+        setfield(self, "affine_type", affine_type)
+        setfield(self, "facet", facet)
+        setfield(self, "monodromy", monodromy)
+        setfield(self, "is_bad", is_bad)
+        if not facet:
+            raise DomainError(f"point {label}: facet must be nonempty")
+        verts = affine_type.vertex_set
+        if not facet <= verts:
+            bad = sorted(facet - verts)
             raise DomainError(
-                f"point {self.label}: facet vertices {bad} not in {self.affine_type}"
+                f"point {label}: facet vertices {bad} not in {affine_type}"
             )
-        order = covers.perm_order(self.monodromy)
-        if order != self.affine_type.twist:
+        order = covers.perm_order(monodromy)
+        if order != affine_type.twist:
             raise DomainError(
-                f"point {self.label}: monodromy order {order} does not match "
-                f"twist {self.affine_type.twist} of {self.affine_type}"
+                f"point {label}: monodromy order {order} does not match "
+                f"twist {affine_type.twist} of {affine_type}"
             )
-        if not self.is_bad:
-            if self.monodromy != covers.IDENTITY:
+        if not is_bad:
+            if monodromy != covers.IDENTITY:
                 raise DomainError(
-                    f"point {self.label}: a good point must have trivial monodromy"
+                    f"point {label}: a good point must have trivial monodromy"
                 )
-            if 0 not in self.facet:
+            if 0 not in facet:
                 raise DomainError(
-                    f"point {self.label}: a good point's facet must contain o"
+                    f"point {label}: a good point's facet must contain o"
                 )
 
 
-@dataclass(frozen=True)
-class GroupDatum:
-    base_genus: int
-    gamma: covers.FiniteGroup
-    points: tuple[PointDatum, ...]
+class GroupDatum(Value):
+    _fields = ("base_genus", "gamma", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.base_genus < 0:
+    def __init__(self, base_genus: int, gamma: covers.FiniteGroup,
+                 points: tuple[PointDatum, ...]):
+        points = tuple(points)
+        setfield(self, "base_genus", base_genus)
+        setfield(self, "gamma", gamma)
+        setfield(self, "points", points)
+        if base_genus < 0:
             raise DomainError("base genus must be nonnegative")
-        labels = [p.label for p in self.points]
+        labels = [p.label for p in points]
         if len(set(labels)) != len(labels):
             raise DomainError("point labels must be unique")
-        for p in self.points:
-            if p.monodromy not in self.gamma:
+        for p in points:
+            if p.monodromy not in gamma:
                 raise DomainError(
                     f"point {p.label}: monodromy {covers.element_name(p.monodromy)} "
-                    f"is not in {self.gamma}"
+                    f"is not in {gamma}"
                 )
-        if self.base_genus == 0:
-            acc = covers.product(p.monodromy for p in self.points)
+        if base_genus == 0:
+            acc = covers.product(p.monodromy for p in points)
             if acc != covers.IDENTITY:
                 raise DomainError(
                     "genus-0 datum: ordered product of monodromies must be e, "
@@ -123,8 +125,7 @@ def _check_integers(label, pairs) -> None:
             )
 
 
-@dataclass(frozen=True)
-class WeightBundle:
+class WeightBundle(Value):
     """Per-point coefficient maps; absent vertices mean coefficient 0.
 
     ``entries`` is the whole value (equality, hashing, order), one per
@@ -132,20 +133,21 @@ class WeightBundle:
     lookup.
     """
 
-    entries: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        index = dict(self.entries)
-        if len(index) != len(self.entries):
-            labels = [lab for lab, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]):
+        index = dict(entries)
+        if len(index) != len(entries):
+            labels = [lab for lab, _ in entries]
             twice = next(lab for lab in labels if labels.count(lab) > 1)
             raise DomainError(f"bundle gives point {twice!r} more than one weight")
         last = None  # a weight shared with the entry before is checked
-        for lab, w in self.entries:
+        for lab, w in entries:
             if w is not last:  # by identity: ((0, True),) == ((0, 1),)
                 _check_integers(lab, w)
                 last = w
-        object.__setattr__(self, "_index", index)
+        setfield(self, "entries", entries)
+        setfield(self, "_index", index)
 
     @staticmethod
     def from_dict(weights: Mapping[str, Mapping[int, int]]) -> "WeightBundle":
@@ -376,9 +378,10 @@ def datum_from_json(obj) -> GroupDatum:
         key = _shape_key(raw)
         seen = _point_shapes.get(key)
         if seen is not None and "label" in raw:
-            # the checks never read the label: relabel the checked point
+            # the checks never read the label: relabel the checked point, in
+            # a new dict (one updated in place reads about twice as slowly)
             p = object.__new__(PointDatum)
-            vars(p).update(vars(seen), label=str(raw["label"]))
+            setfield(p, "__dict__", {**vars(seen), "label": str(raw["label"])})
             points.append(p)
             continue
         where = f"points[{i}]"

@@ -11,7 +11,6 @@ table entry must not be read as vanishing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, log10, prod
 
@@ -42,21 +41,22 @@ from .factorization import (
     BaseCase,
     vacuum_weight,
 )
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Value):
     """An exact rank plus the factor ranks (or formula) it came from."""
 
-    value: int
-    derivation: tuple[tuple[str, int], ...]
+    _fields = ("value", "derivation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "derivation", tuple(self.derivation))
-        recomputed = prod(v for _lab, v in self.derivation)
-        if recomputed != self.value:
+    def __init__(self, value: int, derivation: tuple[tuple[str, int], ...]):
+        derivation = tuple(derivation)
+        setfield(self, "value", value)
+        setfield(self, "derivation", derivation)
+        recomputed = prod(v for _lab, v in derivation)
+        if recomputed != value:
             raise InternalInconsistencyError(
-                f"rank derivation product {recomputed} != value {self.value}"
+                f"rank derivation product {recomputed} != value {value}"
             )
 
 

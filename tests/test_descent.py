@@ -545,9 +545,9 @@ def test_pad_runs_serialize_as_the_per_pair_witness(case):
 def test_shadows_never_become_points_on_the_certification_path(monkeypatch):
     d = c2_iwahori(1000, "D4~2", ["b1", "b2"], ["s1"])
     built, factors = [], []
-    init, new = PointDatum.__post_init__, BaseCase.__new__
-    monkeypatch.setattr(PointDatum, "__post_init__",
-                        lambda self: built.append(self.label) or init(self))
+    init, new = PointDatum.__init__, BaseCase.__new__
+    monkeypatch.setattr(PointDatum, "__init__",
+                        lambda self, label, *a, **k: built.append(label) or init(self, label, *a, **k))
     monkeypatch.setattr(BaseCase, "__new__",
                         lambda cls, *a, **k: factors.append(k) or new(cls, *a, **k))
     rep = compute_cG(d)
@@ -563,9 +563,9 @@ def test_staging_and_the_pinching_bound_build_no_pad_points(monkeypatch):
     # genus 1 with one split point: two handle shadows and the _aux pad
     d = c2_iwahori(1, "D4~2", ["b1", "b2"], ["s1"])
     built = []
-    init = PointDatum.__post_init__
-    monkeypatch.setattr(PointDatum, "__post_init__",
-                        lambda self: built.append(self.label) or init(self))
+    init = PointDatum.__init__
+    monkeypatch.setattr(PointDatum, "__init__",
+                        lambda self, label, *a, **k: built.append(label) or init(self, label, *a, **k))
     staged = [kwargs for _charge, candidates in descent._staged_gsd2(d, 64)
               for _weights, kwargs in candidates]
     assert any("_aux1" in pair for kw in staged for pair in kw["split_pairing"])

@@ -302,6 +302,19 @@ def test_base_case_rejects_a_non_positive_or_non_integer_multiplicity(multiplici
                  multiplicity=multiplicity)
 
 
+@pytest.mark.parametrize("pairs", [((0, True),), ((0, 1.0),), ((True, 1),), (("0", 1),)])
+def test_base_case_rejects_a_non_integer_vertex_or_coefficient(pairs):
+    # after the factor with (0, 1), which a memo keyed by ((0, True),) would hit
+    ok = BaseCase("UntwistedVacuum", (IDENTITY,), (((0, 1),),), ("q",))
+    assert json.loads(witness_json([ok]))["factors"][0]["weights"] == [{"0": 1}]
+    with pytest.raises(DomainError, match="point q: vertex .* must be integers"):
+        BaseCase("UntwistedVacuum", (IDENTITY,), (pairs,), ("q",))
+    with pytest.raises(DomainError, match="must be integers"):
+        ok._replace(weights=(pairs,))
+    with pytest.raises(DomainError, match="1 labels for 2 points"):
+        BaseCase("TwistedPair", (IDENTITY, IDENTITY), (((0, 1),), pairs), ("q",))
+
+
 PAD_PAIR = {"kind": "TwistedPair", "elements": (IDENTITY, IDENTITY),
             "weights": (vacuum_weight(1),) * 2, "multiplicity": 3}
 

@@ -3,8 +3,8 @@
 Most use the package's public names only, so a trim of that API that
 breaks one of them fails here.  ``c2_staging`` rebinds three staging
 helpers of ``parapic.descent`` by name and call signature, so it runs
-here on a small corpus.  ``witness_sizes`` times high genera and is left
-out.
+here on a small corpus, and ``startup`` launches two processes of each
+kind.  ``witness_sizes`` times high genera and is left out.
 """
 from __future__ import annotations
 
@@ -42,3 +42,11 @@ def test_c2_staging_counts_a_small_corpus():
     data, staged, keys, tried = map(int, out.splitlines()[-1].split()[1:5])
     assert data == 40
     assert staged >= keys >= tried > 0
+
+
+def test_startup_times_fresh_processes_and_lists_module_self_times():
+    out = run_script("startup", "--runs", "2")
+    assert "median of 2 fresh processes" in out
+    seconds = float(out.splitlines()[1].split()[1])
+    assert 0 < seconds < 10
+    assert "parapic.picard" in out and "import parapic.cli" in out
