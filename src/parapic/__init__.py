@@ -24,7 +24,7 @@ from .covers import (
     is_connected_genus0,
     parse_tuple,
 )
-from .descent import CGReport, best_lcmai_bound, certify_descent, compute_cG
+from .descent import CGReport, certify_descent, compute_cG
 from .dynkin import AffineType, parse_affine_type
 from .errors import DomainError, ParapicError, ParseError, UnknownRankError
 from .factorization import (

@@ -8,9 +8,8 @@ asserts non-descent.
 
 `compute_cG` combines the divisor lower bound c_Delta with a search for
 the cheapest certified charge; the report carries an exact value only
-when the two coincide.  For degree-2 groups that search, and the
-pinching bound `best_lcmai_bound`, run over the admissible pairings
-listed by :mod:`parapic.pairing`.
+when the two coincide.  For degree-2 groups that search runs over the
+admissible pairings listed by :mod:`parapic.pairing`.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ from .errors import (
     NoCoverError,
     NotDominantError,
     NotInPicDeltaError,
-    PairingError,
 )
 from .factorization import (
     CLOSED_FORM_A,
@@ -67,7 +65,7 @@ from .picard import (
     vacuum_bundle,
     validate_bundle,
 )
-from .pairing import has_perfect_matching, perfect_matchings
+from .pairing import perfect_matchings
 from .values import Record
 from .verlinde import rank_lower_bound
 
@@ -553,76 +551,17 @@ def _staged_gsd2(d, budget):
         yield charge, _level_candidates(sides, blocks, real, charge)
 
 
-def best_lcmai_bound(d) -> int:
-    """A divisor of every descending charge, from C2 pinchings.
-
-    For each perfect matching of the branch side and of the split side,
-    every choice of vertex per pair (from P for branch pairs, Q for
-    split pairs) certifies that the lcm of the chosen dual labels bounds
-    the charge from below in divisibility terms.  The best sound bound
-    is the gcd over all certified values and all admissible pairings.
-
-    Its valuation at a prime p is a bottleneck value: the least t such
-    that both sides have a perfect matching whose every pair offers a
-    label of valuation <= t.  One matching-existence test per side,
-    prime and threshold decides it, so the bound takes polynomial time.
-    """
-    if d.gamma.kind != "C2":
-        raise DomainError(f"lcm bound needs Galois group C2, got {d.gamma.kind}")
-    sides = _pinch_tables(_gsd2_sides(d.points))
-    if not all(has_perfect_matching(len(side), table) for side, table, _offered in sides):
-        raise PairingError(
-            "pairing inadmissible: every pairing leaves some pair with no "
-            "shared vertex"
-        )
-    labels = {a for *_rest, offered in sides for _v, a in offered}
-
-    def feasible(p: int, t: int) -> bool:
-        return all(
-            has_perfect_matching(len(side), [
-                e for e, opts in table.items()
-                if min(_valuation(a, p) for _vx, _vy, a in opts) <= t
-            ])
-            for side, table, _offered in sides
-        )
-
-    bound = 1
-    for p in sorted({q for a in labels for q in _prime_factors(a)}):
-        # the largest level admits every pair, which is feasible
-        levels = sorted({_valuation(a, p) for a in labels})
-        bound *= p ** next(t for t in levels if feasible(p, t))
-    return bound
-
-
-def _valuation(a: int, p: int) -> int:
-    k = 0
-    while a % p == 0:
-        a //= p
-        k += 1
-    return k
-
-
-def _prime_factors(a: int) -> set[int]:
-    out, q = set(), 2
-    while q * q <= a:
-        while a % q == 0:
-            out.add(q)
-            a //= q
-        q += 1
-    if a > 1:
-        out.add(a)
-    return out
-
-
 def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
     """Bracket the generator of the descending-charge lattice.
 
     lower = c_Delta(d) divides every descending charge; the search then
-    tries, in order, the charge-1 vacuum bundle (when every facet
-    contains the special vertex), the c_Delta-charge constructor
-    bundle, and single-vertex pairing bundles for degree-2 groups.  The
-    minimal certified charge, if any, is an upper bound in the
-    divisibility order; `exact` is set when the two ends meet.
+    tries one first candidate and, for degree-2 groups, single-vertex
+    pairing bundles.  The first candidate is the charge-1 vacuum bundle
+    when every facet contains the special vertex (then c_Delta is 1 and
+    the c_Delta-charge constructor builds the same bundle), and that
+    constructor's bundle otherwise.  The minimal certified charge, if
+    any, is an upper bound in the divisibility order; `exact` is set
+    when the two ends meet.
     """
     lower = c_delta(d)
     attempts = 0
@@ -639,8 +578,8 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
         Each source builds a dominant bundle of one positive charge at
         every point, so ``charge`` comes from the source and
         ``certify_descent`` is the only validation.  No candidate comes
-        twice: the staged ones are distinct and name their pairings, and
-        a c_Delta bundle equal to the vacuum bundle is not tried.
+        twice: one first candidate is tried, and the staged ones are
+        distinct and name their pairings.
         """
         nonlocal attempts, best
         if settled(charge):
@@ -655,16 +594,15 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
                 best = cert
         return best is not None and best.charge == lower
 
-    done, vacuum = False, None
+    done = False
     if d.points and all(0 in p.facet for p in d.points):
-        vacuum = vacuum_bundle(d, 1)
-        done = try_candidate(vacuum, 1)
-    if not done and d.points:
+        done = try_candidate(vacuum_bundle(d, 1), 1)
+    elif d.points:
         try:
             cb = cdelta_bundle(d)
         except DomainError:
             cb = None
-        if cb is not None and cb != vacuum:
+        if cb is not None:
             first = d.points[0]
             done = try_candidate(cb, central_charge(first, cb.weight(first.label)))
     if not done and d.gamma.kind == "C2" and d.points:

@@ -131,9 +131,6 @@ class AffineType(Value):
 
     _fields = ("base", "twist", "cartan", "dual_labels")
 
-    #: index of the special vertex o
-    special_vertex = 0
-
     def __init__(self, base: FiniteType, twist: int,
                  cartan: tuple[tuple[int, ...], ...], dual_labels: tuple[int, ...]):
         # derived once per type: every point of the type asks for them

@@ -46,7 +46,7 @@ from .errors import (
     NoCoverError,
     PairingError,
 )
-from .picard import PointDatum, _check_integers, _json_object, _json_str, _json_value
+from .picard import PointDatum, _check_integers, _is_int, _json_object, _json_str, _json_value
 from .values import Record
 
 # factor kinds
@@ -73,7 +73,9 @@ Weight = tuple[tuple[int, int], ...]
 
 
 def vacuum_weight(charge: int = 1) -> Weight:
-    return ((0, int(charge)),)
+    if not _is_int(charge):
+        raise DomainError(f"vacuum charge {charge!r} must be an integer")
+    return ((0, charge),)
 
 
 #: the most points a factor other than the closed form has (S3Case4)

@@ -1,19 +1,19 @@
-"""Perfect matchings of small graphs on the vertices 0..n-1.
-
-`has_perfect_matching` decides existence with Edmonds' blossom algorithm
-("Paths, trees, and flowers", 1965): grow an alternating tree from an
-exposed vertex, contract odd cycles (blossoms) into their base, and flip
-the path once it reaches a second exposed vertex.
+"""Perfect matchings of small graphs on the vertices 0..n-1, for the C2
+pairing search.
 
 `perfect_matchings` lists every perfect matching lazily, in the order of
 the plain recursion that pairs the lowest remaining vertex with each
 later remaining vertex in increasing order.  It enters a branch only when
-the remaining vertex set still has a perfect matching; that answer is
-memoized per remaining set, together with one perfect matching of it.
-Removing a pair (i, j) outside that matching frees the two mates, and a
-single augmenting-path search between them decides the branch.  Each
-listed matching therefore costs polynomial time, and a graph with none
-costs one blossom search.
+the remaining vertex set still has a perfect matching, which Edmonds'
+blossom algorithm ("Paths, trees, and flowers", 1965) decides: grow an
+alternating tree from an exposed vertex, contract odd cycles (blossoms)
+into their base, and flip the path once it reaches a second exposed
+vertex.  That answer is memoized per remaining set, together with one
+perfect matching of it.  Removing a pair (i, j) outside that matching
+frees the two mates, and a single augmenting-path search between them
+decides the branch.  Each listed matching therefore costs polynomial
+time, and a graph with none costs one blossom search, so
+``next(perfect_matchings(n, edges), None)`` decides existence.
 
 Edges are pairs (i, j) with i != j; matchings are tuples of (i, j) pairs
 with i < j, ordered by i.
@@ -113,11 +113,6 @@ def _perfect(adj: list[list[int]], alive: int) -> list[int] | None:
         if mate[v] == -1 and not _augment(adj, mate, v, alive):
             return None
     return mate
-
-
-def has_perfect_matching(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """True when the graph on 0..n-1 with these edges has a perfect matching."""
-    return _perfect(_adjacency(n, edges), (1 << n) - 1) is not None
 
 
 def perfect_matchings(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[Matching]:

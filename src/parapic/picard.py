@@ -333,6 +333,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _require_str(obj: dict, key: str, where: str) -> str:
+    value = _require(obj, key, where)
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _check_schema(obj: dict, where: str) -> None:
     # the integer itself: true and 1.0 compare equal to 1
     schema = _require(obj, "schema", where)
@@ -369,7 +376,7 @@ def datum_from_json(obj) -> GroupDatum:
     genus = _require(obj, "genus", "datum")
     if not _is_int(genus) or genus < 0:
         raise ParseError("datum: genus must be a nonnegative integer")
-    gamma = covers.group_from_name(str(_require(obj, "group", "datum")))
+    gamma = covers.group_from_name(_require_str(obj, "group", "datum"))
     points = []
     raw_points = _require(obj, "points", "datum")
     if not isinstance(raw_points, list):
@@ -377,22 +384,26 @@ def datum_from_json(obj) -> GroupDatum:
     for i, raw in enumerate(raw_points):
         key = _shape_key(raw)
         seen = _point_shapes.get(key)
-        if seen is not None and "label" in raw:
+        if seen is not None and type(raw.get("label")) is str:
             # the checks never read the label: relabel the checked point, in
             # a new dict (one updated in place reads about twice as slowly)
             p = object.__new__(PointDatum)
-            setfield(p, "__dict__", {**vars(seen), "label": str(raw["label"])})
+            setfield(p, "__dict__", {**vars(seen), "label": raw["label"]})
             points.append(p)
             continue
         where = f"points[{i}]"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
-        label = str(_require(raw, "label", where))
-        at = dynkin.parse_affine_type(str(_require(raw, "type", where)))
+        label = _require_str(raw, "label", where)
+        at = dynkin.parse_affine_type(_require_str(raw, "type", where))
         facet = _require(raw, "facet", where)
         if not isinstance(facet, list) or not all(map(_is_int, facet)):
             raise ParseError(f"{where}: facet must be a list of integers")
-        monodromy = covers.parse_element(str(raw.get("monodromy", "e")))
+        mono = raw.get("monodromy", "e")
+        if not isinstance(mono, str):
+            raise ParseError(f"{where}: cannot parse permutation {mono!r}: "
+                             "a monodromy is a string")
+        monodromy = covers.parse_element(mono)
         bad = raw.get("bad", monodromy != covers.IDENTITY)
         if not isinstance(bad, bool):
             raise ParseError(f"{where}: bad must be a boolean")

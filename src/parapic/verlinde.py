@@ -41,6 +41,7 @@ from .factorization import (
     BaseCase,
     vacuum_weight,
 )
+from .picard import _is_int
 from .values import Value, setfield
 
 
@@ -61,7 +62,8 @@ class RankResult(Value):
 
 
 def _closed_form_args(g, n, r) -> tuple[int, int, int]:
-    g, n, r = int(g), int(n), int(r)
+    if not (_is_int(g) and _is_int(n) and _is_int(r)):
+        raise DomainError(f"closed-form parameters must be integers, got {(g, n, r)!r}")
     if g < 0:
         raise DomainError(f"genus must be >= 0, got {g}")
     if n < 1:

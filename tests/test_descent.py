@@ -12,7 +12,7 @@ import datagen
 import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
 from parapic import descent
-from parapic.descent import DESCENDS, best_lcmai_bound, certify_descent, compute_cG
+from parapic.descent import DESCENDS, certify_descent, compute_cG
 from parapic.dynkin import parse_affine_type
 from parapic.errors import (
     DomainError,
@@ -569,7 +569,6 @@ def test_staging_and_the_pinching_bound_build_no_pad_points(monkeypatch):
     staged = [kwargs for _charge, candidates in descent._staged_gsd2(d, 64)
               for _weights, kwargs in candidates]
     assert any("_aux1" in pair for kw in staged for pair in kw["split_pairing"])
-    assert best_lcmai_bound(d) == 1
     assert built == []
 
 
@@ -624,9 +623,41 @@ def test_staged_candidates_are_distinct():
 
 
 def test_a_cdelta_bundle_equal_to_the_vacuum_bundle_is_certified_once(monkeypatch):
-    # the vacuum pairs two types, so it stays Unknown and c_Delta = 1 is tried next
+    # the vacuum pairs two types, so it stays Unknown; the c_Delta
+    # bundle is the same candidate and is not tried after it
     d = GroupDatum(0, C2_GROUP, (bad("b1", "A3~2", {0}, T12), bad("b2", "A5~2", {0}, T12)))
     vacuum = vacuum_bundle(d, 1)
     assert cdelta_bundle(d) == vacuum
     assert certify_descent(d, vacuum).verdict != DESCENDS
     assert _certified_keys(monkeypatch, d, 64) == [(vacuum.entries, ())]
+
+
+DATUM_GENERATORS = {
+    **{f"iwahori_datum_gsd{k}": gen for k, gen in datagen.IWAHORI_GENERATORS.items()},
+    "c2_small_facet_datum": datagen.c2_small_facet_datum,
+    "c2_search_datum": datagen.c2_search_datum,
+    "random_small_datum": datagen.random_small_datum,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATUM_GENERATORS))
+def test_compute_cg_builds_one_first_candidate(monkeypatch, name):
+    # when every facet holds o (dual label 1), c_Delta is 1 and the
+    # c_Delta bundle is the charge-1 vacuum, so compute_cG builds only
+    # the vacuum; otherwise only the c_Delta bundle
+    r = random.Random(f"one first candidate {name}")
+    data = [DATUM_GENERATORS[name](r) for _ in range(200)]
+    at_o = [d for d in data if d.points and all(0 in p.facet for p in d.points)]
+    assert at_o
+    for d in at_o:
+        assert c_delta(d) == 1
+        assert cdelta_bundle(d) == vacuum_bundle(d, 1)
+    built = []
+    for attr in ("vacuum_bundle", "cdelta_bundle"):
+        fn = getattr(descent, attr)
+        monkeypatch.setattr(descent, attr,
+                            lambda *a, fn=fn, attr=attr: built.append(attr) or fn(*a))
+    for d in data:
+        built.clear()
+        compute_cG(d)
+        assert built == ["vacuum_bundle" if d in at_o else "cdelta_bundle"], d

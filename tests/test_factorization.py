@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import datagen
 import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, compose, conjugate, perm_order
-from parapic.descent import best_lcmai_bound
+from parapic import descent
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError, NoCoverError, PairingError
 from parapic.factorization import (
@@ -506,6 +507,13 @@ def test_pq_sets_twisted_uses_identity_involution():
     assert pq_sets(frozenset({0, 1}), frozenset({1, 2}), inv) == ((1,), (1,))
 
 
+def pinching_bound(d):
+    """The gcd of the charges the C2 staging yields at a budget no
+    datum here reaches: over every admissible pairing and vertex choice,
+    of the lcm of the chosen dual labels (0 when nothing is staged)."""
+    return gcd(*(charge for charge, _candidates in descent._staged_gsd2(d, 10**6)))
+
+
 def test_lcmai_bound_is_lcm():
     # x1, x2 share E6~2 vertex v and x3, x4 vertex 1 (label 2), and no
     # other pair shares one: the bound is the lcm of the two labels
@@ -514,7 +522,7 @@ def test_lcmai_bound_is_lcm():
             bad("x1", "E6~2", {v}, T12), bad("x2", "E6~2", {v}, T12),
             bad("x3", "E6~2", {1}, T12), bad("x4", "E6~2", {1}, T12),
         ))
-        assert best_lcmai_bound(d) == want
+        assert pinching_bound(d) == want
 
 
 def test_best_lcmai_bound_anchors():
@@ -526,13 +534,13 @@ def test_best_lcmai_bound_anchors():
             bad("b2", "D4~2", {0, 1, 2, 3}, T12),
         ),
     )
-    assert best_lcmai_bound(d_iw) == 1
+    assert pinching_bound(d_iw) == 1
     d_a2 = GroupDatum(
         0,
         C2_GROUP,
         (bad("x1", "A2~2", {1}, T12), bad("x2", "A2~2", {1}, T12)),
     )
-    assert best_lcmai_bound(d_a2) == 2
+    assert pinching_bound(d_a2) == 2
     # four points, mixed facets: the matching-gcd drops the bound to 2
     d_e = GroupDatum(
         0,
@@ -544,13 +552,11 @@ def test_best_lcmai_bound_anchors():
             bad("p4", "E6~2", {0, 1}, T12),
         ),
     )
-    assert best_lcmai_bound(d_e) == 2
+    assert pinching_bound(d_e) == 2
     # the divisor bound and the pairing bound are always compatible
-    from math import lcm
-
     for d in (d_iw, d_a2, d_e):
-        assert lcm(c_delta(d), best_lcmai_bound(d)) == max(
-            c_delta(d), best_lcmai_bound(d)
+        assert lcm(c_delta(d), pinching_bound(d)) == max(
+            c_delta(d), pinching_bound(d)
         )
 
 
@@ -560,8 +566,8 @@ def test_best_lcmai_bound_rejects_disjoint_facets():
         C2_GROUP,
         (bad("p1", "A3~2", {0}, T12), bad("p2", "A3~2", {1}, T12)),
     )
-    with pytest.raises(PairingError, match="no shared vertex"):
-        best_lcmai_bound(d)
+    # no pairing pinches p1 with p2, so nothing is staged
+    assert list(descent._staged_gsd2(d, 10**6)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import gc
 import itertools
 import json
 import random
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +20,11 @@ import oracles
 from parapic import descent
 from parapic.cli import main
 from parapic.covers import C2_GROUP
-from parapic.descent import best_lcmai_bound, compute_cG
+from parapic.descent import compute_cG
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError
 from parapic.factorization import _gsd2_sides, pq_sets_for_points
-from parapic.pairing import has_perfect_matching, perfect_matchings
+from parapic.pairing import perfect_matchings
 from parapic.picard import GroupDatum, PointDatum
 
 T12 = (2, 1, 3)
@@ -34,6 +35,10 @@ def oracle_matchings(n, edges):
         m for m in oracles.perfect_matchings(list(range(n)))
         if all(e in edges for e in m)
     ]
+
+
+def matching_exists(n, edges):
+    return next(perfect_matchings(n, edges), None) is not None
 
 
 def random_graph(r: random.Random, max_n: int = 12):
@@ -51,7 +56,7 @@ def test_engine_matches_oracle_on_random_graphs():
         n, edges = random_graph(r)
         expected = oracle_matchings(n, edges)
         assert list(perfect_matchings(n, edges)) == expected, (n, edges)
-        assert has_perfect_matching(n, edges) == bool(expected), (n, edges)
+        assert matching_exists(n, edges) == bool(expected), (n, edges)
 
 
 def _graphs(n):
@@ -66,7 +71,7 @@ def test_engine_matches_oracle_hypothesis(graph):
     n, edges = graph
     expected = oracle_matchings(n, edges)
     assert list(perfect_matchings(n, edges)) == expected
-    assert has_perfect_matching(n, edges) == bool(expected)
+    assert matching_exists(n, edges) == bool(expected)
 
 
 def test_blossom_needs_contraction():
@@ -74,11 +79,11 @@ def test_blossom_needs_contraction():
     # 0-1, and the search from 2 reaches 1 as an outer vertex through 0,
     # so it finds 2-1-0-3 only by contracting the triangle
     edges = {(0, 1), (0, 2), (1, 2), (0, 3)}
-    assert has_perfect_matching(4, edges)
+    assert matching_exists(4, edges)
     assert list(perfect_matchings(4, edges)) == [((0, 3), (1, 2))]
     # two odd components (Tutte's condition fails with the empty set)
     odd = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
-    assert not has_perfect_matching(6, odd)
+    assert not matching_exists(6, odd)
     assert list(perfect_matchings(6, odd)) == []
 
 
@@ -86,7 +91,6 @@ def test_engine_answers_large_obstruction_at_once():
     # K_39 plus an isolated vertex: (37)!! dead branches for a plain walk
     n = 40
     edges = {(i, j) for j in range(39) for i in range(j)}
-    assert not has_perfect_matching(n, edges)
     assert next(perfect_matchings(n, edges), None) is None
 
 
@@ -107,11 +111,14 @@ def _labels_offered(side, split):
 
 
 def test_best_lcmai_bound_matches_oracle():
+    # the pinching bound is the gcd of the charges the unstopped C2
+    # staging yields: over every admissible pairing and vertex choice,
+    # of the lcm of the chosen dual labels
     r = random.Random(5)
     seen = 0
     for _ in range(60):
         d = datagen.c2_small_facet_datum(r)
-        sides = _gsd2_sides(d.points)
+        sides = _gsd2_sides(d.points, 2 * d.base_genus)
         branch = [sides.points[lab] for lab in sides.branch]
         split = [sides.points.get(lab) or PointDatum(lab, sides.pad_type, {0})
                  for lab in sides.split]
@@ -119,13 +126,11 @@ def test_best_lcmai_bound_matches_oracle():
             [(len(branch), _labels_offered(branch, False)),
              (len(split), _labels_offered(split, True))]
         )
+        charges = [charge for charge, _candidates in descent._staged_gsd2(d, 10**6)]
         if expected is None:
-            try:
-                best_lcmai_bound(d)
-            except DomainError:
-                continue
-            raise AssertionError("bound returned on an inadmissible datum")
-        assert best_lcmai_bound(d) == expected
+            assert charges == [], "charges staged on an inadmissible datum"
+            continue
+        assert gcd(*charges) == expected
         seen += 1
     assert seen >= 20
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import datagen
 import oracles
 from parapic import picard
+from parapic.cli import main
 from parapic.covers import C2_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError, ParseError
@@ -355,6 +356,8 @@ def test_json_rejects_malformed_payloads():
         datum_from_json({"schema": 1})
     with pytest.raises(ParseError):
         datum_from_json({"schema": 99, "genus": 0, "group": "S3", "points": []})
+    with pytest.raises(ParseError, match="group must be a string"):
+        datum_from_json({"schema": 1, "genus": 0, "group": None, "points": []})
     with pytest.raises(ParseError):
         bundle_from_json({"schema": 1})
     with pytest.raises(ParseError):
@@ -386,6 +389,25 @@ def test_datum_json_rejects_non_integer_facet_vertex(vertex):
     obj["points"][0]["facet"] = [vertex]
     with pytest.raises(ParseError, match="facet"):
         datum_from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["label", "type", "monodromy"])
+def test_a_string_field_of_another_type_is_rejected_not_coerced(key, tmp_path, capsys):
+    obj = datagen.datum_to_json(a2_two_special_datum())
+    datum_from_json(obj)  # both points have the now known shape
+    want = "cannot parse permutation" if key == "monodromy" else f"{key} must be a string"
+    # null, true and 5 were read as the strings "None", "True" and "5",
+    # and a monodromy 1 as the identity
+    for value in (None, True, 5, 1, ["(12)"]):
+        for i in (0, 1):
+            changed = json.loads(json.dumps(obj))
+            changed["points"][i][key] = value
+            with pytest.raises(ParseError, match=rf"points\[{i}\]: {want}"):
+                datum_from_json(changed)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(changed))
+    assert main(["picard", "cdelta", "--datum", str(path)]) == 2
+    assert "points[1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", [1.7, 1.0, True, False, "1", None])

@@ -56,6 +56,22 @@ def test_rank_closed_form_validation():
         rank_closed_form_A(0, 1, 1)
 
 
+@pytest.mark.parametrize("args", [(2.7, 1.9, 3.99), (0, 1, 2.0), (True, 1, 2), (0, "1", 2)])
+def test_rank_closed_form_rejects_non_integers(args):
+    # int() read (2.7, 1.9, 3.99) as (2, 1, 3) and returned 36
+    with pytest.raises(DomainError, match="must be integers"):
+        rank_closed_form_A(*args)
+
+
+@pytest.mark.parametrize("charge", [2.9, 2.0, True, "2"])
+def test_vacuum_weight_rejects_non_integers(charge):
+    # int() wrote weight 2 for charge 2.9
+    with pytest.raises(DomainError, match="must be an integer"):
+        vacuum_weight(charge)
+    with pytest.raises(DomainError, match="must be an integer"):
+        s3_reduce([T12, T12], charge=charge)
+
+
 # ---------------------------------------------------------------------------
 # the S3 character sum
 
