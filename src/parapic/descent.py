@@ -8,16 +8,13 @@ asserts non-descent.
 
 `compute_cG` combines the divisor lower bound c_Delta with a search for
 the cheapest certified charge; the report carries an exact value only
-when the two coincide.  For degree-2 groups that search runs over the
-admissible pairings listed by :mod:`parapic.pairing`.
+when the two coincide.  For degree-2 groups that search finds the least
+pairing charge with perfect-matching tests from :mod:`parapic.pairing`.
 """
 from __future__ import annotations
 
 import json
-from itertools import compress, islice, repeat, starmap
-from itertools import product as iproduct
-from math import lcm, prod
-from operator import add
+from math import lcm
 
 from .covers import (
     IDENTITY,
@@ -55,12 +52,12 @@ from .factorization import (
 from .picard import (
     GroupDatum,
     WeightBundle,
+    _is_int,
     _json_object,
     _json_value,
     bundle_to_json,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     c_delta,
     cdelta_bundle,
-    central_charge,
     is_pic_delta,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     vacuum_bundle,
     validate_bundle,
@@ -319,7 +316,7 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
     label i, vertex at label j, dual label): common facet vertices (P)
     for branch pairs, dual-matched ones (Q) for split pairs.  Pairs of
     different types, or with no choice, are not pinchable and absent.
-    Returned with the (vertex, dual label) pairs of every choice.
+    Returned with the dual labels of every choice.
 
     Facets are bitmasks here: P is the meet of the two facets and Q the
     meet of the first facet with the second one's image under the pair
@@ -333,7 +330,7 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
             inv = pair_involution(t)
             images.append(sum(1 << inv(v) for v in facet))
     built: dict[tuple, tuple] = {}
-    offered: set[tuple[int, int]] = set()
+    offered: set[int] = set()
     table = {}
     for j, (t, _facet) in enumerate(shapes):
         for i in range(j):
@@ -344,14 +341,14 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
                 labels, inv = t.dual_labels, pair_involution(t)
                 opts = built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
                                               for v in range(meet.bit_length()) if meet >> v & 1)
-                offered.update((v, a) for vx, vy, a in opts for v in (vx, vy))
+                offered.update(a for *_v, a in opts)
             table[i, j] = built[t, meet]
     return table, offered
 
 
 def _pinch_tables(sides: Gsd2Sides):
     """The branch labels and the (padded) split labels of a C2 datum,
-    each with its `_pinch_options` table and offered pairs.  The tables
+    each with its `_pinch_options` table and offered labels.  The tables
     read a pad as a vacuum point, (``pad_type``, {0}); the search meets
     pads at genus 0 and 1 in practice."""
     pad = (sides.pad_type, (0,))
@@ -364,205 +361,116 @@ def _pinch_tables(sides: Gsd2Sides):
                  for side, split in ((sides.branch, False), (sides.split, True)))
 
 
-class _Half:
-    """One perfect matching of one side of a C2 datum.
-
-    ``side`` is 0 for the branch side and 1 for the split side, and
-    ``options`` holds the options of each pair of ``matching`` (see
-    `_pinch_options`).  Its candidates are the product of those options,
-    in product order; it has ``size`` of them, and the blocks reach the
-    first ``need``.
-    """
-
-    __slots__ = ("side", "matching", "options", "size", "need", "charges")
-
-    def __init__(self, side: int, matching, table: dict):
-        self.side = side
-        self.matching = matching
-        self.options = list(map(table.__getitem__, matching))
-        self.size = prod(map(len, self.options))
-        self.need = 0
-        self.charges: list[int] = []
-
-    def pick(self, i: int):
-        """(pair, option) for each pair, as element ``i`` of the product
-        chooses them."""
-        for e, opts in zip(reversed(self.matching), reversed(self.options)):
-            i, r = divmod(i, len(opts))
-            yield e, opts[r]
+def _matchable(n: int, edges) -> bool:
+    """One matching test: the graph on 0..n-1 has a perfect matching."""
+    return next(perfect_matchings(n, edges), None) is not None
 
 
-def _product_head(combine, unit, factors: list, n: int) -> list:
-    """``combine`` folded over each element of the product of ``factors``
-    (lists of values), for its first ``n`` elements in product order.
-
-    The product is built from the last factor back, as the head of the
-    product of the factors after the current one.  Once that head holds
-    n elements, the first n elements of every longer product take the
-    first value of each earlier factor; ``combine`` is associative and
-    commutative with identity ``unit`` (lcm and 1, or + and 0), so those
-    values, like those of one-value factors, fold into one.  No product is
-    walked past n."""
-    fixed, head = unit, [unit]
-    for values in reversed(factors):
-        if len(values) == 1 or len(head) >= n:
-            fixed = combine(fixed, values[0])
-        else:
-            head = list(islice(starmap(combine, iproduct(values, head)), n))
-    return list(map(combine, repeat(fixed), head))
+def _object_text(obj) -> str:
+    """``{"v": n}``: the JSON a bundle writes for one point's single vertex."""
+    return f'{{"{obj[0]}": {obj[1]}}}'
 
 
-def _gsd2_blocks(sides, budget: int):
-    """The staged pairing candidates of a C2 datum, in blocks.
+def _least_pinching(side, table: dict, real) -> tuple[dict, list]:
+    """The least candidate of one side: its points' weight objects, then
+    its pairing, each least in JSON order.
 
-    A block is one (branch matching, split matching) pair; its candidates
-    are the product of the options of its branch pairs and then of its
-    split pairs, so the branch choice varies slowest.  Blocks come in
-    matching order (branch matchings, then split matchings) and the first
-    max(8 * budget, 1) candidates are staged, so the last block may be
-    cut.  Returns (branch half, split half, count, charges) per block,
-    where ``charges`` holds the lcm of the chosen dual labels of each of
-    the block's ``count`` candidates, from the heads of the two halves'
-    lcm lists (`_product_head`).
-    """
-    (branch, btab, _), (split, stab, _) = sides
-    left = max(8 * budget, 1)
-    # each pairing gives at least one candidate, so cap split matchings do
-    split_halves = [_Half(1, m, stab)
-                    for m in islice(perfect_matchings(len(split), stab), left)]
-    blocks = []
-    if split_halves:
-        for bm in perfect_matchings(len(branch), btab):
-            bh = _Half(0, bm, btab)
-            for sh in split_halves:
-                count = min(bh.size * sh.size, left)
-                # the block reaches ceil(count / split size) branch choices
-                # and, when cut inside its first branch choice, count split ones
-                bh.need = max(bh.need, -(-count // sh.size))
-                sh.need = max(sh.need, min(sh.size, count))
-                blocks.append((bh, sh, count))
-                left -= count
-                if not left:
-                    break
-            if not left:
+    ``table`` maps each usable pair (i, j) to its options, as the
+    ((vertex, coefficient) at i, (vertex, coefficient) at j) they give,
+    and has a perfect matching.  Each real label in sorted order keeps
+    the first object that leaves one, and the last or only object needs
+    no test.  Then the lowest remaining index takes the first partner, by
+    label JSON, that leaves one: the first matching `perfect_matchings`
+    lists with that partner order, in one more test."""
+    n = len(side)
+
+    def keep(live, i, obj):
+        return {e: kept for e, opts in live.items()
+                if (kept := [o for o in opts if i not in e or o[e.index(i)] == obj])}
+
+    weights = {}
+    for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
+        choices = sorted({o[e.index(i)] for e, opts in table.items() if i in e for o in opts},
+                         key=_object_text)
+        for obj in choices:
+            kept = keep(table, i, obj)
+            if obj is choices[-1] or _matchable(n, kept):
                 break
-    for half in {h for bh, sh, _count in blocks for h in (bh, sh)}:
-        labels = [[a for _vx, _vy, a in opts] for opts in half.options]
-        half.charges = _product_head(lcm, 1, labels, half.need)
-    return [(bh, sh, count,
-             list(islice(starmap(lcm, iproduct(bh.charges, sh.charges)), count)))
-            for bh, sh, count in blocks]
+        table = kept
+        weights[side[i]] = dict([obj])
+    texts = list(map(json.dumps, side))
+    pairs = next(perfect_matchings(n, table, key=texts.__getitem__))
+    return weights, [(side[i], side[j]) for i, j in pairs]
 
 
-def _level_candidates(sides, blocks, real: list[str], charge: int):
-    """The staged candidates of one charge, as (weights, kwargs), sorted
-    by (bundle JSON, pairing JSON).
-
-    A candidate of charge c sets one vertex v at every point, with
-    coefficient c // (dual label of v), so its bundle JSON lists the same
-    labels in the same order as every other candidate of that charge and
-    differs only in the per-point objects ``{"v": n}``.  Each of those
-    ends at its only closing brace, so ranking the objects the options of
-    the tables can give at c by their JSON and reading the ranks in label
-    order as the digits of one integer orders the candidates as their
-    bundle JSON does.  Each real point lies in exactly one pinched pair,
-    so an option adds its points' digits and a candidate's key is the sum
-    over its options: the sums run in C over the heads of the two halves'
-    key lists (`_product_head`), as the charges do.
-
-    Equal bundles from different blocks are ordered by the blocks'
-    pairing JSON.  Blocks list their label pairs in the same shape, and
-    JSON strings are prefix-free, so that order is the lexicographic order
-    of the labels' own JSON strings, read pair by pair; the blocks of the
-    charge are sorted that way first, and a key ties only across blocks.
-    """
-    level = [b for b in blocks if charge in b[3]]
-    halves = {h for bh, sh, *_rest in level for h in (bh, sh)}
-    names = [side for side, *_rest in sides]
-
-    def labels(half):
-        side = names[half.side]
-        return [(side[i], side[j]) for i, j in half.matching]
-
-    if len(level) > 1:
-        json_rank = {lab: r for r, lab in enumerate(
-            sorted((lab for side in names for lab in side), key=json.dumps))}
-        pairing = {id(h): [json_rank[lab] for pair in labels(h) for lab in pair]
-                   for h in halves}
-        level.sort(key=lambda b: (pairing[id(b[0])], pairing[id(b[1])]))
-
-    # every object an option could give at this charge, ordered by
-    # json.dumps({str(v): n}), which is this string for integers v and n
-    objs = {(v, charge // a) for *_rest, offered in sides for v, a in offered
-            if charge % a == 0}
-    ranked = sorted(objs, key=lambda o: f'{{"{o[0]}": {o[1]}}}')
-    rank = {o: r for r, o in enumerate(ranked)}
-    digit = {lab: len(ranked) ** k for k, lab in enumerate(reversed(real))}
-    # each option's share of the key; one whose label does not divide the
-    # charge is never at it
-    parts = [{(i, j): [rank[vx, charge // a] * digit.get(side[i], 0)
-                       + rank[vy, charge // a] * digit.get(side[j], 0)
-                       if charge % a == 0 else 0
-                       for vx, vy, a in opts]
-              for (i, j), opts in table.items()}
-             for side, table, _offered in sides]
-    heads = {id(h): _product_head(add, 0, list(map(parts[h.side].__getitem__, h.matching)),
-                                  h.need)
-             for h in halves}
-    staged = []
-    for r, (bh, sh, count, charges) in enumerate(level):
-        keys = starmap(add, iproduct(heads[id(bh)], heads[id(sh)]))
-        staged += compress(zip(keys, repeat(r), range(count)),
-                           map(charge.__eq__, charges))
-    staged.sort()
-
-    real_set = set(real)
-    for _key, r, i in staged:
-        bh, sh = level[r][:2]
-        ib, isplit = divmod(i, sh.size)
-        weights = {}
-        for half, k in ((bh, ib), (sh, isplit)):
-            side = names[half.side]
-            for (ix, iy), (vx, vy, a) in half.pick(k):
-                if side[ix] in real_set:
-                    weights[side[ix]] = {vx: charge // a}
-                if side[iy] in real_set:
-                    weights[side[iy]] = {vy: charge // a}
-        yield weights, {"branch_pairing": labels(bh), "split_pairing": labels(sh)}
+def _at_charge(table: dict, charge: int) -> dict:
+    """The options of a pinch table whose dual label divides ``charge``,
+    as the (vertex, coefficient) objects they give the pair's two points;
+    pairs left with none are dropped."""
+    out = {}
+    for e, opts in table.items():
+        if kept := [((vx, charge // a), (vy, charge // a)) for vx, vy, a in opts
+                    if charge % a == 0]:
+            out[e] = kept
+    return out
 
 
-def _staged_gsd2(d, budget):
-    """The pairing candidates in certification order, one charge at a time.
+def _c2_search(d, lower: int, settled):
+    """The least pairing candidate of each charge the C2 search reaches,
+    as (charge, weights, pairing kwargs), charges ascending.
 
-    Yields (charge, candidates) for each charge of the candidates of
-    `_gsd2_blocks`, ascending, where ``candidates`` is the
-    `_level_candidates` generator of that charge.  It keys and sorts its
-    charge only once it is first advanced, so a search that stops at a
-    charge never pays for it.
+    Every option of a pinch table is a rank-1 pair, so the search asks
+    for the least lcm of the chosen dual labels.  First one matching test
+    per side on the whole tables: most data without a pinching stop
+    there.  Then, for each divisor c of the lcm L of the offered labels
+    that ``lower`` divides, ascending, the tables keep the options whose
+    label divides c (`_at_charge`).  The first c at which both sides
+    still have a perfect matching is the least lcm, since every lcm is a
+    multiple of c_Delta; at each such c the least candidate in (bundle
+    JSON, pairing JSON) order comes from `_least_pinching`, and each of
+    its points has charge c.  The search stops at the first charge
+    ``settled`` holds for.  Its matching tests number at most
+    2 + 2 tau(L) plus, per yielded charge, the objects `_least_pinching`
+    compares and one pairing test per side.
     """
     try:
-        split = _gsd2_sides(d.points, 2 * d.base_genus)
+        sides = _pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
     except DomainError:  # no cover, or pads of mixed base types
         return
-    sides = _pinch_tables(split)
-    blocks = _gsd2_blocks(sides, budget)
-    real = sorted(p.label for p in d.points)
-    for charge in sorted({c for *_b, charges in blocks for c in charges}):
-        yield charge, _level_candidates(sides, blocks, real, charge)
+    if not all(_matchable(len(side), table) for side, table, _ in reversed(sides)):
+        return
+    top = lcm(*(a for *_rest, offered in sides for a in offered))
+    real = {p.label for p in d.points}
+    for charge in range(lower, top + 1, lower):
+        if top % charge:
+            continue
+        if settled(charge):
+            return
+        cut = [(side, _at_charge(table, charge)) for side, table, _offered in sides]
+        if charge != top and not all(
+                len({i for e in table for i in e}) == len(side) and _matchable(len(side), table)
+                for side, table in reversed(cut)):
+            continue
+        (bw, branch), (sw, split) = (_least_pinching(side, table, real) for side, table in cut)
+        yield charge, {**bw, **sw}, {"branch_pairing": branch, "split_pairing": split}
 
 
 def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
     """Bracket the generator of the descending-charge lattice.
 
     lower = c_Delta(d) divides every descending charge; the search then
-    tries one first candidate and, for degree-2 groups, single-vertex
-    pairing bundles.  The first candidate is the charge-1 vacuum bundle
+    tries one first candidate and, for degree-2 groups, the least
+    pairing candidate of each charge (`_c2_search`).  ``budget``, a
+    nonnegative integer, caps the certifications, but one is always
+    allowed.  The first candidate is the charge-1 vacuum bundle
     when every facet contains the special vertex (then c_Delta is 1 and
     the c_Delta-charge constructor builds the same bundle), and that
     constructor's bundle otherwise.  The minimal certified charge, if
     any, is an upper bound in the divisibility order; `exact` is set
     when the two ends meet.
     """
+    if not _is_int(budget) or budget < 0:
+        raise DomainError(f"search budget must be a nonnegative integer, got {budget!r}")
     lower = c_delta(d)
     attempts = 0
     best: DescentCertificate | None = None
@@ -572,49 +480,33 @@ def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
         improve the bracket."""
         return attempts >= max(budget, 1) or (best is not None and charge >= best.charge)
 
-    def try_candidate(bundle, charge, **kwargs) -> bool:
-        """Certify one candidate; True means the bracket has closed.
+    def try_candidate(bundle, **kwargs) -> None:
+        """Certify one candidate and keep it when it beats the best.
 
         Each source builds a dominant bundle of one positive charge at
-        every point, so ``charge`` comes from the source and
-        ``certify_descent`` is the only validation.  No candidate comes
-        twice: one first candidate is tried, and the staged ones are
-        distinct and name their pairings.
+        every point, so ``certify_descent`` is the only validation.  No
+        candidate comes twice: one first candidate is tried, and the
+        pairing ones are one per charge and name their pairings.
         """
         nonlocal attempts, best
-        if settled(charge):
-            return False
         attempts += 1
         try:
             cert = certify_descent(d, bundle, **kwargs)
         except DomainError:
-            return False
-        if cert.verdict == DESCENDS:
-            if best is None or cert.charge < best.charge:
-                best = cert
-        return best is not None and best.charge == lower
+            return
+        if cert.verdict == DESCENDS and (best is None or cert.charge < best.charge):
+            best = cert
 
-    done = False
     if d.points and all(0 in p.facet for p in d.points):
-        done = try_candidate(vacuum_bundle(d, 1), 1)
+        try_candidate(vacuum_bundle(d, 1))
     elif d.points:
         try:
-            cb = cdelta_bundle(d)
+            try_candidate(cdelta_bundle(d))
         except DomainError:
-            cb = None
-        if cb is not None:
-            first = d.points[0]
-            done = try_candidate(cb, central_charge(first, cb.weight(first.label)))
-    if not done and d.gamma.kind == "C2" and d.points:
-        # sorted by charge: once one certifies, no later one can win, and
-        # the charge the search stops at is never keyed
-        for charge, candidates in _staged_gsd2(d, budget):
-            if settled(charge):
-                break
-            for weights, kwargs in candidates:
-                if settled(charge):
-                    break
-                try_candidate(WeightBundle.from_dict(weights), charge, **kwargs)
+            pass
+    if d.gamma.kind == "C2" and d.points and not settled(lower):
+        for _charge, weights, kwargs in _c2_search(d, lower, settled):
+            try_candidate(WeightBundle.from_dict(weights), **kwargs)
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None
     return CGReport(lower=lower, certified_charge=certified, exact=exact,

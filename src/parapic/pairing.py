@@ -3,7 +3,7 @@ pairing search.
 
 `perfect_matchings` lists every perfect matching lazily, in the order of
 the plain recursion that pairs the lowest remaining vertex with each
-later remaining vertex in increasing order.  It enters a branch only when
+later remaining vertex in increasing order (or in the order of a key).  It enters a branch only when
 the remaining vertex set still has a perfect matching, which Edmonds'
 blossom algorithm ("Paths, trees, and flowers", 1965) decides: grow an
 alternating tree from an exposed vertex, contract odd cycles (blossoms)
@@ -25,13 +25,13 @@ from collections.abc import Iterable, Iterator
 Matching = tuple[tuple[int, int], ...]
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+def _adjacency(n: int, edges: Iterable[tuple[int, int]], key=None) -> list[list[int]]:
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         if i != j:
             nbrs[i].add(j)
             nbrs[j].add(i)
-    return [sorted(s) for s in nbrs]
+    return [sorted(s, key=key) for s in nbrs]
 
 
 def _augment(adj: list[list[int]], mate: list[int], root: int, alive: int) -> bool:
@@ -115,13 +115,16 @@ def _perfect(adj: list[list[int]], alive: int) -> list[int] | None:
     return mate
 
 
-def perfect_matchings(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[Matching]:
+def perfect_matchings(n: int, edges: Iterable[tuple[int, int]], key=None) -> Iterator[Matching]:
     """Every perfect matching of the graph, lazily, in recursion order
-    (lowest remaining vertex first, its partners in increasing order).
+    (lowest remaining vertex first, its partners in increasing order, or
+    in increasing ``key`` of the partner when a key is given).  The first
+    one thus takes, at each lowest vertex, the first partner that still
+    leaves a perfect matching.
 
     The recursion runs on an explicit stack, so a call leaves no
     reference cycle behind for the cyclic collector."""
-    adj = _adjacency(n, edges)
+    adj = _adjacency(n, edges, key)
     full = (1 << n) - 1
     mate = _perfect(adj, full)
     if mate is None:

@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (plain
 Gaussian elimination over Fraction, greedy Weyl-word descent, exhaustive
 product loops) rather than by calling into parapic internals, so a bug
 in the package cannot hide in its own oracle.  Two exceptions take one
-local fact each from the package: ``staged_gsd2`` takes each pair's
-vertex sets and checks the sides, the search and the order built on
-them, and ``c2_pair_witness`` takes each pair's rank and checks the
+local fact each from the package: ``least_c2_candidate`` takes each
+pair's vertex sets and checks the sides, the search and the order built
+on them, and ``c2_pair_witness`` takes each pair's rank and checks the
 witness built around it.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from parapic.covers import IDENTITY
 from parapic.dynkin import twisted_type
 from parapic.errors import DomainError, UnknownRankError
 from parapic.factorization import BaseCase, pair_involution, pq_sets_for_points
-from parapic.picard import PointDatum, WeightBundle, bundle_to_json
+from parapic.picard import PointDatum
 from parapic.verlinde import base_case_rank
 
 
@@ -300,74 +300,125 @@ def c2_sides(d):
     return branch, split + vacua("_aux", len(split) % 2)
 
 
-def staged_gsd2(d, budget):
-    """The exhaustive C2 pairing search: every matching of both sides,
-    every vertex choice, the first max(8 * budget, 1) candidates staged
-    and sorted by (charge, bundle JSON, pairing JSON).
+def least_c2_candidate(d):
+    """The least pairing candidate of a C2 datum, or None when no pairing
+    is admissible: the minimal lcm of the chosen dual labels over every
+    perfect matching of both sides and every vertex choice, and the least
+    candidate of that charge by (bundle JSON, pairing JSON).
 
-    Yields (charge, weights, kwargs) as ``descent._staged_gsd2`` lists
-    them, flattened.  Each pair's vertex sets come from the package; the
-    sides (`c2_sides`), the walk over every matching, the cap and the
-    order are this function's own.
+    Returns (charge, weights, kwargs) as the package's C2 search yields
+    them.  Each pair's vertex sets come from the package; the sides
+    (`c2_sides`), the walk and the order are this function's own.  The
+    walk pairs the first remaining point with every other one and every
+    vertex choice, memoized on the multiset of the remaining points'
+    (shape, fixed object), so points of one shape are walked once.  The
+    least candidate is then fixed one choice at a time: each point's
+    object, then each pair, the least one the walk can still complete.
     """
     sides = c2_sides(d)
     if sides is None:
-        return
-    branch, split = sides
+        return None
     real = {p.label for p in d.points}
-    staged = []
+    shape_of = [{} for _ in sides]  # (type, facet) -> shape index, per side
+    reps = [[] for _ in sides]  # a point of each shape
+    for side, shapes, rep in zip(sides, shape_of, reps):
+        for p in side:
+            if shapes.setdefault((p.affine_type, p.facet), len(rep)) == len(rep):
+                rep.append(p)
 
-    def options(bp, sp):
-        out = []
-        for pairs, split_side in ((bp, False), (sp, True)):
-            for x, y in pairs:
-                try:
-                    p_set, q_set = pq_sets_for_points(x, y)
-                except DomainError:
-                    return None
-                verts = q_set if split_side else p_set
-                if not verts:
-                    return None
-                inv = pair_involution(x.affine_type)
-                out.append([
-                    (x, y, v, inv(v) if split_side else v,
-                     x.affine_type.dual_labels[v])
-                    for v in verts
-                ])
+    def choices(split, x, y):
+        """(vertex at x, vertex at y, dual label) of each choice of the pair."""
+        try:
+            p_set, q_set = pq_sets_for_points(x, y)
+        except DomainError:
+            return []
+        inv, labels = pair_involution(x.affine_type), x.affine_type.dual_labels
+        return [(v, inv(v) if split else v, labels[v]) for v in (q_set if split else p_set)]
+
+    table = [{(i, j): choices(split, x, y) for i, x in enumerate(rep) for j, y in enumerate(rep)}
+             for split, rep in enumerate(reps)]
+    memo = {}
+
+    def reach(split, charge, state):
+        """The lcms of every perfect matching of ``state``, a sorted tuple
+        of (shape, fixed object or ()), whose labels divide ``charge``
+        (any label when it is None) and whose choices give the fixed
+        objects."""
+        key = (split, charge, state)
+        if key not in memo:
+            out = {1} if not state else set()
+            if state:
+                (k, ok), rest = state[0], state[1:]
+                for idx in range(len(rest)):
+                    if idx and rest[idx] == rest[idx - 1]:
+                        continue
+                    k2, ok2 = rest[idx]
+                    tail = rest[:idx] + rest[idx + 1:]
+                    for vx, vy, a in table[split][k, k2]:
+                        if charge is not None and (
+                                charge % a or ok not in ((), (vx, charge // a))
+                                or ok2 not in ((), (vy, charge // a))):
+                            continue
+                        out.update(x * a // gcd(x, a) for x in reach(split, charge, tail))
+            memo[key] = out
+        return memo[key]
+
+    fixed = {}
+
+    def state(split, points):
+        return tuple(sorted((shape_of[split][p.affine_type, p.facet], fixed.get(p.label, ()))
+                            for p in points))
+
+    def lcms(*sets):
+        out = {1}
+        for values in sets:
+            out = {x * y // gcd(x, y) for x in out for y in values}
         return out
 
-    def candidates():
-        for bp in perfect_matchings(branch):
-            for sp in perfect_matchings(split):
-                opts = options(bp, sp)
-                if opts is None:
-                    continue
-                kwargs = {
-                    "branch_pairing": [(x.label, y.label) for x, y in bp],
-                    "split_pairing": [(x.label, y.label) for x, y in sp],
-                }
-                for picks in itertools.product(*opts):
-                    charge = 1
-                    for *_p, a in picks:
-                        charge = charge * a // gcd(charge, a)
-                    weights = {}
-                    for x, y, vx, vy, a in picks:
-                        if x.label in real:
-                            weights[x.label] = {vx: charge // a}
-                        if y.label in real:
-                            weights[y.label] = {vy: charge // a}
-                    yield charge, weights, kwargs
+    whole = [reach(split, None, state(split, side)) for split, side in enumerate(sides)]
+    if not all(whole):
+        return None
+    charge = min(lcms(*whole))
 
-    for charge, weights, kwargs in candidates():
-        ser = json.dumps(bundle_to_json(WeightBundle.from_dict(weights)),
-                         sort_keys=True)
-        staged.append((charge, ser, json.dumps(sorted(kwargs.items())),
-                       weights, kwargs))
-        if len(staged) >= max(8 * budget, 1):
-            break
-    staged.sort(key=lambda c: c[:3])
-    for charge, _ser, _pairing, weights, kwargs in staged:
-        yield charge, weights, kwargs
+    def completes(*sets):
+        return charge in lcms(*sets)
+
+    def fixable(p, obj):
+        fixed[p.label] = obj
+        if completes(*(reach(s, charge, state(s, side)) for s, side in enumerate(sides))):
+            return True
+        del fixed[p.label]
+        return False
+
+    points = {p.label: p for p in d.points}
+    for lab in sorted(real):
+        p = points[lab]
+        labels = p.affine_type.dual_labels
+        objs = [(v, charge // labels[v]) for v in p.facet if charge % labels[v] == 0]
+        next(o for o in sorted(objs, key=lambda o: json.dumps({str(o[0]): o[1]}))
+             if fixable(p, o))
+    pairings = []
+    for split, side in enumerate(sides):
+        other = reach(1 - split, charge, state(1 - split, sides[1 - split]))
+        left, pairs, chosen = list(side), [], {1}
+        while left:
+            x, rest = left[0], left[1:]
+            for y in sorted(rest, key=lambda q: json.dumps(q.label)):
+                tail = [q for q in rest if q is not y]
+                ox, oy = fixed.get(x.label, ()), fixed.get(y.label, ())
+                labels = {a for vx, vy, a in choices(split, x, y)
+                          if charge % a == 0 and ox in ((), (vx, charge // a))
+                          and oy in ((), (vy, charge // a))}
+                if completes(chosen, labels, reach(split, charge, state(split, tail)), other):
+                    break
+            else:
+                raise AssertionError(f"no partner completes {x.label!r}")
+            chosen = lcms(chosen, labels)
+            pairs.append((x.label, y.label))
+            left = tail
+        pairings.append(pairs)
+    weights = {lab: dict([obj]) for lab, obj in fixed.items()}
+    return charge, weights, {"branch_pairing": pairings[0], "split_pairing": pairings[1]}
 
 
 def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):

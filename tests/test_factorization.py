@@ -507,11 +507,17 @@ def test_pq_sets_twisted_uses_identity_involution():
     assert pq_sets(frozenset({0, 1}), frozenset({1, 2}), inv) == ((1,), (1,))
 
 
+def searched(d):
+    """Every candidate of the C2 search from charge 1 on, when nothing
+    settles it: the least one of each charge some pairing reaches."""
+    return list(descent._c2_search(d, 1, lambda _charge: False))
+
+
 def pinching_bound(d):
-    """The gcd of the charges the C2 staging yields at a budget no
-    datum here reaches: over every admissible pairing and vertex choice,
-    of the lcm of the chosen dual labels (0 when nothing is staged)."""
-    return gcd(*(charge for charge, _candidates in descent._staged_gsd2(d, 10**6)))
+    """The gcd of the charges the C2 search yields when nothing settles
+    it, which is the gcd over every admissible pairing and vertex choice
+    of the lcm of the chosen dual labels (0 when nothing is searched)."""
+    return gcd(*(charge for charge, _weights, _kwargs in searched(d)))
 
 
 def test_lcmai_bound_is_lcm():
@@ -566,8 +572,8 @@ def test_best_lcmai_bound_rejects_disjoint_facets():
         C2_GROUP,
         (bad("p1", "A3~2", {0}, T12), bad("p2", "A3~2", {1}, T12)),
     )
-    # no pairing pinches p1 with p2, so nothing is staged
-    assert list(descent._staged_gsd2(d, 10**6)) == []
+    # no pairing pinches p1 with p2, so nothing is searched
+    assert searched(d) == []
 
 
 # ---------------------------------------------------------------------------

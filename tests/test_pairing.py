@@ -6,8 +6,9 @@ the reports of the exhaustive walk over every matching.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import gc
-import itertools
 import json
 import random
 from math import gcd
@@ -25,7 +26,7 @@ from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError
 from parapic.factorization import _gsd2_sides, pq_sets_for_points
 from parapic.pairing import perfect_matchings
-from parapic.picard import GroupDatum, PointDatum
+from parapic.picard import GroupDatum, PointDatum, c_delta
 
 T12 = (2, 1, 3)
 
@@ -57,6 +58,18 @@ def test_engine_matches_oracle_on_random_graphs():
         expected = oracle_matchings(n, edges)
         assert list(perfect_matchings(n, edges)) == expected, (n, edges)
         assert matching_exists(n, edges) == bool(expected), (n, edges)
+
+
+def test_engine_tries_partners_in_key_order():
+    # with a key, the recursion tries the partners of the lowest vertex
+    # in key order, so the matchings come sorted by their partners' keys
+    r = random.Random(2025)
+    for _ in range(100):
+        n, edges = random_graph(r, max_n=10)
+        rank = list(range(n))
+        r.shuffle(rank)
+        expected = sorted(oracle_matchings(n, edges), key=lambda m: [rank[j] for _i, j in m])
+        assert list(perfect_matchings(n, edges, key=rank.__getitem__)) == expected, (n, edges)
 
 
 def _graphs(n):
@@ -110,10 +123,21 @@ def _labels_offered(side, split):
     return offered
 
 
+def never(_charge):
+    return False
+
+
+def searched(d):
+    """Every candidate ``descent._c2_search`` yields when nothing settles
+    it: the least candidate of each divisor of L it reaches."""
+    return list(descent._c2_search(d, c_delta(d), never))
+
+
 def test_best_lcmai_bound_matches_oracle():
-    # the pinching bound is the gcd of the charges the unstopped C2
-    # staging yields: over every admissible pairing and vertex choice,
-    # of the lcm of the chosen dual labels
+    # the pinching bound is the gcd, over every admissible pairing and
+    # vertex choice, of the lcm of the chosen dual labels; each such lcm
+    # is a charge of the unsettled search, and each charge of it a
+    # multiple of one, so the gcds agree
     r = random.Random(5)
     seen = 0
     for _ in range(60):
@@ -126,72 +150,64 @@ def test_best_lcmai_bound_matches_oracle():
             [(len(branch), _labels_offered(branch, False)),
              (len(split), _labels_offered(split, True))]
         )
-        charges = [charge for charge, _candidates in descent._staged_gsd2(d, 10**6)]
+        charges = [charge for charge, _weights, _kwargs in searched(d)]
         if expected is None:
-            assert charges == [], "charges staged on an inadmissible datum"
+            assert charges == [], "charges searched on an inadmissible datum"
             continue
         assert gcd(*charges) == expected
+        assert charges == sorted(set(charges))
         seen += 1
     assert seen >= 20
 
 
-def staged(d, budget):
-    """``descent._staged_gsd2`` flattened to (charge, weights, kwargs)."""
-    return [(charge, weights, kwargs)
-            for charge, candidates in descent._staged_gsd2(d, budget)
-            for weights, kwargs in candidates]
-
-
-def oracle_levels(d, budget):
-    """``oracles.staged_gsd2`` grouped by charge, in the shape of
-    ``descent._staged_gsd2``."""
-    for charge, run in itertools.groupby(oracles.staged_gsd2(d, budget),
-                                         key=lambda c: c[0]):
-        yield charge, ((weights, kwargs) for _c, weights, kwargs in run)
+def oracle_search(d, lower, settled):
+    """``oracles.least_c2_candidate`` in the shape of ``descent._c2_search``."""
+    found = oracles.least_c2_candidate(d)
+    if found is not None and not settled(found[0]):
+        yield found
 
 
 def test_compute_cg_matches_exhaustive_search(monkeypatch):
     r = random.Random(17)
     data = [datagen.c2_small_facet_datum(r) for _ in range(40)]
+    data += [datagen.c2_search_datum(r) for _ in range(40)]
     for budget in (64, 2, 0):
         engine = [compute_cG(d, budget=budget).to_json() for d in data]
         with monkeypatch.context() as m:
-            m.setattr(descent, "_staged_gsd2", oracle_levels)
+            m.setattr(descent, "_c2_search", oracle_search)
             exhaustive = [compute_cG(d, budget=budget).to_json() for d in data]
         assert engine == exhaustive, budget
 
 
-def test_candidate_cap_counts_candidates_in_matching_order():
+def test_reports_agree_at_every_budget_from_one():
+    # 3^4 vertex choices per pairing, and charge 1 is out of reach, so the
+    # c_Delta bundle at charge 2 already gives the best report
     pts = tuple(
         PointDatum(f"p{i}", parse_affine_type("E6~2"), frozenset({1, 2, 3}),
                    T12, is_bad=True)
         for i in range(1, 9)
     )
     d = GroupDatum(0, C2_GROUP, pts)
-    cands = staged(d, budget=2)
-    assert len(cands) == 16
-    # 3^4 vertex choices per pairing: all 16 come from the first one
-    assert {json.dumps(c[2]) for c in cands} == {
-        json.dumps({"branch_pairing": [("p1", "p2"), ("p3", "p4"),
-                                       ("p5", "p6"), ("p7", "p8")],
-                    "split_pairing": []})
-    }
-
-
-BUDGETS = (0, 1, 2, 3, 5, 64)
+    reports = {compute_cG(d, budget=b).to_json() for b in (1, 2, 3, 8, 64, 4000)}
+    assert len(reports) == 1
+    rep = json.loads(reports.pop())
+    assert (rep["lower"], rep["certified_charge"], rep["exact"]) == (1, 2, None)
+    # the search's own least candidate has the same charge
+    assert [c for c, *_rest in searched(d)][:1] == [2]
 
 
 def test_staged_sequence_matches_oracle_on_seeded_data():
+    # the first candidate of the search is the oracle's least candidate,
+    # and the search yields nothing exactly when the oracle finds none
     r = random.Random(606)
     data = [datagen.c2_small_facet_datum(r) for _ in range(125)]
     data += [datagen.c2_search_datum(r, max_branch=6) for _ in range(250)]
     reached = 0
     for d in data:
-        for budget in BUDGETS:
-            got = staged(d, budget)
-            assert got == list(oracles.staged_gsd2(d, budget)), (d, budget)
-            reached += bool(got)
-    assert reached >= 1000
+        got = next(descent._c2_search(d, c_delta(d), never), None)
+        assert got == oracles.least_c2_candidate(d), d
+        reached += got is not None
+    assert reached >= 100
 
 
 def _c2_datum(genus, specs, base="E6"):
@@ -206,7 +222,7 @@ def _c2_datum(genus, specs, base="E6"):
 
 
 HAND_BUILT = {
-    # 3 x 3 choices per pairing: a cap of 8 cuts the first block
+    # 3 x 3 choices per pairing, at charges 2, 3, 4, 6 and 12
     "cut block": _c2_datum(0, [(f"p{i}", True, {1, 2, 3}) for i in range(4)]),
     # one shared vertex everywhere: every pairing gives the same bundle
     "equal bundles": _c2_datum(0, [(f"p{i}", True, {2}) for i in range(6)]),
@@ -225,19 +241,21 @@ HAND_BUILT = {
 
 def test_staged_sequence_matches_oracle_on_hand_built_data():
     for name, d in HAND_BUILT.items():
-        for budget in BUDGETS:
-            got = staged(d, budget)
-            assert got, (name, budget)
-            assert got == list(oracles.staged_gsd2(d, budget)), (name, budget)
-    assert len(staged(HAND_BUILT["cut block"], 1)) == 8
-    tied = staged(HAND_BUILT["equal bundles"], 64)
-    assert len(tied) == 15
-    assert len({json.dumps(w, sort_keys=True) for _c, w, _k in tied}) == 1
+        got = searched(d)
+        assert got, name
+        assert got[0] == oracles.least_c2_candidate(d), name
+    cut = HAND_BUILT["cut block"]
+    assert len({compute_cG(cut, budget=b).to_json() for b in (1, 2, 64, 4000)}) == 1
+    # every pairing gives the same bundle; the least pairing JSON wins
+    _charge, weights, kwargs = searched(HAND_BUILT["equal bundles"])[0]
+    assert weights == {f"p{i}": {2: 1} for i in range(6)}
+    assert kwargs == {"branch_pairing": [("p0", "p1"), ("p2", "p3"), ("p4", "p5")],
+                      "split_pairing": []}
 
 
 def test_mixed_base_types_at_positive_genus_end_the_search(tmp_path, capsys):
     # no pad has the base type of every point, so at genus 1 no pairing
-    # is staged and cg reports no certificate; genus 0 needs no pad
+    # is searched and cg reports no certificate; genus 0 needs no pad
     branch, split = parse_affine_type("A3~2"), parse_affine_type("D4")
     pts = (
         PointDatum("b1", branch, frozenset({0, 1, 2}), T12, is_bad=True),
@@ -247,12 +265,109 @@ def test_mixed_base_types_at_positive_genus_end_the_search(tmp_path, capsys):
     )
     assert compute_cG(GroupDatum(0, C2_GROUP, pts)).exact == 1
     d = GroupDatum(1, C2_GROUP, pts)
-    assert staged(d, 64) == list(oracles.staged_gsd2(d, 64)) == []
+    assert searched(d) == [] and oracles.least_c2_candidate(d) is None
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datagen.datum_to_json(d)))
     assert main(["cg", "--datum", str(path), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["lower"], rep["certified_charge"], rep["exact"]) == (1, None, None)
+
+
+@functools.lru_cache(maxsize=None)
+def search_corpus():
+    """The first 600 data of ``c2_search_datum(Random(12345))`` and four
+    later ones whose bracket a shuffle and a renaming of the points
+    changed under the capped staging: 1322, 1493, 1666 (11 genus-0
+    ``A3~2`` points, certified 2 at budget 64 but exact 1 uncapped) and
+    2200."""
+    r = random.Random(12345)
+    data = [datagen.c2_search_datum(r) for _ in range(2201)]
+    return tuple(data[:600] + [data[i] for i in (1322, 1493, 1666, 2200)])
+
+
+def dense_forty_points():
+    """40 ``E6~2`` branch points; odd ones share vertex 1, even ones
+    vertex 4, both of dual label 2, and every pair shares two vertices."""
+    t = parse_affine_type("E6~2")
+    return GroupDatum(0, C2_GROUP, tuple(
+        PointDatum(f"p{i + 1}", t, frozenset({1, 2, 3} if i % 2 else {2, 3, 4}), T12,
+                   is_bad=True)
+        for i in range(40)))
+
+
+def test_least_candidate_matches_oracle_on_the_search_corpus():
+    for d in (*search_corpus(), dense_forty_points()):
+        assert next(descent._c2_search(d, c_delta(d), never), None) == \
+            oracles.least_c2_candidate(d), d
+    rep = compute_cG(search_corpus()[602])
+    assert (rep.lower, rep.certified_charge, rep.exact) == (1, 1, 1)
+
+
+def presented_anew(d, r, how):
+    """``d`` with its points shuffled and relabelled: the old labels
+    permuted, fresh labels, or each label reversed."""
+    pts = list(d.points)
+    r.shuffle(pts)
+    if how == "permuted":
+        names = [p.label for p in d.points]
+        r.shuffle(names)
+    elif how == "fresh":
+        names = [f"x{r.randrange(10**6)}_{i}" for i in range(len(pts))]
+    else:
+        names = [p.label[::-1] + "z" for p in pts]
+    return GroupDatum(d.base_genus, d.gamma, tuple(
+        PointDatum(lab, p.affine_type, p.facet, p.monodromy, is_bad=p.is_bad)
+        for lab, p in zip(names, pts)))
+
+
+def test_bracket_does_not_depend_on_the_presentation():
+    def bracket(d):
+        rep = compute_cG(d)
+        return rep.lower, rep.certified_charge, rep.exact
+
+    r = random.Random(99)
+    for d in search_corpus():
+        want = bracket(d)
+        for how in ("permuted", "fresh", "reversed"):
+            assert bracket(presented_anew(d, r, how)) == want, (how, d)
+
+
+def _counted(monkeypatch):
+    """Counters of the matching tests and certifications of the search."""
+    counts = collections.Counter()
+    for name, counter in (("perfect_matchings", "tests"), ("certify_descent", "certified")):
+        fn = getattr(descent, name)
+        monkeypatch.setattr(descent, name, lambda *a, _fn=fn, _counter=counter, **k:
+                            counts.update([_counter]) or _fn(*a, **k))
+    return counts
+
+
+def test_matching_tests_stay_within_the_work_bound(monkeypatch):
+    # 2 existence tests, 2 per divisor of L (at most tau(60) = 12), then
+    # for the certified charge one test per object a real point could
+    # take (at most one per facet vertex) and one pairing test per side
+    counts = _counted(monkeypatch)
+    for d in (*search_corpus()[:300], dense_forty_points()):
+        counts.clear()
+        compute_cG(d)
+        objects = sum(len(p.facet) for p in d.points)
+        assert counts["tests"] <= 2 + 2 * 12 + objects + 2, d
+        # the first candidate, then the least pairing candidate descends
+        assert counts["certified"] <= 2, d
+
+
+def test_dense_search_work_does_not_grow_with_the_budget(monkeypatch):
+    counts = _counted(monkeypatch)
+    work = {}
+    for budget in (1, 2, 64, 4000):
+        counts.clear()
+        rep = compute_cG(dense_forty_points(), budget=budget)
+        work[budget] = dict(counts), rep.certified_charge
+    # at budget 1 the c_Delta bundle takes the one certification, and no
+    # matching test runs; from budget 2 on the work is the same
+    assert work[1] == ({"certified": 1}, None)
+    assert work[2] == work[64] == work[4000]
+    assert work[2][0]["certified"] == 2 and work[2][1] == 2
 
 
 def test_matching_walk_leaves_no_reference_cycles():

@@ -1,10 +1,11 @@
 """The example scripts under ``scripts/`` still run.
 
 Most use the package's public names only, so a trim of that API that
-breaks one of them fails here.  ``c2_staging`` rebinds three staging
-helpers of ``parapic.descent`` by name and call signature, so it runs
-here on a small corpus, and ``startup`` launches two processes of each
-kind.  ``witness_sizes`` times high genera and is left out.
+breaks one of them fails here.  ``c2_staging`` rebinds the C2 search,
+its matching test and ``certify_descent`` in ``parapic.descent`` by name
+and call signature, so it runs here on a small corpus, and ``startup``
+launches two processes of each kind.  ``witness_sizes`` times high
+genera and is left out.
 """
 from __future__ import annotations
 
@@ -38,10 +39,12 @@ def test_script_runs(script):
 
 def test_c2_staging_counts_a_small_corpus():
     out = run_script("c2_staging", "--data", "40")
-    # the last row totals data, staged candidates, keys and tried candidates
-    data, staged, keys, tried = map(int, out.splitlines()[-1].split()[1:5])
+    # the last row totals data, divisors tested, matching tests and
+    # pairing candidates certified; each certified candidate comes from
+    # one tested divisor, and the first ones need two existence tests
+    data, divisors, tests, certified = map(int, out.splitlines()[-1].split()[1:5])
     assert data == 40
-    assert staged >= keys >= tried > 0
+    assert tests >= 2 * certified and divisors >= certified > 0
 
 
 def test_startup_times_fresh_processes_and_lists_module_self_times():
