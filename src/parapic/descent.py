@@ -4,7 +4,7 @@
 weight bundle and applies the one-sided criterion: when the witness
 factors into pieces of known rank whose product is >= 1, the bundle
 descends.  The other verdict is always "Unknown" — nothing here ever
-asserts non-descent.
+asserts non-descent.  Every C2 datum takes the pair partition.
 
 `compute_cG` combines the divisor lower bound c_Delta with a search for
 the cheapest certified charge; the report carries an exact value only
@@ -31,7 +31,6 @@ from .errors import (
     NotInPicDeltaError,
 )
 from .factorization import (
-    CLOSED_FORM_A,
     TWISTED_PAIR,
     UNTWISTED_VACUUM,
     BaseCase,
@@ -142,35 +141,7 @@ def _route_gsd1(d, b, charge) -> DecompositionWitness:
     return w
 
 
-def _closed_form_applicable(d, b, charge):
-    """All points order-2 branch of one type A_{2r-1} twisted, vacuum
-    weights at level 1: the genus-g closed form covers the whole datum."""
-    if charge != 1 or not d.points:
-        return None
-    types = {p.affine_type for p in d.points}
-    if len(types) != 1:
-        return None
-    (t,) = types
-    if t.twist != 2 or t.base.series != "A" or t.base.rank % 2 == 0:
-        return None
-    if any(perm_order(p.monodromy) != 2 for p in d.points):
-        return None
-    if any(b.weight(p.label) != ((0, 1),) for p in d.points):
-        return None
-    if len(d.points) % 2 == 1:
-        # the pair route raises the cover-parity rejection
-        return None
-    r = (t.base.rank + 1) // 2
-    return (d.base_genus, len(d.points) // 2, r)
-
-
 def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
-    if branch_pairing is None and split_pairing is None and (
-            params := _closed_form_applicable(d, b, charge)) is not None:
-        # every weight is vacuum_weight(1), which the check has compared
-        g, n, r = params
-        return DecompositionWitness([point_factor(CLOSED_FORM_A, d.points, b, params=params)],
-                                    [{"op": "closed-form", "g": g, "n": n, "r": r}])
     sides = _gsd2_sides(d.points, 2 * d.base_genus)
     branch_pairs, split_pairs = pair_partition_gsd2(
         sides, branch_pairing=branch_pairing, split_pairing=split_pairing)
@@ -275,10 +246,10 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
     """Certify that b descends along the quotient, or report Unknown.
 
     Routing follows the generic splitting degree of the Galois group:
-    1 untwisted, 2 pair partition (or the closed form when it applies),
-    3 scenario decomposition, 6 the S3 rewriting engine.  A Descends
-    verdict needs every factor rank known and a positive product; the
-    criterion is sufficient only, so no input yields "does not descend".
+    1 untwisted, 2 pair partition, 3 scenario decomposition, 6 the S3
+    rewriting engine.  A Descends verdict needs every factor rank known
+    and a positive product; the criterion is sufficient only, so no
+    input yields "does not descend".
     """
     charge = _reject_if_invalid(d, b)
     kind = d.gamma.kind

@@ -18,8 +18,10 @@ S3Case1             two equal transpositions
 S3Case2             inverse 3-cycle pair, or an equal 3-cycle triple
 S3Case3             literally ((12),(23),(132)) after conjugation
 S3Case4             literally ((12),(23),(123),(123)) after conjugation
-ClosedFormA         genus-g closed form, parameters (g, n, r)
 ==================  ====================================================
+
+No kind holds more than four points.  The genus-g closed form is a
+whole-block rank, not a factor: the criterion is one-sided.
 """
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ S3_CASE1 = "S3Case1"
 S3_CASE2 = "S3Case2"
 S3_CASE3 = "S3Case3"
 S3_CASE4 = "S3Case4"
-CLOSED_FORM_A = "ClosedFormA"
 
 _T12: Perm = (2, 1, 3)
 _T23: Perm = (1, 3, 2)
@@ -78,13 +79,15 @@ def vacuum_weight(charge: int = 1) -> Weight:
     return ((0, charge),)
 
 
-#: the most points a factor other than the closed form has (S3Case4)
+#: the most points a factor of any kind has (S3Case4)
 _MAX_FACTOR_POINTS = 4
 
 
+@lru_cache(maxsize=1024)
 def _shape_error(kind: str, els: tuple[Perm, ...]) -> str | None:
-    """Why ``els`` cannot be the monodromies of a ``kind`` factor, or
-    None when they can (the closed form's parameters are not seen here)."""
+    """Why ``els`` (at most `_MAX_FACTOR_POINTS`) cannot be the monodromies
+    of a ``kind`` factor, or None when they can.  About 25 shapes are
+    valid; `s3_reduce` also asks the four S3 kinds of each short vector."""
     if product(els) != IDENTITY:
         return "factor monodromies do not multiply to e"
     orders = tuple(perm_order(p) for p in els)
@@ -105,23 +108,15 @@ def _shape_error(kind: str, els: tuple[Perm, ...]) -> str | None:
         ok = els == CASE3_LITERAL
     elif kind == S3_CASE4:
         ok = els == CASE4_LITERAL
-    elif kind == CLOSED_FORM_A:
-        ok = True
     else:
         return f"unknown factor kind {kind!r}"
     return None if ok else f"malformed {kind} factor: {els}"
 
 
-#: per (kind, elements) of at most _MAX_FACTOR_POINTS points: about 25
-#: shapes are valid; `s3_reduce` also asks the four S3 kinds of each
-#: vector with at most that many nontrivial entries, valid or not
-_memo_shape_error = lru_cache(maxsize=1024)(_shape_error)
-
-
 @lru_cache(maxsize=1024)
-def _entry_frame(kind, elements, weights, conjugator, original, params):
+def _entry_frame(kind, elements, weights, conjugator, original):
     """The JSON text of a schema-2 factor entry of this shape around its
-    list of labels, memoized like `_memo_shape_error`: the entry composed
+    list of labels, memoized like `_shape_error`: the entry composed
     with a NUL for its labels (no JSON text holds one unescaped), cut there."""
     items = [("kind", _json_value(kind)), ("labels", "\0"),
              ("elements", _json_value(list(map(element_name, elements)))),
@@ -129,8 +124,6 @@ def _entry_frame(kind, elements, weights, conjugator, original, params):
     if conjugator is not None:
         items += [("conjugator", _json_value(element_name(conjugator))),
                   ("original", _json_value([element_name(p) for p in original or ()]))]
-    if params is not None:
-        items.append(("params", _json_value(dict(zip("gnr", params)))))
     head, tail = _json_object(items).split("\0")
     return head + "[", "]" + tail
 
@@ -145,7 +138,6 @@ class _Factor(NamedTuple):
     types: tuple[AffineType, ...] | None = None
     conjugator: Perm | None = None
     original: tuple[Perm, ...] | None = None
-    params: tuple[int, ...] | None = None
     multiplicity: int = 1
 
 
@@ -171,7 +163,7 @@ class BaseCase(_Factor):
     __slots__ = ()
 
     def __new__(cls, kind, elements=(), weights=(), labels=(), types=None,
-                conjugator=None, original=None, params=None, multiplicity=1):
+                conjugator=None, original=None, multiplicity=1):
         if type(multiplicity) is not int or multiplicity < 1:
             raise DomainError(
                 f"factor multiplicity must be a positive integer, got "
@@ -195,35 +187,29 @@ class BaseCase(_Factor):
                 if type(v) is not int or type(c) is not int:
                     for i, x in enumerate(weights):
                         _check_integers(labels[i] if labels else i, x)
-        if kind != CLOSED_FORM_A and k <= _MAX_FACTOR_POINTS:
-            error = _memo_shape_error(kind, elements)
-        else:  # a whole vector: checked as is, never memoized
-            error = _shape_error(kind, elements)
-        if error is None and kind == CLOSED_FORM_A and (
-            params is None or len(params) != 3
-        ):
-            error = f"malformed {CLOSED_FORM_A} factor: {elements}"
+        # no kind holds more points: rejected before the memo sees them
+        error = (f"malformed {kind} factor: {k} points" if k > _MAX_FACTOR_POINTS
+                 else _shape_error(kind, elements))
         if error is not None:
             raise DomainError(error)
         return tuple.__new__(cls, (kind, elements, weights, labels, types,
-                                   conjugator, original, params, multiplicity))
+                                   conjugator, original, multiplicity))
 
     @classmethod
     def _make(cls, iterable):  # so that ``_replace`` checks as well
         return cls(*iterable)
 
 
-def point_factor(kind: str, points, bundle, **extra) -> BaseCase:
+def point_factor(kind: str, points, bundle) -> BaseCase:
     """The ``kind`` factor of ``points``: their monodromies, weights in
-    ``bundle``, labels and affine types, in order, with ``extra`` fields
-    such as ``params``."""
+    ``bundle``, labels and affine types, in order."""
     if len(points) == 1:  # most factors: no transpose, as cheap as literal tuples
         (p,) = points
         return BaseCase(kind, (p.monodromy,), (bundle.weight(p.label),), (p.label,),
-                        (p.affine_type,), **extra)
+                        (p.affine_type,))
     els, weights, labels, types = zip(
         *[(p.monodromy, bundle.weight(p.label), p.label, p.affine_type) for p in points])
-    return BaseCase(kind, els, weights, labels, types, **extra)
+    return BaseCase(kind, els, weights, labels, types)
 
 
 class DecompositionWitness(Record):
@@ -253,9 +239,7 @@ class DecompositionWitness(Record):
         for f in self.factors:
             k, labels = len(f.elements), list(map(_json_str, f.labels))
             run = len(labels) > k
-            small = k <= _MAX_FACTOR_POINTS and f.kind != CLOSED_FORM_A  # else a whole vector
-            head, tail = (_entry_frame if small else _entry_frame.__wrapped__)(
-                f.kind, f.elements, f.weights, f.conjugator, f.original, f.params)
+            head, tail = _entry_frame(f.kind, f.elements, f.weights, f.conjugator, f.original)
             if f.multiplicity != 1 and not run:  # "multiplicity" sorts right after "labels"
                 tail = f'], "multiplicity": {_json_value(f.multiplicity)}{tail[1:]}'
             if run:  # between two copies' labels: one's tail, the next one's head
@@ -675,7 +659,7 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
     # a vector that already is one S3 factor's payload stays whole
     if len(nontrivial) <= _MAX_FACTOR_POINTS:
         lit = next((k for k in (S3_CASE1, S3_CASE2, S3_CASE3, S3_CASE4)
-                    if _memo_shape_error(k, nontrivial) is None), None)
+                    if _shape_error(k, nontrivial) is None), None)
         if lit is not None:
             w.factors = [factor(lit, seq), *vacua]
             return w

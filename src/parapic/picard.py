@@ -399,6 +399,8 @@ def datum_from_json(obj) -> GroupDatum:
         facet = _require(raw, "facet", where)
         if not isinstance(facet, list) or not all(map(_is_int, facet)):
             raise ParseError(f"{where}: facet must be a list of integers")
+        if len(set(facet)) < len(facet):
+            raise ParseError(f"{where}: facet {facet} repeats a vertex")
         mono = raw.get("monodromy", "e")
         if not isinstance(mono, str):
             raise ParseError(f"{where}: cannot parse permutation {mono!r}: "
@@ -476,11 +478,20 @@ def bundle_from_json(obj) -> WeightBundle:
 
 
 def _load_json(path: str):
-    """Parse a JSON file; undecodable bytes and nesting too deep for the
-    parser are malformed input like any other."""
+    """Parse a JSON file; undecodable bytes, nesting too deep for the
+    parser and a key given twice in one object (of which ``json`` would
+    keep the last value) are malformed input like any other."""
+
+    def unique(pairs):
+        if len(obj := dict(pairs)) < len(pairs):
+            seen: set[str] = set()
+            key = next(k for k, _v in pairs if k in seen or seen.add(k))
+            raise ParseError(f"{path}: key {key!r} is given twice in one object")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: invalid JSON ({e})") from e
 

@@ -3,7 +3,8 @@
 Three ingredients, all in integers: the rank table for the recognized
 base cases; the level-1 S3 character sum, which is the power of two
 2^(t/2+m-2); and the genus-g closed form 2^g * r^(g+n-1) for order-2
-twists of type A_{2r-1}.
+twists of type A_{2r-1}, which only `verlinde closed-form` evaluates:
+a one-sided criterion never needs a whole-block rank.
 
 Unknown ranks are a distinct outcome (:class:`UnknownRankError`), never
 conflated with 0 — the descent criterion is one-sided, so a missing
@@ -30,7 +31,6 @@ from .errors import (
     UnknownRankError,
 )
 from .factorization import (
-    CLOSED_FORM_A,
     ELLIPTIC_TRIPLE,
     S3_CASE1,
     S3_CASE2,
@@ -105,21 +105,9 @@ def _single_vertex(weight):
 
 
 def base_case_rank(b: BaseCase) -> RankResult:
-    """Exact rank of one factor, per the recognized table.
-
-    Raises UnknownRankError outside the table; note rank 0 (a known
-    vanishing) is different from unknown.  The table reads a factor's
-    kind, point count, weights and (for twisted pairs) types only, so
-    every factor but the closed form is looked up by that shape.
-    """
-    if b.kind == CLOSED_FORM_A:
-        g, n, r = b.params
-        if b.weights and not all(_is_vacuum(w, 1) for w in b.weights):
-            raise UnknownRankError(
-                "the closed form applies to level-1 vacuum weights only"
-            )
-        v = rank_closed_form_A(g, n, r)
-        return RankResult(v, ((f"closed form g={g} n={n} r={r}", v),))
+    """Exact rank of one factor, looked up in the table by its kind, point
+    count, weights and (for twisted pairs) types.  Raises UnknownRankError
+    outside the table; rank 0 (a known vanishing) is not unknown."""
     types = tuple(b.types) if b.kind == TWISTED_PAIR and b.types is not None else None
     return _table_rank(b.kind, len(b.elements), b.weights, types)
 

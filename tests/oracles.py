@@ -724,8 +724,6 @@ def factor_entries(f) -> list[dict]:
     if f.conjugator is not None:
         d["conjugator"] = s3_name(f.conjugator)
         d["original"] = [s3_name(p) for p in f.original or ()]
-    if f.params is not None:
-        d["params"] = {"g": f.params[0], "n": f.params[1], "r": f.params[2]}
     if len(labels) > k:
         return [{**d, "labels": labels[i:i + k]} for i in range(0, len(labels), k)]
     d["labels"] = labels

@@ -117,8 +117,9 @@ def test_criterion_5_closed_form_and_descent():
                     )
                     d = GroupDatum(g, C2_GROUP, pts)
                     cert = certify_descent(d, vacuum_bundle(d, 1))
-                    assert cert.verdict == DESCENDS, (g, n, r)
-                    assert cert.rank_bound == want
+                    # the pair route bounds the closed form's rank from below
+                    assert (cert.verdict, cert.charge) == (DESCENDS, 1), (g, n, r)
+                    assert 1 <= cert.rank_bound <= rank_closed_form_A(g, n, r)
 
 
 def test_criterion_6_cdelta_examples():

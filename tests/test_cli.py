@@ -280,6 +280,38 @@ def test_non_integer_input_is_exit_2(capsys, tmp_path, datum_patch, bundle_weigh
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+_A2_POINTS = json.dumps(A2_PAIR_DATUM["points"])
+
+
+@pytest.mark.parametrize(
+    "datum_text, bundle_text, key",
+    [
+        # json alone would read x1's weight as 5
+        (None, '{"schema": 1, "weights": {"x1": {"1": 1, "1": 5}, "x2": {"1": 1}}}', "1"),
+        # json alone would keep one weight of x1, past WeightBundle's check
+        (None, '{"schema": 1, "weights": {"x1": {"1": 1}, "x1": {"1": 2}, "x2": {"1": 1}}}',
+         "x1"),
+        # json alone would certify at genus 3
+        ('{"schema": 1, "genus": 0, "genus": 3, "group": "C2", "points": %s}' % _A2_POINTS,
+         None, "genus"),
+    ],
+    ids=["vertex", "bundle-label", "genus"],
+)
+def test_repeated_json_key_is_exit_2(capsys, a2_files, tmp_path, datum_text, bundle_text, key):
+    datum, bundle = a2_files
+    if datum_text is not None:
+        datum = tmp_path / "repeated-datum.json"
+        datum.write_text(datum_text)
+    if bundle_text is not None:
+        bundle = tmp_path / "repeated-bundle.json"
+        bundle.write_text(bundle_text)
+    for argv in (("descend", "--datum", str(datum), "--bundle", str(bundle)),
+                 ("picard", "check", "--datum", str(datum), "--bundle", str(bundle))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"key {key!r} is given twice in one object" in err
+
+
 HIGH_GENUS_C2_DATUM = {
     "schema": 1,
     "genus": 20000,
@@ -287,6 +319,17 @@ HIGH_GENUS_C2_DATUM = {
     "points": [
         {"label": f"p{i}", "type": "A3~2", "facet": [0, 1, 2], "monodromy": "(12)"}
         for i in (1, 2)
+    ],
+}
+
+#: 14,286 elliptic triples of rank 2: a rank bound of 2^14286, 4301 digits
+MANY_TRIPLES_C3_DATUM = {
+    "schema": 1,
+    "genus": 0,
+    "group": "C3",
+    "points": [
+        {"label": f"q{i}", "type": "D4~3", "facet": [0, 1, 2], "monodromy": "(123)"}
+        for i in range(3 * 14286)
     ],
 }
 
@@ -300,9 +343,9 @@ HIGH_GENUS_C2_DATUM = {
         ("verlinde", "closed-form", "100000000000", "1", "2"),
         # 2^14286 has 4301 digits, just past the limit
         ("verlinde", "closed-form", "7143", "1", "2"),
-        ("cg", "--datum", "{datum}", "--json"),
-        ("descend", "--datum", "{datum}", "--bundle", "{bundle}", "--json"),
-        ("descend", "--datum", "{datum}", "--bundle", "{bundle}"),
+        ("cg", "--datum", "{triples}", "--json"),
+        ("descend", "--datum", "{triples}", "--bundle", "{triples_bundle}", "--json"),
+        ("descend", "--datum", "{triples}", "--bundle", "{triples_bundle}"),
         # the level-1 sum of two transpositions and m 3-cycles is 2^(m-1)
         ("verlinde", "rank", ",".join(["(12)", "(12)"] + ["(123)"] * 15000)),
         # S3 genus from a 4,300-digit base genus: about 6g, 4,301 digits
@@ -316,23 +359,27 @@ HIGH_GENUS_C2_DATUM = {
          "level-1-sum", "covers-genus", "descend-charge", "picard-check-charge"],
 )
 def test_integer_past_the_written_digit_limit_is_exit_1(capsys, tmp_path, argv):
-    # the closed form at genus 20000 is 2^40000, about 12,000 digits
-    datum = tmp_path / "datum.json"
-    bundle = tmp_path / "bundle.json"
-    datum.write_text(json.dumps(HIGH_GENUS_C2_DATUM))
-    bundle.write_text(json.dumps({"schema": 1, "weights": {"p1": {"0": 1}, "p2": {"0": 1}}}))
+    triples = tmp_path / "triples.json"
+    triples_bundle = tmp_path / "triples_bundle.json"
+    if on_triples := "{triples}" in argv:
+        triples.write_text(json.dumps(MANY_TRIPLES_C3_DATUM))
+        triples_bundle.write_text(json.dumps(
+            _vacua(*(p["label"] for p in MANY_TRIPLES_C3_DATUM["points"]))))
     genus0 = tmp_path / "genus0.json"
     genus0.write_text(json.dumps({**HIGH_GENUS_C2_DATUM, "genus": 0}))
     big = int("9" * 4300)
     big_bundle = tmp_path / "big_bundle.json"
     big_bundle.write_text(json.dumps(
         {"schema": 1, "weights": {"p1": {"2": big}, "p2": {"2": big}}}))
-    argv = [a.format(datum=datum, bundle=bundle, genus0=genus0, big_bundle=big_bundle)
+    argv = [a.format(triples=triples, triples_bundle=triples_bundle, genus0=genus0,
+                     big_bundle=big_bundle)
             for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert "4300 decimal digits" in err or "4300 Python writes" in err
+    if on_triples:
+        assert "the rank bound has more than 4300 decimal digits" in err
 
 
 def test_integer_at_the_written_digit_limit_is_written(capsys, tmp_path):
@@ -370,6 +417,7 @@ PINNED_CLI_DATA = {
             {**_pt("p5", "E6", [2, 4, 5]), "bad": True}]},
         {"schema": 1, "weights": {"p1": {"4": 1}, "p2": {"0": 2}, "p3": {"1": 2},
                                   "p4": {"4": 1}, "p5": {"5": 2}}}),
+    # the genus-3 A5~2 datum the closed form once covered: pairs and pads
     "c2-closed-form": (
         {"schema": 1, "genus": 3, "group": "C2", "points": [
             _pt("x1", "A5~2", [0, 1, 2, 3], "(12)"), _pt("x2", "A5~2", [0, 1, 2, 3], "(12)")]},
@@ -392,7 +440,10 @@ PINNED_S3_TUPLES = ("(12),(12),(123),(132)", "(12),(23),(132)",
 
 #: sha256 of the ``--json`` output of ``cg`` and ``descend`` on each of
 #: PINNED_CLI_DATA and of ``reduce s3`` on each of PINNED_S3_TUPLES,
-#: recorded while reports were still built as dicts for ``json.dumps``
+#: recorded while reports were still built as dicts for ``json.dumps``;
+#: the ``c2-closed-form`` pair was re-recorded when the A-series closed
+#: form left certification, and checked against ``oracles.report_json``
+#: and ``oracles.certificate_dict``
 PINNED_CLI_DIGESTS = {
     ("cg", "readme"):
         "f3369a8ef269bcf08aceb1b9d1ce220ff3dd3a5ada1eae4c0ca9e5804ee3a133",
@@ -407,9 +458,9 @@ PINNED_CLI_DIGESTS = {
     ("descend", "c2-search"):
         "98c29353b251c56f675a92e316f739f31cdbe7ffbd6ae61e185c78b73e2aebcf",
     ("cg", "c2-closed-form"):
-        "1fb4f0bb2e9360d455baf9b4453217a7209467ada67c29a02ba86aa949a4109d",
+        "5b2310f8e1b9338eaf9565348ccab0e65b0e644df77d3622e047ce4336451a74",
     ("descend", "c2-closed-form"):
-        "ad9795268d158ab103083745b7aca42ca3c42b3f7b42e734ea7f311001cb2336",
+        "673573a852ccb66f1b7ac6d7f2e042d626fe861e764a1a4f7d6b1cd2748995f1",
     ("cg", "s3-case3-escaped"):
         "4e43125929b357b92a7e446837d7a4679efb487338b56648357970f1f9400684",
     ("descend", "s3-case3-escaped"):

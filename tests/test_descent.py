@@ -95,16 +95,19 @@ def test_route_pair_partition():
     assert f.labels == ("x1", "x2")
 
 
-def test_route_closed_form():
+def test_route_pair_partition_on_a_closed_form_datum():
+    # the closed form gives this datum's whole block (rank 2^g r^(g+n-1) = 8),
+    # but the one-sided criterion needs only the rank-1 pairs
     d = GroupDatum(
         1, C2_GROUP, tuple(bad(f"b{i}", "A3~2", {0}, T12) for i in range(4))
     )
     c = certify_descent(d, vacuum_bundle(d, 1))
     assert (c.verdict, c.charge, c.route) == (DESCENDS, 1, "pair partition")
-    assert c.rank_bound == 2 * 2**2  # 2^g * r^(g+n-1) at g=1, n=2, r=2
-    (f,) = c.witness.factors
-    assert f.kind == "ClosedFormA" and f.params == (1, 2, 2)
-    assert c.witness.steps == [{"op": "closed-form", "g": 1, "n": 2, "r": 2}]
+    assert c.rank_bound == 1
+    assert {f.kind for f in c.witness.factors} == {"TwistedPair"}
+    assert [f.labels for f in c.witness.factors] == [
+        ("b0", "b1"), ("b2", "b3"), ("_handle1", "_handle2")]
+    assert c.witness.steps == [{"op": "pinch-handles", "count": 1}]
 
 
 def test_route_scenario_decomposition():
@@ -298,15 +301,18 @@ def test_report_serialization():
 #: sha256 of the ``compute_cG`` reports of the corpora below, one JSON
 #: line each, recorded when the local lookups were memoized: any change
 #: of a report's bytes shows here.  ``c2-budget-2`` was re-recorded when
-#: the C2 search lost its candidate cap, and now equals ``c2-budget-64``
+#: the C2 search lost its candidate cap, and now equals ``c2-budget-64``.
+#: ``iwahori-2`` and the ``c2-budget`` lines were re-recorded when the
+#: A-series closed form left certification, and checked against
+#: ``oracles.report_json``
 PINNED_REPORT_DIGESTS = {
     "iwahori-1": "7d9c89d28f59409668a962c5675669383407627b81835f7dad445dba11bebd19",
-    "iwahori-2": "e9c66c53cdf6b981b8b13869e32759648ab2ec299f7d85a918c325d6e7a6bb34",
+    "iwahori-2": "01a2704eb30ac5255eea78bd9c1c8aa7a51600ed13a3ba7fb8edebedeafe4624",
     "iwahori-3": "1737ecd26f414eb2e7091b30bf329870b8b2c9409fac908630fe352a4678c002",
     "iwahori-6": "902d965eec47b9e2f1a37b2780c1b68418c1930e77e99a5b90f50eeb4deb849f",
-    "c2-budget-0": "6fb06dd917698568a0633e19dcfa83ab1e662f3c10ef0cd50822deff75a45b25",
-    "c2-budget-2": "3f0560d3bacea14bd22dda3d1a53837dc4b2549e361683e089e4c50ae73950ba",
-    "c2-budget-64": "3f0560d3bacea14bd22dda3d1a53837dc4b2549e361683e089e4c50ae73950ba",
+    "c2-budget-0": "127cea6e903653fe2f6561d45b4a755b8e1867360d23ac88db4f5243d74b6d9f",
+    "c2-budget-2": "dec0119fabd8b952afa6089550f71f2f4b53ce0bb8756afaa214525a8e2a34f6",
+    "c2-budget-64": "dec0119fabd8b952afa6089550f71f2f4b53ce0bb8756afaa214525a8e2a34f6",
 }
 
 
@@ -446,12 +452,14 @@ def _json_or_error(call):
 #: `random_facet_data`, one line each (the exception's class name where
 #: a call raises), recorded before the witness factors of the Trivial,
 #: C3 and closed-form routes and of `s3_reduce` came from one
-#: constructor per input shape
+#: constructor per input shape.  The degree-2 lines were re-recorded
+#: when the A-series closed form left certification, and checked
+#: against the ``oracles`` dict trees
 PINNED_RANDOM_FACET_DIGESTS = {
     "cdelta-certificate-1": "103eeff0dc67f3d072e029ee3572477c6dd965588732239ae4cfc3fe8c16703d",
     "report-1": "d2b7ede56bbb982f480bcdf5611ce8b4c9455272013a288ac534fa94df6cf5a1",
-    "cdelta-certificate-2": "1e84896a9e5685c101bd7831913cfbedfadf4508f37fe1540c2ce38fda539a7d",
-    "report-2": "5dd1810667bcb218b2e49031ab51dcbe35645b5f30cd43663a836fe5ea44c725",
+    "cdelta-certificate-2": "7cc2114fba28b277002d1cf0f698e43a43c8e0d9eda50a51e334ab9a5628fda3",
+    "report-2": "41ec44e954b28161f9acc4270c5b8662359a6d3347b03426762481342a88d57e",
     "cdelta-certificate-3": "dc1553665075edf5c21e39c88581656254c2a8134a6dac43cfaac5706b02d5fc",
     "report-3": "fd238c97c413c573417ffa632c31c6be7d302214352d624fba9c84d01a050c0c",
     "cdelta-certificate-6": "a564c3b2fbefb76ab3d9819d80e53b8de265f2cf623030ca222ae25786ef9ebd",
@@ -472,24 +480,56 @@ def test_random_facet_reports_are_byte_identical_to_the_pinned_digests():
     assert got == PINNED_RANDOM_FACET_DIGESTS
 
 
+def _replay(d, out):
+    """A C2 report's pairings, read off its witness entries as a replay
+    reads them, and its certificate certified again with them."""
+    cert = json.loads(out)["certificate"]
+    pairings = {"branch_pairing": [], "split_pairing": []}
+    for f in cert["witness"]["factors"]:
+        side = "split_pairing" if f["elements"][0] == "e" else "branch_pairing"
+        pairings[side].append(tuple(f["labels"]))
+    bundle = WeightBundle.from_dict({
+        lab: {int(v): n for v, n in m.items()} for lab, m in cert["bundle"].items()
+    })
+    return pairings, certify_descent(d, bundle, **pairings).to_json()
+
+
 def test_high_genus_c2_certificates_replay_with_pairings_naming_the_shadows():
     for name, args in HIGH_GENUS_C2.items():
         d = c2_iwahori(*args)
         out = compute_cG(d).to_json()
-        cert = json.loads(out)["certificate"]
-        # the pairings the witness records, read off as a replay reads them
-        pairings = {"branch_pairing": [], "split_pairing": []}
-        for f in cert["witness"]["factors"]:
-            side = "split_pairing" if f["elements"][0] == "e" else "branch_pairing"
-            pairings[side].append(tuple(f["labels"]))
+        pairings, replay = _replay(d, out)
         shadows = [lab for pair in pairings["split_pairing"] for lab in pair
                    if lab.startswith("_handle") and lab not in args[2] + args[3]]
         assert len(shadows) == 2 * d.base_genus, name
-        bundle = WeightBundle.from_dict({
-            lab: {int(v): n for v, n in m.items()} for lab, m in cert["bundle"].items()
-        })
-        replay = certify_descent(d, bundle, **pairings).to_json()
         assert f'"certificate": {replay}' in out, name
+
+
+def closed_form_data():
+    """The data the A-series closed form once certified whole: criterion
+    5's grid (genus 0-3, 1-4 branch pairs, A_{2r-1}~2 for r = 2..5, facet
+    {0}) and the all-branch A-series draws of the C2 Iwahori generator."""
+    out = [GroupDatum(g, C2_GROUP, tuple(bad(f"b{i}", f"A{2 * r - 1}~2", {0}, T12)
+                                         for i in range(2 * n)))
+           for g in range(4) for n in range(1, 5) for r in range(2, 6)]
+    r = random.Random("closed-form-draws")
+    while len(out) < 64 + 40:
+        d = datagen.iwahori_datum_gsd2(r, base=r.choice(datagen._TWIST2_BASES[:2]))
+        if d.points and all(p.monodromy == T12 for p in d.points):
+            out.append(d)
+    return out
+
+
+def test_former_closed_form_data_take_the_pair_route():
+    for d in closed_form_data():
+        report = compute_cG(d)
+        out = report.to_json()
+        assert out == oracles.report_json(report)
+        assert (report.lower, report.certified_charge, report.exact) == (1, 1, 1)
+        cert = report.certificate
+        assert (cert.route, cert.verdict, cert.rank_bound) == ("pair partition", DESCENDS, 1)
+        assert {f.kind for f in cert.witness.factors} == {"TwistedPair"}
+        assert f'"certificate": {_replay(d, out)[1]}' in out
 
 
 def test_explicit_pairings_resolve_shadow_and_aux_labels():

@@ -20,6 +20,7 @@ from parapic.factorization import (
     BaseCase,
     DecompositionWitness,
     _gsd2_sides,
+    _shape_error,
     degenerate_gsd3,
     free_labels,
     pair_involution,
@@ -284,15 +285,18 @@ def test_an_invalid_factor_still_raises_after_a_valid_one_of_its_kind():
         with pytest.raises(DomainError, match="weights do not match"):
             BaseCase(kind="S3Case1", elements=(T12, T12),
                      weights=(vacuum_weight(1),), labels=("a", "b"))
-    # the closed form checks its parameters as well as its vector
+    # the genus-g closed form is no factor kind
+    with pytest.raises(DomainError, match="unknown factor kind 'ClosedFormA'"):
+        BaseCase(kind="ClosedFormA", elements=(T12, T12), **ok)
+    # no kind holds more than four points: a longer vector is malformed by
+    # its length, whatever its kind, and never reaches the shape memo
     vector = dict(elements=(T12,) * 6, weights=(vacuum_weight(1),) * 6,
                   labels=tuple("abcdef"))
-    BaseCase(kind="ClosedFormA", params=(0, 3, 2), **vector)
-    with pytest.raises(DomainError, match="malformed ClosedFormA"):
-        BaseCase(kind="ClosedFormA", params=(0, 3), **vector)
-    with pytest.raises(DomainError, match="multiply to e"):
-        BaseCase(kind="ClosedFormA", params=(0, 3, 2),
-                 **{**vector, "elements": (T12,) * 5 + (T23,)})
+    misses = _shape_error.cache_info().misses
+    for kind in ("TwistedPair", "S3Case1", "ClosedFormA"):
+        with pytest.raises(DomainError, match=f"malformed {kind} factor: 6 points"):
+            BaseCase(kind=kind, **vector)
+    assert _shape_error.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("multiplicity", [0, -1, True, 2.0, "2", None])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -130,14 +131,30 @@ def test_each_repeat_of_an_invalid_shape_names_its_own_point():
 def test_the_point_shape_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(picard, "_point_shapes", {})
     n = picard._MAX_POINT_SHAPES + 40
-    # facets [0], [0, 0], ... are distinct shapes of one point
+    # each ordering of distinct D4 vertices is its own shape: 325 of them
+    facets = [f for k in range(1, 6) for f in permutations(range(5), k)][:n]
     obj = {"schema": 1, "genus": 0, "group": "Trivial", "points": [
-        {"label": f"p{k}", "type": "D4", "facet": [0] * k} for k in range(1, n + 1)]}
+        {"label": f"p{k}", "type": "D4", "facet": list(f), "bad": True}
+        for k, f in enumerate(facets)]}
     want = GroupDatum(0, TRIVIAL_GROUP, tuple(
-        PointDatum(f"p{k}", T("D4"), frozenset({0})) for k in range(1, n + 1)))
+        PointDatum(f"p{k}", T("D4"), frozenset(f), is_bad=True) for k, f in enumerate(facets)))
     for _ in range(2):
         assert datum_from_json(obj) == want
         assert 0 < len(picard._point_shapes) <= picard._MAX_POINT_SHAPES
+
+
+def test_a_facet_that_repeats_a_vertex_is_rejected(capsys, tmp_path):
+    pts = [{"label": "p", "type": "D4", "facet": [0, 1]},
+           {"label": "q", "type": "D4", "facet": [0, 0, 1]}]
+    obj = {"schema": 1, "genus": 0, "group": "Trivial", "points": pts}
+    # twice: a failed point leaves no shape in the memo
+    for _ in range(2):
+        with pytest.raises(ParseError, match=r"^points\[1\]: facet \[0, 0, 1\] repeats a vertex$"):
+            datum_from_json(obj)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert main(["picard", "rank", "--datum", str(path)]) == 2
+    assert "points[1]: facet [0, 0, 1] repeats a vertex" in capsys.readouterr().err
 
 
 def test_datum_validation():

@@ -4,8 +4,8 @@
 oracle builds the same report as dicts from the fields of its factors
 and bundle and hands them to ``json.dumps(..., sort_keys=True)``.  The
 two must agree byte for byte on any report, including ones no search
-builds: labels JSON escapes, bundles whose entries are out of order,
-closed-form parameters and ranks of thousands of digits.
+builds: labels JSON escapes, bundles whose entries are out of order and
+ranks of thousands of digits.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import datagen
 import oracles
 from parapic.covers import C3_PLUS, ELEMENTS, IDENTITY, inverse
 from parapic.descent import CGReport, DescentCertificate, compute_cG
+from parapic.errors import DomainError
 from parapic.factorization import CASE3_LITERAL, CASE4_LITERAL, BaseCase, DecompositionWitness
 from parapic.picard import WeightBundle
 
@@ -49,9 +50,6 @@ weight = st.lists(st.tuples(st.integers(0, 12), big), max_size=3).map(tuple)
 @st.composite
 def factors(draw):
     kind, elements = draw(st.sampled_from(SHAPES))
-    if draw(st.booleans()):  # a closed form over a whole vector
-        kind = "ClosedFormA"
-        elements = (T12,) * (2 * draw(st.integers(1, 4)))
     k = len(elements)
     multiplicity = draw(st.integers(1, 3))
     count = draw(st.sampled_from((0, k, multiplicity * k)))
@@ -64,7 +62,6 @@ def factors(draw):
         conjugator=draw(st.sampled_from(ELEMENTS)) if exceptional else None,
         original=tuple(draw(st.sampled_from(ELEMENTS)) for _ in range(k))
         if exceptional and draw(st.booleans()) else None,
-        params=(draw(big), draw(big), draw(big)) if kind == "ClosedFormA" else None,
         multiplicity=multiplicity,
     )
 
@@ -107,6 +104,15 @@ def test_report_json_is_the_dict_tree_json_dumps_writes(report):
     cert = report.certificate
     if cert is not None:
         assert cert.to_json() == json.dumps(oracles.certificate_dict(cert), sort_keys=True)
+
+
+def test_no_factor_is_a_whole_vector():
+    # the writer memoizes one frame per factor shape: the genus-g closed
+    # form is no kind, and no kind holds more than four points
+    with pytest.raises(DomainError, match="unknown factor kind 'ClosedFormA'"):
+        BaseCase(kind="ClosedFormA", elements=(T12, T12))
+    with pytest.raises(DomainError, match="malformed TwistedPair factor: 6 points"):
+        BaseCase(kind="TwistedPair", elements=(T12,) * 6, labels=tuple("abcdef"))
 
 
 def test_unsorted_bundle_entries_and_pairs_are_written_sorted():

@@ -225,11 +225,13 @@ def test_s3_case_ranks():
     assert base_case_rank(case("S3Case4", CASE4_LITERAL)).value == 2
 
 
-def test_closed_form_factor_rank():
-    f = BaseCase(kind="ClosedFormA", params=(1, 2, 3))
-    r = base_case_rank(f)
-    assert r.value == 2 * 3**2
-    assert r.derivation == (("closed form g=1 n=2 r=3", 18),)
+def test_the_closed_form_has_no_factor_to_rank():
+    # base_case_rank is the table alone: no factor holds the closed form,
+    # neither by its old kind nor as a whole vector of any kind
+    with pytest.raises(DomainError, match="unknown factor kind 'ClosedFormA'"):
+        BaseCase(kind="ClosedFormA", elements=(T12, T12))
+    with pytest.raises(DomainError, match="malformed TwistedPair factor: 6 points"):
+        BaseCase(kind="TwistedPair", elements=(T12,) * 6)
 
 
 def test_unknown_kind_rejected_at_construction():
