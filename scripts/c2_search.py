@@ -1,6 +1,6 @@
 """Where the C2 pairing search spends its work, by matching tests.
 
-Runs `compute_cG` (budget 64) over a seeded corpus of C2 data shaped
+Runs `compute_cG` over a seeded corpus of C2 data shaped
 like the benchmark's c2-search workload (`datagen.c2_search_datum`: 2 to
 10 branch points, 0 to 3 split points, genus 0 or 1, small facets) and
 buckets the data by how many perfect-matching tests the search makes.
@@ -8,9 +8,10 @@ Each row gives the data in the bucket, the divisors of L the search
 tested, the matching tests, the pairing candidates certified and the
 total `compute_cG` time.  Times come from a second pass with nothing
 wrapped; the counts from a first pass that wraps the search's matching
-test, its `settled` check and `certify_descent`.
+test, its per-charge table filter (called once per side for each
+divisor tested) and `certify_descent`.
 
-    python scripts/c2_staging.py [--data N] [--seed S]
+    python scripts/c2_search.py [--data N] [--seed S]
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import datagen  # noqa: E402
 from parapic import descent  # noqa: E402
 
 BUCKETS = ((0, 0), (1, 2), (3, 10), (11, 40), (41, 10**9))
-BUDGET = 64
 
 
 def bucket_of(tests: int) -> tuple[int, int]:
@@ -37,35 +37,33 @@ def bucket_of(tests: int) -> tuple[int, int]:
 def counted_pass(data) -> list[Counter]:
     """Per datum: divisors tested, matching tests and pairing candidates
     certified."""
-    search_of, matchings, certify = (descent._c2_search, descent.perfect_matchings,
-                                     descent.certify_descent)
+    at_charge, matching, certify = (descent._at_charge, descent.first_perfect_matching,
+                                    descent.certify_descent)
     counts: Counter = Counter()
 
-    def search(d, lower, settled):
-        def counted(charge):
-            done = settled(charge)
-            counts["divisors"] += not done
-            return done
-        return search_of(d, lower, counted)
+    def cut(table, charge):
+        counts["sides"] += 1
+        return at_charge(table, charge)
 
     def tested(n, edges, **kwargs):
         counts["tests"] += 1
-        return matchings(n, edges, **kwargs)
+        return matching(n, edges, **kwargs)
 
     def certified(d, b, **kwargs):
         counts["certified"] += bool(kwargs)  # pairing candidates name their pairings
         return certify(d, b, **kwargs)
 
     out = []
-    descent._c2_search, descent.perfect_matchings = search, tested
+    descent._at_charge, descent.first_perfect_matching = cut, tested
     descent.certify_descent = certified
     try:
         for d in data:
             counts.clear()
-            descent.compute_cG(d, budget=BUDGET)
-            out.append(Counter(counts))
+            descent.compute_cG(d)
+            out.append(Counter(tests=counts["tests"], divisors=counts["sides"] // 2,
+                               certified=counts["certified"]))
     finally:
-        descent._c2_search, descent.perfect_matchings = search_of, matchings
+        descent._at_charge, descent.first_perfect_matching = at_charge, matching
         descent.certify_descent = certify
     return out
 
@@ -75,18 +73,18 @@ def main() -> None:
     p.add_argument("--data", type=int, default=3000)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
-    r = random.Random(f"c2-staging:{args.seed}")
+    r = random.Random(f"c2-search:{args.seed}")
     data = [datagen.c2_search_datum(r) for _ in range(args.data)]
     counts = counted_pass(data)
     rows = {b: Counter() for b in BUCKETS}
     for d, c in zip(data, counts):
         t0 = time.perf_counter()
-        descent.compute_cG(d, budget=BUDGET)
+        descent.compute_cG(d)
         row = rows[bucket_of(c["tests"])]
         row.update(c)
         row["data"] += 1
         row["ms"] += (time.perf_counter() - t0) * 1e3
-    print(f"{args.data} seeded c2-search-shaped data (seed {args.seed}), budget {BUDGET}")
+    print(f"{args.data} seeded c2-search-shaped data (seed {args.seed})")
     print(f"{'tests':>9} {'data':>6} {'divisors':>8} {'tests':>8} {'certified':>9} "
           f"{'time ms':>8} {'ms/datum':>9}")
     for (lo, hi), row in rows.items():

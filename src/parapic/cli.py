@@ -43,15 +43,21 @@ def _check_writable(value: int | None, what: str) -> None:
         )
 
 
+def _integer(text: str) -> int:
+    """The argparse type of an integer argument: the text ``str(n)``
+    writes and nothing else, as in datum and bundle files, so a sign,
+    a digit separator, padding, a leading zero or a non-ASCII digit
+    exits 2."""
+    if not picard._VERTEX_KEY.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _nonnegative(text: str) -> int:
-    """The argparse type of a count option: a nonnegative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
+    """The argparse type of a count option: a nonnegative `_integer`."""
+    if text.startswith("-"):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return n
+    return _integer(text)
 
 
 def _split_specs(s: str) -> list[str]:
@@ -210,7 +216,7 @@ def _cmd_descend(args) -> str:
 
 def _cmd_cg(args) -> str:
     d = picard.load_datum(args.datum)
-    report = compute_cG(d, budget=args.budget)
+    report = compute_cG(d)
     if args.json and report.certificate is not None:
         _check_writable(report.certificate.rank_bound, "the rank bound")
     payload = report._json_items
@@ -303,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verlinde_rank)
     p = ver_sub.add_parser("closed-form", parents=[common],
                            help="2^g r^(g+n-1)")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("n", type=_integer)
+    p.add_argument("r", type=_integer)
     p.set_defaults(func=_cmd_verlinde_closed_form)
 
     p = sub.add_parser("descend", parents=[common],
@@ -317,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cg", parents=[common],
                        help="bracket the descending-charge generator")
     p.add_argument("--datum", required=True)
-    p.add_argument("--budget", type=_nonnegative, default=64,
-                   help="certificate search bound")
     p.set_defaults(func=_cmd_cg)
 
     return parser

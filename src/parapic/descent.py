@@ -51,7 +51,6 @@ from .factorization import (
 from .picard import (
     GroupDatum,
     WeightBundle,
-    _is_int,
     _json_object,
     _json_value,
     bundle_to_json,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
@@ -61,7 +60,7 @@ from .picard import (
     vacuum_bundle,
     validate_bundle,
 )
-from .pairing import perfect_matchings
+from .pairing import first_perfect_matching
 from .values import Record
 from .verlinde import rank_lower_bound
 
@@ -332,11 +331,6 @@ def _pinch_tables(sides: Gsd2Sides):
                  for side, split in ((sides.branch, False), (sides.split, True)))
 
 
-def _matchable(n: int, edges) -> bool:
-    """One matching test: the graph on 0..n-1 has a perfect matching."""
-    return next(perfect_matchings(n, edges), None) is not None
-
-
 def _object_text(obj) -> str:
     """``{"v": n}``: the JSON a bundle writes for one point's single vertex."""
     return f'{{"{obj[0]}": {obj[1]}}}'
@@ -351,8 +345,8 @@ def _least_pinching(side, table: dict, real) -> tuple[dict, list]:
     and has a perfect matching.  Each real label in sorted order keeps
     the first object that leaves one, and the last or only object needs
     no test.  Then the lowest remaining index takes the first partner, by
-    label JSON, that leaves one: the first matching `perfect_matchings`
-    lists with that partner order, in one more test."""
+    label JSON, that leaves one: `first_perfect_matching` with that
+    partner order, in one more test."""
     n = len(side)
 
     def keep(live, i, obj):
@@ -365,12 +359,12 @@ def _least_pinching(side, table: dict, real) -> tuple[dict, list]:
                          key=_object_text)
         for obj in choices:
             kept = keep(table, i, obj)
-            if obj is choices[-1] or _matchable(n, kept):
+            if obj is choices[-1] or first_perfect_matching(n, kept) is not None:
                 break
         table = kept
         weights[side[i]] = dict([obj])
     texts = list(map(json.dumps, side))
-    pairs = next(perfect_matchings(n, table, key=texts.__getitem__))
+    pairs = first_perfect_matching(n, table, key=texts.__getitem__)
     return weights, [(side[i], side[j]) for i, j in pairs]
 
 
@@ -386,9 +380,10 @@ def _at_charge(table: dict, charge: int) -> dict:
     return out
 
 
-def _c2_search(d, lower: int, settled):
-    """The least pairing candidate of each charge the C2 search reaches,
-    as (charge, weights, pairing kwargs), charges ascending.
+def _c2_search(d, lower: int, below: int | None):
+    """The least pairing candidate of a C2 datum whose charge is less
+    than ``below`` (any charge when it is None), as (charge, weights,
+    pairing kwargs), or None.
 
     Every option of a pinch table is a rank-1 pair, so the search asks
     for the least lcm of the chosen dual labels.  First one matching test
@@ -397,87 +392,70 @@ def _c2_search(d, lower: int, settled):
     that ``lower`` divides, ascending, the tables keep the options whose
     label divides c (`_at_charge`).  The first c at which both sides
     still have a perfect matching is the least lcm, since every lcm is a
-    multiple of c_Delta; at each such c the least candidate in (bundle
-    JSON, pairing JSON) order comes from `_least_pinching`, and each of
-    its points has charge c.  The search stops at the first charge
-    ``settled`` holds for.  Its matching tests number at most
-    2 + 2 tau(L) plus, per yielded charge, the objects `_least_pinching`
-    compares and one pairing test per side.
+    multiple of c_Delta; its least candidate in (bundle JSON, pairing
+    JSON) order comes from `_least_pinching`, and each of its points has
+    charge c.  Its matching tests number at most 2 + 2 tau(L) plus the
+    objects `_least_pinching` compares and one pairing test per side.
     """
     try:
         sides = _pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
     except DomainError:  # no cover, or pads of mixed base types
-        return
-    if not all(_matchable(len(side), table) for side, table, _ in reversed(sides)):
-        return
+        return None
+    if any(first_perfect_matching(len(side), table) is None
+           for side, table, _ in reversed(sides)):
+        return None
     top = lcm(*(a for *_rest, offered in sides for a in offered))
     real = {p.label for p in d.points}
-    for charge in range(lower, top + 1, lower):
+    for charge in range(lower, top + 1 if below is None else min(top + 1, below), lower):
         if top % charge:
             continue
-        if settled(charge):
-            return
         cut = [(side, _at_charge(table, charge)) for side, table, _offered in sides]
         if charge != top and not all(
-                len({i for e in table for i in e}) == len(side) and _matchable(len(side), table)
+                len({i for e in table for i in e}) == len(side)
+                and first_perfect_matching(len(side), table) is not None
                 for side, table in reversed(cut)):
             continue
         (bw, branch), (sw, split) = (_least_pinching(side, table, real) for side, table in cut)
-        yield charge, {**bw, **sw}, {"branch_pairing": branch, "split_pairing": split}
+        return charge, {**bw, **sw}, {"branch_pairing": branch, "split_pairing": split}
+    return None
 
 
-def compute_cG(d: GroupDatum, budget: int = 64) -> CGReport:
+def compute_cG(d: GroupDatum) -> CGReport:
     """Bracket the generator of the descending-charge lattice.
 
-    lower = c_Delta(d) divides every descending charge; the search then
-    tries one first candidate and, for degree-2 groups, the least
-    pairing candidate of each charge (`_c2_search`).  ``budget``, a
-    nonnegative integer, caps the certifications, but one is always
-    allowed.  The first candidate is the charge-1 vacuum bundle
-    when every facet contains the special vertex (then c_Delta is 1 and
-    the c_Delta-charge constructor builds the same bundle), and that
-    constructor's bundle otherwise.  The minimal certified charge, if
-    any, is an upper bound in the divisibility order; `exact` is set
-    when the two ends meet.
+    lower = c_Delta(d) divides every descending charge.  The search
+    certifies one first candidate: the charge-1 vacuum bundle when every
+    facet contains the special vertex (then c_Delta is 1 and the
+    c_Delta-charge constructor builds the same bundle), and that
+    constructor's bundle otherwise.  For degree-2 groups it then
+    certifies the least pairing candidate (`_c2_search`) when that has a
+    lower charge.  The certified charge, if any, is an upper bound in the
+    divisibility order; `exact` is set when the two ends meet.
     """
-    if not _is_int(budget) or budget < 0:
-        raise DomainError(f"search budget must be a nonnegative integer, got {budget!r}")
     lower = c_delta(d)
-    attempts = 0
-    best: DescentCertificate | None = None
 
-    def settled(charge: int) -> bool:
-        """True when no candidate of this charge can still be tried or
-        improve the bracket."""
-        return attempts >= max(budget, 1) or (best is not None and charge >= best.charge)
-
-    def try_candidate(bundle, **kwargs) -> None:
-        """Certify one candidate and keep it when it beats the best.
-
-        Each source builds a dominant bundle of one positive charge at
-        every point, so ``certify_descent`` is the only validation.  No
-        candidate comes twice: one first candidate is tried, and the
-        pairing ones are one per charge and name their pairings.
-        """
-        nonlocal attempts, best
-        attempts += 1
+    def descending(bundle, **kwargs) -> DescentCertificate | None:
+        """The certificate of one candidate when it descends.  Each
+        candidate is a dominant bundle of one positive charge at every
+        point, so ``certify_descent`` is the only validation."""
         try:
             cert = certify_descent(d, bundle, **kwargs)
         except DomainError:
-            return
-        if cert.verdict == DESCENDS and (best is None or cert.charge < best.charge):
-            best = cert
+            return None
+        return cert if cert.verdict == DESCENDS else None
 
-    if d.points and all(0 in p.facet for p in d.points):
-        try_candidate(vacuum_bundle(d, 1))
-    elif d.points:
+    best = None
+    if d.points:
         try:
-            try_candidate(cdelta_bundle(d))
-        except DomainError:
+            best = descending(vacuum_bundle(d, 1) if all(0 in p.facet for p in d.points)
+                              else cdelta_bundle(d))
+        except DomainError:  # no bundle of charge c_Delta
             pass
-    if d.gamma.kind == "C2" and d.points and not settled(lower):
-        for _charge, weights, kwargs in _c2_search(d, lower, settled):
-            try_candidate(WeightBundle.from_dict(weights), **kwargs)
+        if d.gamma.kind == "C2" and (best is None or best.charge > lower):
+            found = _c2_search(d, lower, None if best is None else best.charge)
+            if found is not None:
+                _charge, weights, kwargs = found
+                best = descending(WeightBundle.from_dict(weights), **kwargs) or best
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None
     return CGReport(lower=lower, certified_charge=certified, exact=exact,

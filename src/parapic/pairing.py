@@ -1,26 +1,25 @@
 """Perfect matchings of small graphs on the vertices 0..n-1, for the C2
 pairing search.
 
-`perfect_matchings` lists every perfect matching lazily, in the order of
-the plain recursion that pairs the lowest remaining vertex with each
-later remaining vertex in increasing order (or in the order of a key).  It enters a branch only when
-the remaining vertex set still has a perfect matching, which Edmonds'
-blossom algorithm ("Paths, trees, and flowers", 1965) decides: grow an
-alternating tree from an exposed vertex, contract odd cycles (blossoms)
-into their base, and flip the path once it reaches a second exposed
-vertex.  That answer is memoized per remaining set, together with one
-perfect matching of it.  Removing a pair (i, j) outside that matching
-frees the two mates, and a single augmenting-path search between them
-decides the branch.  Each listed matching therefore costs polynomial
-time, and a graph with none costs one blossom search, so
-``next(perfect_matchings(n, edges), None)`` decides existence.
+`first_perfect_matching` returns the first perfect matching of the
+plain recursion that pairs the lowest remaining vertex with each later
+remaining vertex in increasing order (or in the order of a key), or None
+when there is none.  Edmonds' blossom algorithm ("Paths, trees, and
+flowers", 1965) decides existence: grow an alternating tree from an
+exposed vertex, contract odd cycles (blossoms) into their base, and flip
+the path once it reaches a second exposed vertex.  Given one perfect
+matching, removing a pair (i, j) outside it frees the two mates, and a
+single augmenting-path search between them decides whether the rest
+still has one.  So the lowest vertex takes the first partner that passes
+this test, with no backtracking: a graph with none costs one blossom
+search, and the first matching polynomial time.
 
 Edges are pairs (i, j) with i != j; matchings are tuples of (i, j) pairs
 with i < j, ordered by i.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 Matching = tuple[tuple[int, int], ...]
 
@@ -96,68 +95,42 @@ def _augment(adj: list[list[int]], mate: list[int], root: int, alive: int) -> bo
     return False
 
 
-def _perfect(adj: list[list[int]], alive: int) -> list[int] | None:
-    """A perfect matching of the vertex set ``alive`` as a mate list
-    (-1 outside it), or None when there is none."""
-    mate = [-1] * len(adj)
-    verts = [v for v in range(len(adj)) if alive >> v & 1]
-    for v in verts:
+def first_perfect_matching(n: int, edges: Iterable[tuple[int, int]],
+                           key=None) -> Matching | None:
+    """The first perfect matching of the graph in recursion order (lowest
+    remaining vertex first, its partners in increasing order, or in
+    increasing ``key`` of the partner when a key is given), or None when
+    the graph has none.
+
+    A greedy start and one blossom search per exposed vertex find a
+    perfect matching; then the lowest remaining vertex takes, without
+    backtracking, the first partner that still leaves one."""
+    adj = _adjacency(n, edges, key)
+    alive = (1 << n) - 1
+    mate = [-1] * n
+    for v in range(n):
         if mate[v] == -1:
             for to in adj[v]:
-                if alive >> to & 1 and mate[to] == -1:
+                if mate[to] == -1:
                     mate[v], mate[to] = to, v
                     break
-    for v in verts:
+    for v in range(n):
         # an exposed vertex with no augmenting path stays exposed in
         # every maximum matching
         if mate[v] == -1 and not _augment(adj, mate, v, alive):
             return None
-    return mate
-
-
-def perfect_matchings(n: int, edges: Iterable[tuple[int, int]], key=None) -> Iterator[Matching]:
-    """Every perfect matching of the graph, lazily, in recursion order
-    (lowest remaining vertex first, its partners in increasing order, or
-    in increasing ``key`` of the partner when a key is given).  The first
-    one thus takes, at each lowest vertex, the first partner that still
-    leaves a perfect matching.
-
-    The recursion runs on an explicit stack, so a call leaves no
-    reference cycle behind for the cyclic collector."""
-    adj = _adjacency(n, edges, key)
-    full = (1 << n) - 1
-    mate = _perfect(adj, full)
-    if mate is None:
-        return
-    if not full:
-        yield ()
-        return
-    memo: dict[int, list[int] | None] = {full: mate}
-    pairs: list[tuple[int, int]] = []
-    # one frame per level of the recursion: the remaining vertex set, a
-    # perfect matching of it, its lowest vertex and that vertex's partners
-    # still to try; ``pairs`` holds the pair each deeper frame chose
-    stack = [(full, mate, 0, iter(adj[0]))]
-    while stack:
-        alive, mate, i, partners = stack[-1]
-        for j in partners:
+    pairs = []
+    while alive:
+        i = (alive & -alive).bit_length() - 1
+        # the partner mate[i] always leaves a perfect matching
+        for j in adj[i]:
             if alive >> j & 1:
                 rest = alive & ~(1 << i | 1 << j)
-                if rest not in memo:
-                    memo[rest] = _without_pair(adj, mate, i, j, rest)
-                if memo[rest] is not None:
+                if (sub := _without_pair(adj, mate, i, j, rest)) is not None:
                     break
-        else:
-            stack.pop()
-            if pairs:
-                pairs.pop()
-            continue
-        if rest:
-            pairs.append((i, j))
-            low = (rest & -rest).bit_length() - 1
-            stack.append((rest, memo[rest], low, iter(adj[low])))
-        else:
-            yield (*pairs, (i, j))
+        pairs.append((i, j))
+        alive, mate = rest, sub
+    return tuple(pairs)
 
 
 def _without_pair(adj: list[list[int]], mate: list[int], i: int, j: int,

@@ -306,7 +306,7 @@ def least_c2_candidate(d):
     perfect matching of both sides and every vertex choice, and the least
     candidate of that charge by (bundle JSON, pairing JSON).
 
-    Returns (charge, weights, kwargs) as the package's C2 search yields
+    Returns (charge, weights, kwargs) as the package's C2 search returns
     them.  Each pair's vertex sets come from the package; the sides
     (`c2_sides`), the walk and the order are this function's own.  The
     walk pairs the first remaining point with every other one and every
@@ -468,9 +468,9 @@ def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):
     return {"factors": factors, "steps": steps}, bound
 
 
-def gcd_of_pinching_lcms(sides):
-    """gcd, over every perfect matching of every side and every choice of
-    one label per pair, of the lcm of the chosen labels.
+def least_pinching_lcm(sides):
+    """The least, over every perfect matching of every side and every
+    choice of one label per pair, of the lcm of the chosen labels.
 
     ``sides`` holds one (size, labels) per side, where ``labels(i, j)``
     is the set of labels pair (i, j), i < j, offers (empty when the pair
@@ -491,12 +491,7 @@ def gcd_of_pinching_lcms(sides):
         for offered in (s for side in combo for s in side):
             reach = {v * a // gcd(v, a) for v in reach for a in offered}
         values |= reach
-    if not values:
-        return None
-    out = 0
-    for v in values:
-        out = gcd(out, v)
-    return out
+    return min(values, default=None)
 
 
 # ---------------------------------------------------------------------------

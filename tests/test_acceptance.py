@@ -259,7 +259,7 @@ def test_criterion_10_c2_pairing_search_at_40_points():
         # three points share only vertex 1, 37 only vertex 2: two odd
         # components, so no pairing is admissible
         blocked = datum(lambda i: {1} if i in (0, 13, 26) else {2})
-        assert next(_c2_search(blocked, 6, lambda _charge: False), None) is None
+        assert _c2_search(blocked, 6, None) is None
         rep = compute_cG(blocked)
         assert (rep.lower, rep.certified_charge, rep.exact) == (6, None, None)
         # every pair shares two vertices; the odd points pair at vertex 1
@@ -267,19 +267,7 @@ def test_criterion_10_c2_pairing_search_at_40_points():
         dense = datum(lambda i: {1, 2, 3} if i % 2 else {2, 3, 4})
         rep = compute_cG(dense)
         assert rep.certificate.verdict == DESCENDS
-        assert (rep.lower, rep.certified_charge) == (1, 2)
-
-
-def test_criterion_10_dense_pairing_search_at_large_budgets():
-    # 2^20 vertex choices per pairing: the search tests matchings per
-    # charge and builds no product, so a larger budget changes nothing
-    dense = forty_e6_branch_points(lambda i: {1, 2, 3} if i % 2 else {2, 3, 4})
-    with budget("criterion 10 (dense 40-point search at budgets 64 and 4000)"):
-        reports = [compute_cG(dense, budget=b) for b in (64, 4000)]
-    for rep in reports:
-        assert rep.certificate.verdict == DESCENDS
         assert (rep.lower, rep.certified_charge, rep.exact) == (1, 2, None)
-    assert reports[0].to_json() == reports[1].to_json()
 
 
 def test_criterion_11_linear_witnesses_at_genus_1e5(tmp_path, capsys):

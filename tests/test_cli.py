@@ -228,12 +228,36 @@ def test_missing_file_is_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("covers", "genus", "--group", "C2", "--base-genus", "-1", ",".join(["(12)"] * 10)),
     ("covers", "enumerate", "--classes", "(12),(12)", "--limit", "-1"),
-    ("cg", "--datum", "{datum}", "--budget", "-3"),
-], ids=["base-genus", "limit", "budget"])
-def test_negative_count_option_is_exit_2(capsys, a2_files, argv):
-    code, out, err = run(capsys, *(a.format(datum=a2_files[0]) for a in argv))
+], ids=["base-genus", "limit"])
+def test_negative_count_option_is_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "expected a nonnegative integer, got '-" in err
+
+
+#: integer texts that ``int`` reads but ``str`` never writes
+NON_CANONICAL = {"separator": "1_0", "arabic-indic": "\u0663", "leading-space": " 2",
+                 "trailing-space": "2 ", "plus": "+2", "leading-zero": "02", "minus-zero": "-0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("covers", "genus", "--base-genus", "{n}", "(12),(12)"),
+    ("covers", "enumerate", "--classes", "(12),(12)", "--limit", "{n}"),
+    ("verlinde", "closed-form", "{n}", "2", "3"),
+    ("verlinde", "closed-form", "1", "{n}", "3"),
+    ("verlinde", "closed-form", "1", "2", "{n}"),
+], ids=["base-genus", "limit", "closed-form-g", "closed-form-n", "closed-form-r"])
+@pytest.mark.parametrize("text", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
+def test_non_canonical_integer_argument_is_exit_2(capsys, argv, text):
+    code, out, err = run(capsys, *(a.format(n=text) for a in argv))
+    assert (code, out) == (2, "")
+    assert f"integer, got {text!r}" in err
+
+
+def test_cg_has_no_budget_option(capsys, a2_files):
+    code, out, err = run(capsys, "cg", "--datum", a2_files[0], "--budget", "64")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --budget 64" in err
 
 
 def test_domain_error_is_exit_1(capsys):

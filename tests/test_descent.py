@@ -255,18 +255,6 @@ def test_report_two_special_points():
     assert rep.certificate.route == "pair partition"
 
 
-def test_report_respects_budget_floor():
-    # even budget 0 permits a single candidate, which here closes
-    rep = compute_cG(a2_pair(), budget=0)
-    assert rep.exact == 2
-
-
-@pytest.mark.parametrize("budget", [2.5, True, False, -1, "3", None, 10**20 * 1.0])
-def test_compute_cg_rejects_a_budget_that_is_not_a_count(budget):
-    with pytest.raises(DomainError, match="budget"):
-        compute_cG(a2_pair(), budget=budget)
-
-
 def test_report_soundness_on_random_data():
     rng = random.Random(13)
     for gsd, gen in sorted(datagen.IWAHORI_GENERATORS.items()):
@@ -300,26 +288,22 @@ def test_report_serialization():
 
 #: sha256 of the ``compute_cG`` reports of the corpora below, one JSON
 #: line each, recorded when the local lookups were memoized: any change
-#: of a report's bytes shows here.  ``c2-budget-2`` was re-recorded when
-#: the C2 search lost its candidate cap, and now equals ``c2-budget-64``.
-#: ``iwahori-2`` and the ``c2-budget`` lines were re-recorded when the
-#: A-series closed form left certification, and checked against
-#: ``oracles.report_json``
+#: of a report's bytes shows here.  ``iwahori-2`` and ``c2`` were
+#: re-recorded when the A-series closed form left certification, and
+#: checked against ``oracles.report_json``
 PINNED_REPORT_DIGESTS = {
     "iwahori-1": "7d9c89d28f59409668a962c5675669383407627b81835f7dad445dba11bebd19",
     "iwahori-2": "01a2704eb30ac5255eea78bd9c1c8aa7a51600ed13a3ba7fb8edebedeafe4624",
     "iwahori-3": "1737ecd26f414eb2e7091b30bf329870b8b2c9409fac908630fe352a4678c002",
     "iwahori-6": "902d965eec47b9e2f1a37b2780c1b68418c1930e77e99a5b90f50eeb4deb849f",
-    "c2-budget-0": "127cea6e903653fe2f6561d45b4a755b8e1867360d23ac88db4f5243d74b6d9f",
-    "c2-budget-2": "dec0119fabd8b952afa6089550f71f2f4b53ce0bb8756afaa214525a8e2a34f6",
-    "c2-budget-64": "dec0119fabd8b952afa6089550f71f2f4b53ce0bb8756afaa214525a8e2a34f6",
+    "c2": "dec0119fabd8b952afa6089550f71f2f4b53ce0bb8756afaa214525a8e2a34f6",
 }
 
 
-def _report_digest(data, budget=64):
+def _report_digest(data):
     h = hashlib.sha256()
     for d in data:
-        h.update(compute_cG(d, budget=budget).to_json().encode() + b"\n")
+        h.update(compute_cG(d).to_json().encode() + b"\n")
     return h.hexdigest()
 
 
@@ -328,9 +312,7 @@ def test_reports_are_byte_identical_to_the_pinned_digests():
     got = {}
     for degree, gen in sorted(datagen.IWAHORI_GENERATORS.items()):
         got[f"iwahori-{degree}"] = _report_digest([gen(r) for _ in range(100)])
-    c2 = [datagen.c2_small_facet_datum(r) for _ in range(60)]
-    for budget in (0, 2, 64):
-        got[f"c2-budget-{budget}"] = _report_digest(c2, budget)
+    got["c2"] = _report_digest([datagen.c2_small_facet_datum(r) for _ in range(60)])
     assert got == PINNED_REPORT_DIGESTS
 
 
@@ -613,8 +595,8 @@ def test_staging_and_the_pinching_bound_build_no_pad_points(monkeypatch):
     init = PointDatum.__init__
     monkeypatch.setattr(PointDatum, "__init__",
                         lambda self, label, *a, **k: built.append(label) or init(self, label, *a, **k))
-    searched = [kwargs for _charge, _weights, kwargs in descent._c2_search(d, 1, lambda c: False)]
-    assert any("_aux1" in pair for kw in searched for pair in kw["split_pairing"])
+    _charge, _weights, kwargs = descent._c2_search(d, 1, None)
+    assert any("_aux1" in pair for pair in kwargs["split_pairing"])
     assert built == []
 
 
@@ -627,7 +609,7 @@ def _key(b, kwargs):
         (name, tuple(map(tuple, pairing))) for name, pairing in kwargs.items()))
 
 
-def _certified_keys(monkeypatch, d, budget):
+def _certified_keys(monkeypatch, d):
     """The (bundle entries, pairings) that one ``compute_cG`` call certifies."""
     keys, certify = [], descent.certify_descent
 
@@ -636,7 +618,7 @@ def _certified_keys(monkeypatch, d, budget):
         return certify(d, b, **kwargs)
 
     monkeypatch.setattr(descent, "certify_descent", counted)
-    compute_cG(d, budget=budget)
+    compute_cG(d)
     return keys
 
 
@@ -649,24 +631,25 @@ def _seeded_corpora():
 
 def test_no_candidate_is_certified_twice(monkeypatch):
     data, c2 = _seeded_corpora()
-    runs = [(d, 64) for d in data] + [(d, budget) for d in c2 for budget in (64, 4000)]
-    for d, budget in runs:
-        keys = _certified_keys(monkeypatch, d, budget)
+    for d in data + c2:
+        keys = _certified_keys(monkeypatch, d)
         assert keys and len(set(keys)) == len(keys), d
 
 
 def test_staged_candidates_are_distinct():
-    # the search above stops at its first certificate; unsettled, it
-    # yields one candidate per charge, ascending, and each one descends
+    # the least candidate descends at its charge; below that charge the
+    # search finds nothing, and below the next integer the same candidate
     searched = 0
     for d in _seeded_corpora()[1]:
-        found = list(descent._c2_search(d, c_delta(d), lambda _charge: False))
-        charges = [charge for charge, _weights, _kwargs in found]
-        assert charges == sorted(set(charges)), d
-        for charge, weights, kwargs in found:
-            cert = certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
-            assert (cert.verdict, cert.charge) == (DESCENDS, charge), d
-        searched += len(found)
+        found = descent._c2_search(d, c_delta(d), None)
+        if found is None:
+            continue
+        charge, weights, kwargs = found
+        cert = certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
+        assert (cert.verdict, cert.charge) == (DESCENDS, charge), d
+        assert descent._c2_search(d, c_delta(d), charge) is None, d
+        assert descent._c2_search(d, c_delta(d), charge + 1) == found, d
+        searched += 1
     assert searched > 50
 
 
@@ -677,7 +660,7 @@ def test_a_cdelta_bundle_equal_to_the_vacuum_bundle_is_certified_once(monkeypatc
     vacuum = vacuum_bundle(d, 1)
     assert cdelta_bundle(d) == vacuum
     assert certify_descent(d, vacuum).verdict != DESCENDS
-    assert _certified_keys(monkeypatch, d, 64) == [(vacuum.entries, ())]
+    assert _certified_keys(monkeypatch, d) == [(vacuum.entries, ())]
 
 
 DATUM_GENERATORS = {

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import random
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -511,17 +511,12 @@ def test_pq_sets_twisted_uses_identity_involution():
     assert pq_sets(frozenset({0, 1}), frozenset({1, 2}), inv) == ((1,), (1,))
 
 
-def searched(d):
-    """Every candidate of the C2 search from charge 1 on, when nothing
-    settles it: the least one of each charge some pairing reaches."""
-    return list(descent._c2_search(d, 1, lambda _charge: False))
-
-
 def pinching_bound(d):
-    """The gcd of the charges the C2 search yields when nothing settles
-    it, which is the gcd over every admissible pairing and vertex choice
-    of the lcm of the chosen dual labels (0 when nothing is searched)."""
-    return gcd(*(charge for charge, _weights, _kwargs in searched(d)))
+    """The charge of the C2 search's least candidate from charge 1 on:
+    the least lcm of the chosen dual labels over every admissible pairing
+    and vertex choice (None when no pairing is admissible)."""
+    found = descent._c2_search(d, 1, None)
+    return None if found is None else found[0]
 
 
 def test_lcmai_bound_is_lcm():
@@ -551,7 +546,7 @@ def test_best_lcmai_bound_anchors():
         (bad("x1", "A2~2", {1}, T12), bad("x2", "A2~2", {1}, T12)),
     )
     assert pinching_bound(d_a2) == 2
-    # four points, mixed facets: the matching-gcd drops the bound to 2
+    # four points, mixed facets: the least pairing lcm is 2
     d_e = GroupDatum(
         0,
         C2_GROUP,
@@ -576,8 +571,8 @@ def test_best_lcmai_bound_rejects_disjoint_facets():
         C2_GROUP,
         (bad("p1", "A3~2", {0}, T12), bad("p2", "A3~2", {1}, T12)),
     )
-    # no pairing pinches p1 with p2, so nothing is searched
-    assert searched(d) == []
+    # no pairing pinches p1 with p2, so the search finds no candidate
+    assert pinching_bound(d) is None
 
 
 # ---------------------------------------------------------------------------

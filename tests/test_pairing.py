@@ -1,17 +1,15 @@
 """The pairing engine against exhaustive oracles.
 
-The engine must list exactly the perfect matchings the plain recursion
-lists, in the same order, and the C2 search built on it must reproduce
-the reports of the exhaustive walk over every matching.
+The engine must return the first perfect matching the plain recursion
+lists, or None exactly when it lists none, and the C2 search built on it
+must reproduce the reports of the exhaustive walk over every matching.
 """
 from __future__ import annotations
 
 import collections
 import functools
-import gc
 import json
 import random
-from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +19,12 @@ import oracles
 from parapic import descent
 from parapic.cli import main
 from parapic.covers import C2_GROUP
-from parapic.descent import compute_cG
+from parapic.descent import DESCENDS, certify_descent, compute_cG
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError
 from parapic.factorization import _gsd2_sides, pq_sets_for_points
-from parapic.pairing import perfect_matchings
-from parapic.picard import GroupDatum, PointDatum, c_delta
+from parapic.pairing import first_perfect_matching
+from parapic.picard import GroupDatum, PointDatum, WeightBundle, c_delta
 
 T12 = (2, 1, 3)
 
@@ -38,8 +36,10 @@ def oracle_matchings(n, edges):
     ]
 
 
-def matching_exists(n, edges):
-    return next(perfect_matchings(n, edges), None) is not None
+def oracle_first(n, edges, key=int):
+    """The oracle's matching whose partners come first in ``key`` order
+    (its first one in plain order), or None when it lists none."""
+    return min(oracle_matchings(n, edges), key=lambda m: [key(j) for _i, j in m], default=None)
 
 
 def random_graph(r: random.Random, max_n: int = 12):
@@ -55,21 +55,19 @@ def test_engine_matches_oracle_on_random_graphs():
     r = random.Random(2024)
     for _ in range(150):
         n, edges = random_graph(r)
-        expected = oracle_matchings(n, edges)
-        assert list(perfect_matchings(n, edges)) == expected, (n, edges)
-        assert matching_exists(n, edges) == bool(expected), (n, edges)
+        assert first_perfect_matching(n, edges) == oracle_first(n, edges), (n, edges)
 
 
 def test_engine_tries_partners_in_key_order():
     # with a key, the recursion tries the partners of the lowest vertex
-    # in key order, so the matchings come sorted by their partners' keys
+    # in key order, so the first matching has the least partners' keys
     r = random.Random(2025)
     for _ in range(100):
         n, edges = random_graph(r, max_n=10)
         rank = list(range(n))
         r.shuffle(rank)
-        expected = sorted(oracle_matchings(n, edges), key=lambda m: [rank[j] for _i, j in m])
-        assert list(perfect_matchings(n, edges, key=rank.__getitem__)) == expected, (n, edges)
+        assert first_perfect_matching(n, edges, key=rank.__getitem__) == \
+            oracle_first(n, edges, rank.__getitem__), (n, edges)
 
 
 def _graphs(n):
@@ -82,9 +80,7 @@ def _graphs(n):
 @given(st.integers(min_value=0, max_value=10).flatmap(_graphs))
 def test_engine_matches_oracle_hypothesis(graph):
     n, edges = graph
-    expected = oracle_matchings(n, edges)
-    assert list(perfect_matchings(n, edges)) == expected
-    assert matching_exists(n, edges) == bool(expected)
+    assert first_perfect_matching(n, edges) == oracle_first(n, edges)
 
 
 def test_blossom_needs_contraction():
@@ -92,19 +88,17 @@ def test_blossom_needs_contraction():
     # 0-1, and the search from 2 reaches 1 as an outer vertex through 0,
     # so it finds 2-1-0-3 only by contracting the triangle
     edges = {(0, 1), (0, 2), (1, 2), (0, 3)}
-    assert matching_exists(4, edges)
-    assert list(perfect_matchings(4, edges)) == [((0, 3), (1, 2))]
+    assert first_perfect_matching(4, edges) == ((0, 3), (1, 2))
     # two odd components (Tutte's condition fails with the empty set)
     odd = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
-    assert not matching_exists(6, odd)
-    assert list(perfect_matchings(6, odd)) == []
+    assert first_perfect_matching(6, odd) is None
 
 
 def test_engine_answers_large_obstruction_at_once():
     # K_39 plus an isolated vertex: (37)!! dead branches for a plain walk
     n = 40
     edges = {(i, j) for j in range(39) for i in range(j)}
-    assert next(perfect_matchings(n, edges), None) is None
+    assert first_perfect_matching(n, edges) is None
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +117,14 @@ def _labels_offered(side, split):
     return offered
 
 
-def never(_charge):
-    return False
-
-
-def searched(d):
-    """Every candidate ``descent._c2_search`` yields when nothing settles
-    it: the least candidate of each divisor of L it reaches."""
-    return list(descent._c2_search(d, c_delta(d), never))
+def least_candidate(d):
+    """The least candidate of ``descent._c2_search`` at any charge."""
+    return descent._c2_search(d, c_delta(d), None)
 
 
 def test_best_lcmai_bound_matches_oracle():
-    # the pinching bound is the gcd, over every admissible pairing and
-    # vertex choice, of the lcm of the chosen dual labels; each such lcm
-    # is a charge of the unsettled search, and each charge of it a
-    # multiple of one, so the gcds agree
+    # the charge of the least candidate is the least lcm of the chosen
+    # dual labels over every admissible pairing and vertex choice
     r = random.Random(5)
     seen = 0
     for _ in range(60):
@@ -146,40 +133,35 @@ def test_best_lcmai_bound_matches_oracle():
         branch = [sides.points[lab] for lab in sides.branch]
         split = [sides.points.get(lab) or PointDatum(lab, sides.pad_type, {0})
                  for lab in sides.split]
-        expected = oracles.gcd_of_pinching_lcms(
+        expected = oracles.least_pinching_lcm(
             [(len(branch), _labels_offered(branch, False)),
              (len(split), _labels_offered(split, True))]
         )
-        charges = [charge for charge, _weights, _kwargs in searched(d)]
+        found = least_candidate(d)
         if expected is None:
-            assert charges == [], "charges searched on an inadmissible datum"
+            assert found is None, "a candidate on an inadmissible datum"
             continue
-        assert gcd(*charges) == expected
-        assert charges == sorted(set(charges))
+        assert found[0] == expected
         seen += 1
     assert seen >= 20
 
 
-def oracle_search(d, lower, settled):
+def oracle_search(d, lower, below):
     """``oracles.least_c2_candidate`` in the shape of ``descent._c2_search``."""
     found = oracles.least_c2_candidate(d)
-    if found is not None and not settled(found[0]):
-        yield found
+    return found if found is not None and (below is None or found[0] < below) else None
 
 
 def test_compute_cg_matches_exhaustive_search(monkeypatch):
     r = random.Random(17)
     data = [datagen.c2_small_facet_datum(r) for _ in range(40)]
     data += [datagen.c2_search_datum(r) for _ in range(40)]
-    for budget in (64, 2, 0):
-        engine = [compute_cG(d, budget=budget).to_json() for d in data]
-        with monkeypatch.context() as m:
-            m.setattr(descent, "_c2_search", oracle_search)
-            exhaustive = [compute_cG(d, budget=budget).to_json() for d in data]
-        assert engine == exhaustive, budget
+    engine = [compute_cG(d).to_json() for d in data]
+    monkeypatch.setattr(descent, "_c2_search", oracle_search)
+    assert engine == [compute_cG(d).to_json() for d in data]
 
 
-def test_reports_agree_at_every_budget_from_one():
+def test_cdelta_bundle_gives_the_report_when_charge_one_is_out_of_reach(monkeypatch):
     # 3^4 vertex choices per pairing, and charge 1 is out of reach, so the
     # c_Delta bundle at charge 2 already gives the best report
     pts = tuple(
@@ -188,23 +170,24 @@ def test_reports_agree_at_every_budget_from_one():
         for i in range(1, 9)
     )
     d = GroupDatum(0, C2_GROUP, pts)
-    reports = {compute_cG(d, budget=b).to_json() for b in (1, 2, 3, 8, 64, 4000)}
-    assert len(reports) == 1
-    rep = json.loads(reports.pop())
-    assert (rep["lower"], rep["certified_charge"], rep["exact"]) == (1, 2, None)
-    # the search's own least candidate has the same charge
-    assert [c for c, *_rest in searched(d)][:1] == [2]
+    counts = _counted(monkeypatch)
+    rep = compute_cG(d)
+    assert (rep.lower, rep.certified_charge, rep.exact) == (1, 2, None)
+    # the search finds no candidate below it, and its own least
+    # candidate has the same charge
+    assert counts["certified"] == 1
+    assert least_candidate(d)[0] == 2
 
 
 def test_staged_sequence_matches_oracle_on_seeded_data():
-    # the first candidate of the search is the oracle's least candidate,
-    # and the search yields nothing exactly when the oracle finds none
+    # the search's candidate is the oracle's least candidate, and it
+    # finds none exactly when the oracle finds none
     r = random.Random(606)
     data = [datagen.c2_small_facet_datum(r) for _ in range(125)]
     data += [datagen.c2_search_datum(r, max_branch=6) for _ in range(250)]
     reached = 0
     for d in data:
-        got = next(descent._c2_search(d, c_delta(d), never), None)
+        got = least_candidate(d)
         assert got == oracles.least_c2_candidate(d), d
         reached += got is not None
     assert reached >= 100
@@ -241,13 +224,11 @@ HAND_BUILT = {
 
 def test_staged_sequence_matches_oracle_on_hand_built_data():
     for name, d in HAND_BUILT.items():
-        got = searched(d)
-        assert got, name
-        assert got[0] == oracles.least_c2_candidate(d), name
-    cut = HAND_BUILT["cut block"]
-    assert len({compute_cG(cut, budget=b).to_json() for b in (1, 2, 64, 4000)}) == 1
+        got = least_candidate(d)
+        assert got is not None, name
+        assert got == oracles.least_c2_candidate(d), name
     # every pairing gives the same bundle; the least pairing JSON wins
-    _charge, weights, kwargs = searched(HAND_BUILT["equal bundles"])[0]
+    _charge, weights, kwargs = least_candidate(HAND_BUILT["equal bundles"])
     assert weights == {f"p{i}": {2: 1} for i in range(6)}
     assert kwargs == {"branch_pairing": [("p0", "p1"), ("p2", "p3"), ("p4", "p5")],
                       "split_pairing": []}
@@ -265,7 +246,7 @@ def test_mixed_base_types_at_positive_genus_end_the_search(tmp_path, capsys):
     )
     assert compute_cG(GroupDatum(0, C2_GROUP, pts)).exact == 1
     d = GroupDatum(1, C2_GROUP, pts)
-    assert searched(d) == [] and oracles.least_c2_candidate(d) is None
+    assert least_candidate(d) is None and oracles.least_c2_candidate(d) is None
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datagen.datum_to_json(d)))
     assert main(["cg", "--datum", str(path), "--json"]) == 0
@@ -297,8 +278,7 @@ def dense_forty_points():
 
 def test_least_candidate_matches_oracle_on_the_search_corpus():
     for d in (*search_corpus(), dense_forty_points()):
-        assert next(descent._c2_search(d, c_delta(d), never), None) == \
-            oracles.least_c2_candidate(d), d
+        assert least_candidate(d) == oracles.least_c2_candidate(d), d
     rep = compute_cG(search_corpus()[602])
     assert (rep.lower, rep.certified_charge, rep.exact) == (1, 1, 1)
 
@@ -335,7 +315,7 @@ def test_bracket_does_not_depend_on_the_presentation():
 def _counted(monkeypatch):
     """Counters of the matching tests and certifications of the search."""
     counts = collections.Counter()
-    for name, counter in (("perfect_matchings", "tests"), ("certify_descent", "certified")):
+    for name, counter in (("first_perfect_matching", "tests"), ("certify_descent", "certified")):
         fn = getattr(descent, name)
         monkeypatch.setattr(descent, name, lambda *a, _fn=fn, _counter=counter, **k:
                             counts.update([_counter]) or _fn(*a, **k))
@@ -356,30 +336,19 @@ def test_matching_tests_stay_within_the_work_bound(monkeypatch):
         assert counts["certified"] <= 2, d
 
 
-def test_dense_search_work_does_not_grow_with_the_budget(monkeypatch):
-    counts = _counted(monkeypatch)
-    work = {}
-    for budget in (1, 2, 64, 4000):
-        counts.clear()
-        rep = compute_cG(dense_forty_points(), budget=budget)
-        work[budget] = dict(counts), rep.certified_charge
-    # at budget 1 the c_Delta bundle takes the one certification, and no
-    # matching test runs; from budget 2 on the work is the same
-    assert work[1] == ({"certified": 1}, None)
-    assert work[2] == work[64] == work[4000]
-    assert work[2][0]["certified"] == 2 and work[2][1] == 2
-
-
-def test_matching_walk_leaves_no_reference_cycles():
-    gc.collect()
-    gc.disable()
-    try:
-        assert len(list(perfect_matchings(4, {(0, 1), (1, 2), (2, 3), (0, 3)}))) == 2
-        walk = perfect_matchings(8, {(i, j) for j in range(8) for i in range(j)})
-        next(walk)
-        next(walk)
-        walk.close()
-        del walk
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+def test_every_search_candidate_descends_with_rank_bound_one():
+    # every pinch-table option is a rank-1 pair, so the one candidate
+    # the search returns needs no second one behind it
+    data = [*search_corpus(), dense_forty_points()]
+    for seed in (1, 2, 3):
+        r = random.Random(seed)
+        data += [datagen.c2_search_datum(r) for _ in range(200)]
+    found = 0
+    for d in data:
+        if (got := least_candidate(d)) is None:
+            continue
+        charge, weights, kwargs = got
+        cert = certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
+        assert (cert.verdict, cert.charge, cert.rank_bound) == (DESCENDS, charge, 1), d
+        found += 1
+    assert found >= 400

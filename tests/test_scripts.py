@@ -1,11 +1,11 @@
 """The example scripts under ``scripts/`` still run.
 
 Most use the package's public names only, so a trim of that API that
-breaks one of them fails here.  ``c2_staging`` rebinds the C2 search,
-its matching test and ``certify_descent`` in ``parapic.descent`` by name
-and call signature, so it runs here on a small corpus, and ``startup``
-launches two processes of each kind.  ``witness_sizes`` times high
-genera and is left out.
+breaks one of them fails here.  ``c2_search`` rebinds the C2 search's
+matching test, its per-charge table filter and ``certify_descent`` in
+``parapic.descent`` by name and call signature, so it runs here on a
+small corpus, and ``startup`` launches two processes of each kind.
+``witness_sizes`` times high genera and is left out.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ def test_script_runs(script):
     run_script(script)
 
 
-def test_c2_staging_counts_a_small_corpus():
-    out = run_script("c2_staging", "--data", "40")
+def test_c2_search_counts_a_small_corpus():
+    out = run_script("c2_search", "--data", "40")
     # the last row totals data, divisors tested, matching tests and
     # pairing candidates certified; each certified candidate comes from
     # one tested divisor, and the first ones need two existence tests
