@@ -3,13 +3,15 @@
 Runs `compute_cG` over a seeded corpus of C2 data shaped
 like the benchmark's c2-search workload (`datagen.c2_search_datum`: 2 to
 10 branch points, 0 to 3 split points, genus 0 or 1, small facets) and
-buckets the data by how many perfect-matching tests the search makes.
-Each row gives the data in the bucket, the divisors of L the search
-tested, the matching tests, the pairing candidates certified and the
-total `compute_cG` time.  Times come from a second pass with nothing
-wrapped; the counts from a first pass that wraps the search's matching
-test, its per-charge table filter (called once per side for each
-divisor tested) and `certify_descent`.
+buckets the data by how many perfect-matching tests the staging and the
+search make.  Each row gives the data in the bucket, the divisors of L
+the search tested, the matching tests, the pairing candidates certified,
+the total `compute_cG` time, the data the staging rejected (no pinching:
+nothing built or certified) and the first candidates certified.  Times
+come from a second pass with nothing wrapped; the counts from a first
+pass that wraps the matching test, the search's per-charge table filter
+(called once per side for each divisor tested), the staging and
+`certify_descent`.
 
     python scripts/c2_search.py [--data N] [--seed S]
 """
@@ -35,10 +37,11 @@ def bucket_of(tests: int) -> tuple[int, int]:
 
 
 def counted_pass(data) -> list[Counter]:
-    """Per datum: divisors tested, matching tests and pairing candidates
+    """Per datum: divisors tested, matching tests, pairing candidates
+    certified, whether the staging rejected it and first candidates
     certified."""
-    at_charge, matching, certify = (descent._at_charge, descent.first_perfect_matching,
-                                    descent.certify_descent)
+    at_charge, matching, certify, stage = (descent._at_charge, descent.first_perfect_matching,
+                                           descent.certify_descent, descent._c2_stage)
     counts: Counter = Counter()
 
     def cut(table, charge):
@@ -50,21 +53,28 @@ def counted_pass(data) -> list[Counter]:
         return matching(n, edges, **kwargs)
 
     def certified(d, b, **kwargs):
-        counts["certified"] += bool(kwargs)  # pairing candidates name their pairings
+        # pairing candidates name their pairings, first candidates do not
+        counts["certified" if kwargs else "first"] += 1
         return certify(d, b, **kwargs)
+
+    def staged(d):
+        out = stage(d)
+        counts["rejected"] += out is None
+        return out
 
     out = []
     descent._at_charge, descent.first_perfect_matching = cut, tested
-    descent.certify_descent = certified
+    descent.certify_descent, descent._c2_stage = certified, staged
     try:
         for d in data:
             counts.clear()
             descent.compute_cG(d)
             out.append(Counter(tests=counts["tests"], divisors=counts["sides"] // 2,
-                               certified=counts["certified"]))
+                               certified=counts["certified"], rejected=counts["rejected"],
+                               first=counts["first"]))
     finally:
         descent._at_charge, descent.first_perfect_matching = at_charge, matching
-        descent.certify_descent = certify
+        descent.certify_descent, descent._c2_stage = certify, stage
     return out
 
 
@@ -86,15 +96,17 @@ def main() -> None:
         row["ms"] += (time.perf_counter() - t0) * 1e3
     print(f"{args.data} seeded c2-search-shaped data (seed {args.seed})")
     print(f"{'tests':>9} {'data':>6} {'divisors':>8} {'tests':>8} {'certified':>9} "
-          f"{'time ms':>8} {'ms/datum':>9}")
+          f"{'time ms':>8} {'ms/datum':>9} {'rejected':>8} {'first':>6}")
     for (lo, hi), row in rows.items():
         span = f"{lo}" if lo == hi else f"{lo}+" if hi == BUCKETS[-1][1] else f"{lo}-{hi}"
         per = row["ms"] / row["data"] if row["data"] else 0.0
         print(f"{span:>9} {row['data']:>6} {row['divisors']:>8} {row['tests']:>8} "
-              f"{row['certified']:>9} {row['ms']:>8.0f} {per:>9.3f}")
+              f"{row['certified']:>9} {row['ms']:>8.0f} {per:>9.3f} {row['rejected']:>8} "
+              f"{row['first']:>6}")
     total = sum(rows.values(), Counter())
     print(f"{'all':>9} {total['data']:>6} {total['divisors']:>8} {total['tests']:>8} "
-          f"{total['certified']:>9} {total['ms']:>8.0f}")
+          f"{total['certified']:>9} {total['ms']:>8.0f} {'':>9} {total['rejected']:>8} "
+          f"{total['first']:>6}")
 
 
 if __name__ == "__main__":

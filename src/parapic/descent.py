@@ -290,37 +290,48 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
 
     Facets are bitmasks here: P is the meet of the two facets and Q the
     meet of the first facet with the second one's image under the pair
-    involution.  The choices of one (type, meet) are built once per call.
+    involution.  Labels of one shape (the pads, or points drawn alike)
+    share an index, so each pair of shape indices is worked out once
+    per call and every other pair of labels costs a lookup; the choices
+    of one (type, meet) are built once per call.
     """
-    masks = [sum(1 << v for v in facet) for _t, facet in shapes]
+    kinds: dict[tuple, int] = {}  # shape -> shape index
+    kind = [kinds.setdefault(s, len(kinds)) for s in shapes]
+    types = [t for t, _facet in kinds]
+    masks = [sum(1 << v for v in facet) for _t, facet in kinds]
     images = masks
     if split:
         images = []
-        for t, facet in shapes:
+        for t, facet in kinds:
             inv = pair_involution(t)
             images.append(sum(1 << inv(v) for v in facet))
     built: dict[tuple, tuple] = {}
     offered: set[int] = set()
+    pairs: dict[tuple[int, int], tuple] = {}
     table = {}
-    for j, (t, _facet) in enumerate(shapes):
+    for j, kj in enumerate(kind):
         for i in range(j):
-            meet = masks[i] & images[j]
-            if not meet or shapes[i][0] != t:
-                continue
-            if (t, meet) not in built:
-                labels, inv = t.dual_labels, pair_involution(t)
-                opts = built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
-                                              for v in range(meet.bit_length()) if meet >> v & 1)
-                offered.update(a for *_v, a in opts)
-            table[i, j] = built[t, meet]
+            key = (kind[i], kj)
+            opts = pairs.get(key)
+            if opts is None:
+                meet, t = masks[key[0]] & images[kj], types[kj]
+                if not meet or types[key[0]] != t:
+                    opts = ()
+                elif (opts := built.get((t, meet))) is None:
+                    labels, inv = t.dual_labels, pair_involution(t)
+                    opts = built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
+                                                  for v in range(meet.bit_length()) if meet >> v & 1)
+                    offered.update(a for *_v, a in opts)
+                pairs[key] = opts
+            if opts:
+                table[i, j] = opts
     return table, offered
 
 
 def _pinch_tables(sides: Gsd2Sides):
     """The branch labels and the (padded) split labels of a C2 datum,
     each with its `_pinch_options` table and offered labels.  The tables
-    read a pad as a vacuum point, (``pad_type``, {0}); the search meets
-    pads at genus 0 and 1 in practice."""
+    read a pad as a vacuum point, (``pad_type``, {0})."""
     pad = (sides.pad_type, (0,))
 
     def shape(lab):
@@ -344,24 +355,29 @@ def _least_pinching(side, table: dict, real) -> tuple[dict, list]:
     ((vertex, coefficient) at i, (vertex, coefficient) at j) they give,
     and has a perfect matching.  Each real label in sorted order keeps
     the first object that leaves one, and the last or only object needs
-    no test.  Then the lowest remaining index takes the first partner, by
-    label JSON, that leaves one: `first_perfect_matching` with that
-    partner order, in one more test."""
-    n = len(side)
-
-    def keep(live, i, obj):
-        return {e: kept for e, opts in live.items()
-                if (kept := [o for o in opts if i not in e or o[e.index(i)] == obj])}
-
+    no test; only the entries at that label are restricted.  Then the
+    lowest remaining index takes the first partner, by label JSON, that
+    leaves one: `first_perfect_matching` with that partner order, in one
+    more test."""
+    n, table = len(side), dict(table)
+    incident: list[list] = [[] for _ in range(n)]
+    for e in table:
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
     weights = {}
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
-        choices = sorted({o[e.index(i)] for e, opts in table.items() if i in e for o in opts},
-                         key=_object_text)
+        at = [(e, e.index(i)) for e in incident[i] if e in table]
+        choices = sorted({o[k] for e, k in at for o in table[e]}, key=_object_text)
         for obj in choices:
-            kept = keep(table, i, obj)
-            if obj is choices[-1] or first_perfect_matching(n, kept) is not None:
+            kept = {e: [o for o in table[e] if o[k] == obj] for e, k in at}
+            if obj is choices[-1] or first_perfect_matching(n, (
+                    e for e in table if e not in kept or kept[e])) is not None:
                 break
-        table = kept
+        for e, opts in kept.items():
+            if opts:
+                table[e] = opts
+            else:
+                del table[e]
         weights[side[i]] = dict([obj])
     texts = list(map(json.dumps, side))
     pairs = first_perfect_matching(n, table, key=texts.__getitem__)
@@ -380,36 +396,75 @@ def _at_charge(table: dict, charge: int) -> dict:
     return out
 
 
-def _c2_search(d, lower: int, below: int | None):
-    """The least pairing candidate of a C2 datum whose charge is less
-    than ``below`` (any charge when it is None), as (charge, weights,
-    pairing kwargs), or None.
+def _staged_shadows(d) -> int:
+    """The handle shadows `_c2_stage` keeps: all 2g, but no more than
+    r + 2 - r % 2 for r real split points.  Pads are interchangeable
+    vacuum points that always pair with one another, so with at least r
+    of them extra pad pairs never change whether a side has a perfect
+    matching, and staging stays O(n^2) at any genus."""
+    r = sum(p.monodromy == IDENTITY for p in d.points)
+    return min(2 * d.base_genus, r + 2 - r % 2)
 
-    Every option of a pinch table is a rank-1 pair, so the search asks
-    for the least lcm of the chosen dual labels.  First one matching test
-    per side on the whole tables: most data without a pinching stop
-    there.  Then, for each divisor c of the lcm L of the offered labels
-    that ``lower`` divides, ascending, the tables keep the options whose
-    label divides c (`_at_charge`).  The first c at which both sides
-    still have a perfect matching is the least lcm, since every lcm is a
-    multiple of c_Delta; its least candidate in (bundle JSON, pairing
-    JSON) order comes from `_least_pinching`, and each of its points has
-    charge c.  Its matching tests number at most 2 + 2 tau(L) plus the
-    objects `_least_pinching` compares and one pairing test per side.
-    """
+
+def _c2_stage(d):
+    """The pinch tables of a C2 datum (`_pinch_tables`, with
+    `_staged_shadows` pads) when both sides have a perfect matching on
+    them, split side first; None when a side has none, or when the datum
+    has no C2 sides (`_gsd2_sides` raises DomainError).
+
+    A pair has rank >= 1 only at an option of its table (a vacuum pair,
+    a matched or a dual-matched one), so a C2 bundle can descend only
+    along a pairing that is a perfect matching of both tables: when this
+    returns None, none does."""
     try:
-        sides = _pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
+        staged = _pinch_tables(_gsd2_sides(d.points, _staged_shadows(d)))
     except DomainError:  # no cover, or pads of mixed base types
         return None
-    if any(first_perfect_matching(len(side), table) is None
-           for side, table, _ in reversed(sides)):
+    # a side whose default pairing pinches every pair needs no test
+    if any(not _pinches_adjacent(side, table)
+           and first_perfect_matching(len(side), table) is None
+           for side, table, _ in reversed(staged)):
         return None
-    top = lcm(*(a for *_rest, offered in sides for a in offered))
+    return staged
+
+
+def _pinches_adjacent(side, table) -> bool:
+    """Whether the default pairing of one side (adjacent labels) pinches
+    every pair it makes on its `_c2_stage` table.  A pair off the table
+    has rank 0 or unknown, so a bundle on a default pairing that does
+    not cannot descend.  Dropped pads change no answer: they pair with
+    one another after the real labels and the first pad."""
+    return all((i, i + 1) in table for i in range(0, len(side), 2))
+
+
+def _c2_search(d, lower: int, below: int | None, staged=None):
+    """The least pairing candidate of a C2 datum whose charge is less
+    than ``below`` (any charge when it is None), as (charge, weights,
+    pairing kwargs), or None.  ``staged`` is the datum's `_c2_stage`,
+    made here when it is None; when that dropped pads, the tables are
+    built again with all 2g, as a pairing names every pad.
+
+    Every option of a pinch table is a rank-1 pair, so the search asks
+    for the least lcm of the chosen dual labels.  For each divisor c of
+    the lcm L of the offered labels that ``lower`` divides, ascending,
+    the tables keep the options whose label divides c (`_at_charge`).
+    The first c at which both sides still have a perfect matching is the
+    least lcm, since every lcm is a multiple of c_Delta; its least
+    candidate in (bundle JSON, pairing JSON) order comes from
+    `_least_pinching`, and each of its points has charge c.  Its
+    matching tests number at most 2 tau(L) plus the objects
+    `_least_pinching` compares and one pairing test per side.
+    """
+    if staged is None and (staged := _c2_stage(d)) is None:
+        return None
+    if _staged_shadows(d) < 2 * d.base_genus:
+        staged = _pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
+    top = lcm(*(a for *_rest, offered in staged for a in offered))
     real = {p.label for p in d.points}
     for charge in range(lower, top + 1 if below is None else min(top + 1, below), lower):
         if top % charge:
             continue
-        cut = [(side, _at_charge(table, charge)) for side, table, _offered in sides]
+        cut = [(side, _at_charge(table, charge)) for side, table, _offered in staged]
         if charge != top and not all(
                 len({i for e in table for i in e}) == len(side)
                 and first_perfect_matching(len(side), table) is not None
@@ -424,12 +479,15 @@ def compute_cG(d: GroupDatum) -> CGReport:
     """Bracket the generator of the descending-charge lattice.
 
     lower = c_Delta(d) divides every descending charge.  The search
-    certifies one first candidate: the charge-1 vacuum bundle when every
-    facet contains the special vertex (then c_Delta is 1 and the
-    c_Delta-charge constructor builds the same bundle), and that
-    constructor's bundle otherwise.  For degree-2 groups it then
-    certifies the least pairing candidate (`_c2_search`) when that has a
-    lower charge.  The certified charge, if any, is an upper bound in the
+    certifies at most one first candidate: the charge-1 vacuum bundle
+    when every facet contains the special vertex (then c_Delta is 1 and
+    the c_Delta-charge constructor builds the same bundle), and that
+    constructor's bundle otherwise.  A C2 datum off the vacuum path is
+    staged first (`_c2_stage`): with no pinching nothing is built, and
+    its c_Delta bundle is certified only when its default pairing pinches
+    every adjacent pair.  For degree-2 groups the search then certifies
+    the least pairing candidate (`_c2_search`) when that has a lower
+    charge.  The certified charge, if any, is an upper bound in the
     divisibility order; `exact` is set when the two ends meet.
     """
     lower = c_delta(d)
@@ -444,15 +502,20 @@ def compute_cG(d: GroupDatum) -> CGReport:
             return None
         return cert if cert.verdict == DESCENDS else None
 
-    best = None
+    best = staged = None
     if d.points:
+        at_o, c2 = all(0 in p.facet for p in d.points), d.gamma.kind == "C2"
+        if c2 and not at_o and (staged := _c2_stage(d)) is None:
+            return CGReport(lower=lower, certified_charge=None, exact=None, certificate=None)
         try:
-            best = descending(vacuum_bundle(d, 1) if all(0 in p.facet for p in d.points)
-                              else cdelta_bundle(d))
+            first = vacuum_bundle(d, 1) if at_o else cdelta_bundle(d)
         except DomainError:  # no bundle of charge c_Delta
-            pass
-        if d.gamma.kind == "C2" and (best is None or best.charge > lower):
-            found = _c2_search(d, lower, None if best is None else best.charge)
+            first = None
+        if first is not None and (staged is None or all(
+                _pinches_adjacent(side, table) for side, table, _ in staged)):
+            best = descending(first)
+        if c2 and (best is None or best.charge > lower):
+            found = _c2_search(d, lower, None if best is None else best.charge, staged)
             if found is not None:
                 _charge, weights, kwargs = found
                 best = descending(WeightBundle.from_dict(weights), **kwargs) or best

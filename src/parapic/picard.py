@@ -278,7 +278,9 @@ def cdelta_bundle(d: GroupDatum) -> WeightBundle:
     from the square of its largest label on (Schur's bound on the
     Frobenius number), so the first multiple of lcm(c_delta, every g)
     past those squares bounds the charge, and one reach table per such
-    point up to that bound decides it.
+    point up to that bound decides it.  The entries are those
+    `WeightBundle.from_dict` makes, built directly: each weight lists its
+    vertices in increasing order, and no coefficient is zero.
     """
     base = c_delta(d)
     points = []
@@ -301,24 +303,24 @@ def cdelta_bundle(d: GroupDatum) -> WeightBundle:
         charge = next((c for c in range(base, limit + 1, base) if common >> c & 1), 0)
         if not charge:
             raise InternalInconsistencyError("no representable multiple of c_delta found")
-    weights = {}
+    entries = []
     for p, verts, labels in points:
         single = next(((v, a) for v, a in zip(verts, labels) if charge % a == 0), None)
         if single is not None:
             v, a = single
-            weights[p.label] = {v: charge // a}
+            entries.append((p.label, ((v, charge // a),)))
             continue
         reach = _suffix_reach(labels, charge)
-        coeffs, rem = {}, charge
+        coeffs, rem = [], charge
         for v, a, rest in zip(verts, labels, reach[1:]):
             n = rem // a
             while not rest >> (rem - n * a) & 1:
                 n -= 1
             if n:
-                coeffs[v] = n
+                coeffs.append((v, n))
                 rem -= n * a
-        weights[p.label] = coeffs
-    return WeightBundle.from_dict(weights)
+        entries.append((p.label, tuple(coeffs)))
+    return WeightBundle(tuple(sorted(entries)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from parapic.errors import (
     NotDominantError,
     NotInPicDeltaError,
 )
-from parapic.factorization import BaseCase
+from parapic.factorization import BaseCase, _gsd2_sides
+from parapic.pairing import first_perfect_matching
 from parapic.picard import (
     GroupDatum,
     PointDatum,
@@ -411,16 +412,27 @@ def random_facet_data(degree, count=100):
     point bad: the c_Δ bundles of these data put weight off the special
     vertex, and many of their certificates are Unknown."""
     r = random.Random(f"pinned-random-facets-{degree}")
-    out = []
-    for _ in range(count):
-        d = datagen.IWAHORI_GENERATORS[degree](r)
-        pts = []
-        for p in d.points:
-            t = p.affine_type
-            facet = r.sample(t.vertices, r.randint(1, min(3, len(t.vertices))))
-            pts.append(PointDatum(p.label, t, frozenset(facet), p.monodromy, is_bad=True))
-        out.append(GroupDatum(d.base_genus, d.gamma, tuple(pts)))
-    return out
+    return [_redrawn_facets(r, datagen.IWAHORI_GENERATORS[degree](r)) for _ in range(count)]
+
+
+def _redrawn_facets(r, d):
+    """``d`` with each facet redrawn as one to three random vertices of
+    its point's type, and every point bad."""
+    pts = []
+    for p in d.points:
+        t = p.affine_type
+        facet = r.sample(t.vertices, r.randint(1, min(3, len(t.vertices))))
+        pts.append(PointDatum(p.label, t, frozenset(facet), p.monodromy, is_bad=True))
+    return GroupDatum(d.base_genus, d.gamma, tuple(pts))
+
+
+def high_genus_random_facet_c2(count=300):
+    """``count`` C2 Iwahori data at genus 2 to 15 with random facets (as
+    in `random_facet_data`): nearly all have more handle shadows than
+    `descent._c2_stage` keeps, so the pairing search stages them again."""
+    r = random.Random("pinned-random-facets-c2-genus-2-15")
+    return [_redrawn_facets(r, datagen.iwahori_datum_gsd2(r, genus=r.randint(2, 15)))
+            for _ in range(count)]
 
 
 def _json_or_error(call):
@@ -460,6 +472,19 @@ def test_random_facet_reports_are_byte_identical_to_the_pinned_digests():
                 h.update(_json_or_error(lambda: call(d)).encode() + b"\n")
             got[f"{name}-{degree}"] = h.hexdigest()
     assert got == PINNED_RANDOM_FACET_DIGESTS
+
+
+#: sha256 of the reports of `high_genus_random_facet_c2`, one line each,
+#: recorded before the C2 search was staged with at most r + 2 pads
+PINNED_HIGH_GENUS_RANDOM_FACET_C2 = (
+    "b3db433c91c712b8e91dbe1feb03c7f2a5b7439205127029f813ff23a75c297a")
+
+
+def test_high_genus_random_facet_c2_reports_are_byte_identical_to_the_pinned_digest():
+    h = hashlib.sha256()
+    for d in high_genus_random_facet_c2():
+        h.update(_json_or_error(lambda: compute_cG(d)).encode() + b"\n")
+    assert h.hexdigest() == PINNED_HIGH_GENUS_RANDOM_FACET_C2
 
 
 def _replay(d, out):
@@ -629,11 +654,22 @@ def _seeded_corpora():
     return data, c2 + [datagen.c2_small_facet_datum(r) for _ in range(60)]
 
 
+def _staging_rejects(d):
+    """A C2 datum off the vacuum path whose pinch tables have no perfect
+    matching: `compute_cG` certifies nothing for it."""
+    return (d.gamma.kind == "C2" and not all(0 in p.facet for p in d.points)
+            and descent._c2_stage(d) is None)
+
+
 def test_no_candidate_is_certified_twice(monkeypatch):
     data, c2 = _seeded_corpora()
+    rejected = 0
     for d in data + c2:
         keys = _certified_keys(monkeypatch, d)
-        assert keys and len(set(keys)) == len(keys), d
+        assert len(set(keys)) == len(keys), d
+        assert bool(keys) != _staging_rejects(d), d
+        rejected += not keys
+    assert rejected > 10
 
 
 def test_staged_candidates_are_distinct():
@@ -675,7 +711,8 @@ DATUM_GENERATORS = {
 def test_compute_cg_builds_one_first_candidate(monkeypatch, name):
     # when every facet holds o (dual label 1), c_Delta is 1 and the
     # c_Delta bundle is the charge-1 vacuum, so compute_cG builds only
-    # the vacuum; otherwise only the c_Delta bundle
+    # the vacuum; otherwise only the c_Delta bundle, and none for a C2
+    # datum the staging rejects
     r = random.Random(f"one first candidate {name}")
     data = [DATUM_GENERATORS[name](r) for _ in range(200)]
     at_o = [d for d in data if d.points and all(0 in p.facet for p in d.points)]
@@ -691,4 +728,99 @@ def test_compute_cg_builds_one_first_candidate(monkeypatch, name):
     for d in data:
         built.clear()
         compute_cG(d)
-        assert built == ["vacuum_bundle" if d in at_o else "cdelta_bundle"], d
+        first = [] if _staging_rejects(d) else ["vacuum_bundle" if d in at_o else "cdelta_bundle"]
+        assert built == first, d
+
+
+# ---------------------------------------------------------------------------
+# C2 staging: the existence test before the first candidate
+
+
+def _staged_with_every_pad(d):
+    """`descent._c2_stage` with all 2g handle shadows kept."""
+    try:
+        staged = descent._pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
+    except DomainError:
+        return None
+    if any(first_perfect_matching(len(side), table) is None for side, table, _ in staged):
+        return None
+    return staged
+
+
+def staging_soundness_data():
+    r = random.Random("c2 staging soundness")
+    data = [datagen.c2_small_facet_datum(r) for _ in range(150)]
+    data += [datagen.c2_search_datum(r) for _ in range(150)]
+    # the points of a Trivial datum, read as the split side of a C2
+    # datum: mixed base types, odd sides and no branch points
+    data += [GroupDatum(d.base_genus, C2_GROUP, d.points)
+             for d in (datagen.random_small_datum(r) for _ in range(150))]
+    # branch points of two base types: pads need one, so only genus 0
+    # has a pinching
+    mixed = (bad("b1", "A3~2", {0, 1}, T12), bad("b2", "A3~2", {0, 1}, T12),
+             bad("b3", "D4~2", {1, 2}, T12), bad("b4", "D4~2", {1}, T12))
+    data += [GroupDatum(genus, C2_GROUP, mixed) for genus in range(4)]
+    return data + high_genus_random_facet_c2()
+
+
+def test_staging_rejects_no_datum_with_a_pinching():
+    # a rejected datum has no pairing candidate and its first candidate
+    # does not descend; neither does a first candidate whose default
+    # pairing leaves the tables; and the pads staging drops change
+    # neither answer
+    seen = {"rejected": 0, "off the tables": 0, "pads dropped": 0}
+    for d in staging_soundness_data():
+        staged, full = descent._c2_stage(d), _staged_with_every_pad(d)
+        assert (staged is None) == (full is None), d
+        if descent._staged_shadows(d) < 2 * d.base_genus:
+            seen["pads dropped"] += 1
+        try:
+            first = vacuum_bundle(d, 1) if all(0 in p.facet for p in d.points) else cdelta_bundle(d)
+            verdict = certify_descent(d, first).verdict
+        except DomainError:
+            verdict = None
+        if staged is None:
+            assert oracles.least_c2_candidate(d) is None, d
+            assert verdict != DESCENDS, d
+            seen["rejected"] += 1
+            continue
+        adjacent, on_full = ([descent._pinches_adjacent(side, table) for side, table, _ in tables]
+                             for tables in (staged, full))
+        assert adjacent == on_full, d
+        adjacent = all(adjacent)
+        if not adjacent:
+            assert verdict != DESCENDS, d
+            seen["off the tables"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+#: two ``D4~2`` branch points and one ``D4`` split point, by facets: the
+#: c_Delta bundle of the first descends, so no pairing is searched; the
+#: second has no pinching at all
+STAGED_AT_ANY_GENUS = {
+    "first candidate descends": ({1, 2}, {1, 2}, {0, 2}),
+    "no pinching": ({1, 2}, {2}, {1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED_AT_ANY_GENUS))
+def test_staging_builds_the_same_pinch_tables_at_any_genus(monkeypatch, name):
+    b1, b2, s1 = STAGED_AT_ANY_GENUS[name]
+    entries, options = [], descent._pinch_options
+
+    def counted(shapes, split):
+        table, offered = options(shapes, split)
+        entries.append(len(table))
+        return table, offered
+
+    monkeypatch.setattr(descent, "_pinch_options", counted)
+    built, reports = {}, set()
+    for genus in (10, 10**4):
+        d = GroupDatum(genus, C2_GROUP, (bad("b1", "D4~2", b1, T12), bad("b2", "D4~2", b2, T12),
+                                         bad("s1", "D4", s1, IDENTITY)))
+        entries.clear()
+        rep = compute_cG(d)
+        reports.add((rep.lower, rep.certified_charge, rep.exact))
+        built[genus] = sum(entries)
+    assert built[10] == built[10**4] > 0
+    assert reports == {(2, None, None) if name == "no pinching" else (2, 2, 2)}, reports

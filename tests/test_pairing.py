@@ -146,8 +146,9 @@ def test_best_lcmai_bound_matches_oracle():
     assert seen >= 20
 
 
-def oracle_search(d, lower, below):
-    """``oracles.least_c2_candidate`` in the shape of ``descent._c2_search``."""
+def oracle_search(d, lower, below, staged=None):
+    """``oracles.least_c2_candidate`` in the shape of ``descent._c2_search``;
+    the staged tables are ignored."""
     found = oracles.least_c2_candidate(d)
     return found if found is not None and (below is None or found[0] < below) else None
 
