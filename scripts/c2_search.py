@@ -5,13 +5,15 @@ like the benchmark's c2-search workload (`datagen.c2_search_datum`: 2 to
 10 branch points, 0 to 3 split points, genus 0 or 1, small facets) and
 buckets the data by how many perfect-matching tests the staging and the
 search make.  Each row gives the data in the bucket, the divisors of L
-the search tested, the matching tests, the pairing candidates certified,
-the total `compute_cG` time, the data the staging rejected (no pinching:
+the search tested, the matching tests (existence tests, repairs of a
+kept matching and canonical pairings alike), the augmenting-path
+(blossom) searches they ran, the pairing candidates certified, the
+total `compute_cG` time, the data the staging rejected (no pinching:
 nothing built or certified) and the first candidates certified.  Times
-come from a second pass with nothing wrapped; the counts from a first
-pass that wraps the matching test, the search's per-charge table filter
-(called once per side for each divisor tested), the staging and
-`certify_descent`.
+come from a second pass with nothing wrapped; the counts, which repeat
+exactly, from a first pass that wraps the three matching tests, the
+blossom search, the search's per-charge table filter (whose charges
+are the divisors tested), the staging and `certify_descent`.
 
     python scripts/c2_search.py [--data N] [--seed S]
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import datagen  # noqa: E402
-from parapic import descent  # noqa: E402
+from parapic import descent, pairing  # noqa: E402
 
 BUCKETS = ((0, 0), (1, 2), (3, 10), (11, 40), (41, 10**9))
 
@@ -36,21 +38,32 @@ def bucket_of(tests: int) -> tuple[int, int]:
     return next(b for b in BUCKETS if b[0] <= tests <= b[1])
 
 
+#: the matching tests `descent` calls, by the names it imports them as
+TESTS = ("perfect_matching", "repair_matching", "first_perfect_matching")
+
+
 def counted_pass(data) -> list[Counter]:
-    """Per datum: divisors tested, matching tests, pairing candidates
-    certified, whether the staging rejected it and first candidates
-    certified."""
-    at_charge, matching, certify, stage = (descent._at_charge, descent.first_perfect_matching,
-                                           descent.certify_descent, descent._c2_stage)
+    """Per datum: divisors tested, matching tests, blossom searches,
+    pairing candidates certified, whether the staging rejected it and
+    first candidates certified."""
+    at_charge, certify, stage = descent._at_charge, descent.certify_descent, descent._c2_stage
+    tests, augment = {name: getattr(descent, name) for name in TESTS}, pairing._augment
     counts: Counter = Counter()
+    charges: set[int] = set()
 
     def cut(table, charge):
-        counts["sides"] += 1
+        charges.add(charge)
         return at_charge(table, charge)
 
-    def tested(n, edges, **kwargs):
-        counts["tests"] += 1
-        return matching(n, edges, **kwargs)
+    def tested(fn):
+        def call(*args, **kwargs):
+            counts["tests"] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def augmented(*args):
+        counts["augments"] += 1
+        return augment(*args)
 
     def certified(d, b, **kwargs):
         # pairing candidates name their pairings, first candidates do not
@@ -63,17 +76,22 @@ def counted_pass(data) -> list[Counter]:
         return out
 
     out = []
-    descent._at_charge, descent.first_perfect_matching = cut, tested
+    for name, fn in tests.items():
+        setattr(descent, name, tested(fn))
+    pairing._augment, descent._at_charge = augmented, cut
     descent.certify_descent, descent._c2_stage = certified, staged
     try:
         for d in data:
             counts.clear()
+            charges.clear()
             descent.compute_cG(d)
-            out.append(Counter(tests=counts["tests"], divisors=counts["sides"] // 2,
-                               certified=counts["certified"], rejected=counts["rejected"],
-                               first=counts["first"]))
+            out.append(Counter(tests=counts["tests"], augments=counts["augments"],
+                               divisors=len(charges), certified=counts["certified"],
+                               rejected=counts["rejected"], first=counts["first"]))
     finally:
-        descent._at_charge, descent.first_perfect_matching = at_charge, matching
+        for name, fn in tests.items():
+            setattr(descent, name, fn)
+        pairing._augment, descent._at_charge = augment, at_charge
         descent.certify_descent, descent._c2_stage = certify, stage
     return out
 
@@ -95,18 +113,18 @@ def main() -> None:
         row["data"] += 1
         row["ms"] += (time.perf_counter() - t0) * 1e3
     print(f"{args.data} seeded c2-search-shaped data (seed {args.seed})")
-    print(f"{'tests':>9} {'data':>6} {'divisors':>8} {'tests':>8} {'certified':>9} "
-          f"{'time ms':>8} {'ms/datum':>9} {'rejected':>8} {'first':>6}")
+    print(f"{'tests':>9} {'data':>6} {'divisors':>8} {'tests':>8} {'augments':>8} "
+          f"{'certified':>9} {'time ms':>8} {'ms/datum':>9} {'rejected':>8} {'first':>6}")
     for (lo, hi), row in rows.items():
         span = f"{lo}" if lo == hi else f"{lo}+" if hi == BUCKETS[-1][1] else f"{lo}-{hi}"
         per = row["ms"] / row["data"] if row["data"] else 0.0
         print(f"{span:>9} {row['data']:>6} {row['divisors']:>8} {row['tests']:>8} "
-              f"{row['certified']:>9} {row['ms']:>8.0f} {per:>9.3f} {row['rejected']:>8} "
-              f"{row['first']:>6}")
+              f"{row['augments']:>8} {row['certified']:>9} {row['ms']:>8.0f} {per:>9.3f} "
+              f"{row['rejected']:>8} {row['first']:>6}")
     total = sum(rows.values(), Counter())
     print(f"{'all':>9} {total['data']:>6} {total['divisors']:>8} {total['tests']:>8} "
-          f"{total['certified']:>9} {total['ms']:>8.0f} {'':>9} {total['rejected']:>8} "
-          f"{total['first']:>6}")
+          f"{total['augments']:>8} {total['certified']:>9} {total['ms']:>8.0f} {'':>9} "
+          f"{total['rejected']:>8} {total['first']:>6}")
 
 
 if __name__ == "__main__":

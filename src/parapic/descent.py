@@ -60,7 +60,7 @@ from .picard import (
     vacuum_bundle,
     validate_bundle,
 )
-from .pairing import first_perfect_matching
+from .pairing import first_perfect_matching, neighbours, perfect_matching, repair_matching
 from .values import Record
 from .verlinde import rank_lower_bound
 
@@ -293,11 +293,14 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
     involution.  Labels of one shape (the pads, or points drawn alike)
     share an index, so each pair of shape indices is worked out once
     per call and every other pair of labels costs a lookup; the choices
-    of one (type, meet) are built once per call.
+    of one (type, meet) are built once per call.  Types compare by a
+    per-call index, found once per shape.
     """
     kinds: dict[tuple, int] = {}  # shape -> shape index
     kind = [kinds.setdefault(s, len(kinds)) for s in shapes]
     types = [t for t, _facet in kinds]
+    type_ids: dict = {}  # type -> type index, so pairs compare integers
+    type_of = [type_ids.setdefault(t, len(type_ids)) for t in types]
     masks = [sum(1 << v for v in facet) for _t, facet in kinds]
     images = masks
     if split:
@@ -314,12 +317,13 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
             key = (kind[i], kj)
             opts = pairs.get(key)
             if opts is None:
-                meet, t = masks[key[0]] & images[kj], types[kj]
-                if not meet or types[key[0]] != t:
+                meet, ti = masks[key[0]] & images[kj], type_of[kj]
+                if not meet or type_of[key[0]] != ti:
                     opts = ()
-                elif (opts := built.get((t, meet))) is None:
+                elif (opts := built.get((ti, meet))) is None:
+                    t = types[kj]
                     labels, inv = t.dual_labels, pair_involution(t)
-                    opts = built[t, meet] = tuple((v, inv(v) if split else v, labels[v])
+                    opts = built[ti, meet] = tuple((v, inv(v) if split else v, labels[v])
                                                   for v in range(meet.bit_length()) if meet >> v & 1)
                     offered.update(a for *_v, a in opts)
                 pairs[key] = opts
@@ -347,32 +351,40 @@ def _object_text(obj) -> str:
     return f'{{"{obj[0]}": {obj[1]}}}'
 
 
-def _least_pinching(side, table: dict, real) -> tuple[dict, list]:
+def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) -> tuple[dict, list]:
     """The least candidate of one side: its points' weight objects, then
     its pairing, each least in JSON order.
 
     ``table`` maps each usable pair (i, j) to its options, as the
-    ((vertex, coefficient) at i, (vertex, coefficient) at j) they give,
-    and has a perfect matching.  Each real label in sorted order keeps
-    the first object that leaves one, and the last or only object needs
-    no test; only the entries at that label are restricted.  Then the
-    lowest remaining index takes the first partner, by label JSON, that
-    leaves one: `first_perfect_matching` with that partner order, in one
-    more test."""
-    n, table = len(side), dict(table)
-    incident: list[list] = [[] for _ in range(n)]
-    for e in table:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
+    ((vertex, coefficient) at i, (vertex, coefficient) at j) they give;
+    ``adj`` holds its edges as neighbour sets and ``mate`` one perfect
+    matching of them.  Each real label in sorted order keeps the first
+    object that leaves a perfect matching, and only the entries at that
+    label are restricted, their emptied edges dropped from ``adj``.  The
+    kept matching answers each object: when the pair it holds at the
+    label still offers the object it stands, and otherwise one
+    `repair_matching` search decides.  So the first object that pair
+    offers is kept at the latest, and each object costs at most one
+    search.  Then the lowest remaining index takes the first partner,
+    by label JSON, that leaves one: `first_perfect_matching` with that
+    partner order, in one more test."""
+    table = dict(table)
     weights = {}
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
-        at = [(e, e.index(i)) for e in incident[i] if e in table]
+        at = [((i, j), 0) if i < j else ((j, i), 1) for j in adj[i]]
+        held = (i, mate[i]) if i < mate[i] else (mate[i], i)
         choices = sorted({o[k] for e, k in at for o in table[e]}, key=_object_text)
         for obj in choices:
             kept = {e: [o for o in table[e] if o[k] == obj] for e, k in at}
-            if obj is choices[-1] or first_perfect_matching(n, (
-                    e for e in table if e not in kept or kept[e])) is not None:
+            dropped = [e for e, opts in kept.items() if not opts]
+            for x, y in dropped:
+                adj[x].discard(y)
+                adj[y].discard(x)
+            if kept[held] or repair_matching(adj, mate, i):
                 break
+            for x, y in dropped:
+                adj[x].add(y)
+                adj[y].add(x)
         for e, opts in kept.items():
             if opts:
                 table[e] = opts
@@ -380,7 +392,7 @@ def _least_pinching(side, table: dict, real) -> tuple[dict, list]:
                 del table[e]
         weights[side[i]] = dict([obj])
     texts = list(map(json.dumps, side))
-    pairs = first_perfect_matching(n, table, key=texts.__getitem__)
+    pairs = first_perfect_matching(len(side), table, key=texts.__getitem__)
     return weights, [(side[i], side[j]) for i, j in pairs]
 
 
@@ -415,14 +427,15 @@ def _c2_stage(d):
     A pair has rank >= 1 only at an option of its table (a vacuum pair,
     a matched or a dual-matched one), so a C2 bundle can descend only
     along a pairing that is a perfect matching of both tables: when this
-    returns None, none does."""
+    returns None, none does.  Each side's test only asks whether a
+    matching exists (`perfect_matching`), and a side whose default
+    pairing pinches every pair needs none."""
     try:
         staged = _pinch_tables(_gsd2_sides(d.points, _staged_shadows(d)))
     except DomainError:  # no cover, or pads of mixed base types
         return None
-    # a side whose default pairing pinches every pair needs no test
     if any(not _pinches_adjacent(side, table)
-           and first_perfect_matching(len(side), table) is None
+           and perfect_matching(neighbours(len(side), table)) is None
            for side, table, _ in reversed(staged)):
         return None
     return staged
@@ -448,12 +461,13 @@ def _c2_search(d, lower: int, below: int | None, staged=None):
     for the least lcm of the chosen dual labels.  For each divisor c of
     the lcm L of the offered labels that ``lower`` divides, ascending,
     the tables keep the options whose label divides c (`_at_charge`).
-    The first c at which both sides still have a perfect matching is the
-    least lcm, since every lcm is a multiple of c_Delta; its least
-    candidate in (bundle JSON, pairing JSON) order comes from
-    `_least_pinching`, and each of its points has charge c.  Its
-    matching tests number at most 2 tau(L) plus the objects
-    `_least_pinching` compares and one pairing test per side.
+    The first c at which both sides still have a perfect matching
+    (`perfect_matching`, which also gives one) is the least lcm, since
+    every lcm is a multiple of c_Delta; its least candidate in (bundle
+    JSON, pairing JSON) order comes from `_least_pinching`, which
+    carries that matching along, and each of its points has charge c.
+    Its matching tests number at most 2 tau(L) plus one repair per
+    object `_least_pinching` compares and one pairing test per side.
     """
     if staged is None and (staged := _c2_stage(d)) is None:
         return None
@@ -464,14 +478,17 @@ def _c2_search(d, lower: int, below: int | None, staged=None):
     for charge in range(lower, top + 1 if below is None else min(top + 1, below), lower):
         if top % charge:
             continue
-        cut = [(side, _at_charge(table, charge)) for side, table, _offered in staged]
-        if charge != top and not all(
-                len({i for e in table for i in e}) == len(side)
-                and first_perfect_matching(len(side), table) is not None
-                for side, table in reversed(cut)):
-            continue
-        (bw, branch), (sw, split) = (_least_pinching(side, table, real) for side, table in cut)
-        return charge, {**bw, **sw}, {"branch_pairing": branch, "split_pairing": split}
+        found = []
+        for side, table, _offered in reversed(staged):
+            table = _at_charge(table, charge)
+            adj = neighbours(len(side), table)
+            if (mate := perfect_matching(adj)) is None:
+                break
+            found.append((side, table, adj, mate))
+        else:
+            (sw, split), (bw, branch) = (_least_pinching(side, table, real, adj, mate)
+                                         for side, table, adj, mate in found)
+            return charge, {**bw, **sw}, {"branch_pairing": branch, "split_pairing": split}
     return None
 
 
@@ -484,8 +501,9 @@ def compute_cG(d: GroupDatum) -> CGReport:
     the c_Delta-charge constructor builds the same bundle), and that
     constructor's bundle otherwise.  A C2 datum off the vacuum path is
     staged first (`_c2_stage`): with no pinching nothing is built, and
-    its c_Delta bundle is certified only when its default pairing pinches
-    every adjacent pair.  For degree-2 groups the search then certifies
+    its c_Delta bundle is built and certified only when its default
+    pairing pinches every adjacent pair, since otherwise it cannot
+    descend.  For degree-2 groups the search then certifies
     the least pairing candidate (`_c2_search`) when that has a lower
     charge.  The certified charge, if any, is an upper bound in the
     divisibility order; `exact` is set when the two ends meet.
@@ -507,13 +525,13 @@ def compute_cG(d: GroupDatum) -> CGReport:
         at_o, c2 = all(0 in p.facet for p in d.points), d.gamma.kind == "C2"
         if c2 and not at_o and (staged := _c2_stage(d)) is None:
             return CGReport(lower=lower, certified_charge=None, exact=None, certificate=None)
-        try:
-            first = vacuum_bundle(d, 1) if at_o else cdelta_bundle(d)
-        except DomainError:  # no bundle of charge c_Delta
-            first = None
-        if first is not None and (staged is None or all(
-                _pinches_adjacent(side, table) for side, table, _ in staged)):
-            best = descending(first)
+        if staged is None or all(_pinches_adjacent(side, table) for side, table, _ in staged):
+            try:
+                first = vacuum_bundle(d, 1) if at_o else cdelta_bundle(d)
+            except DomainError:  # no bundle of charge c_Delta
+                first = None
+            if first is not None:
+                best = descending(first)
         if c2 and (best is None or best.charge > lower):
             found = _c2_search(d, lower, None if best is None else best.charge, staged)
             if found is not None:

@@ -403,12 +403,14 @@ def pq_sets(y_n, y_m, involution) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return p, q
 
 
+#: the pair involution of every twisted local type: they are self-dual
+#: vertex-wise here
+_TWISTED_INVOLUTION = VertexInvolution(pairs=())
+
+
 def pair_involution(t: AffineType) -> VertexInvolution:
     """The vertex involution matching weights across a pinched pair."""
-    if t.twist == 1:
-        return dual_involution(t.base)
-    # twisted local types are self-dual vertex-wise here
-    return VertexInvolution(pairs=())
+    return dual_involution(t.base) if t.twist == 1 else _TWISTED_INVOLUTION
 
 
 def pq_sets_for_points(pn: PointDatum, pm: PointDatum):

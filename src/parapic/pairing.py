@@ -1,21 +1,30 @@
 """Perfect matchings of small graphs on the vertices 0..n-1, for the C2
 pairing search.
 
+Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) decides
+existence: grow an alternating tree from an exposed vertex, contract
+odd cycles (blossoms) into their base, and flip the path once it
+reaches a second exposed vertex.  `perfect_matching` returns some
+perfect matching, from a greedy start and one such search per vertex
+the start leaves exposed, or None.  When a graph loses an edge (i, j)
+of a known perfect matching, only i and j are exposed, and by Berge's
+theorem one search from i decides whether the smaller graph still has
+one: `repair_matching`.
+
 `first_perfect_matching` returns the first perfect matching of the
 plain recursion that pairs the lowest remaining vertex with each later
 remaining vertex in increasing order (or in the order of a key), or None
-when there is none.  Edmonds' blossom algorithm ("Paths, trees, and
-flowers", 1965) decides existence: grow an alternating tree from an
-exposed vertex, contract odd cycles (blossoms) into their base, and flip
-the path once it reaches a second exposed vertex.  Given one perfect
-matching, removing a pair (i, j) outside it frees the two mates, and a
-single augmenting-path search between them decides whether the rest
-still has one.  So the lowest vertex takes the first partner that passes
-this test, with no backtracking: a graph with none costs one blossom
-search, and the first matching polynomial time.
+when there is none.  Given one perfect matching, removing a pair (i, j)
+outside it frees the two mates, and a single augmenting-path search
+between them decides whether the rest still has one.  So the lowest
+vertex takes the first partner that passes this test, with no
+backtracking: a graph with none costs the blossom searches of
+`perfect_matching`, and the first matching polynomial time.
 
-Edges are pairs (i, j) with i != j; matchings are tuples of (i, j) pairs
-with i < j, ordered by i.
+Graphs are neighbour lists or sets, ``adj[v]`` holding the neighbours
+of v; edges are pairs (i, j) with i != j; a matching in progress is the
+list of each vertex's mate (-1 when exposed), and a finished one a tuple
+of (i, j) pairs with i < j, ordered by i.
 """
 from __future__ import annotations
 
@@ -24,16 +33,54 @@ from collections.abc import Iterable
 Matching = tuple[tuple[int, int], ...]
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int]], key=None) -> list[list[int]]:
+def neighbours(n: int, edges: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """The neighbour sets of the graph on 0..n-1 with these edges."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         if i != j:
             nbrs[i].add(j)
             nbrs[j].add(i)
-    return [sorted(s, key=key) for s in nbrs]
+    return nbrs
 
 
-def _augment(adj: list[list[int]], mate: list[int], root: int, alive: int) -> bool:
+def perfect_matching(adj) -> list[int] | None:
+    """Some perfect matching of the graph, as each vertex's mate, or None
+    when it has none: greedy pairs, then one blossom search from each
+    vertex they leave exposed."""
+    n = len(adj)
+    if not all(adj):
+        return None
+    alive = (1 << n) - 1
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] == -1:
+            for to in adj[v]:
+                if mate[to] == -1:
+                    mate[v], mate[to] = to, v
+                    break
+    for v in range(n):
+        # an exposed vertex with no augmenting path stays exposed in
+        # every maximum matching
+        if mate[v] == -1 and not _augment(adj, mate, v, alive):
+            return None
+    return mate
+
+
+def repair_matching(adj, mate: list[int], i: int) -> bool:
+    """Whether the graph still has a perfect matching after it lost the
+    edge between i and its mate in ``mate``, a perfect matching before.
+    Only those two are exposed, so one augmenting-path search from i
+    decides it (Berge); on success ``mate`` holds the new matching, and
+    otherwise it is left as it was."""
+    j = mate[i]
+    mate[i] = mate[j] = -1
+    if _augment(adj, mate, i, (1 << len(adj)) - 1):
+        return True
+    mate[i], mate[j] = j, i
+    return False
+
+
+def _augment(adj, mate: list[int], root: int, alive: int) -> bool:
     """Search an augmenting path from the exposed vertex ``root`` inside
     the vertex set ``alive`` (a bitmask); flip it into ``mate`` when found."""
     n = len(adj)
@@ -102,23 +149,13 @@ def first_perfect_matching(n: int, edges: Iterable[tuple[int, int]],
     increasing ``key`` of the partner when a key is given), or None when
     the graph has none.
 
-    A greedy start and one blossom search per exposed vertex find a
-    perfect matching; then the lowest remaining vertex takes, without
-    backtracking, the first partner that still leaves one."""
-    adj = _adjacency(n, edges, key)
+    `perfect_matching` finds a start; then the lowest remaining vertex
+    takes, without backtracking, the first partner that still leaves
+    one."""
+    adj = [sorted(s, key=key) for s in neighbours(n, edges)]
+    if (mate := perfect_matching(adj)) is None:
+        return None
     alive = (1 << n) - 1
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] == -1:
-            for to in adj[v]:
-                if mate[to] == -1:
-                    mate[v], mate[to] = to, v
-                    break
-    for v in range(n):
-        # an exposed vertex with no augmenting path stays exposed in
-        # every maximum matching
-        if mate[v] == -1 and not _augment(adj, mate, v, alive):
-            return None
     pairs = []
     while alive:
         i = (alive & -alive).bit_length() - 1

@@ -3,11 +3,14 @@
 Everything here is deliberately written from first principles (plain
 Gaussian elimination over Fraction, greedy Weyl-word descent, exhaustive
 product loops) rather than by calling into parapic internals, so a bug
-in the package cannot hide in its own oracle.  Two exceptions take one
+in the package cannot hide in its own oracle.  Three exceptions take one
 local fact each from the package: ``least_c2_candidate`` takes each
 pair's vertex sets and checks the sides, the search and the order built
-on them, and ``c2_pair_witness`` takes each pair's rank and checks the
-witness built around it.
+on them, ``c2_pair_witness`` takes each pair's rank and checks the
+witness built around it, and ``least_pinching_from_scratch`` takes the
+pairing engine's first perfect matching (itself checked against
+``perfect_matchings``) and checks the kept matching the package's
+self-reduction carries instead.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from parapic.covers import IDENTITY
 from parapic.dynkin import twisted_type
 from parapic.errors import DomainError, UnknownRankError
 from parapic.factorization import BaseCase, pair_involution, pq_sets_for_points
+from parapic.pairing import first_perfect_matching
 from parapic.picard import PointDatum
 from parapic.verlinde import base_case_rank
 
@@ -492,6 +496,45 @@ def least_pinching_lcm(sides):
             reach = {v * a // gcd(v, a) for v in reach for a in offered}
         values |= reach
     return min(values, default=None)
+
+
+def least_pinching_from_scratch(side, table, real):
+    """The least candidate of one C2 side, as (weights, pairing), with
+    every matching test solved from scratch.
+
+    ``table`` maps each usable pair (i, j), i < j, to its options, as the
+    ((vertex, coefficient) at i, (vertex, coefficient) at j) they give,
+    and has a perfect matching.  Each real label in sorted order keeps
+    the least object, by its JSON, that leaves a perfect matching once
+    the pairs at that label keep only the options giving it; then the
+    pairing is the first perfect matching that tries partners in label
+    JSON order.
+    """
+    table = dict(table)
+    for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
+        at = [(e, e.index(i)) for e in table if i in e]
+        choices = sorted({o[k] for e, k in at for o in table[e]},
+                         key=lambda o: json.dumps({str(o[0]): o[1]}))
+        for obj in choices:
+            trial = dict(table)
+            for e, k in at:
+                if opts := [o for o in table[e] if o[k] == obj]:
+                    trial[e] = opts
+                else:
+                    del trial[e]
+            if first_perfect_matching(len(side), trial) is not None:
+                break
+        table = trial
+    weights = {}
+    for (i, j), opts in table.items():
+        (vx, cx), (vy, cy) = opts[0]
+        for lab, v, c in ((side[i], vx, cx), (side[j], vy, cy)):
+            if lab in real:
+                weights[lab] = {v: c}
+    texts = list(map(json.dumps, side))
+    pairs = first_perfect_matching(len(side), table, key=texts.__getitem__)
+    return ({lab: weights[lab] for lab in sorted(weights)},
+            [(side[i], side[j]) for i, j in pairs])
 
 
 # ---------------------------------------------------------------------------

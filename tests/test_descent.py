@@ -711,8 +711,9 @@ DATUM_GENERATORS = {
 def test_compute_cg_builds_one_first_candidate(monkeypatch, name):
     # when every facet holds o (dual label 1), c_Delta is 1 and the
     # c_Delta bundle is the charge-1 vacuum, so compute_cG builds only
-    # the vacuum; otherwise only the c_Delta bundle, and none for a C2
-    # datum the staging rejects
+    # the vacuum; otherwise only the c_Delta bundle, and for a C2 datum
+    # only when the staging passes and both default pairings pinch every
+    # adjacent pair, since otherwise that bundle cannot descend
     r = random.Random(f"one first candidate {name}")
     data = [DATUM_GENERATORS[name](r) for _ in range(200)]
     at_o = [d for d in data if d.points and all(0 in p.facet for p in d.points)]
@@ -729,6 +730,9 @@ def test_compute_cg_builds_one_first_candidate(monkeypatch, name):
         built.clear()
         compute_cG(d)
         first = [] if _staging_rejects(d) else ["vacuum_bundle" if d in at_o else "cdelta_bundle"]
+        if first == ["cdelta_bundle"] and d.gamma.kind == "C2" and not all(
+                descent._pinches_adjacent(side, table) for side, table, _ in descent._c2_stage(d)):
+            first = []
         assert built == first, d
 
 

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
-from parapic import descent
+from parapic import descent, pairing
 from parapic.cli import main
 from parapic.covers import C2_GROUP
 from parapic.descent import DESCENDS, certify_descent, compute_cG
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError
 from parapic.factorization import _gsd2_sides, pq_sets_for_points
-from parapic.pairing import first_perfect_matching
+from parapic.pairing import first_perfect_matching, neighbours, perfect_matching, repair_matching
 from parapic.picard import GroupDatum, PointDatum, WeightBundle, c_delta
 
 T12 = (2, 1, 3)
@@ -68,6 +68,51 @@ def test_engine_tries_partners_in_key_order():
         r.shuffle(rank)
         assert first_perfect_matching(n, edges, key=rank.__getitem__) == \
             oracle_first(n, edges, rank.__getitem__), (n, edges)
+
+
+def is_perfect_matching(mate, n, edges):
+    """Whether the mate list pairs every vertex along an edge."""
+    return len(mate) == n and all(
+        0 <= mate[v] < n and mate[mate[v]] == v and (min(v, mate[v]), max(v, mate[v])) in edges
+        for v in range(n))
+
+
+def test_existence_matches_oracle_on_random_graphs():
+    r = random.Random(2026)
+    found = 0
+    for _ in range(300):
+        n, edges = random_graph(r)
+        mate = perfect_matching(neighbours(n, edges))
+        assert (mate is not None) == (oracle_first(n, edges) is not None), (n, edges)
+        if mate is not None:
+            assert is_perfect_matching(mate, n, edges), (n, edges, mate)
+            found += n > 0
+    assert found >= 50
+
+
+def test_repair_matches_oracle_after_losing_a_matched_pair():
+    # delete some edges at one vertex, the one to its mate among them,
+    # and repair: the answer is the oracle's on the smaller graph, and a
+    # failed repair leaves the matching as it was
+    r = random.Random(2027)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        n, edges = random_graph(r)
+        adj = neighbours(n, edges)
+        if n == 0 or (mate := perfect_matching(adj)) is None:
+            continue
+        i = r.randrange(n)
+        lost = {(min(i, j), max(i, j)) for j in adj[i] if j == mate[i] or r.random() < 0.5}
+        smaller = edges - lost
+        for x, y in lost:
+            adj[x].discard(y)
+            adj[y].discard(x)
+        before = mate.copy()
+        ok = repair_matching(adj, mate, i)
+        assert ok == (oracle_first(n, smaller) is not None), (n, edges, i, lost)
+        assert is_perfect_matching(mate, n, smaller) if ok else mate == before
+        outcomes[ok] += 1
+    assert min(outcomes[True], outcomes[False]) >= 30, outcomes
 
 
 def _graphs(n):
@@ -314,27 +359,69 @@ def test_bracket_does_not_depend_on_the_presentation():
 
 
 def _counted(monkeypatch):
-    """Counters of the matching tests and certifications of the search."""
+    """Counters of the search's matching tests (existence tests, repairs
+    and canonical pairings alike), its repairs, the blossom searches of
+    its most searching repair, and its certifications."""
     counts = collections.Counter()
-    for name, counter in (("first_perfect_matching", "tests"), ("certify_descent", "certified")):
+    for name, counter in (("perfect_matching", "tests"), ("first_perfect_matching", "tests"),
+                          ("certify_descent", "certified")):
         fn = getattr(descent, name)
         monkeypatch.setattr(descent, name, lambda *a, _fn=fn, _counter=counter, **k:
                             counts.update([_counter]) or _fn(*a, **k))
+    augment, repair = pairing._augment, descent.repair_matching
+    monkeypatch.setattr(pairing, "_augment", lambda *a: counts.update(["augments"]) or augment(*a))
+
+    def repaired(*a):
+        counts.update(["tests", "repairs"])
+        before = counts["augments"]
+        out = repair(*a)
+        counts["most augments per repair"] = max(counts["most augments per repair"],
+                                                 counts["augments"] - before)
+        return out
+
+    monkeypatch.setattr(descent, "repair_matching", repaired)
     return counts
 
 
 def test_matching_tests_stay_within_the_work_bound(monkeypatch):
     # 2 existence tests, 2 per divisor of L (at most tau(60) = 12), then
-    # for the certified charge one test per object a real point could
-    # take (at most one per facet vertex) and one pairing test per side
+    # for the certified charge at most one repair per object a real point
+    # could take (at most one per facet vertex), each one blossom search,
+    # and one pairing test per side
     counts = _counted(monkeypatch)
+    repairs = 0
     for d in (*search_corpus()[:300], dense_forty_points()):
         counts.clear()
         compute_cG(d)
         objects = sum(len(p.facet) for p in d.points)
         assert counts["tests"] <= 2 + 2 * 12 + objects + 2, d
+        assert counts["most augments per repair"] <= 1, d
         # the first candidate, then the least pairing candidate descends
         assert counts["certified"] <= 2, d
+        repairs += counts["repairs"]
+    assert repairs >= 50
+
+
+def test_least_pinching_matches_the_from_scratch_reference(monkeypatch):
+    # the kept matching changes only the work: each side's (weights,
+    # pairing) is the one the self-reduction gets with every matching
+    # test solved anew
+    least, compared = descent._least_pinching, []
+
+    def both(side, table, real, adj, mate):
+        want = oracles.least_pinching_from_scratch(side, table, real)
+        got = least(side, table, real, adj, mate)
+        assert got == want, (side, table)
+        compared.append(side)
+        return got
+
+    monkeypatch.setattr(descent, "_least_pinching", both)
+    r = random.Random(303)
+    data = [*search_corpus(), dense_forty_points()]
+    data += [datagen.c2_small_facet_datum(r) for _ in range(200)]
+    for d in data:
+        least_candidate(d)
+    assert len(compared) >= 600
 
 
 def test_every_search_candidate_descends_with_rank_bound_one():

@@ -2,9 +2,10 @@
 
 Most use the package's public names only, so a trim of that API that
 breaks one of them fails here.  ``c2_search`` rebinds the C2 search's
-matching test, its per-charge table filter and ``certify_descent`` in
-``parapic.descent`` by name and call signature, so it runs here on a
-small corpus, and ``startup`` launches two processes of each kind.
+matching tests, its per-charge table filter and ``certify_descent`` in
+``parapic.descent`` and the blossom search in ``parapic.pairing`` by
+name and call signature, so it runs here on a small corpus, and
+``startup`` launches two processes of each kind.
 ``witness_sizes`` times high genera and is left out.
 """
 from __future__ import annotations
@@ -39,12 +40,17 @@ def test_script_runs(script):
 
 def test_c2_search_counts_a_small_corpus():
     out = run_script("c2_search", "--data", "40")
-    # the last row totals data, divisors tested, matching tests and
-    # pairing candidates certified; each certified candidate comes from
-    # one tested divisor, and the first ones need two existence tests
-    data, divisors, tests, certified = map(int, out.splitlines()[-1].split()[1:5])
+    # the last row totals data, divisors tested, matching tests, blossom
+    # searches and pairing candidates certified; each certified candidate
+    # comes from one tested divisor, and the first ones need two
+    # existence tests
+    last = out.splitlines()[-1].split()
+    data, divisors, tests, augments, certified = map(int, last[1:6])
     assert data == 40
-    assert tests >= 2 * certified and divisors >= certified > 0
+    assert tests >= 2 * certified and divisors >= certified > 0 and augments > 0
+    # every count but the time repeats exactly
+    again = run_script("c2_search", "--data", "40").splitlines()[-1].split()
+    assert again[:6] + again[7:] == last[:6] + last[7:]
 
 
 def test_startup_times_fresh_processes_and_lists_module_self_times():
