@@ -7,13 +7,15 @@ buckets the data by how many perfect-matching tests the staging and the
 search make.  Each row gives the data in the bucket, the divisors of L
 the search tested, the matching tests (existence tests, repairs of a
 kept matching and canonical pairings alike), the augmenting-path
-(blossom) searches they ran, the pairing candidates certified, the
-total `compute_cG` time, the data the staging rejected (no pinching:
-nothing built or certified) and the first candidates certified.  Times
+(blossom) searches they ran, the Descends certificates the search
+returned, the total `compute_cG` time, the data the staging rejected
+(no pinching: nothing built or certified) and the first candidates
+certified.  Times
 come from a second pass with nothing wrapped; the counts, which repeat
 exactly, from a first pass that wraps the three matching tests, the
 blossom search, the search's per-charge table filter (whose charges
-are the divisors tested), the staging and `certify_descent`.
+are the divisors tested), the staging, the search and `certify_descent`
+(which only first candidates go through).
 
     python scripts/c2_search.py [--data N] [--seed S]
 """
@@ -44,9 +46,10 @@ TESTS = ("perfect_matching", "repair_matching", "first_perfect_matching")
 
 def counted_pass(data) -> list[Counter]:
     """Per datum: divisors tested, matching tests, blossom searches,
-    pairing candidates certified, whether the staging rejected it and
-    first candidates certified."""
+    Descends certificates of the search, whether the staging rejected it
+    and first candidates certified."""
     at_charge, certify, stage = descent._at_charge, descent.certify_descent, descent._c2_stage
+    search = descent._c2_search
     tests, augment = {name: getattr(descent, name) for name in TESTS}, pairing._augment
     counts: Counter = Counter()
     charges: set[int] = set()
@@ -65,10 +68,14 @@ def counted_pass(data) -> list[Counter]:
         counts["augments"] += 1
         return augment(*args)
 
-    def certified(d, b, **kwargs):
-        # pairing candidates name their pairings, first candidates do not
-        counts["certified" if kwargs else "first"] += 1
-        return certify(d, b, **kwargs)
+    def certified(d, b):
+        counts["first"] += 1
+        return certify(d, b)
+
+    def searched(*args):
+        cert = search(*args)
+        counts["certified"] += cert is not None and cert.verdict == descent.DESCENDS
+        return cert
 
     def staged(d):
         out = stage(d)
@@ -80,6 +87,7 @@ def counted_pass(data) -> list[Counter]:
         setattr(descent, name, tested(fn))
     pairing._augment, descent._at_charge = augmented, cut
     descent.certify_descent, descent._c2_stage = certified, staged
+    descent._c2_search = searched
     try:
         for d in data:
             counts.clear()
@@ -93,6 +101,7 @@ def counted_pass(data) -> list[Counter]:
             setattr(descent, name, fn)
         pairing._augment, descent._at_charge = augment, at_charge
         descent.certify_descent, descent._c2_stage = certify, stage
+        descent._c2_search = search
     return out
 
 

@@ -144,13 +144,18 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
     sides = _gsd2_sides(d.points, 2 * d.base_genus)
     branch_pairs, split_pairs = pair_partition_gsd2(
         sides, branch_pairing=branch_pairing, split_pairing=split_pairing)
+    return _pair_witness(sides, (*branch_pairs, *split_pairs), b, charge, d.base_genus)
+
+
+def _pair_witness(sides: Gsd2Sides, pairs, b: WeightBundle, charge: int,
+                  genus: int) -> DecompositionWitness:
+    """One twisted-pair factor per label pair (the branch pairs, then the
+    split pairs), where a pad (a label no point has) is a vacuum point."""
     w = DecompositionWitness()
-    if d.base_genus:
-        w.steps.append({"op": "pinch-handles", "count": d.base_genus})
+    if genus:
+        w.steps.append({"op": "pinch-handles", "count": genus})
     if sides.aux is not None:
         w.steps.append({"op": "pad-split-side", "labels": [sides.aux]})
-    # the branch pairs, then the split pairs, where a pad (a label no
-    # point has) is an untwisted vacuum point
     vac, pad_type = vacuum_weight(charge), sides.pad_type
     pad = (IDENTITY, vac, pad_type)
 
@@ -165,7 +170,7 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
                         types=(pad_type, pad_type), multiplicity=len(labels) // 2)
 
     run: list[str] = []  # the labels of the pad pairs since the last real point
-    for x, y in (*branch_pairs, *split_pairs):
+    for x, y in pairs:
         fx, fy = entry(x), entry(y)
         if fx is pad and fy is pad:
             run += (x, y)
@@ -263,19 +268,19 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
         witness = _route_gsd6(d, b, charge)
     else:  # pragma: no cover - FiniteGroup admits only the four kinds
         raise DomainError(f"unsupported Galois group kind {kind!r}")
-    route = _ROUTES[kind]
+    return _certificate(b, charge, witness, _ROUTES[kind])
+
+
+def _certificate(b: WeightBundle, charge: int, witness: DecompositionWitness,
+                 route: str) -> DescentCertificate:
+    """Descends when every factor rank is known and their product is >= 1."""
     try:
         bound = rank_lower_bound(witness)
     except BoundUnavailableError:
-        return DescentCertificate(
-            bundle=b, charge=charge, witness=witness, rank_bound=None,
-            verdict=UNKNOWN, route=route,
-        )
-    verdict = DESCENDS if bound >= 1 else UNKNOWN
-    return DescentCertificate(
-        bundle=b, charge=charge, witness=witness, rank_bound=bound,
-        verdict=verdict, route=route,
-    )
+        bound = None
+    verdict = DESCENDS if bound is not None and bound >= 1 else UNKNOWN
+    return DescentCertificate(bundle=b, charge=charge, witness=witness, rank_bound=bound,
+                              verdict=verdict, route=route)
 
 
 def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
@@ -352,8 +357,9 @@ def _object_text(obj) -> str:
 
 
 def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) -> tuple[dict, list]:
-    """The least candidate of one side: its points' weight objects, then
-    its pairing, each least in JSON order.
+    """The least candidate of one side: its points' weights (one
+    (vertex, coefficient) pair each), then its pairing, each least in
+    JSON order.
 
     ``table`` maps each usable pair (i, j) to its options, as the
     ((vertex, coefficient) at i, (vertex, coefficient) at j) they give;
@@ -367,7 +373,8 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
     offers is kept at the latest, and each object costs at most one
     search.  Then the lowest remaining index takes the first partner,
     by label JSON, that leaves one: `first_perfect_matching` with that
-    partner order, in one more test."""
+    partner order, which pins each index to its partner with the same
+    repair step."""
     table = dict(table)
     weights = {}
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
@@ -390,7 +397,7 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
                 table[e] = opts
             else:
                 del table[e]
-        weights[side[i]] = dict([obj])
+        weights[side[i]] = (obj,)
     texts = list(map(json.dumps, side))
     pairs = first_perfect_matching(len(side), table, key=texts.__getitem__)
     return weights, [(side[i], side[j]) for i, j in pairs]
@@ -419,10 +426,11 @@ def _staged_shadows(d) -> int:
 
 
 def _c2_stage(d):
-    """The pinch tables of a C2 datum (`_pinch_tables`, with
-    `_staged_shadows` pads) when both sides have a perfect matching on
-    them, split side first; None when a side has none, or when the datum
-    has no C2 sides (`_gsd2_sides` raises DomainError).
+    """The sides of a C2 datum (`_gsd2_sides`, with `_staged_shadows`
+    pads) and their pinch tables (`_pinch_tables`), as (sides, tables),
+    when both sides have a perfect matching on them, split side first;
+    None when a side has none, or when the datum has no C2 sides
+    (`_gsd2_sides` raises DomainError).
 
     A pair has rank >= 1 only at an option of its table (a vacuum pair,
     a matched or a dual-matched one), so a C2 bundle can descend only
@@ -431,14 +439,15 @@ def _c2_stage(d):
     matching exists (`perfect_matching`), and a side whose default
     pairing pinches every pair needs none."""
     try:
-        staged = _pinch_tables(_gsd2_sides(d.points, _staged_shadows(d)))
+        sides = _gsd2_sides(d.points, _staged_shadows(d))
     except DomainError:  # no cover, or pads of mixed base types
         return None
+    tables = _pinch_tables(sides)
     if any(not _pinches_adjacent(side, table)
            and perfect_matching(neighbours(len(side), table)) is None
-           for side, table, _ in reversed(staged)):
+           for side, table, _ in reversed(tables)):
         return None
-    return staged
+    return sides, tables
 
 
 def _pinches_adjacent(side, table) -> bool:
@@ -450,12 +459,12 @@ def _pinches_adjacent(side, table) -> bool:
     return all((i, i + 1) in table for i in range(0, len(side), 2))
 
 
-def _c2_search(d, lower: int, below: int | None, staged=None):
-    """The least pairing candidate of a C2 datum whose charge is less
-    than ``below`` (any charge when it is None), as (charge, weights,
-    pairing kwargs), or None.  ``staged`` is the datum's `_c2_stage`,
-    made here when it is None; when that dropped pads, the tables are
-    built again with all 2g, as a pairing names every pad.
+def _c2_search(d, lower: int, below: int | None, staged=None) -> DescentCertificate | None:
+    """The certificate of the least pairing candidate of a C2 datum whose
+    charge is less than ``below`` (any charge when it is None), or None.
+    ``staged`` is the datum's `_c2_stage`, made here when it is None;
+    when that dropped pads, the sides are split again with all 2g, as a
+    pairing names every pad.
 
     Every option of a pinch table is a rank-1 pair, so the search asks
     for the least lcm of the chosen dual labels.  For each divisor c of
@@ -468,27 +477,32 @@ def _c2_search(d, lower: int, below: int | None, staged=None):
     carries that matching along, and each of its points has charge c.
     Its matching tests number at most 2 tau(L) plus one repair per
     object `_least_pinching` compares and one pairing test per side.
+    Its bundle and witness (`_pair_witness`) come from the kept options,
+    and `_certificate` computes the verdict on them.
     """
     if staged is None and (staged := _c2_stage(d)) is None:
         return None
+    sides, tables = staged
     if _staged_shadows(d) < 2 * d.base_genus:
-        staged = _pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
-    top = lcm(*(a for *_rest, offered in staged for a in offered))
-    real = {p.label for p in d.points}
+        sides = _gsd2_sides(d.points, 2 * d.base_genus)
+        tables = _pinch_tables(sides)
+    top = lcm(*(a for *_rest, offered in tables for a in offered))
     for charge in range(lower, top + 1 if below is None else min(top + 1, below), lower):
         if top % charge:
             continue
         found = []
-        for side, table, _offered in reversed(staged):
+        for side, table, _offered in reversed(tables):
             table = _at_charge(table, charge)
             adj = neighbours(len(side), table)
             if (mate := perfect_matching(adj)) is None:
                 break
             found.append((side, table, adj, mate))
         else:
-            (sw, split), (bw, branch) = (_least_pinching(side, table, real, adj, mate)
+            (sw, split), (bw, branch) = (_least_pinching(side, table, sides.points, adj, mate)
                                          for side, table, adj, mate in found)
-            return charge, {**bw, **sw}, {"branch_pairing": branch, "split_pairing": split}
+            bundle = WeightBundle(tuple(sorted({**bw, **sw}.items())))
+            witness = _pair_witness(sides, (*branch, *split), bundle, charge, d.base_genus)
+            return _certificate(bundle, charge, witness, _ROUTES["C2"])
     return None
 
 
@@ -503,40 +517,28 @@ def compute_cG(d: GroupDatum) -> CGReport:
     staged first (`_c2_stage`): with no pinching nothing is built, and
     its c_Delta bundle is built and certified only when its default
     pairing pinches every adjacent pair, since otherwise it cannot
-    descend.  For degree-2 groups the search then certifies
-    the least pairing candidate (`_c2_search`) when that has a lower
-    charge.  The certified charge, if any, is an upper bound in the
-    divisibility order; `exact` is set when the two ends meet.
+    descend.  For degree-2 groups the search then takes the certificate
+    of the least pairing candidate (`_c2_search`), built there without
+    `certify_descent`, when that has a lower charge and descends.  The
+    certified charge, if any, is an upper bound in the divisibility
+    order; `exact` is set when the two ends meet.
     """
     lower = c_delta(d)
-
-    def descending(bundle, **kwargs) -> DescentCertificate | None:
-        """The certificate of one candidate when it descends.  Each
-        candidate is a dominant bundle of one positive charge at every
-        point, so ``certify_descent`` is the only validation."""
-        try:
-            cert = certify_descent(d, bundle, **kwargs)
-        except DomainError:
-            return None
-        return cert if cert.verdict == DESCENDS else None
-
     best = staged = None
     if d.points:
         at_o, c2 = all(0 in p.facet for p in d.points), d.gamma.kind == "C2"
         if c2 and not at_o and (staged := _c2_stage(d)) is None:
             return CGReport(lower=lower, certified_charge=None, exact=None, certificate=None)
-        if staged is None or all(_pinches_adjacent(side, table) for side, table, _ in staged):
-            try:
-                first = vacuum_bundle(d, 1) if at_o else cdelta_bundle(d)
-            except DomainError:  # no bundle of charge c_Delta
-                first = None
-            if first is not None:
-                best = descending(first)
+        if staged is None or all(_pinches_adjacent(side, table) for side, table, _ in staged[1]):
+            try:  # built dominant, of one positive charge: no check but certify_descent's
+                first = certify_descent(d, vacuum_bundle(d, 1) if at_o else cdelta_bundle(d))
+                best = first if first.verdict == DESCENDS else None
+            except DomainError:  # no bundle of charge c_Delta, or no route
+                pass
         if c2 and (best is None or best.charge > lower):
             found = _c2_search(d, lower, None if best is None else best.charge, staged)
-            if found is not None:
-                _charge, weights, kwargs = found
-                best = descending(WeightBundle.from_dict(weights), **kwargs) or best
+            if found is not None and found.verdict == DESCENDS:
+                best = found
     certified = best.charge if best is not None else None
     exact = lower if certified == lower else None
     return CGReport(lower=lower, certified_charge=certified, exact=exact,

@@ -14,12 +14,13 @@ one: `repair_matching`.
 `first_perfect_matching` returns the first perfect matching of the
 plain recursion that pairs the lowest remaining vertex with each later
 remaining vertex in increasing order (or in the order of a key), or None
-when there is none.  Given one perfect matching, removing a pair (i, j)
-outside it frees the two mates, and a single augmenting-path search
-between them decides whether the rest still has one.  So the lowest
-vertex takes the first partner that passes this test, with no
-backtracking: a graph with none costs the blossom searches of
-`perfect_matching`, and the first matching polynomial time.
+when there is none.  Given one perfect matching, pinning the lowest
+vertex i to a partner j (dropping i's other edges) exposes at most i
+and its mate, so `repair_matching` decides whether the pinned graph
+still has one.  So the lowest vertex takes the first partner that
+passes this test, with no backtracking: a graph with none costs the
+blossom searches of `perfect_matching`, and the first matching
+polynomial time.
 
 Graphs are neighbour lists or sets, ``adj[v]`` holding the neighbours
 of v; edges are pairs (i, j) with i != j; a matching in progress is the
@@ -50,7 +51,6 @@ def perfect_matching(adj) -> list[int] | None:
     n = len(adj)
     if not all(adj):
         return None
-    alive = (1 << n) - 1
     mate = [-1] * n
     for v in range(n):
         if mate[v] == -1:
@@ -61,7 +61,7 @@ def perfect_matching(adj) -> list[int] | None:
     for v in range(n):
         # an exposed vertex with no augmenting path stays exposed in
         # every maximum matching
-        if mate[v] == -1 and not _augment(adj, mate, v, alive):
+        if mate[v] == -1 and not _augment(adj, mate, v):
             return None
     return mate
 
@@ -74,15 +74,15 @@ def repair_matching(adj, mate: list[int], i: int) -> bool:
     otherwise it is left as it was."""
     j = mate[i]
     mate[i] = mate[j] = -1
-    if _augment(adj, mate, i, (1 << len(adj)) - 1):
+    if _augment(adj, mate, i):
         return True
     mate[i], mate[j] = j, i
     return False
 
 
-def _augment(adj, mate: list[int], root: int, alive: int) -> bool:
-    """Search an augmenting path from the exposed vertex ``root`` inside
-    the vertex set ``alive`` (a bitmask); flip it into ``mate`` when found."""
+def _augment(adj, mate: list[int], root: int) -> bool:
+    """Search an augmenting path from the exposed vertex ``root``; flip it
+    into ``mate`` when found."""
     n = len(adj)
     base = list(range(n))
     parent = [-1] * n
@@ -113,7 +113,7 @@ def _augment(adj, mate: list[int], root: int, alive: int) -> bool:
 
     for v in queue:
         for to in adj[v]:
-            if not alive >> to & 1 or base[v] == base[to] or mate[v] == to:
+            if base[v] == base[to] or mate[v] == to:
                 continue
             if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                 # an odd cycle: contract it into its base
@@ -151,35 +151,26 @@ def first_perfect_matching(n: int, edges: Iterable[tuple[int, int]],
 
     `perfect_matching` finds a start; then the lowest remaining vertex
     takes, without backtracking, the first partner that still leaves
-    one."""
-    adj = [sorted(s, key=key) for s in neighbours(n, edges)]
-    if (mate := perfect_matching(adj)) is None:
+    one, pinned to it for the rest of the search."""
+    adj = neighbours(n, edges)
+    order = [sorted(s, key=key) for s in adj]
+    if (mate := perfect_matching(order)) is None:
         return None
-    alive = (1 << n) - 1
-    pairs = []
-    while alive:
-        i = (alive & -alive).bit_length() - 1
-        # the partner mate[i] always leaves a perfect matching
-        for j in adj[i]:
-            if alive >> j & 1:
-                rest = alive & ~(1 << i | 1 << j)
-                if (sub := _without_pair(adj, mate, i, j, rest)) is not None:
-                    break
-        pairs.append((i, j))
-        alive, mate = rest, sub
-    return tuple(pairs)
-
-
-def _without_pair(adj: list[list[int]], mate: list[int], i: int, j: int,
-                  rest: int) -> list[int] | None:
-    """A perfect matching of ``rest``, the vertex set of ``mate`` less the
-    pair (i, j), or None when there is none."""
-    sub = mate.copy()
-    a, b = mate[i], mate[j]
-    sub[i] = sub[j] = -1
-    if a != j:
-        # the freed mates a and b need one augmenting path between them
-        sub[a] = sub[b] = -1
-        if not _augment(adj, sub, a, rest):
-            return None
-    return sub
+    for i in range(n):
+        if mate[i] < i:  # pinned to an earlier vertex
+            continue
+        edges_at = adj[i]
+        # the later partners not pinned yet: a pinned one is matched below i
+        for j in (j for j in order[i] if j > i and mate[j] >= i):
+            # pin i to j: a vertex of degree 1 keeps its one edge in every
+            # perfect matching
+            for k in edges_at:
+                adj[k].discard(i)
+            adj[i] = {j}
+            adj[j].add(i)
+            if j == mate[i] or repair_matching(adj, mate, i):
+                break
+            adj[i] = edges_at
+            for k in edges_at:
+                adj[k].add(i)
+    return tuple((i, j) for i, j in enumerate(mate) if i < j)

@@ -9,8 +9,10 @@ pair's vertex sets and checks the sides, the search and the order built
 on them, ``c2_pair_witness`` takes each pair's rank and checks the
 witness built around it, and ``least_pinching_from_scratch`` takes the
 pairing engine's first perfect matching (itself checked against
-``perfect_matchings``) and checks the kept matching the package's
-self-reduction carries instead.
+``perfect_matchings``, so its pins and repairs are too) and checks the
+kept matching the package's self-reduction carries instead.
+``c2_candidate`` checks nothing: it reads a search certificate back
+into the shape of ``least_c2_candidate``.
 """
 from __future__ import annotations
 
@@ -470,6 +472,18 @@ def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):
         # an odd real split side ends in its _aux pad
         steps.append({"op": "pad-split-side", "labels": [split[-1].label]})
     return {"factors": factors, "steps": steps}, bound
+
+
+def c2_candidate(cert):
+    """A C2 search certificate in the shape of `least_c2_candidate`:
+    (charge, {label: {vertex: coefficient}}, pairing kwargs), each side's
+    pairing read back from the witness's pair factors, a labelled pad run
+    pair by pair."""
+    pairings = {"branch_pairing": [], "split_pairing": []}
+    for f in cert.witness.factors:
+        side = "split_pairing" if f.elements[0] == IDENTITY else "branch_pairing"
+        pairings[side] += zip(f.labels[::2], f.labels[1::2])
+    return cert.charge, {lab: dict(w) for lab, w in cert.bundle.entries}, pairings
 
 
 def least_pinching_lcm(sides):

@@ -620,7 +620,7 @@ def test_staging_and_the_pinching_bound_build_no_pad_points(monkeypatch):
     init = PointDatum.__init__
     monkeypatch.setattr(PointDatum, "__init__",
                         lambda self, label, *a, **k: built.append(label) or init(self, label, *a, **k))
-    _charge, _weights, kwargs = descent._c2_search(d, 1, None)
+    _charge, _weights, kwargs = oracles.c2_candidate(descent._c2_search(d, 1, None))
     assert any("_aux1" in pair for pair in kwargs["split_pairing"])
     assert built == []
 
@@ -635,14 +635,22 @@ def _key(b, kwargs):
 
 
 def _certified_keys(monkeypatch, d):
-    """The (bundle entries, pairings) that one ``compute_cG`` call certifies."""
-    keys, certify = [], descent.certify_descent
+    """The (bundle entries, pairings) that one ``compute_cG`` call
+    certifies: through ``certify_descent``, or built by the search, with
+    the pairings of its witness."""
+    keys, certify, search = [], descent.certify_descent, descent._c2_search
 
     def counted(d, b, **kwargs):
         keys.append(_key(b, kwargs))
         return certify(d, b, **kwargs)
 
+    def searched(*args):
+        if (cert := search(*args)) is not None:
+            keys.append(_key(cert.bundle, oracles.c2_candidate(cert)[2]))
+        return cert
+
     monkeypatch.setattr(descent, "certify_descent", counted)
+    monkeypatch.setattr(descent, "_c2_search", searched)
     compute_cG(d)
     return keys
 
@@ -680,8 +688,8 @@ def test_staged_candidates_are_distinct():
         found = descent._c2_search(d, c_delta(d), None)
         if found is None:
             continue
-        charge, weights, kwargs = found
-        cert = certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
+        charge = found.charge
+        cert = certify_descent(d, found.bundle, **oracles.c2_candidate(found)[2])
         assert (cert.verdict, cert.charge) == (DESCENDS, charge), d
         assert descent._c2_search(d, c_delta(d), charge) is None, d
         assert descent._c2_search(d, c_delta(d), charge + 1) == found, d
@@ -731,7 +739,7 @@ def test_compute_cg_builds_one_first_candidate(monkeypatch, name):
         compute_cG(d)
         first = [] if _staging_rejects(d) else ["vacuum_bundle" if d in at_o else "cdelta_bundle"]
         if first == ["cdelta_bundle"] and d.gamma.kind == "C2" and not all(
-                descent._pinches_adjacent(side, table) for side, table, _ in descent._c2_stage(d)):
+                descent._pinches_adjacent(side, table) for side, table, _ in descent._c2_stage(d)[1]):
             first = []
         assert built == first, d
 
@@ -789,7 +797,7 @@ def test_staging_rejects_no_datum_with_a_pinching():
             seen["rejected"] += 1
             continue
         adjacent, on_full = ([descent._pinches_adjacent(side, table) for side, table, _ in tables]
-                             for tables in (staged, full))
+                             for tables in (staged[1], full))
         assert adjacent == on_full, d
         adjacent = all(adjacent)
         if not adjacent:

@@ -516,7 +516,7 @@ def pinching_bound(d):
     the least lcm of the chosen dual labels over every admissible pairing
     and vertex choice (None when no pairing is admissible)."""
     found = descent._c2_search(d, 1, None)
-    return None if found is None else found[0]
+    return None if found is None else found.charge
 
 
 def test_lcmai_bound_is_lcm():

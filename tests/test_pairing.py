@@ -146,6 +146,14 @@ def test_engine_answers_large_obstruction_at_once():
     assert first_perfect_matching(n, edges) is None
 
 
+def test_pinned_partner_keeps_its_one_edge():
+    # vertex 0 first tries 1, which leaves no perfect matching, then its
+    # start mate 3: pinning it there must drop (0, 5) too, or the repair
+    # that pairs 1 with 2 moves 0 to 5 and 3 ends up in two pairs
+    edges = {(0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)}
+    assert first_perfect_matching(6, edges) == ((0, 3), (1, 5), (2, 4))
+
+
 # ---------------------------------------------------------------------------
 # the C2 callers
 
@@ -163,8 +171,10 @@ def _labels_offered(side, split):
 
 
 def least_candidate(d):
-    """The least candidate of ``descent._c2_search`` at any charge."""
-    return descent._c2_search(d, c_delta(d), None)
+    """The least candidate of ``descent._c2_search`` at any charge, as
+    ``oracles.least_c2_candidate`` gives it."""
+    cert = descent._c2_search(d, c_delta(d), None)
+    return None if cert is None else oracles.c2_candidate(cert)
 
 
 def test_best_lcmai_bound_matches_oracle():
@@ -192,10 +202,13 @@ def test_best_lcmai_bound_matches_oracle():
 
 
 def oracle_search(d, lower, below, staged=None):
-    """``oracles.least_c2_candidate`` in the shape of ``descent._c2_search``;
-    the staged tables are ignored."""
+    """``oracles.least_c2_candidate``, certified, in the shape of
+    ``descent._c2_search``; the staged tables are ignored."""
     found = oracles.least_c2_candidate(d)
-    return found if found is not None and (below is None or found[0] < below) else None
+    if found is None or (below is not None and found[0] >= below):
+        return None
+    _charge, weights, kwargs = found
+    return certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
 
 
 def test_compute_cg_matches_exhaustive_search(monkeypatch):
@@ -411,7 +424,8 @@ def test_least_pinching_matches_the_from_scratch_reference(monkeypatch):
     def both(side, table, real, adj, mate):
         want = oracles.least_pinching_from_scratch(side, table, real)
         got = least(side, table, real, adj, mate)
-        assert got == want, (side, table)
+        weights, pairs = got
+        assert ({lab: dict(w) for lab, w in weights.items()}, pairs) == want, (side, table)
         compared.append(side)
         return got
 
@@ -426,17 +440,20 @@ def test_least_pinching_matches_the_from_scratch_reference(monkeypatch):
 
 def test_every_search_candidate_descends_with_rank_bound_one():
     # every pinch-table option is a rank-1 pair, so the one candidate
-    # the search returns needs no second one behind it
+    # the search returns needs no second one behind it; its certificate,
+    # built without certify_descent, is the one certify_descent gives
+    # its bundle and the pairings of its witness, byte for byte
     data = [*search_corpus(), dense_forty_points()]
     for seed in (1, 2, 3):
         r = random.Random(seed)
         data += [datagen.c2_search_datum(r) for _ in range(200)]
     found = 0
     for d in data:
-        if (got := least_candidate(d)) is None:
+        if (cert := descent._c2_search(d, c_delta(d), None)) is None:
             continue
-        charge, weights, kwargs = got
-        cert = certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
-        assert (cert.verdict, cert.charge, cert.rank_bound) == (DESCENDS, charge, 1), d
+        _charge, _weights, kwargs = oracles.c2_candidate(cert)
+        replay = certify_descent(d, cert.bundle, **kwargs)
+        assert (cert.verdict, cert.rank_bound) == (DESCENDS, 1), d
+        assert cert.to_json() == replay.to_json() and cert == replay, d
         found += 1
     assert found >= 400

@@ -1,8 +1,8 @@
 """The example scripts under ``scripts/`` still run.
 
 Most use the package's public names only, so a trim of that API that
-breaks one of them fails here.  ``c2_search`` rebinds the C2 search's
-matching tests, its per-charge table filter and ``certify_descent`` in
+breaks one of them fails here.  ``c2_search`` rebinds the C2 search,
+its matching tests, its per-charge table filter and ``certify_descent`` in
 ``parapic.descent`` and the blossom search in ``parapic.pairing`` by
 name and call signature, so it runs here on a small corpus, and
 ``startup`` launches two processes of each kind.
@@ -41,7 +41,7 @@ def test_script_runs(script):
 def test_c2_search_counts_a_small_corpus():
     out = run_script("c2_search", "--data", "40")
     # the last row totals data, divisors tested, matching tests, blossom
-    # searches and pairing candidates certified; each certified candidate
+    # searches and the search's Descends certificates; each certificate
     # comes from one tested divisor, and the first ones need two
     # existence tests
     last = out.splitlines()[-1].split()
