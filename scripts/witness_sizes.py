@@ -10,10 +10,11 @@ and 10^5, it runs `parapic cg --json`.  The C2 witness holds its 2g
 handle shadows as one labelled run, but schema 2 still writes one
 `TwistedPair` per shadow pair, so the C2 rows' output grows with the
 genus.  Each row gives the trail steps, the factors the JSON lists, the
-factors the witness holds in memory (`held`), the bytes of the JSON line
-and the median wall time of five in-process runs of the verb (parsing,
-the rewrite or certificate search, and emission; no interpreter
-start-up).
+factors the witness holds in memory (`held`), the bytes of the JSON line,
+the median time of five in-process writes of that payload from the
+record in memory (`emit ms`), and the median wall time of five
+in-process runs of the verb (`ms`: parsing, the rewrite or certificate
+search, and emission; no interpreter start-up).
 
     python scripts/witness_sizes.py
 """
@@ -31,23 +32,34 @@ from contextlib import redirect_stdout
 
 from parapic import compute_cG, load_datum, parse_tuple, s3_reduce
 from parapic.covers import ELEMENTS, element_name, inverse, product
-from parapic.cli import main
+from parapic.cli import SCHEMA, _reduce_s3_json, main
 
 RUNS = 5
 
 
-def run_verb(argv) -> tuple[str, float]:
-    """The stdout line of one `parapic` verb and its median wall time."""
+def median_time(fn) -> float:
+    """The median wall time of ``RUNS`` calls of ``fn``."""
     times = []
     for _ in range(RUNS):
-        buf = io.StringIO()
         t0 = time.perf_counter()
-        with redirect_stdout(buf):
-            code = main(argv)
+        fn()
         times.append(time.perf_counter() - t0)
-        if code != 0:
-            sys.exit(f"parapic {' '.join(argv[:2])} exited {code}")
-    return buf.getvalue(), statistics.median(times)
+    return statistics.median(times)
+
+
+def run_verb(argv) -> tuple[str, float]:
+    """The stdout line of one `parapic` verb and its median wall time."""
+    buf = io.StringIO()
+
+    def run():
+        buf.seek(0)
+        buf.truncate()
+        with redirect_stdout(buf):
+            if (code := main(argv)) != 0:
+                sys.exit(f"parapic {' '.join(argv[:2])} exited {code}")
+
+    seconds = median_time(run)
+    return buf.getvalue(), seconds
 
 
 def s3_vector(n: int) -> str:
@@ -81,19 +93,21 @@ def datum(group: str, genus: int) -> dict:
     ]}
 
 
-def row(name: str, out: str, witness: dict, held: int, seconds: float) -> None:
+def row(name: str, out: str, witness: dict, held: int, emit: float, seconds: float) -> None:
     print(f"{name:<27} {len(witness['steps']):>6} {len(witness['factors']):>8}"
-          f" {held:>6} {len(out.encode()):>9} {seconds * 1000:>9.2f}")
+          f" {held:>6} {len(out.encode()):>9} {emit * 1000:>9.3f} {seconds * 1000:>9.2f}")
 
 
 def report() -> None:
-    print(f"{'input':<27} {'steps':>6} {'factors':>8} {'held':>6} {'bytes':>9} {'ms':>9}")
+    print(f"{'input':<27} {'steps':>6} {'factors':>8} {'held':>6} {'bytes':>9}"
+          f" {'emit ms':>9} {'ms':>9}")
     for name, vector in (("S3 vector", s3_vector), ("S3 3-cycles first", s3_cycles_first)):
         for n in (100, 400, 1600):
             tup = vector(n)
             out, t = run_verb(["reduce", "s3", tup, "--json"])
-            held = len(s3_reduce(parse_tuple(tup)).factors)
-            row(f"{name} n={n}", out, json.loads(out), held, t)
+            w = s3_reduce(parse_tuple(tup))
+            emit = median_time(lambda: _reduce_s3_json(w, SCHEMA))
+            row(f"{name} n={n}", out, json.loads(out), len(w.factors), emit, t)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "datum.json")
         for group, exps in (("Trivial", (3, 5)), ("C3", (3, 5)), ("S3", (3, 5)),
@@ -103,8 +117,10 @@ def report() -> None:
                     json.dump(datum(group, 10**exp), fh)
                 out, t = run_verb(["cg", "--datum", path, "--json"])
                 witness = json.loads(out)["certificate"]["witness"]
-                held = len(compute_cG(load_datum(path)).certificate.witness.factors)
-                row(f"{group} genus 10^{exp}", out, witness, held, t)
+                rep = compute_cG(load_datum(path))
+                emit = median_time(lambda: rep._json(SCHEMA))
+                row(f"{group} genus 10^{exp}", out, witness,
+                    len(rep.certificate.witness.factors), emit, t)
 
 
 if __name__ == "__main__":

@@ -10,25 +10,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import covers, dynkin, picard
 from .descent import certify_descent, compute_cG
 from .errors import DomainError, ParapicError, ParseError
 from .factorization import s3_reduce
-from .picard import _json_object, _json_value
+from .picard import _json_value
 from .verlinde import closed_form_A_log10, rank_closed_form_A, s3_level1_rank
 
 SCHEMA = 2
 
 
 def _emit(args, payload, human: list[str]) -> str:
-    """The ``human`` lines, or with --json "schema": 2 and ``payload``: a
-    dict of values, or a function (called only then) of (key, JSON text) pairs."""
+    """The ``human`` lines, or with --json ``payload`` carrying "schema": 2:
+    a dict of values, or a record's writer (called only then), which
+    takes the schema and writes it among its own sorted keys."""
     if not args.json:
         return "\n".join(human)
-    items = ([(k, _json_value(v)) for k, v in payload.items()]
-             if isinstance(payload, dict) else payload())
-    return _json_object([("schema", _json_value(SCHEMA)), *items])
+    if isinstance(payload, dict):
+        return _json_value({**payload, "schema": SCHEMA})
+    return payload(SCHEMA)
 
 
 def _check_writable(value: int | None, what: str) -> None:
@@ -163,8 +165,6 @@ def _cmd_covers_enumerate(args) -> str:
 def _cmd_reduce_s3(args) -> str:
     mono = covers.parse_tuple(args.tuple)
     w = s3_reduce(mono)
-    def payload():
-        return [*w._json_items(), ("conservation", _json_value(list(w.conservation)))]
     human = [f"factors: {len(w.factors)}"]
     for f in w.factors:
         line = f"  {f.kind}: " + ",".join(
@@ -173,7 +173,15 @@ def _cmd_reduce_s3(args) -> str:
         if f.conjugator is not None:
             line += f"  [conjugator {covers.element_name(f.conjugator)}]"
         human.append(line)
-    return _emit(args, payload, human)
+    return _emit(args, partial(_reduce_s3_json, w), human)
+
+
+def _reduce_s3_json(w, schema: int) -> str:
+    """The ``reduce s3 --json`` payload of the witness ``w``, its keys in
+    sorted order."""
+    factors, steps = w._json_fields()
+    return (f'{{"conservation": {_json_value(list(w.conservation))}, "factors": {factors}, '
+            f'"schema": {_json_value(schema)}, "steps": {steps}}}')
 
 
 def _cmd_verlinde_rank(args) -> str:
@@ -204,7 +212,7 @@ def _cmd_descend(args) -> str:
     cert = certify_descent(d, b)
     _check_writable(cert.charge, "the charge")
     _check_writable(cert.rank_bound, "the rank bound")
-    payload = cert._json_items
+    payload = cert._json
     human = [
         f"verdict: {cert.verdict}",
         f"charge: {cert.charge}",
@@ -219,7 +227,7 @@ def _cmd_cg(args) -> str:
     report = compute_cG(d)
     if args.json and report.certificate is not None:
         _check_writable(report.certificate.rank_bound, "the rank bound")
-    payload = report._json_items
+    payload = report._json
     human = [f"lower bound (c_delta): {report.lower}"]
     if report.certified_charge is not None:
         human.append(f"certified charge: {report.certified_charge}")

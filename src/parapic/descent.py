@@ -51,7 +51,6 @@ from .factorization import (
 from .picard import (
     GroupDatum,
     WeightBundle,
-    _json_object,
     _json_value,
     bundle_to_json,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
     c_delta,
@@ -76,15 +75,19 @@ class DescentCertificate(Record):
         self.bundle, self.charge, self.witness = bundle, charge, witness
         self.rank_bound, self.verdict, self.route = rank_bound, verdict, route
 
-    def _json_items(self) -> list[tuple[str, str]]:
+    def _json(self, schema: int | None = None) -> str:
+        """The certificate's JSON text in one pass over its sorted keys,
+        with a ``"schema"`` entry when ``schema`` is given (the CLI's)."""
         w = self.witness
-        return [("verdict", _json_value(self.verdict)), ("charge", _json_value(self.charge)),
-                ("rank_bound", _json_value(self.rank_bound)), ("route", _json_value(self.route)),
-                ("bundle", self.bundle._json()),
-                ("witness", "null" if w is None else _json_object(w._json_items()))]
+        witness = "null" if w is None else '{"factors": %s, "steps": %s}' % w._json_fields()
+        mid = "" if schema is None else f'"schema": {_json_value(schema)}, '
+        return (f'{{"bundle": {self.bundle._json()}, "charge": {_json_value(self.charge)}, '
+                f'"rank_bound": {_json_value(self.rank_bound)}, '
+                f'"route": {_json_value(self.route)}, {mid}'
+                f'"verdict": {_json_value(self.verdict)}, "witness": {witness}}}')
 
     def to_json(self) -> str:
-        return _json_object(self._json_items())
+        return self._json()
 
 
 class CGReport(Record):
@@ -95,14 +98,17 @@ class CGReport(Record):
         self.lower, self.certified_charge = lower, certified_charge
         self.exact, self.certificate = exact, certificate
 
-    def _json_items(self) -> list[tuple[str, str]]:
+    def _json(self, schema: int | None = None) -> str:
+        """The report's JSON text in one pass over its sorted keys, with a
+        ``"schema"`` entry when ``schema`` is given (the CLI's)."""
         cert = self.certificate
-        return [("lower", _json_value(self.lower)), ("exact", _json_value(self.exact)),
-                ("certified_charge", _json_value(self.certified_charge)),
-                ("certificate", "null" if cert is None else cert.to_json())]
+        tail = "" if schema is None else f', "schema": {_json_value(schema)}'
+        return (f'{{"certificate": {"null" if cert is None else cert._json()}, '
+                f'"certified_charge": {_json_value(self.certified_charge)}, '
+                f'"exact": {_json_value(self.exact)}, "lower": {_json_value(self.lower)}{tail}}}')
 
     def to_json(self) -> str:
-        return _json_object(self._json_items())
+        return self._json()
 
 
 def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
@@ -399,7 +405,7 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
                 del table[e]
         weights[side[i]] = (obj,)
     texts = list(map(json.dumps, side))
-    pairs = first_perfect_matching(len(side), table, key=texts.__getitem__)
+    pairs = first_perfect_matching(adj, key=texts.__getitem__)
     return weights, [(side[i], side[j]) for i, j in pairs]
 
 

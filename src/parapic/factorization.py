@@ -48,7 +48,7 @@ from .errors import (
     NoCoverError,
     PairingError,
 )
-from .picard import PointDatum, _check_integers, _is_int, _json_object, _json_str, _json_value
+from .picard import PointDatum, _check_integers, _is_int, _json_str, _json_value
 from .values import Record
 
 # factor kinds
@@ -116,16 +116,16 @@ def _shape_error(kind: str, els: tuple[Perm, ...]) -> str | None:
 @lru_cache(maxsize=1024)
 def _entry_frame(kind, elements, weights, conjugator, original):
     """The JSON text of a schema-2 factor entry of this shape around its
-    list of labels, memoized like `_shape_error`: the entry composed
-    with a NUL for its labels (no JSON text holds one unescaped), cut there."""
-    items = [("kind", _json_value(kind)), ("labels", "\0"),
-             ("elements", _json_value(list(map(element_name, elements)))),
-             ("weights", _json_value([{str(v): c for v, c in w} for w in weights]))]
+    list of labels, memoized like `_shape_error`: the entry written with
+    no labels, cut inside that list.  A quote inside a JSON string is
+    escaped, so the text of the "labels" key occurs nowhere else."""
+    entry = {"kind": kind, "labels": [], "elements": list(map(element_name, elements)),
+             "weights": [{str(v): c for v, c in w} for w in weights]}
     if conjugator is not None:
-        items += [("conjugator", _json_value(element_name(conjugator))),
-                  ("original", _json_value([element_name(p) for p in original or ()]))]
-    head, tail = _json_object(items).split("\0")
-    return head + "[", "]" + tail
+        entry["conjugator"] = element_name(conjugator)
+        entry["original"] = [element_name(p) for p in original or ()]
+    head, tail = _json_value(entry).split('"labels": []')
+    return head + '"labels": [', "]" + tail
 
 
 class _Factor(NamedTuple):
@@ -153,7 +153,7 @@ class BaseCase(_Factor):
     pinched-handle vacua take one factor instead of ``2g``.  A *copy
     run* has ``len(elements)`` labels, which every copy shares; a
     *labelled run* has ``multiplicity × len(elements)`` labels, the
-    copies' labels one after another (see `DecompositionWitness._json_items`).
+    copies' labels one after another (see `DecompositionWitness._json_fields`).
 
     A factor is a named tuple, and every way to build one is checked and
     cheap: a tuple argument is kept (a tuple of labels must hold
@@ -231,24 +231,25 @@ class DecompositionWitness(Record):
             out += names * f.multiplicity
         return tuple(sorted(out))
 
-    def _json_items(self) -> list[tuple[str, str]]:
-        """The witness's keys with their JSON texts.  A labelled run writes
-        one entry per copy, each with its own labels; any other factor is
-        one entry, which carries ``multiplicity`` when it is not 1."""
+    def _json_fields(self) -> tuple[str, str]:
+        """The JSON texts of ``factors`` and ``steps``, for the records that
+        hold a witness to write around them.  A labelled run writes one
+        entry per copy, each with its own labels; any other factor is one
+        entry, which carries ``multiplicity`` when it is not 1.  ``steps``
+        stays on the C encoder: a Python writer was slower on long trails."""
         parts = []  # joined once: no string per entry
-        for f in self.factors:
-            k, labels = len(f.elements), list(map(_json_str, f.labels))
-            run = len(labels) > k
-            head, tail = _entry_frame(f.kind, f.elements, f.weights, f.conjugator, f.original)
-            if f.multiplicity != 1 and not run:  # "multiplicity" sorts right after "labels"
-                tail = f'], "multiplicity": {_json_value(f.multiplicity)}{tail[1:]}'
-            if run:  # between two copies' labels: one's tail, the next one's head
+        for kind, elements, weights, labels, _, conjugator, original, multiplicity in self.factors:
+            head, tail = _entry_frame(kind, elements, weights, conjugator, original)
+            if len(labels) > (k := len(elements)):
+                # a labelled run: between two copies' labels, one's tail and the next one's head
                 seps = ([", "] * (k - 1) + [tail + ", " + head]) * (len(labels) // k)
                 seps[-1] = tail
-                parts += (", ", head, *chain.from_iterable(zip(labels, seps)))
+                parts += (", ", head, *chain.from_iterable(zip(map(_json_str, labels), seps)))
             else:
-                parts += (", ", head, ", ".join(labels), tail)
-        return [("factors", "".join(["[", *parts[1:], "]"])), ("steps", _json_value(self.steps))]
+                if multiplicity != 1:  # "multiplicity" sorts right after "labels"
+                    tail = f'], "multiplicity": {_json_value(multiplicity)}{tail[1:]}'
+                parts += (", ", head, ", ".join(map(_json_str, labels)), tail)
+        return "".join(["[", *parts[1:], "]"]), _json_value(self.steps)
 
 
 # ---------------------------------------------------------------------------

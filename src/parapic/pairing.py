@@ -142,21 +142,20 @@ def _augment(adj, mate: list[int], root: int) -> bool:
     return False
 
 
-def first_perfect_matching(n: int, edges: Iterable[tuple[int, int]],
-                           key=None) -> Matching | None:
-    """The first perfect matching of the graph in recursion order (lowest
-    remaining vertex first, its partners in increasing order, or in
-    increasing ``key`` of the partner when a key is given), or None when
-    the graph has none.
+def first_perfect_matching(adj: list[set[int]], key=None) -> Matching | None:
+    """The first perfect matching of the graph with neighbour sets ``adj``
+    in recursion order (lowest remaining vertex first, its partners in
+    increasing order, or in increasing ``key`` of the partner when a key
+    is given), or None when the graph has none.  The search pins edges
+    in ``adj``, so the caller hands over sets it no longer needs.
 
     `perfect_matching` finds a start; then the lowest remaining vertex
     takes, without backtracking, the first partner that still leaves
     one, pinned to it for the rest of the search."""
-    adj = neighbours(n, edges)
     order = [sorted(s, key=key) for s in adj]
     if (mate := perfect_matching(order)) is None:
         return None
-    for i in range(n):
+    for i in range(len(adj)):
         if mate[i] < i:  # pinned to an earlier vertex
             continue
         edges_at = adj[i]

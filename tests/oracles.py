@@ -25,7 +25,7 @@ from parapic.covers import IDENTITY
 from parapic.dynkin import twisted_type
 from parapic.errors import DomainError, UnknownRankError
 from parapic.factorization import BaseCase, pair_involution, pq_sets_for_points
-from parapic.pairing import first_perfect_matching
+from parapic.pairing import first_perfect_matching, neighbours
 from parapic.picard import PointDatum
 from parapic.verlinde import base_case_rank
 
@@ -536,7 +536,7 @@ def least_pinching_from_scratch(side, table, real):
                     trial[e] = opts
                 else:
                     del trial[e]
-            if first_perfect_matching(len(side), trial) is not None:
+            if first_perfect_matching(neighbours(len(side), trial)) is not None:
                 break
         table = trial
     weights = {}
@@ -546,7 +546,7 @@ def least_pinching_from_scratch(side, table, real):
             if lab in real:
                 weights[lab] = {v: c}
     texts = list(map(json.dumps, side))
-    pairs = first_perfect_matching(len(side), table, key=texts.__getitem__)
+    pairs = first_perfect_matching(neighbours(len(side), table), key=texts.__getitem__)
     return ({lab: weights[lab] for lab in sorted(weights)},
             [(side[i], side[j]) for i, j in pairs])
 
@@ -784,28 +784,34 @@ def factor_entries(f) -> list[dict]:
     return [d]
 
 
+def witness_dict(w) -> dict:
+    """A witness's fields as the dict tree its JSON writes."""
+    return {"factors": [e for f in w.factors for e in factor_entries(f)], "steps": w.steps}
+
+
 def certificate_dict(c) -> dict:
     """A certificate's fields as the dict tree its JSON writes."""
-    w = c.witness
     return {
         "verdict": c.verdict,
         "charge": c.charge,
         "rank_bound": c.rank_bound,
         "route": c.route,
         "bundle": {lab: dict(pairs) for lab, pairs in c.bundle.entries},
-        "witness": None if w is None else {
-            "factors": [e for f in w.factors for e in factor_entries(f)],
-            "steps": w.steps,
-        },
+        "witness": None if c.witness is None else witness_dict(c.witness),
+    }
+
+
+def report_dict(r) -> dict:
+    """A `compute_cG` report's fields as the dict tree its JSON writes."""
+    return {
+        "lower": r.lower,
+        "certified_charge": r.certified_charge,
+        "exact": r.exact,
+        "certificate": None if r.certificate is None else certificate_dict(r.certificate),
     }
 
 
 def report_json(r) -> str:
     """A `compute_cG` report's JSON: its dict tree through
     ``json.dumps(..., sort_keys=True)``."""
-    return json.dumps({
-        "lower": r.lower,
-        "certified_charge": r.certified_charge,
-        "exact": r.exact,
-        "certificate": None if r.certificate is None else certificate_dict(r.certificate),
-    }, sort_keys=True)
+    return json.dumps(report_dict(r), sort_keys=True)

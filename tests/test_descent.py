@@ -21,7 +21,7 @@ from parapic.errors import (
     NotInPicDeltaError,
 )
 from parapic.factorization import BaseCase, _gsd2_sides
-from parapic.pairing import first_perfect_matching
+from parapic.pairing import first_perfect_matching, neighbours
 from parapic.picard import (
     GroupDatum,
     PointDatum,
@@ -754,7 +754,7 @@ def _staged_with_every_pad(d):
         staged = descent._pinch_tables(_gsd2_sides(d.points, 2 * d.base_genus))
     except DomainError:
         return None
-    if any(first_perfect_matching(len(side), table) is None for side, table, _ in staged):
+    if any(first_perfect_matching(neighbours(len(side), table)) is None for side, table, _ in staged):
         return None
     return staged
 

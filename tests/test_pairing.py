@@ -55,7 +55,7 @@ def test_engine_matches_oracle_on_random_graphs():
     r = random.Random(2024)
     for _ in range(150):
         n, edges = random_graph(r)
-        assert first_perfect_matching(n, edges) == oracle_first(n, edges), (n, edges)
+        assert first_perfect_matching(neighbours(n, edges)) == oracle_first(n, edges), (n, edges)
 
 
 def test_engine_tries_partners_in_key_order():
@@ -66,7 +66,7 @@ def test_engine_tries_partners_in_key_order():
         n, edges = random_graph(r, max_n=10)
         rank = list(range(n))
         r.shuffle(rank)
-        assert first_perfect_matching(n, edges, key=rank.__getitem__) == \
+        assert first_perfect_matching(neighbours(n, edges), key=rank.__getitem__) == \
             oracle_first(n, edges, rank.__getitem__), (n, edges)
 
 
@@ -125,7 +125,7 @@ def _graphs(n):
 @given(st.integers(min_value=0, max_value=10).flatmap(_graphs))
 def test_engine_matches_oracle_hypothesis(graph):
     n, edges = graph
-    assert first_perfect_matching(n, edges) == oracle_first(n, edges)
+    assert first_perfect_matching(neighbours(n, edges)) == oracle_first(n, edges)
 
 
 def test_blossom_needs_contraction():
@@ -133,17 +133,17 @@ def test_blossom_needs_contraction():
     # 0-1, and the search from 2 reaches 1 as an outer vertex through 0,
     # so it finds 2-1-0-3 only by contracting the triangle
     edges = {(0, 1), (0, 2), (1, 2), (0, 3)}
-    assert first_perfect_matching(4, edges) == ((0, 3), (1, 2))
+    assert first_perfect_matching(neighbours(4, edges)) == ((0, 3), (1, 2))
     # two odd components (Tutte's condition fails with the empty set)
     odd = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
-    assert first_perfect_matching(6, odd) is None
+    assert first_perfect_matching(neighbours(6, odd)) is None
 
 
 def test_engine_answers_large_obstruction_at_once():
     # K_39 plus an isolated vertex: (37)!! dead branches for a plain walk
     n = 40
     edges = {(i, j) for j in range(39) for i in range(j)}
-    assert first_perfect_matching(n, edges) is None
+    assert first_perfect_matching(neighbours(n, edges)) is None
 
 
 def test_pinned_partner_keeps_its_one_edge():
@@ -151,7 +151,7 @@ def test_pinned_partner_keeps_its_one_edge():
     # start mate 3: pinning it there must drop (0, 5) too, or the repair
     # that pairs 1 with 2 moves 0 to 5 and 3 ends up in two pairs
     edges = {(0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)}
-    assert first_perfect_matching(6, edges) == ((0, 3), (1, 5), (2, 4))
+    assert first_perfect_matching(neighbours(6, edges)) == ((0, 3), (1, 5), (2, 4))
 
 
 # ---------------------------------------------------------------------------

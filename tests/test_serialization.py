@@ -1,16 +1,21 @@
 """The report writer against the dict tree that ``json.dumps`` writes.
 
-`CGReport.to_json` composes its text from per-shape fragments; the
-oracle builds the same report as dicts from the fields of its factors
-and bundle and hands them to ``json.dumps(..., sort_keys=True)``.  The
-two must agree byte for byte on any report, including ones no search
-builds: labels JSON escapes, bundles whose entries are out of order and
-ranks of thousands of digits.
+`CGReport.to_json` writes its sorted keys in one pass over per-shape
+fragments; the oracle builds the same report as dicts from the fields of
+its factors and bundle and hands them to ``json.dumps(...,
+sort_keys=True)``.  The two must agree byte for byte on any report,
+including ones no search builds: labels JSON escapes, bundles whose
+entries are out of order, bools and ``int`` subclasses where numbers go
+and ranks of thousands of digits.  The ``--json`` payloads of ``cg``,
+``descend`` and ``reduce s3`` are the same dict trees with "schema".
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +23,18 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
-from parapic.covers import C3_PLUS, ELEMENTS, IDENTITY, inverse
-from parapic.descent import CGReport, DescentCertificate, compute_cG
+from parapic import cli, picard
+from parapic.covers import C3_PLUS, ELEMENTS, IDENTITY, element_name, inverse
+from parapic.descent import CGReport, DescentCertificate, certify_descent, compute_cG
 from parapic.errors import DomainError
-from parapic.factorization import CASE3_LITERAL, CASE4_LITERAL, BaseCase, DecompositionWitness
-from parapic.picard import WeightBundle
+from parapic.factorization import (
+    CASE3_LITERAL,
+    CASE4_LITERAL,
+    BaseCase,
+    DecompositionWitness,
+    s3_reduce,
+)
+from parapic.picard import WeightBundle, bundle_to_json
 
 T12, T13 = (2, 1, 3), (3, 2, 1)
 C132 = inverse(C3_PLUS)
@@ -40,9 +52,21 @@ SHAPES = (
     ("S3Case4", CASE4_LITERAL),
 )
 
+
+class Count(int):
+    """An ``int`` subclass with a repr of its own: JSON writes its int text."""
+
+    def __repr__(self) -> str:
+        return f"Count({int(self)})"
+
+
 # quotes, backslashes, control and non-ASCII characters all get escaped
 labels = st.text(alphabet=st.sampled_from('ab"\\\n\x00é€😀 _1'), max_size=4)
 big = st.integers(-(10 ** 40), 10 ** 40) | st.just(10 ** 4299)
+# what the writer's fast path must leave to the encoder: bools and int subclasses
+scalars = big | big.map(Count) | st.booleans()
+small = st.integers(-5, 5)
+step_values = small | small.map(Count) | st.booleans() | labels | st.lists(labels, max_size=3)
 # vertices past 9, so that string and integer key order differ
 weight = st.lists(st.tuples(st.integers(0, 12), big), max_size=3).map(tuple)
 
@@ -74,25 +98,25 @@ witnesses = st.builds(
     DecompositionWitness,
     factors=st.lists(factors(), max_size=6),
     steps=st.lists(st.dictionaries(st.sampled_from(["op", "count", "labels"]),
-                                   st.integers(0, 5) | labels), max_size=3),
+                                   step_values), max_size=3),
 )
 
 
 certificates = st.builds(
     DescentCertificate,
     bundle=bundles,
-    charge=big,
+    charge=scalars,
     witness=st.none() | witnesses,
-    rank_bound=st.none() | big,
+    rank_bound=st.none() | scalars,
     verdict=st.sampled_from(["Descends", "Unknown"]),
     route=labels,
 )
 
 reports = st.builds(
     CGReport,
-    lower=big,
-    certified_charge=st.none() | big,
-    exact=st.none() | big,
+    lower=scalars,
+    certified_charge=st.none() | scalars,
+    exact=st.none() | scalars,
     certificate=st.none() | certificates,
 )
 
@@ -141,3 +165,85 @@ def test_a_rank_past_the_digit_limit_raises_value_error():
         cert.to_json()
     with pytest.raises(ValueError, match="4300"):
         CGReport(lower=1, certified_charge=1, exact=1, certificate=cert).to_json()
+
+
+@pytest.mark.parametrize("slot", ["lower", "certified_charge", "exact", "charge"])
+def test_an_int_past_the_digit_limit_raises_value_error_in_every_other_scalar_slot(slot):
+    # the rank bound's slot is the test above
+    fields = {"lower": 1, "certified_charge": 1, "exact": 1, "charge": 1, slot: 10 ** 4300}
+    cert = DescentCertificate(bundle=WeightBundle((("p", ((0, 1),)),)), charge=fields["charge"],
+                              witness=None, rank_bound=1, verdict="Descends", route="vacuum")
+    report = CGReport(lower=fields["lower"], certified_charge=fields["certified_charge"],
+                      exact=fields["exact"], certificate=cert)
+    with pytest.raises(ValueError, match="4300"):
+        report.to_json()
+    if slot == "charge":
+        with pytest.raises(ValueError, match="4300"):
+            cert.to_json()
+
+
+def test_an_int_subclass_writes_its_int_text_and_a_bool_stays_a_bool():
+    w = DecompositionWitness(steps=[{"count": Count(3), "flag": True, "labels": ["a"]}])
+    cert = DescentCertificate(bundle=WeightBundle(()), charge=Count(2), witness=w,
+                              rank_bound=True, verdict="Descends", route="vacuum")
+    out = cert.to_json()
+    assert '"charge": 2, "rank_bound": true, ' in out
+    assert out.endswith('"steps": [{"count": 3, "flag": true, "labels": ["a"]}]}}')
+    assert out == json.dumps(oracles.certificate_dict(cert), sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the CLI payloads: the record's dict tree plus "schema"
+
+
+def cli_json(*argv) -> str:
+    """What ``parapic <argv> --json`` prints, without its newline."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--json"]) == 0
+    return out.getvalue().removesuffix("\n")
+
+
+def with_schema(tree: dict) -> str:
+    return json.dumps({**tree, "schema": cli.SCHEMA}, sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports, certificates, witnesses)
+def test_cli_payloads_are_the_dict_tree_with_the_schema(report, cert, witness):
+    # the verbs' writers run on Hypothesis records in place of computed ones
+    with mock.patch.object(picard, "load_datum", lambda path: None), \
+            mock.patch.object(picard, "load_bundle", lambda path: None), \
+            mock.patch.object(cli, "compute_cG", lambda d: report), \
+            mock.patch.object(cli, "certify_descent", lambda d, b: cert), \
+            mock.patch.object(cli, "s3_reduce", lambda mono: witness):
+        assert cli_json("cg", "--datum", "-") == with_schema(oracles.report_dict(report))
+        assert cli_json("descend", "--datum", "-", "--bundle", "-") == \
+            with_schema(oracles.certificate_dict(cert))
+        assert cli_json("reduce", "s3", "(12),(12)") == with_schema(
+            {**oracles.witness_dict(witness), "conservation": list(witness.conservation)})
+
+
+def test_cli_payloads_on_a_seeded_corpus_are_the_dict_tree_with_the_schema(tmp_path):
+    r = random.Random(22)
+    data = [gen(r) for gen in datagen.IWAHORI_GENERATORS.values() for _ in range(6)]
+    data += [datagen.c2_search_datum(r) for _ in range(12)]
+    described = 0
+    for i, d in enumerate(data):
+        dp = tmp_path / f"datum{i}.json"
+        dp.write_text(json.dumps(datagen.datum_to_json(d)))
+        report = compute_cG(picard.load_datum(str(dp)))
+        assert cli_json("cg", "--datum", str(dp)) == with_schema(oracles.report_dict(report))
+        if report.certificate is not None:
+            bp = tmp_path / f"bundle{i}.json"
+            bp.write_text(json.dumps(bundle_to_json(report.certificate.bundle)))
+            cert = certify_descent(picard.load_datum(str(dp)), picard.load_bundle(str(bp)))
+            assert cli_json("descend", "--datum", str(dp), "--bundle", str(bp)) == \
+                with_schema(oracles.certificate_dict(cert))
+            described += 1
+    assert described >= 20
+    for _ in range(30):
+        text = ",".join(map(element_name, datagen.random_s3_identity_vector(r)))
+        w = s3_reduce(cli.covers.parse_tuple(text))
+        assert cli_json("reduce", "s3", text) == with_schema(
+            {**oracles.witness_dict(w), "conservation": list(w.conservation)})
