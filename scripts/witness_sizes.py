@@ -9,7 +9,10 @@ branch points and one `D4` split point, all Iwahori) at genus 10^3, 10^4
 and 10^5, it runs `parapic cg --json`.  The C2 witness holds its 2g
 handle shadows as one labelled run, but schema 2 still writes one
 `TwistedPair` per shadow pair, so the C2 rows' output grows with the
-genus.  Each row gives the trail steps, the factors the JSON lists, the
+genus.  On the S3 rows `held` counts runs: `s3_reduce` keeps each
+maximal run of consecutive equal factors (same kind, elements and
+weights) as one labelled run, which the JSON lists copy by copy, so
+`held` is at most `factors` there.  Each row gives the trail steps, the factors the JSON lists, the
 factors the witness holds in memory (`held`), the bytes of the JSON line,
 the median time of five in-process writes of that payload from the
 record in memory (`emit ms`), and the median wall time of five

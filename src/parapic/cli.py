@@ -165,15 +165,16 @@ def _cmd_covers_enumerate(args) -> str:
 def _cmd_reduce_s3(args) -> str:
     mono = covers.parse_tuple(args.tuple)
     w = s3_reduce(mono)
-    human = [f"factors: {len(w.factors)}"]
+    lines = []
     for f in w.factors:
         line = f"  {f.kind}: " + ",".join(
             covers.element_name(p) for p in f.elements
         )
         if f.conjugator is not None:
             line += f"  [conjugator {covers.element_name(f.conjugator)}]"
-        human.append(line)
-    return _emit(args, partial(_reduce_s3_json, w), human)
+        # a labelled run is one line per copy, as its JSON is one entry per copy
+        lines += [line] * max(1, len(f.labels) // len(f.elements))
+    return _emit(args, partial(_reduce_s3_json, w), [f"factors: {len(lines)}", *lines])
 
 
 def _reduce_s3_json(w, schema: int) -> str:

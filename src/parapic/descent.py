@@ -115,13 +115,14 @@ def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
     """Dominance and charge-lattice membership checks; returns the
     common central charge."""
     charges = validate_bundle(d, b)
-    for p in d.points:
-        for v, c in b.weight(p.label):
-            if c < 0:
-                raise NotDominantError(
-                    f"bundle is not dominant: point {p.label!r} has "
-                    f"coefficient {c} at vertex {v}"
-                )
+    if not b.dominant:  # one pass over the entries; the points name the first offender
+        for p in d.points:
+            for v, c in b.weight(p.label):
+                if c < 0:
+                    raise NotDominantError(
+                        f"bundle is not dominant: point {p.label!r} has "
+                        f"coefficient {c} at vertex {v}"
+                    )
     distinct = sorted(set(charges.values()))
     if len(distinct) > 1:
         raise NotInPicDeltaError(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .covers import (
@@ -235,8 +236,9 @@ class DecompositionWitness(Record):
         """The JSON texts of ``factors`` and ``steps``, for the records that
         hold a witness to write around them.  A labelled run writes one
         entry per copy, each with its own labels; any other factor is one
-        entry, which carries ``multiplicity`` when it is not 1.  ``steps``
-        stays on the C encoder: a Python writer was slower on long trails."""
+        entry, which carries ``multiplicity`` when it is not 1.  A step
+        that is exactly a ``move`` (`_step_json`) fills a fixed template;
+        any other step goes to the encoder."""
         parts = []  # joined once: no string per entry
         for kind, elements, weights, labels, _, conjugator, original, multiplicity in self.factors:
             head, tail = _entry_frame(kind, elements, weights, conjugator, original)
@@ -249,7 +251,32 @@ class DecompositionWitness(Record):
                 if multiplicity != 1:  # "multiplicity" sorts right after "labels"
                     tail = f'], "multiplicity": {_json_value(multiplicity)}{tail[1:]}'
                 parts += (", ", head, ", ".join(map(_json_str, labels)), tail)
-        return "".join(["[", *parts[1:], "]"]), _json_value(self.steps)
+        steps = self.steps
+        steps = ("[" + ", ".join(map(_step_json, steps)) + "]" if type(steps) is list
+                 else _json_value(steps))
+        return "".join(["[", *parts[1:], "]"]), steps
+
+
+#: a move step's values, in `_MOVE_TEXT` order but for "op" first
+_move_fields = itemgetter("op", "conjugator", "from", "mover", "to")
+#: a move step as ``json.dumps(step, sort_keys=True)`` writes it
+_MOVE_TEXT = '{"conjugator": %s, "from": %d, "mover": %s, "op": "move", "to": %d}'
+
+
+def _step_json(step) -> str:
+    """``json.dumps(step, sort_keys=True)``.  A step that is exactly a
+    ``move`` dict (its five keys, an exact ``str`` mover and conjugator,
+    exact ``int`` positions) fills `_MOVE_TEXT`; any other goes to the
+    encoder, bools and ``int`` subclasses included."""
+    if type(step) is dict and len(step) == 5:
+        try:
+            op, conjugator, i, mover, j = _move_fields(step)
+        except KeyError:
+            return _json_value(step)
+        if (type(op) is str and op == "move" and type(conjugator) is str and type(i) is int
+                and type(mover) is str and type(j) is int):
+            return _MOVE_TEXT % (_json_str(conjugator), i, _json_str(mover), j)
+    return _json_value(step)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +654,11 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
     leftover 3-cycles pair up inverse-first, then in equal triples.
     Only the exceptional factors are conjugated to a literal normal
     form, with the conjugator recorded.
+
+    Each maximal run of consecutive equal factors (same kind, elements
+    and weights) other than the exceptional ones is one labelled run
+    (see `BaseCase`), so it is built, checked, ranked and framed once;
+    the JSON still lists one entry per copy.
     """
     values = tuple(tuple(p) for p in elements)
     if labels is None:
@@ -641,62 +673,84 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
 
     w = DecompositionWitness()
 
+    last = None  # the weight checked last: a weight shared with it is checked
+
     def wt_of(lab: str) -> Weight:
+        """The weight of ``lab``, its pairs checked to be integers: runs
+        compare weights by value, and ``True == 1``."""
+        nonlocal last
         if weight_map is not None and lab in weight_map:
-            return tuple(weight_map[lab])
+            weight = tuple(weight_map[lab])
+            if weight is not last:
+                _check_integers(lab, weight)
+                last = weight
+            return weight
         return vacuum_weight(charge)
 
     def factor(kind: str, entries) -> BaseCase:
-        """The ``kind`` factor of (label, value) entries; an exceptional
-        one holds its literal and the conjugator onto it."""
+        """The exceptional ``kind`` factor of (label, value) entries: it
+        holds its literal and the conjugator onto it."""
         labs, els = zip(*entries)
-        extra = {}
-        if kind in (S3_CASE3, S3_CASE4):
-            extra = {"conjugator": _canonicalize(kind, els), "original": els}
-            els = CASE3_LITERAL if kind == S3_CASE3 else CASE4_LITERAL
-        return BaseCase(kind, els, tuple(map(wt_of, labs)), labs, **extra)
+        return BaseCase(kind, CASE3_LITERAL if kind == S3_CASE3 else CASE4_LITERAL,
+                        tuple(map(wt_of, labs)), labs, conjugator=_canonicalize(kind, els),
+                        original=els)
+
+    def runs(kind: str, groups) -> list[BaseCase]:
+        """The ``kind`` factors of groups of (label, value) entries: each
+        maximal run of consecutive groups with equal values and weights
+        is one labelled run, its copies' labels in order."""
+        out: list[tuple] = []  # (values, weights, labels) of each run
+        for group in groups:
+            labs, els = zip(*group)
+            weights = tuple(map(wt_of, labs))
+            if out and out[-1][0] == els and out[-1][1] == weights:
+                out[-1][2].extend(labs)
+            else:
+                out.append((els, weights, [*labs]))
+        return [BaseCase(kind, els, weights, tuple(labs), multiplicity=len(labs) // len(els))
+                for els, weights, labs in out]
 
     seq = [(l, v) for l, v in zip(labels, values) if v != IDENTITY]
-    vacua = [factor(UNTWISTED_VACUUM, [e]) for e in zip(labels, values) if e[1] == IDENTITY]
+    vacua = runs(UNTWISTED_VACUUM, [[e] for e in zip(labels, values) if e[1] == IDENTITY])
     nontrivial = tuple(v for _l, v in seq)
     # a vector that already is one S3 factor's payload stays whole
     if len(nontrivial) <= _MAX_FACTOR_POINTS:
         lit = next((k for k in (S3_CASE1, S3_CASE2, S3_CASE3, S3_CASE4)
                     if _shape_error(k, nontrivial) is None), None)
         if lit is not None:
-            w.factors = [factor(lit, seq), *vacua]
+            whole = [factor(lit, seq)] if lit in (S3_CASE3, S3_CASE4) else runs(lit, [seq])
+            w.factors = [*whole, *vacua]
             return w
 
-    pairs, last, rest = _pair_transpositions(seq, w.steps)
-    case1 = [factor(S3_CASE1, pair) for pair in pairs]
+    pairs, final, rest = _pair_transpositions(seq, w.steps)
+    if final and final[0][1] == final[1][1]:
+        pairs.append(final)
+        final = []
+    case1 = runs(S3_CASE1, pairs)
     exceptional: list[BaseCase] = []
-    if last:
-        (_l1, s1), (_l2, s2) = last
-        if s1 == s2:
-            case1.append(factor(S3_CASE1, last))
-        else:
-            # one 3-cycle inverse to the pair's product completes it to
-            # Case3, else two equal to the product to Case4
-            c0 = compose(s1, s2)
-            c0_inv = inverse(c0)
-            picks = [i for i, (_l, v) in enumerate(rest) if v == c0_inv][:1]
-            kind = S3_CASE3 if picks else S3_CASE4
-            picks = picks or [i for i, (_l, v) in enumerate(rest) if v == c0][:2]
-            entries = [*last, *(rest[i] for i in picks)]
-            for i in reversed(picks):
-                rest.pop(i)
-            exceptional = [factor(kind, entries)]
-            w.steps.append({"op": "canonicalize", "kind": kind,
-                            "conjugator": element_name(exceptional[0].conjugator)})
+    if final:
+        # one 3-cycle inverse to the pair's product completes it to
+        # Case3, else two equal to the product to Case4
+        c0 = compose(final[0][1], final[1][1])
+        c0_inv = inverse(c0)
+        picks = [i for i, (_l, v) in enumerate(rest) if v == c0_inv][:1]
+        kind = S3_CASE3 if picks else S3_CASE4
+        picks = picks or [i for i, (_l, v) in enumerate(rest) if v == c0][:2]
+        entries = [*final, *(rest[i] for i in picks)]
+        for i in reversed(picks):
+            rest.pop(i)
+        exceptional = [factor(kind, entries)]
+        w.steps.append({"op": "canonicalize", "kind": kind,
+                        "conjugator": element_name(exceptional[0].conjugator)})
 
     plus = [e for e in rest if e[1] == C3_PLUS]
     minus = [e for e in rest if e[1] == _C3_MINUS]
-    case2 = [factor(S3_CASE2, pair) for pair in zip(plus, minus)]
-    npair = len(case2)
+    npair = min(len(plus), len(minus))
     longer = plus[npair:] or minus[npair:]
     if len(longer) % 3 != 0:  # pragma: no cover - forced by product e
         raise InternalInconsistencyError("unbalanced 3-cycle residue")
-    case2 += [factor(S3_CASE2, longer[i : i + 3]) for i in range(0, len(longer), 3)]
+    triples = [longer[i : i + 3] for i in range(0, len(longer), 3)]
+    case2 = runs(S3_CASE2, [*zip(plus, minus), *triples])
 
     w.factors = case1 + exceptional + case2 + vacua
     return w

@@ -16,6 +16,7 @@ into the shape of ``least_c2_candidate``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -698,6 +699,29 @@ def s3_move_distances(order, movers):
 
 
 # ---------------------------------------------------------------------------
+# c_Delta from the Cartan matrices
+
+
+def c_delta_from_cartan(d) -> int:
+    """c_Delta of ``d``: the lcm over bad points of the gcd of the dual
+    labels over the facet, each type's labels read from
+    ``primitive_positive_left_null`` of its Cartan matrix."""
+    out = 1
+    for p in d.points:
+        if p.is_bad:
+            labels = _null_covector(p.affine_type.cartan)
+            g = 0
+            for v in p.facet:
+                g = gcd(g, labels[v])
+            out = out * g // gcd(out, g)
+    return out
+
+
+#: one elimination per Cartan matrix
+_null_covector = functools.lru_cache(maxsize=None)(primitive_positive_left_null)
+
+
+# ---------------------------------------------------------------------------
 # the c_Delta constructor bundle, by scanning multiples and backtracking
 
 
@@ -760,33 +784,43 @@ def cdelta_weights(d):
 # the report JSON, built as a dict tree and written by json.dumps
 
 
-def factor_entries(f) -> list[dict]:
-    """The schema-2 entries of one factor, from its fields.
+def factor_copies(factors) -> list:
+    """The factors with each labelled run (more labels than points) split
+    into its copies: one factor of multiplicity 1 per copy, with that
+    copy's labels, in order.  Any other factor, a copy run included, is
+    kept as it is."""
+    out = []
+    for f in factors:
+        k = len(f.elements)
+        if len(f.labels) > k:
+            out += [f._replace(labels=f.labels[i:i + k], multiplicity=1)
+                    for i in range(0, len(f.labels), k)]
+        else:
+            out.append(f)
+    return out
 
-    A labelled run (more labels than points) is one entry per copy, each
-    with its own labels; any other factor is one entry, which carries
-    ``multiplicity`` when it is not 1.
-    """
-    labels, k = list(f.labels), len(f.elements)
+
+def factor_entry(f) -> dict:
+    """The schema-2 entry of one factor that is not a labelled run, from
+    its fields; it carries ``multiplicity`` when that is not 1."""
     d = {
         "kind": f.kind,
+        "labels": list(f.labels),
         "elements": [s3_name(p) for p in f.elements],
         "weights": [{str(v): c for v, c in w} for w in f.weights],
     }
     if f.conjugator is not None:
         d["conjugator"] = s3_name(f.conjugator)
         d["original"] = [s3_name(p) for p in f.original or ()]
-    if len(labels) > k:
-        return [{**d, "labels": labels[i:i + k]} for i in range(0, len(labels), k)]
-    d["labels"] = labels
     if f.multiplicity != 1:
         d["multiplicity"] = f.multiplicity
-    return [d]
+    return d
 
 
 def witness_dict(w) -> dict:
-    """A witness's fields as the dict tree its JSON writes."""
-    return {"factors": [e for f in w.factors for e in factor_entries(f)], "steps": w.steps}
+    """A witness's fields as the dict tree its JSON writes: one entry per
+    copy of a labelled run."""
+    return {"factors": [factor_entry(f) for f in factor_copies(w.factors)], "steps": w.steps}
 
 
 def certificate_dict(c) -> dict:

@@ -148,6 +148,13 @@ def test_reduce_s3(capsys):
     )
 
 
+def test_reduce_s3_lists_every_copy_of_a_run(capsys):
+    # the three equal pairs and the two vacua are one run each in memory
+    code, out, _ = run(capsys, "reduce", "s3", "(12),e,(12),(12),(12),e,(12),(12)")
+    assert code == 0
+    assert out == "factors: 5\n" + "  S3Case1: (12),(12)\n" * 3 + "  UntwistedVacuum: e\n" * 2
+
+
 def test_verlinde_rank(capsys):
     code, out, _ = run(
         capsys, "verlinde", "rank", "(12),(23),(123),(123)", "--json"

@@ -158,6 +158,16 @@ def test_rejects_non_dominant_bundle():
         )
 
 
+def test_non_dominant_bundle_names_the_first_offender_in_datum_order():
+    # the bundle's entries run a, b; the datum's points b, a
+    t = parse_affine_type("A2")
+    d = GroupDatum(0, TRIVIAL_GROUP, tuple(
+        PointDatum(lab, t, frozenset({0, 1, 2})) for lab in ("b", "a")))
+    b = WeightBundle.from_dict({"a": {1: -1}, "b": {0: 1, 2: -2}})
+    with pytest.raises(NotDominantError, match="point 'b' has coefficient -2 at vertex 2$"):
+        certify_descent(d, b)
+
+
 def test_rejects_mismatched_charges():
     with pytest.raises(NotInPicDeltaError, match="x1: 2, x2: 4"):
         certify_descent(

@@ -13,7 +13,7 @@ import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, compose, conjugate, perm_order
 from parapic import descent
 from parapic.dynkin import parse_affine_type
-from parapic.errors import DomainError, NoCoverError, PairingError
+from parapic.errors import BoundUnavailableError, DomainError, NoCoverError, PairingError
 from parapic.factorization import (
     CASE3_LITERAL,
     CASE4_LITERAL,
@@ -108,7 +108,7 @@ def test_reduce_separated_pair_records_one_move_step():
 
 def test_reduce_identities_become_vacuum_factors():
     w = s3_reduce((IDENTITY, T13, IDENTITY, T13))
-    kinds = [f.kind for f in w.factors]
+    kinds = [f.kind for f in oracles.factor_copies(w.factors)]
     assert kinds.count("UntwistedVacuum") == 2
     assert kinds.count("S3Case1") == 1
 
@@ -152,22 +152,23 @@ def test_weight_helpers():
 def test_reduce_invariants_random(seed):
     elems = datagen.random_s3_identity_vector(random.Random(seed))
     w = s3_reduce(elems)
+    copies = oracles.factor_copies(w.factors)
     # conservation: exact multiset of nontrivial entries up to conjugacy
     got = sorted(
-        perm_order(x) for f in w.factors for x in f.elements if x != IDENTITY
+        perm_order(x) for f in copies for x in f.elements if x != IDENTITY
     )
     want = sorted(perm_order(x) for x in elems if x != IDENTITY)
     assert got == want
     # identities all become vacuum factors
-    n_vac = sum(1 for f in w.factors if f.kind == "UntwistedVacuum")
+    n_vac = sum(1 for f in copies if f.kind == "UntwistedVacuum")
     assert n_vac == sum(1 for x in elems if x == IDENTITY)
     # per-factor product identity
-    for f in w.factors:
+    for f in copies:
         assert _prod(f.elements) == IDENTITY
     # at most one exceptional factor
-    assert sum(1 for f in w.factors if f.kind in ("S3Case3", "S3Case4")) <= 1
+    assert sum(1 for f in copies if f.kind in ("S3Case3", "S3Case4")) <= 1
     # idempotence on the emitted base cases
-    for f in w.factors:
+    for f in copies:
         if f.kind in S3_CASES:
             again = s3_reduce(f.elements)
             assert len(again.factors) == 1
@@ -185,8 +186,9 @@ def _check_trail(values, labels, edit=None):
     w = s3_reduce(values, labels=labels)
     steps = w.steps if edit is None else [{**w.steps[0], **edit}] + w.steps[1:]
     value, moves = oracles.replay_s3_trail(labels, values, steps)
+    copies = oracles.factor_copies(w.factors)
     seen = []
-    for f in w.factors:
+    for f in copies:
         got = tuple(value[lab] for lab in f.labels)
         if f.original is not None:
             assert got == f.original
@@ -197,15 +199,15 @@ def _check_trail(values, labels, edit=None):
     assert sorted(seen) == sorted(labels)
     # every rewrite move carries the next Case1 point, then the first two
     # points of the exceptional factor, to the front of the unconsumed part
-    movers = [lab for f in w.factors if f.kind == "S3Case1" for lab in f.labels]
-    movers += [lab for f in w.factors if f.original is not None for lab in f.labels[:2]]
+    movers = [lab for f in copies if f.kind == "S3Case1" for lab in f.labels]
+    movers += [lab for f in copies if f.original is not None for lab in f.labels[:2]]
     order = [lab for lab, v in zip(labels, values) if v != IDENTITY]
     dist = oracles.s3_move_distances(order, movers)
     assert moves == [(m, k + d, k) for k, (m, d) in enumerate(zip(movers, dist)) if d]
     # one step per move, and nothing else but the canonicalizations
     canon = [s for s in steps if s["op"] == "canonicalize"]
     assert len(steps) == len(moves) + len(canon)
-    for step, f in zip(canon, (f for f in w.factors if f.original is not None)):
+    for step, f in zip(canon, (f for f in copies if f.original is not None)):
         assert step["conjugator"] == oracles.s3_name(f.conjugator)
     return w
 
@@ -240,6 +242,79 @@ def test_trail_replay_rejects_a_tampered_step():
                 {"to": 2}, {"from": 2.0}, {"conjugator": "(13)"}):
         with pytest.raises(AssertionError):
             _check_trail(values, labels, edit=bad)
+
+
+# ---------------------------------------------------------------------------
+# s3_reduce keeps runs of equal factors
+
+
+def _bound(w):
+    """``rank_lower_bound(w)``, or the error it raises."""
+    try:
+        return rank_lower_bound(w)
+    except BoundUnavailableError as e:
+        return type(e)
+
+
+def _check_runs(w):
+    """The factors of ``w`` are maximal labelled runs, and the per-copy
+    witness the oracle rebuilds has the same copies, bound, conservation
+    and JSON."""
+    shape = lambda f: (f.kind, f.elements, f.weights)  # noqa: E731
+    for f, g in zip(w.factors, w.factors[1:]):
+        assert shape(f) != shape(g)
+    for f in w.factors:
+        k = len(f.elements)
+        assert f.types is None and len(f.labels) == f.multiplicity * k
+        if f.kind in ("S3Case3", "S3Case4"):
+            assert f.multiplicity == 1
+    copies = oracles.factor_copies(w.factors)
+    assert all(c.multiplicity == 1 and len(c.labels) == len(c.elements) for c in copies)
+    per_copy = DecompositionWitness(copies, w.steps)
+    assert _bound(w) == _bound(per_copy)
+    assert w.conservation == per_copy.conservation
+    assert w._json_fields() == per_copy._json_fields()
+    return copies
+
+
+def test_runs_are_maximal_and_expand_to_the_per_copy_witness():
+    r = random.Random("runs")
+    weights = (vacuum_weight(1), vacuum_weight(2), ((1, 1),))
+    merged = 0
+    for n in (5, 12, 40, 150):
+        for _ in range(25):
+            values = oracles.s3_closed([r.choice(oracles.S3_TUPLES) for _ in range(n - 1)])
+            labels = tuple(f"x{i}" for i in range(n))
+            # vacuum everywhere, then weights that split some runs
+            for weight_map in (None, {lab: r.choice(weights) for lab in labels}):
+                w = s3_reduce(values, labels=labels, weight_map=weight_map)
+                copies = _check_runs(w)
+                assert sorted(lab for c in copies for lab in c.labels) == sorted(labels)
+                merged += len(copies) - len(w.factors)
+    assert merged > 1000
+
+
+def test_equal_factors_that_are_not_adjacent_stay_separate():
+    labels = tuple("abcdefgh")
+    other = ((1, 1),)
+    w = s3_reduce((IDENTITY, T12, T12, IDENTITY, T12, T12, T12, T12), labels=labels,
+                  weight_map={"d": other, "e": other, "f": other})
+    _check_runs(w)
+    assert [(f.kind, f.labels, f.multiplicity) for f in w.factors] == [
+        ("S3Case1", ("b", "c"), 1),
+        ("S3Case1", ("e", "f"), 1),
+        ("S3Case1", ("g", "h"), 1),
+        ("UntwistedVacuum", ("a",), 1),
+        ("UntwistedVacuum", ("d",), 1),
+    ]
+    w = s3_reduce((T12,) * 8, labels=labels)
+    assert [(f.labels, f.multiplicity) for f in w.factors] == [(labels, 4)]
+
+
+def test_a_run_checks_every_copy_weight():
+    # (0, True) == (0, 1): a run must not take the bool for the integer
+    with pytest.raises(DomainError, match="point e: vertex 0 and coefficient True"):
+        s3_reduce((T12,) * 6, labels=tuple("abcdef"), weight_map={"e": ((0, True),)})
 
 
 # ---------------------------------------------------------------------------

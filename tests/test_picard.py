@@ -284,6 +284,36 @@ def test_c_delta_lcm_of_facet_gcds():
     assert c_delta(GroupDatum(0, TRIVIAL_GROUP, (p1, p3))) == 2  # lcm(2, 1)
 
 
+def _redrawn_facets(d, r):
+    """``d`` with each facet redrawn as a random nonempty set of its
+    type's vertices; a point whose facet misses o is bad."""
+    pts = []
+    for p in d.points:
+        verts = p.affine_type.vertices
+        facet = frozenset(r.sample(verts, r.randint(1, min(3, len(verts)))))
+        pts.append(PointDatum(p.label, p.affine_type, facet, p.monodromy,
+                              is_bad=p.is_bad or 0 not in facet))
+    return GroupDatum(d.base_genus, d.gamma, tuple(pts))
+
+
+def test_c_delta_matches_the_cartan_oracle_on_built_and_parsed_data():
+    # built with PointDatum(...), then parsed from JSON twice under new
+    # labels: the second parse relabels the shapes the first one cached
+    r = random.Random(0xCDE1)
+    values = set()
+    for _ in range(100):
+        for gen in datagen.IWAHORI_GENERATORS.values():
+            d = _redrawn_facets(gen(r), r)
+            want = oracles.c_delta_from_cartan(d)
+            assert c_delta(d) == want
+            obj = datagen.datum_to_json(d)
+            for prefix in ("q", "r"):
+                obj["points"] = [{**pt, "label": prefix + pt["label"]} for pt in obj["points"]]
+                assert c_delta(datum_from_json(json.loads(json.dumps(obj)))) == want
+            values.add(want)
+    assert {1, 2, 3, 4} <= values
+
+
 @given(st.integers(0, 2 ** 31))
 def test_cdelta_bundle_properties(seed):
     r = random.Random(seed)

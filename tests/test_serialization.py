@@ -67,6 +67,36 @@ big = st.integers(-(10 ** 40), 10 ** 40) | st.just(10 ** 4299)
 scalars = big | big.map(Count) | st.booleans()
 small = st.integers(-5, 5)
 step_values = small | small.map(Count) | st.booleans() | labels | st.lists(labels, max_size=3)
+
+
+class Name(str):
+    """A ``str`` subclass: JSON writes its text as a string."""
+
+
+@st.composite
+def move_like_steps(draw):
+    """A ``move`` step, exact or with one change the move writer must
+    leave to the encoder: a bool or ``Count`` position, a mover that is
+    no exact ``str``, an extra or a missing key, or another op."""
+    step = {"op": "move", "mover": draw(labels), "from": draw(big), "to": draw(small),
+            "conjugator": draw(st.sampled_from([element_name(p) for p in ELEMENTS]))}
+    change = draw(st.sampled_from(["none", "position", "mover", "extra", "missing", "op"]))
+    if change == "position":
+        step[draw(st.sampled_from(["from", "to"]))] = draw(st.booleans() | small.map(Count))
+    elif change == "mover":
+        step[draw(st.sampled_from(["mover", "conjugator"]))] = draw(
+            small | st.none() | labels.map(Name) | st.lists(labels, max_size=2))
+    elif change == "extra":
+        step[draw(st.sampled_from(["count", "labels", "kind"]))] = draw(step_values)
+    elif change == "missing":
+        del step[draw(st.sampled_from(sorted(step)))]
+    elif change == "op":
+        step["op"] = draw(st.sampled_from(["swap", "Move", "canonicalize", ""]) | labels.map(Name))
+    return step
+
+
+steps = st.lists(st.dictionaries(st.sampled_from(["op", "count", "labels"]), step_values)
+                 | move_like_steps(), max_size=4)
 # vertices past 9, so that string and integer key order differ
 weight = st.lists(st.tuples(st.integers(0, 12), big), max_size=3).map(tuple)
 
@@ -97,8 +127,7 @@ bundles = st.dictionaries(labels, weight, max_size=5).flatmap(
 witnesses = st.builds(
     DecompositionWitness,
     factors=st.lists(factors(), max_size=6),
-    steps=st.lists(st.dictionaries(st.sampled_from(["op", "count", "labels"]),
-                                   step_values), max_size=3),
+    steps=steps,
 )
 
 
@@ -128,6 +157,13 @@ def test_report_json_is_the_dict_tree_json_dumps_writes(report):
     cert = report.certificate
     if cert is not None:
         assert cert.to_json() == json.dumps(oracles.certificate_dict(cert), sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps)
+def test_steps_are_written_as_json_dumps_writes_them(steps):
+    # exact moves fill the writer's template, every other step goes to the encoder
+    assert DecompositionWitness(steps=steps)._json_fields()[1] == json.dumps(steps, sort_keys=True)
 
 
 def test_no_factor_is_a_whole_vector():
