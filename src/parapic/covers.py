@@ -170,11 +170,15 @@ def parse_tuple(s: str) -> tuple[Perm, ...]:
 
 
 class FiniteGroup(Value):
+    """A subgroup of S3.  Besides its fields it keeps ``element_set``,
+    its elements as a frozen set, for membership scans over many points."""
+
     _fields = ("kind", "elements")
 
     def __init__(self, kind: str, elements: tuple[Perm, ...]):
         setfield(self, "kind", kind)
         setfield(self, "elements", elements)
+        setfield(self, "element_set", frozenset(elements))
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements

@@ -163,11 +163,11 @@ def _pair_witness(sides: Gsd2Sides, pairs, b: WeightBundle, charge: int,
         w.steps.append({"op": "pinch-handles", "count": genus})
     if sides.aux is not None:
         w.steps.append({"op": "pad-split-side", "labels": [sides.aux]})
-    vac, pad_type = vacuum_weight(charge), sides.pad_type
+    vac, pad_type, points = vacuum_weight(charge), sides.pad_type, sides.points
     pad = (IDENTITY, vac, pad_type)
 
     def entry(lab):
-        p = sides.points.get(lab)
+        p = points.get(lab)
         return pad if p is None else (p.monodromy, b.weight(lab), p.affine_type)
 
     def pad_run(labels):
@@ -178,14 +178,13 @@ def _pair_witness(sides: Gsd2Sides, pairs, b: WeightBundle, charge: int,
 
     run: list[str] = []  # the labels of the pad pairs since the last real point
     for x, y in pairs:
-        fx, fy = entry(x), entry(y)
-        if fx is pad and fy is pad:
+        if x not in points and y not in points:  # a pad pair
             run += (x, y)
             continue
         if run:
             w.factors.append(pad_run(run))
             run = []
-        (ex, wx, tx), (ey, wy, ty) = fx, fy
+        (ex, wx, tx), (ey, wy, ty) = entry(x), entry(y)
         w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
                                   weights=(wx, wy), labels=(x, y), types=(tx, ty)))
     if run:
@@ -196,11 +195,11 @@ def _pair_witness(sides: Gsd2Sides, pairs, b: WeightBundle, charge: int,
 def _route_gsd6(d, b, charge) -> DecompositionWitness:
     elements = [p.monodromy for p in d.points]
     labels = [p.label for p in d.points]
-    weight_map = {p.label: b.weight(p.label) for p in d.points}
+    weight_map = {lab: b.weight(lab) for lab in labels}
     steps: list[dict] = []
     if d.base_genus >= 1:
-        t = sum(1 for p in elements if perm_order(p) == 2)
-        m = sum(1 for p in elements if perm_order(p) == 3)
+        orders = [*map(perm_order, elements)]
+        t, m = orders.count(2), orders.count(3)
         if t % 2 == 1:
             raise NoCoverError(
                 "no S3 cover exists: odd number of order-2 monodromies"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import NamedTuple
 
 from .covers import (
@@ -494,7 +494,7 @@ def degenerate_gsd3(d, bundle, charge: int) -> DecompositionWitness:
 
 def s3_parity_check(elements) -> bool:
     """True when the number of odd permutations is even."""
-    return sum(1 for p in elements if perm_order(p) == 2) % 2 == 0
+    return countOf(map(perm_order, elements), 2) % 2 == 0
 
 
 def _pair_transpositions(seq: list, steps: list):
@@ -660,10 +660,10 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
     (see `BaseCase`), so it is built, checked, ranked and framed once;
     the JSON still lists one entry per copy.
     """
-    values = tuple(tuple(p) for p in elements)
+    values = tuple(map(tuple, elements))
     if labels is None:
         labels = tuple(f"p{i + 1}" for i in range(len(values)))
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(map(str, labels))
     if len(labels) != len(values):
         raise DomainError("labels do not match the monodromy vector")
     if product(values) != IDENTITY:
@@ -710,9 +710,11 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
         return [BaseCase(kind, els, weights, tuple(labs), multiplicity=len(labs) // len(els))
                 for els, weights, labs in out]
 
-    seq = [(l, v) for l, v in zip(labels, values) if v != IDENTITY]
-    vacua = runs(UNTWISTED_VACUUM, [[e] for e in zip(labels, values) if e[1] == IDENTITY])
-    nontrivial = tuple(v for _l, v in seq)
+    # the (label, value) pairs as zip makes them: a comprehension that
+    # rebuilds them, or a `compress` over bound comparisons, is slower
+    seq = [e for e in zip(labels, values) if e[1] != IDENTITY]
+    vacua = runs(UNTWISTED_VACUUM, [(e,) for e in zip(labels, values) if e[1] == IDENTITY])
+    nontrivial = tuple([v for _l, v in seq])
     # a vector that already is one S3 factor's payload stays whole
     if len(nontrivial) <= _MAX_FACTOR_POINTS:
         lit = next((k for k in (S3_CASE1, S3_CASE2, S3_CASE3, S3_CASE4)

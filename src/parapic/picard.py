@@ -58,9 +58,10 @@ def _json_value(value) -> str:
     return _encode(value)
 
 
-#: one point's weight as ``json.dumps(dict(pairs), sort_keys=True)`` writes
-#: it (vertex keys sorted as ints); bundles repeat few weights
-_weight_json = lru_cache(maxsize=1024)(lambda pairs: _json_value(dict(pairs)))
+#: the text after a label in a bundle's JSON: ``": "`` and the point's weight
+#: as ``json.dumps(dict(pairs), sort_keys=True)`` writes it (vertex keys
+#: sorted as ints); bundles repeat few weights
+_weight_tail = lru_cache(maxsize=1024)(lambda pairs: ": " + _json_value(dict(pairs)))
 
 
 def _is_int(x) -> bool:
@@ -121,17 +122,18 @@ class GroupDatum(Value):
         setfield(self, "points", points)
         if base_genus < 0:
             raise DomainError("base genus must be nonnegative")
-        labels = [p.label for p in points]
-        if len(set(labels)) != len(labels):
+        # a comprehension reads a field about twice as fast as ``map(attrgetter(...))``
+        if len(set([p.label for p in points])) != len(points):
             raise DomainError("point labels must be unique")
-        for p in points:
-            if p.monodromy not in gamma:
-                raise DomainError(
-                    f"point {p.label}: monodromy {covers.element_name(p.monodromy)} "
-                    f"is not in {gamma}"
-                )
+        monodromies = [p.monodromy for p in points]
+        if not gamma.element_set.issuperset(monodromies):  # the points name the first offender
+            p = next(p for p in points if p.monodromy not in gamma.element_set)
+            raise DomainError(
+                f"point {p.label}: monodromy {covers.element_name(p.monodromy)} "
+                f"is not in {gamma}"
+            )
         if base_genus == 0:
-            acc = covers.product(p.monodromy for p in points)
+            acc = covers.product(monodromies)
             if acc != covers.IDENTITY:
                 raise DomainError(
                     "genus-0 datum: ordered product of monodromies must be e, "
@@ -195,9 +197,14 @@ class WeightBundle(Value):
     def _json(self) -> str:
         """The bundle as its certificate writes it: labels sorted (each
         label has one entry, so the entries sort by label), each with its
-        weight object."""
-        return "{" + ", ".join([_json_str(lab) + ": " + _weight_json(pairs)
-                                for lab, pairs in sorted(self.entries)]) + "}"
+        weight object.  A run of entries with equal weights (every entry
+        of a vacuum bundle) looks its weight's text up once."""
+        parts, last = [], None
+        for lab, pairs in sorted(self.entries):
+            if pairs != last:
+                tail = _weight_tail(last := pairs)
+            parts.append(_json_str(lab) + tail)
+        return "{" + ", ".join(parts) + "}"
 
     @property
     def dominant(self) -> bool:
@@ -266,7 +273,7 @@ def vacuum_bundle(d: GroupDatum, charge: int = 1) -> WeightBundle:
                 f"point {p.label}: facet does not contain the special vertex"
             )
     weight = ((0, charge),) if charge else ()
-    return WeightBundle(tuple(sorted((p.label, weight) for p in d.points)))
+    return WeightBundle(tuple([(lab, weight) for lab in sorted([p.label for p in d.points])]))
 
 
 def _suffix_reach(labels: list[int], limit: int) -> list[int]:
@@ -371,10 +378,11 @@ def _check_schema(obj: dict, where: str) -> None:
         raise ParseError(f"{where}: unsupported schema {schema!r}")
 
 
-#: a checked point per shape key, so a repeated shape is not checked
-#: again; emptied when it reaches the bound
-_point_shapes: dict[tuple, PointDatum] = {}
-_MAX_POINT_SHAPES = 256
+#: the field dict of a checked point per shape key, so that a point of a
+#: repeated shape is a copy of it under its own label; emptied when it
+#: reaches the bound
+_point_shapes: dict[tuple, dict] = {}
+_MAX_POINT_SHAPES = 1024
 _INT_ONLY = frozenset({int})
 
 
@@ -393,7 +401,42 @@ def _shape_key(raw) -> tuple | None:
     return None
 
 
+def _checked_point(raw, where: str) -> PointDatum:
+    """The point ``raw`` describes, through every check; a failed check is
+    a ParseError that names ``where``."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object")
+    label = _require_str(raw, "label", where)
+    at = dynkin.parse_affine_type(_require_str(raw, "type", where))
+    facet = _require(raw, "facet", where)
+    if not isinstance(facet, list) or not all(map(_is_int, facet)):
+        raise ParseError(f"{where}: facet must be a list of integers")
+    if len(set(facet)) < len(facet):
+        raise ParseError(f"{where}: facet {facet} repeats a vertex")
+    mono = raw.get("monodromy", "e")
+    if not isinstance(mono, str):
+        raise ParseError(f"{where}: cannot parse permutation {mono!r}: "
+                         "a monodromy is a string")
+    monodromy = covers.parse_element(mono)
+    bad = raw.get("bad", monodromy != covers.IDENTITY)
+    if not isinstance(bad, bool):
+        raise ParseError(f"{where}: bad must be a boolean")
+    try:
+        return PointDatum(label=label, affine_type=at, facet=frozenset(facet),
+                          monodromy=monodromy, is_bad=bad)
+    except DomainError as e:
+        raise ParseError(f"{where}: {e}") from e
+
+
 def datum_from_json(obj) -> GroupDatum:
+    """The datum of a JSON object.  Each point is a new `PointDatum`
+    holding a copy of a field dict under its own label: the memo's dict
+    of its shape when the point has one and a ``str`` label (the checks
+    never read the label), else a copy of the fields of the point the
+    full check builds (`_checked_point`), which the memo then keeps for
+    its shape.  A copied dict reads as fast as a point's own fields; the
+    dict ``vars`` makes for a point reads about four times as slowly, so
+    no point keeps that one."""
     if not isinstance(obj, dict):
         raise ParseError("datum: expected a JSON object")
     _check_schema(obj, "datum")
@@ -405,50 +448,20 @@ def datum_from_json(obj) -> GroupDatum:
     raw_points = _require(obj, "points", "datum")
     if not isinstance(raw_points, list):
         raise ParseError("datum: points must be a list")
-    for i, raw in enumerate(raw_points):
+    for raw in raw_points:
         key = _shape_key(raw)
-        seen = _point_shapes.get(key)
-        if seen is not None and type(raw.get("label")) is str:
-            # the checks never read the label: relabel the checked point, in
-            # a new dict (one updated in place reads about twice as slowly)
-            p = object.__new__(PointDatum)
-            setfield(p, "__dict__", {**vars(seen), "label": raw["label"]})
-            points.append(p)
-            continue
-        where = f"points[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        label = _require_str(raw, "label", where)
-        at = dynkin.parse_affine_type(_require_str(raw, "type", where))
-        facet = _require(raw, "facet", where)
-        if not isinstance(facet, list) or not all(map(_is_int, facet)):
-            raise ParseError(f"{where}: facet must be a list of integers")
-        if len(set(facet)) < len(facet):
-            raise ParseError(f"{where}: facet {facet} repeats a vertex")
-        mono = raw.get("monodromy", "e")
-        if not isinstance(mono, str):
-            raise ParseError(f"{where}: cannot parse permutation {mono!r}: "
-                             "a monodromy is a string")
-        monodromy = covers.parse_element(mono)
-        bad = raw.get("bad", monodromy != covers.IDENTITY)
-        if not isinstance(bad, bool):
-            raise ParseError(f"{where}: bad must be a boolean")
-        try:
-            points.append(
-                PointDatum(
-                    label=label,
-                    affine_type=at,
-                    facet=frozenset(facet),
-                    monodromy=monodromy,
-                    is_bad=bad,
-                )
-            )
-        except DomainError as e:
-            raise ParseError(f"{where}: {e}") from e
-        if key is not None:
-            if len(_point_shapes) >= _MAX_POINT_SHAPES:
-                _point_shapes.clear()
-            _point_shapes[key] = points[-1]
+        fields = _point_shapes.get(key)
+        if fields is None or type(label := raw.get("label")) is not str:
+            fields = dict(vars(_checked_point(raw, f"points[{len(points)}]")))
+            label = fields["label"]
+            if key is not None:
+                if len(_point_shapes) >= _MAX_POINT_SHAPES:
+                    _point_shapes.clear()
+                _point_shapes[key] = fields
+        (fields := fields.copy())["label"] = label
+        p = object.__new__(PointDatum)
+        setfield(p, "__dict__", fields)
+        points.append(p)
     try:
         return GroupDatum(base_genus=genus, gamma=gamma, points=tuple(points))
     except DomainError as e:

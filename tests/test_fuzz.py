@@ -143,10 +143,17 @@ def test_datum_loader_accepts_or_raises_parse_error(obj):
 
 
 def _parse_or_message(obj):
+    """The datum and every field of its points (``_label_gcd``, which
+    ``_fields`` leaves out, included), or the ParseError text.  No point
+    shares its field dict with another point or with the shape memo."""
     try:
-        return datum_from_json(obj)
+        d = datum_from_json(obj)
     except ParseError as e:
         return str(e)
+    held = {id(fields) for fields in picard._point_shapes.values()}
+    dicts = {id(vars(p)) for p in d.points}
+    assert len(dicts) == len(d.points) and not dicts & held
+    return d, [vars(p) for p in d.points]
 
 
 #: every valid point template as one datum, to fill the point shape memo
@@ -154,8 +161,42 @@ _ALL_TEMPLATES = {"schema": 1, "genus": 1, "group": "S3", "points": [
     {"label": f"t{i}", **t} for i, t in enumerate(TEMPLATES["S3"])]}
 
 
-@settings(max_examples=80, deadline=None)
-@given(datum_objs | JUNK)
+def _refused(template: dict, change: str, k: int) -> dict:
+    """A template point with one change that the memo's copy must not
+    hide: ``bad`` or ``monodromy`` dropped, the bad flag as the int equal
+    to it, the ``k``-th facet vertex replaced by a bool or a float equal
+    to it or not, a label that is no string, or an extra key."""
+    point = {"label": "r", **template}
+    if change in ("bad", "monodromy"):
+        point.pop(change, None)
+    elif change == "int":
+        point["bad"] = int(point.get("bad", k % 2))
+    elif change in ("bool", "float"):
+        facet = list(point["facet"])
+        i = k % len(facet)
+        facet[i] = (facet[i] == 1) if change == "bool" else float(facet[i])
+        point["facet"] = facet
+    elif change == "label":
+        point["label"] = [1, None, ["r"], True][k % 4]
+    else:
+        point["extra"] = [1, "e", None][k % 3]
+    return point
+
+
+@st.composite
+def refused_objs(draw):
+    """An S3 datum of template points with one `_refused` point among them."""
+    points = [{"label": f"x{i}", **t}
+              for i, t in enumerate(draw(st.lists(st.sampled_from(TEMPLATES["S3"]), max_size=4)))]
+    refused = _refused(draw(st.sampled_from(TEMPLATES["S3"])),
+                       draw(st.sampled_from(["bad", "monodromy", "int", "bool", "float", "label", "extra"])),
+                       draw(st.integers(0, 11)))
+    points.insert(draw(st.integers(0, len(points))), refused)
+    return {"schema": 1, "genus": draw(st.integers(0, 2)), "group": "S3", "points": points}
+
+
+@settings(max_examples=120, deadline=None)
+@given(datum_objs | refused_objs() | JUNK)
 def test_datum_loader_answers_alike_with_a_cold_and_a_warm_memo(obj):
     picard._point_shapes.clear()
     cold = _parse_or_message(obj)

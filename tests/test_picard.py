@@ -131,13 +131,16 @@ def test_each_repeat_of_an_invalid_shape_names_its_own_point():
 def test_the_point_shape_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(picard, "_point_shapes", {})
     n = picard._MAX_POINT_SHAPES + 40
-    # each ordering of distinct D4 vertices is its own shape: 325 of them
-    facets = [f for k in range(1, 6) for f in permutations(range(5), k)][:n]
+    # each ordering of distinct E8 vertices is its own shape: 3,609 of
+    # them with at most four vertices
+    facets = [f for k in range(1, 5) for f in permutations(range(9), k)]
+    assert len(facets) > n
+    facets = facets[:n]
     obj = {"schema": 1, "genus": 0, "group": "Trivial", "points": [
-        {"label": f"p{k}", "type": "D4", "facet": list(f), "bad": True}
+        {"label": f"p{k}", "type": "E8", "facet": list(f), "bad": True}
         for k, f in enumerate(facets)]}
     want = GroupDatum(0, TRIVIAL_GROUP, tuple(
-        PointDatum(f"p{k}", T("D4"), frozenset(f), is_bad=True) for k, f in enumerate(facets)))
+        PointDatum(f"p{k}", T("E8"), frozenset(f), is_bad=True) for k, f in enumerate(facets)))
     for _ in range(2):
         assert datum_from_json(obj) == want
         assert 0 < len(picard._point_shapes) <= picard._MAX_POINT_SHAPES

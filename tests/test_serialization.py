@@ -124,6 +124,19 @@ def factors(draw):
 bundles = st.dictionaries(labels, weight, max_size=5).flatmap(
     lambda m: st.permutations(list(m.items()))).map(lambda e: WeightBundle(tuple(e)))
 
+
+@st.composite
+def pooled_bundles(draw):
+    """Up to 30 entries, in any order, whose weights come from a pool of
+    two or three: runs of one weight (A A A), interleavings (A B A), and
+    equal weights held as one tuple or as distinct equal tuples."""
+    pool = draw(st.lists(weight, min_size=2, max_size=3))
+    entries = []
+    for lab in draw(st.lists(labels, unique=True, max_size=30)):
+        w = draw(st.sampled_from(pool))
+        entries.append((lab, w if draw(st.booleans()) else tuple(list(w))))
+    return WeightBundle(tuple(draw(st.permutations(entries))))
+
 witnesses = st.builds(
     DecompositionWitness,
     factors=st.lists(factors(), max_size=6),
@@ -157,6 +170,14 @@ def test_report_json_is_the_dict_tree_json_dumps_writes(report):
     cert = report.certificate
     if cert is not None:
         assert cert.to_json() == json.dumps(oracles.certificate_dict(cert), sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_bundles())
+def test_bundles_with_runs_of_one_weight_are_written_as_json_dumps_writes_them(bundle):
+    cert = DescentCertificate(bundle=bundle, charge=1, witness=None, rank_bound=None,
+                              verdict="Unknown", route="vacuum")
+    assert cert.to_json() == json.dumps(oracles.certificate_dict(cert), sort_keys=True)
 
 
 @settings(max_examples=300, deadline=None)
