@@ -40,8 +40,9 @@ def bucket_of(tests: int) -> tuple[int, int]:
     return next(b for b in BUCKETS if b[0] <= tests <= b[1])
 
 
-#: the matching tests `descent` calls, by the names it imports them as
-TESTS = ("perfect_matching", "repair_matching", "first_perfect_matching")
+#: the matching tests `descent` calls, by the names it imports them as; a
+#: pin is a test only when it searches (its matched edge did not stand)
+TESTS = ("perfect_matching", "pin", "first_perfect_matching")
 
 
 def counted_pass(data) -> list[Counter]:
@@ -58,10 +59,12 @@ def counted_pass(data) -> list[Counter]:
         charges.add(charge)
         return at_charge(table, charge)
 
-    def tested(fn):
+    def tested(name, fn):
         def call(*args, **kwargs):
-            counts["tests"] += 1
-            return fn(*args, **kwargs)
+            before = counts["augments"]
+            out = fn(*args, **kwargs)
+            counts["tests"] += name != "pin" or counts["augments"] > before
+            return out
         return call
 
     def augmented(*args):
@@ -84,7 +87,7 @@ def counted_pass(data) -> list[Counter]:
 
     out = []
     for name, fn in tests.items():
-        setattr(descent, name, tested(fn))
+        setattr(descent, name, tested(name, fn))
     pairing._augment, descent._at_charge = augmented, cut
     descent.certify_descent, descent._c2_stage = certified, staged
     descent._c2_search = searched

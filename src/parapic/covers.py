@@ -135,11 +135,9 @@ def element_name(p: Perm) -> str:
 
 
 def parse_element(s: str) -> Perm:
-    key = s.strip().replace(" ", "")
-    if key in ("e", "()", "1", "id"):
-        return IDENTITY
-    if key in _BY_NAME:
-        return _BY_NAME[key]
+    """The element `element_name` writes as ``s``, read exactly."""
+    if s in _BY_NAME:
+        return _BY_NAME[s]
     raise ParseError(f"cannot parse permutation {s!r} (use e, (12), (123), ...)")
 
 
@@ -162,11 +160,12 @@ def split_top_level(s: str) -> list[str]:
 
 
 def parse_tuple(s: str) -> tuple[Perm, ...]:
-    """Parse a comma-separated list of cycles, e.g. "(12),(23),(132)"."""
+    """Parse a comma-separated list of cycles, e.g. "(12), (23),(132)";
+    each part is stripped, then read exactly."""
     text = s.strip()
     if not text:
         return ()
-    return tuple(parse_element(p) for p in split_top_level(text))
+    return tuple(parse_element(p.strip()) for p in split_top_level(text))
 
 
 class FiniteGroup(Value):

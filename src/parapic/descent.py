@@ -59,7 +59,7 @@ from .picard import (
     vacuum_bundle,
     validate_bundle,
 )
-from .pairing import first_perfect_matching, neighbours, perfect_matching, repair_matching
+from .pairing import first_perfect_matching, neighbours, perfect_matching, pin
 from .values import Record
 from .verlinde import rank_lower_bound
 
@@ -373,8 +373,8 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
     matching of them.  Each real label in sorted order keeps the first
     object that leaves a perfect matching, and only the entries at that
     label are restricted, their emptied edges dropped from ``adj``.  The
-    kept matching answers each object: when the pair it holds at the
-    label still offers the object it stands, and otherwise one
+    kept matching answers each object (`pin`): when the pair it holds at
+    the label still offers the object it stands, and otherwise one
     `repair_matching` search decides.  So the first object that pair
     offers is kept at the latest, and each object costs at most one
     search.  Then the lowest remaining index takes the first partner,
@@ -384,20 +384,12 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
     table = dict(table)
     weights = {}
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
-        at = [((i, j), 0) if i < j else ((j, i), 1) for j in adj[i]]
-        held = (i, mate[i]) if i < mate[i] else (mate[i], i)
-        choices = sorted({o[k] for e, k in at for o in table[e]}, key=_object_text)
+        at = [(j, (i, j), 0) if i < j else (j, (j, i), 1) for j in adj[i]]
+        choices = sorted({o[k] for _, e, k in at for o in table[e]}, key=_object_text)
         for obj in choices:
-            kept = {e: [o for o in table[e] if o[k] == obj] for e, k in at}
-            dropped = [e for e, opts in kept.items() if not opts]
-            for x, y in dropped:
-                adj[x].discard(y)
-                adj[y].discard(x)
-            if kept[held] or repair_matching(adj, mate, i):
+            kept = {e: [o for o in table[e] if o[k] == obj] for _, e, k in at}
+            if pin(adj, mate, i, {j for j, e, _ in at if kept[e]}):
                 break
-            for x, y in dropped:
-                adj[x].add(y)
-                adj[y].add(x)
         for e, opts in kept.items():
             if opts:
                 table[e] = opts

@@ -50,27 +50,19 @@ from .values import Value, setfield
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 
-#: Inventory bounds for :func:`all_affine_types`.
-_UNTWISTED_MAX_RANK = 8
-_A2_MAX_RANK = 17
-_D2_MAX_RANK = 8
-
-#: The largest base rank of an implemented type (the base of A17~2).
-#: `twisted_type` refuses any larger base, so its memo stays small.
-_MAX_BASE_RANK = _A2_MAX_RANK
-
-#: (series, twist) -> the largest rank `parse_affine_type` accepts, for
-#: the series whose rank the series and twist do not fix: the inventory,
-#: and for untwisted A every base of an A~2 type, since such a C2 datum
-#: has untwisted split points and pads of its base type.
-_INVENTORY_MAX_RANK = {
-    ("A", 1): _MAX_BASE_RANK,
-    ("B", 1): _UNTWISTED_MAX_RANK,
-    ("C", 1): _UNTWISTED_MAX_RANK,
-    ("D", 1): _UNTWISTED_MAX_RANK,
-    ("A", 2): _A2_MAX_RANK,
-    ("D", 2): _D2_MAX_RANK,
+#: (series, twist) -> the base ranks of the implemented types, in
+#: `all_affine_types` order.
+_INVENTORY = {
+    ("A", 1): range(1, 9), ("B", 1): range(2, 9), ("C", 1): range(2, 9),
+    ("D", 1): range(4, 9), ("E", 1): (6, 7, 8), ("F", 1): (4,), ("G", 1): (2,),
+    ("A", 2): range(2, 18), ("D", 2): range(4, 9), ("E", 2): (6,), ("D", 3): (4,),
 }
+
+#: The (series, rank, twist) that `twisted_type` builds: the inventory,
+#: and the untwisted type on each twisted type's base, since such a C2
+#: datum has split points and pads of its base type (A17 for A17~2).
+_IMPLEMENTED = frozenset((series, rank, t) for (series, twist), ranks in _INVENTORY.items()
+                         for rank in ranks for t in {1, twist})
 
 
 class FiniteType(Value):
@@ -308,25 +300,19 @@ def _integer_rank(rows) -> int:
     return rank
 
 
+def _outside(base, twist: int) -> str:
+    # the one refusal; it names the type as AffineType.__str__ does
+    return f"{base}{'' if twist == 1 else f'~{twist}'} is outside the implemented inventory"
+
+
 @lru_cache(maxsize=None)
 def twisted_type(base: FiniteType, order: int) -> AffineType:
     """The affine type obtained from ``base`` twisted by an order-r
-    diagram automorphism (r = 1 is the untwisted affinization)."""
-    if order not in (1, 2, 3):
-        raise InvalidTypeError(f"twist order must be 1, 2 or 3, got {order}")
-    if order == 2 and not (
-        (base.series == "A" and base.rank >= 2)
-        or base.series == "D"
-        or (base.series == "E" and base.rank == 6)
-    ):
-        raise InvalidTypeError(f"({base}, 2) admits no order-2 twist")
-    if order == 3 and (base.series, base.rank) != ("D", 4):
-        raise InvalidTypeError(f"({base}, 3) admits no order-3 twist")
-    if base.rank > _MAX_BASE_RANK:
-        raise InvalidTypeError(
-            f"{base} is above rank {_MAX_BASE_RANK}, the largest base of the "
-            "implemented types"
-        )
+    diagram automorphism (r = 1 is the untwisted affinization).  A type
+    outside `_IMPLEMENTED` is refused before any table is built, so the
+    memo stays small."""
+    if (base.series, base.rank, order) not in _IMPLEMENTED:
+        raise InvalidTypeError(_outside(base, order))
     if order == 1:
         cartan, labels = _untwisted_tables(base)
     else:
@@ -336,31 +322,24 @@ def twisted_type(base: FiniteType, order: int) -> AffineType:
     return t
 
 
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)(?:~([123]))?$")
+_TYPE_RE = re.compile(r"([A-G])([0-9]+)(?:~([123]))?")
 
 
 @lru_cache(maxsize=256)
 def parse_affine_type(s: str) -> AffineType:
-    """The type a name such as "A3~2" denotes; memoized per string (a
-    ParseError is raised afresh each time, never cached).
-
-    A rank above the implemented inventory (`all_affine_types`) is
-    rejected before any table is built."""
-    m = _TYPE_RE.match(s.strip())
+    """The type a name such as "A3~2" denotes, read exactly (no
+    surrounding whitespace); memoized per string (a ParseError is raised
+    afresh each time, never cached).  `twisted_type` refuses a type
+    outside the implemented inventory before any table is built."""
+    m = _TYPE_RE.fullmatch(s)
     if not m:
         raise ParseError(f"cannot parse affine type {s!r} (expected e.g. 'A3~2')")
     series, digits, twist = m.group(1), m.group(2), int(m.group(3) or 1)
-    bound = _INVENTORY_MAX_RANK.get((series, twist))
     # no implemented rank has three digits; longer ones are never converted
-    if len(digits) > 2 or (bound is not None and int(digits) > bound):
-        raise ParseError(
-            f"affine type {s!r} is outside the implemented inventory"
-            + ("" if bound is None else
-               f": {series}~{twist} ranks stop at {bound}")
-        )
-    rank = int(digits)
+    if len(digits) > 2:
+        raise ParseError(_outside(series + digits, twist))
     try:
-        return twisted_type(FiniteType(series, rank), twist)
+        return twisted_type(FiniteType(series, int(digits)), twist)
     except InvalidTypeError as e:
         raise ParseError(str(e)) from e
 
@@ -386,23 +365,5 @@ def dual_involution(base: FiniteType) -> VertexInvolution:
 
 def all_affine_types() -> list[AffineType]:
     """The enumerated type inventory (criteria suites run over this)."""
-    out = []
-    for l in range(1, _UNTWISTED_MAX_RANK + 1):
-        out.append(twisted_type(FiniteType("A", l), 1))
-    for l in range(2, _UNTWISTED_MAX_RANK + 1):
-        out.append(twisted_type(FiniteType("B", l), 1))
-    for l in range(2, _UNTWISTED_MAX_RANK + 1):
-        out.append(twisted_type(FiniteType("C", l), 1))
-    for l in range(4, _UNTWISTED_MAX_RANK + 1):
-        out.append(twisted_type(FiniteType("D", l), 1))
-    for l in (6, 7, 8):
-        out.append(twisted_type(FiniteType("E", l), 1))
-    out.append(twisted_type(FiniteType("F", 4), 1))
-    out.append(twisted_type(FiniteType("G", 2), 1))
-    for l in range(2, _A2_MAX_RANK + 1):
-        out.append(twisted_type(FiniteType("A", l), 2))
-    for l in range(4, _D2_MAX_RANK + 1):
-        out.append(twisted_type(FiniteType("D", l), 2))
-    out.append(twisted_type(FiniteType("E", 6), 2))
-    out.append(twisted_type(FiniteType("D", 4), 3))
-    return out
+    return [twisted_type(FiniteType(series, rank), twist)
+            for (series, twist), ranks in _INVENTORY.items() for rank in ranks]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import countOf, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .covers import (
@@ -492,11 +492,6 @@ def degenerate_gsd3(d, bundle, charge: int) -> DecompositionWitness:
 # ---------------------------------------------------------------------------
 
 
-def s3_parity_check(elements) -> bool:
-    """True when the number of odd permutations is even."""
-    return countOf(map(perm_order, elements), 2) % 2 == 0
-
-
 def _pair_transpositions(seq: list, steps: list):
     """Move the transpositions of ``seq`` (the nontrivial (label, value)
     entries, in input order) to the front two at a time, recording the
@@ -668,8 +663,6 @@ def s3_reduce(elements, labels=None, charge: int = 1, weight_map=None) -> Decomp
         raise DomainError("labels do not match the monodromy vector")
     if product(values) != IDENTITY:
         raise DomainError("monodromies do not multiply to the identity")
-    if not s3_parity_check(values):
-        raise DomainError("odd number of transpositions")
 
     w = DecompositionWitness()
 

@@ -17,10 +17,10 @@ remaining vertex in increasing order (or in the order of a key), or None
 when there is none.  Given one perfect matching, pinning the lowest
 vertex i to a partner j (dropping i's other edges) exposes at most i
 and its mate, so `repair_matching` decides whether the pinned graph
-still has one.  So the lowest vertex takes the first partner that
-passes this test, with no backtracking: a graph with none costs the
-blossom searches of `perfect_matching`, and the first matching
-polynomial time.
+still has one: `pin`, which restricts a vertex to any set of partners.
+So the lowest vertex takes the first partner that passes this test,
+with no backtracking: a graph with none costs the blossom searches of
+`perfect_matching`, and the first matching polynomial time.
 
 Graphs are neighbour lists or sets, ``adj[v]`` holding the neighbours
 of v; edges are pairs (i, j) with i != j; a matching in progress is the
@@ -77,6 +77,25 @@ def repair_matching(adj, mate: list[int], i: int) -> bool:
     if _augment(adj, mate, i):
         return True
     mate[i], mate[j] = j, i
+    return False
+
+
+def pin(adj: list[set[int]], mate: list[int], i: int, keep: set[int]) -> bool:
+    """Restrict vertex i to its edges to ``keep`` and say whether the graph
+    still has a perfect matching; ``mate`` is one before, and on success
+    it is one after.  When i's matched edge survives it stands; otherwise
+    only i and its mate are exposed and one `repair_matching` search
+    decides.  On failure ``adj`` and ``mate`` are left as they were."""
+    edges = adj[i]
+    dropped = edges - keep
+    edges -= dropped
+    for k in dropped:
+        adj[k].discard(i)
+    if mate[i] in keep or repair_matching(adj, mate, i):
+        return True
+    edges |= dropped
+    for k in dropped:
+        adj[k].add(i)
     return False
 
 
@@ -158,18 +177,9 @@ def first_perfect_matching(adj: list[set[int]], key=None) -> Matching | None:
     for i in range(len(adj)):
         if mate[i] < i:  # pinned to an earlier vertex
             continue
-        edges_at = adj[i]
-        # the later partners not pinned yet: a pinned one is matched below i
-        for j in (j for j in order[i] if j > i and mate[j] >= i):
-            # pin i to j: a vertex of degree 1 keeps its one edge in every
-            # perfect matching
-            for k in edges_at:
-                adj[k].discard(i)
-            adj[i] = {j}
-            adj[j].add(i)
-            if j == mate[i] or repair_matching(adj, mate, i):
+        # the later partners not pinned yet: a pinned one is matched below
+        # i; a vertex of degree 1 keeps its one edge in every perfect matching
+        for j in order[i]:
+            if j > i and mate[j] >= i and pin(adj, mate, i, {j}):
                 break
-            adj[i] = edges_at
-            for k in edges_at:
-                adj[k].add(i)
     return tuple((i, j) for i, j in enumerate(mate) if i < j)

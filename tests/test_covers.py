@@ -36,7 +36,7 @@ from parapic.errors import (
     InconsistentRamificationError,
     ParseError,
 )
-from parapic.factorization import CASE3_LITERAL, CASE4_LITERAL, s3_parity_check, s3_reduce
+from parapic.factorization import CASE3_LITERAL, CASE4_LITERAL, s3_reduce
 
 T12, T13, T23 = (2, 1, 3), (3, 2, 1), (1, 3, 2)
 C123, C132 = (2, 3, 1), (3, 1, 2)
@@ -71,6 +71,21 @@ def test_element_names_round_trip():
     assert parse_tuple("(12),(23),(132)") == (T12, T23, C132)
     with pytest.raises(ParseError):
         parse_element("(14)")
+    # an element is read exactly; a tuple strips each of its parts
+    for padded in (" e", "(12) ", "(12)\n"):
+        with pytest.raises(ParseError, match="cannot parse permutation"):
+            parse_element(padded)
+    assert parse_tuple(" (12), (12) ,e ") == (T12, T12, IDENTITY)
+
+
+@pytest.mark.parametrize("text", ["id", "1", "()", " ( 1 2 ) ", "(1 2)"])
+def test_element_names_are_read_exactly(text):
+    # only the six names element_name writes
+    for padded in (text, f" {text}", f"{text}\n"):
+        with pytest.raises(ParseError, match="cannot parse permutation"):
+            parse_element(padded)
+        with pytest.raises(ParseError, match="cannot parse permutation"):
+            parse_tuple(f"(12),{padded}")
 
 
 def test_group_constants_and_gsd():
@@ -278,7 +293,6 @@ def test_non_elements_raise_domain_error(bad):
     # computed by iterating compose would never return on it
     for call in (
         lambda: perm_order(bad),
-        lambda: s3_parity_check((T12, bad)),
         lambda: inverse(bad),
         lambda: element_name(bad),
         lambda: compose(bad, T12),

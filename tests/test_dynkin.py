@@ -169,6 +169,63 @@ def test_parse_rejects_invalid_names(bad):
         parse_affine_type(bad)
 
 
+#: the names of the probe grid that parse, written out apart from the
+#: inventory table: each untwisted type of `all_affine_types` with and
+#: without "~1", each twisted one, and untwisted A9 to A17, the bases of
+#: the A~2 types above A8
+ACCEPTED_GRID_NAMES = [
+    "A1", "A1~1", "A2", "A2~1", "A2~2", "A3", "A3~1", "A3~2", "A4", "A4~1", "A4~2", "A5",
+    "A5~1", "A5~2", "A6", "A6~1", "A6~2", "A7", "A7~1", "A7~2", "A8", "A8~1", "A8~2", "A9",
+    "A9~1", "A9~2", "A10", "A10~1", "A10~2", "A11", "A11~1", "A11~2", "A12", "A12~1",
+    "A12~2", "A13", "A13~1", "A13~2", "A14", "A14~1", "A14~2", "A15", "A15~1", "A15~2",
+    "A16", "A16~1", "A16~2", "A17", "A17~1", "A17~2", "B2", "B2~1", "B3", "B3~1", "B4",
+    "B4~1", "B5", "B5~1", "B6", "B6~1", "B7", "B7~1", "B8", "B8~1", "C2", "C2~1", "C3",
+    "C3~1", "C4", "C4~1", "C5", "C5~1", "C6", "C6~1", "C7", "C7~1", "C8", "C8~1", "D4",
+    "D4~1", "D4~2", "D4~3", "D5", "D5~1", "D5~2", "D6", "D6~1", "D6~2", "D7", "D7~1",
+    "D7~2", "D8", "D8~1", "D8~2", "E6", "E6~1", "E6~2", "E7", "E7~1", "E8", "E8~1", "F4",
+    "F4~1", "G2", "G2~1",
+]
+
+REFUSALS = ("implemented", "cannot parse", "not a finite type", "minimal rank")
+
+
+def test_the_probe_grid_accepts_exactly_the_inventory():
+    t0 = perf_counter()
+    accepted = []
+    for series in "ABCDEFGHZ":
+        for rank in (*range(120), 400, 4000, 10**6):
+            for suffix in ("", "~1", "~2", "~3", "~4"):
+                name = f"{series}{rank}{suffix}"
+                try:
+                    t = parse_affine_type(name)
+                except ParseError as e:
+                    assert any(word in str(e) for word in REFUSALS), (name, str(e))
+                    continue
+                accepted.append(name)
+                canonical = name.removesuffix("~1")
+                assert str(t) == canonical and t is parse_affine_type(canonical), name
+    assert accepted == ACCEPTED_GRID_NAMES
+    assert perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("name,refused", [
+    ("B3~2", "B3~2"), ("A18", "A18"), ("A18~1", "A18"), ("A400~1", "A400"),
+    ("D9~2", "D9~2"), ("A2~3", "A2~3"), ("E7~2", "E7~2"),
+])
+def test_one_refusal_names_the_type_as_it_prints(name, refused):
+    with pytest.raises(ParseError) as e:
+        parse_affine_type(name)
+    assert str(e.value) == f"{refused} is outside the implemented inventory"
+
+
+@pytest.mark.parametrize("name", [" A3", "A3 ", "A3\n", " A3~2\n", "\tD4~3", "A3 ~2"])
+def test_type_names_are_read_exactly(name, capsys):
+    with pytest.raises(ParseError, match="cannot parse"):
+        parse_affine_type(name)
+    assert main(["dynkin", "info", name]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 OUT_OF_INVENTORY = ["A400", "A4000", "A18~2", "D9~2", "A18", "B9"]
 
 

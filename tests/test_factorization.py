@@ -26,7 +26,6 @@ from parapic.factorization import (
     pair_involution,
     pair_partition_gsd2,
     pq_sets,
-    s3_parity_check,
     s3_reduce,
     vacuum_weight,
 )
@@ -144,8 +143,6 @@ def test_reduce_rejects_non_identity_product():
 
 def test_weight_helpers():
     assert vacuum_weight(2) == ((0, 2),)
-    assert s3_parity_check((T12, T12))
-    assert not s3_parity_check((T12,))
 
 
 @given(st.integers(0, 2 ** 31))

@@ -373,26 +373,29 @@ def test_bracket_does_not_depend_on_the_presentation():
 
 def _counted(monkeypatch):
     """Counters of the search's matching tests (existence tests, repairs
-    and canonical pairings alike), its repairs, the blossom searches of
-    its most searching repair, and its certifications."""
+    and canonical pairings alike), its repairs (the weight step's pins
+    that search), the blossom searches of its most searching repair, and
+    its certifications."""
     counts = collections.Counter()
     for name, counter in (("perfect_matching", "tests"), ("first_perfect_matching", "tests"),
                           ("certify_descent", "certified")):
         fn = getattr(descent, name)
         monkeypatch.setattr(descent, name, lambda *a, _fn=fn, _counter=counter, **k:
                             counts.update([_counter]) or _fn(*a, **k))
-    augment, repair = pairing._augment, descent.repair_matching
+    augment, pin = pairing._augment, descent.pin
     monkeypatch.setattr(pairing, "_augment", lambda *a: counts.update(["augments"]) or augment(*a))
 
-    def repaired(*a):
-        counts.update(["tests", "repairs"])
+    def pinned(*a):
+        # a pin whose matched edge stands makes no search
         before = counts["augments"]
-        out = repair(*a)
+        out = pin(*a)
+        if counts["augments"] > before:
+            counts.update(["tests", "repairs"])
         counts["most augments per repair"] = max(counts["most augments per repair"],
                                                  counts["augments"] - before)
         return out
 
-    monkeypatch.setattr(descent, "repair_matching", repaired)
+    monkeypatch.setattr(descent, "pin", pinned)
     return counts
 
 

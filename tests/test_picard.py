@@ -441,6 +441,23 @@ def test_datum_json_rejects_non_integer_facet_vertex(vertex):
         datum_from_json(obj)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("type", " A2~2\n"), ("type", "A2~2\n"), ("type", "A2~2 "),
+    ("monodromy", " ( 1 2 ) "), ("monodromy", "(12)\n"), ("monodromy", "( 12)"),
+])
+def test_type_and_monodromy_strings_are_read_exactly(key, value, tmp_path, capsys):
+    obj = datagen.datum_to_json(a2_two_special_datum())
+    datum_from_json(obj)  # the canonical spelling parses, and its shape is known
+    changed = json.loads(json.dumps(obj))
+    changed["points"][1][key] = value
+    with pytest.raises(ParseError, match="cannot parse"):
+        datum_from_json(changed)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(changed))
+    assert main(["cg", "--datum", str(path)]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["label", "type", "monodromy"])
 def test_a_string_field_of_another_type_is_rejected_not_coerced(key, tmp_path, capsys):
     obj = datagen.datum_to_json(a2_two_special_datum())
