@@ -257,83 +257,50 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_dynkin = sub.add_parser("dynkin", help="affine type tables")
-    dyn_sub = p_dynkin.add_subparsers(dest="action", required=True)
-    p = dyn_sub.add_parser("info", parents=[common],
-                           help="Cartan matrix and dual labels")
-    p.add_argument("type", help="affine type string, e.g. A3 or A2~2")
-    p.set_defaults(func=_cmd_dynkin_info)
+    def group(name, help):
+        """A verb group and its required ``action`` subcommands."""
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    p_picard = sub.add_parser("picard", help="charge-lattice computations")
-    pic_sub = p_picard.add_subparsers(dest="action", required=True)
-    p = pic_sub.add_parser("cdelta", parents=[common],
-                           help="the divisor lower bound")
-    p.add_argument("--datum", required=True)
-    p.set_defaults(func=_cmd_picard_cdelta)
-    p = pic_sub.add_parser("rank", parents=[common],
-                           help="rank of the charge lattice")
-    p.add_argument("--datum", required=True)
-    p.set_defaults(func=_cmd_picard_rank)
-    p = pic_sub.add_parser("check", parents=[common],
-                           help="validate a bundle against a datum")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--bundle", required=True)
-    p.set_defaults(func=_cmd_picard_check)
+    def verb(parent, name, help, func, *arguments):
+        """One verb: ``--json``, each (name or flag, keywords) argument, ``func``."""
+        p = parent.add_parser(name, parents=[common], help=help)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
 
-    p_covers = sub.add_parser("covers", help="Galois-cover bookkeeping")
-    cov_sub = p_covers.add_subparsers(dest="action", required=True)
-    p = cov_sub.add_parser("genus", parents=[common],
-                           help="Riemann-Hurwitz genus")
-    p.add_argument("--group", default="S3")
-    p.add_argument("--base-genus", type=_nonnegative, default=0)
-    p.add_argument("tuple", help='monodromies, e.g. "(12),(23),(132)"')
-    p.set_defaults(func=_cmd_covers_genus)
-    p = cov_sub.add_parser("connected", parents=[common],
-                           help="genus-0 connectivity")
-    p.add_argument("--group", default="S3")
-    p.add_argument("tuple")
-    p.set_defaults(func=_cmd_covers_connected)
-    p = cov_sub.add_parser("enumerate", parents=[common],
-                           help="tuples with given classes")
-    p.add_argument("--group", default="S3")
-    p.add_argument("--classes", required=True,
-                   help='e.g. "transposition,transposition,3-cycle"')
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--limit", type=_nonnegative, default=None,
-                   help="cap the number of listed tuples")
-    p.set_defaults(func=_cmd_covers_enumerate)
+    datum, bundle = ("--datum", {"required": True}), ("--bundle", {"required": True})
+    s3, mono = ("--group", {"default": "S3"}), ("tuple", {})
 
-    p_reduce = sub.add_parser("reduce", help="rewrite monodromy vectors")
-    red_sub = p_reduce.add_subparsers(dest="action", required=True)
-    p = red_sub.add_parser("s3", parents=[common],
-                           help="decompose into base cases")
-    p.add_argument("tuple")
-    p.set_defaults(func=_cmd_reduce_s3)
+    verb(group("dynkin", "affine type tables"), "info", "Cartan matrix and dual labels",
+         _cmd_dynkin_info, ("type", {"help": "affine type string, e.g. A3 or A2~2"}))
 
-    p_verlinde = sub.add_parser("verlinde", help="exact rank evaluation")
-    ver_sub = p_verlinde.add_subparsers(dest="action", required=True)
-    p = ver_sub.add_parser("rank", parents=[common],
-                           help="level-1 S3 character-sum rank")
-    p.add_argument("tuple")
-    p.set_defaults(func=_cmd_verlinde_rank)
-    p = ver_sub.add_parser("closed-form", parents=[common],
-                           help="2^g r^(g+n-1)")
-    p.add_argument("g", type=_integer)
-    p.add_argument("n", type=_integer)
-    p.add_argument("r", type=_integer)
-    p.set_defaults(func=_cmd_verlinde_closed_form)
+    pic = group("picard", "charge-lattice computations")
+    verb(pic, "cdelta", "the divisor lower bound", _cmd_picard_cdelta, datum)
+    verb(pic, "rank", "rank of the charge lattice", _cmd_picard_rank, datum)
+    verb(pic, "check", "validate a bundle against a datum", _cmd_picard_check, datum, bundle)
 
-    p = sub.add_parser("descend", parents=[common],
-                       help="descent certificate for a bundle")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--bundle", required=True)
-    p.set_defaults(func=_cmd_descend)
+    cov = group("covers", "Galois-cover bookkeeping")
+    verb(cov, "genus", "Riemann-Hurwitz genus", _cmd_covers_genus, s3,
+         ("--base-genus", {"type": _nonnegative, "default": 0}),
+         ("tuple", {"help": 'monodromies, e.g. "(12),(23),(132)"'}))
+    verb(cov, "connected", "genus-0 connectivity", _cmd_covers_connected, s3, mono)
+    verb(cov, "enumerate", "tuples with given classes", _cmd_covers_enumerate, s3,
+         ("--classes", {"required": True,
+                        "help": 'e.g. "transposition,transposition,3-cycle"'}),
+         ("--connected", {"action": "store_true"}),
+         ("--limit", {"type": _nonnegative,
+                      "help": "cap the number of listed tuples"}))
 
-    p = sub.add_parser("cg", parents=[common],
-                       help="bracket the descending-charge generator")
-    p.add_argument("--datum", required=True)
-    p.set_defaults(func=_cmd_cg)
+    verb(group("reduce", "rewrite monodromy vectors"), "s3", "decompose into base cases",
+         _cmd_reduce_s3, mono)
 
+    ver = group("verlinde", "exact rank evaluation")
+    verb(ver, "rank", "level-1 S3 character-sum rank", _cmd_verlinde_rank, mono)
+    verb(ver, "closed-form", "2^g r^(g+n-1)", _cmd_verlinde_closed_form,
+         *[(name, {"type": _integer}) for name in "gnr"])
+
+    verb(sub, "descend", "descent certificate for a bundle", _cmd_descend, datum, bundle)
+    verb(sub, "cg", "bracket the descending-charge generator", _cmd_cg, datum)
     return parser
 
 

@@ -25,7 +25,6 @@ from .covers import (
 from .errors import (
     BoundUnavailableError,
     DomainError,
-    InternalInconsistencyError,
     NoCoverError,
     NotDominantError,
     NotInPicDeltaError,
@@ -200,10 +199,6 @@ def _route_gsd6(d, b, charge) -> DecompositionWitness:
     if d.base_genus >= 1:
         orders = [*map(perm_order, elements)]
         t, m = orders.count(2), orders.count(3)
-        if t % 2 == 1:
-            raise NoCoverError(
-                "no S3 cover exists: odd number of order-2 monodromies"
-            )
         if (t, m) == (0, 0) and d.base_genus == 1:
             raise NoCoverError(
                 "no connected S3 cover of a genus-1 base with all "
@@ -224,8 +219,8 @@ def _route_gsd6(d, b, charge) -> DecompositionWitness:
             shadow_count = 2 * (d.base_genus - 1)
         else:
             adjusted = class_preserving_identity_tuple(elements)
-            if adjusted is None:  # pragma: no cover - excluded above
-                raise InternalInconsistencyError("class adjustment failed")
+            if adjusted is None:  # (0, 1) was taken above: t is odd
+                raise NoCoverError("no S3 cover exists: odd number of order-2 monodromies")
             if tuple(adjusted) != tuple(elements):
                 steps.append(
                     {"op": "class-adjust",

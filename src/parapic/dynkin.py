@@ -322,15 +322,16 @@ def twisted_type(base: FiniteType, order: int) -> AffineType:
     return t
 
 
-_TYPE_RE = re.compile(r"([A-G])([0-9]+)(?:~([123]))?")
+_TYPE_RE = re.compile(r"([A-G])(0|[1-9][0-9]*)(?:~([123]))?")
 
 
 @lru_cache(maxsize=256)
 def parse_affine_type(s: str) -> AffineType:
     """The type a name such as "A3~2" denotes, read exactly (no
-    surrounding whitespace); memoized per string (a ParseError is raised
-    afresh each time, never cached).  `twisted_type` refuses a type
-    outside the implemented inventory before any table is built."""
+    surrounding whitespace, no leading zero in the rank); memoized per
+    string (a ParseError is raised afresh each time, never cached).
+    `twisted_type` refuses a type outside the implemented inventory
+    before any table is built."""
     m = _TYPE_RE.fullmatch(s)
     if not m:
         raise ParseError(f"cannot parse affine type {s!r} (expected e.g. 'A3~2')")

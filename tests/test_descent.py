@@ -192,6 +192,24 @@ def test_genus1_s3_odd_branch_count_has_no_cover():
         certify_descent(d, vacuum_bundle(d, 1))
 
 
+@pytest.mark.parametrize("genus,monodromies", [
+    (2, (T12,)),
+    (1, (T12, C123, T23, C132, T12)),
+    (2, (C123, T12, T12, C123, T23, C123)),
+])
+def test_s3_odd_branch_count_has_no_cover_at_any_genus(genus, monodromies):
+    points = tuple(
+        bad(f"p{i}", "D4~2", D4_2_FULL, mono) if mono in (T12, T23)
+        else bad(f"p{i}", "D4~3", D4_3_FULL, mono)
+        for i, mono in enumerate(monodromies)
+    )
+    d = GroupDatum(genus, S3_GROUP, points)
+    with pytest.raises(NoCoverError, match="no S3 cover exists: odd number of order-2"):
+        certify_descent(d, vacuum_bundle(d, 1))
+    report = compute_cG(d)
+    assert (report.certificate, report.certified_charge) == (None, None)
+
+
 def test_genus1_s3_unramified_has_no_cover():
     d = GroupDatum(1, S3_GROUP, (good("g1", "D4", D4_FULL),))
     with pytest.raises(NoCoverError, match="genus-1"):

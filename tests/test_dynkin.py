@@ -226,6 +226,22 @@ def test_type_names_are_read_exactly(name, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["A05", "A005", "A00", "D04~2", "A017~2"])
+def test_a_rank_with_a_leading_zero_is_refused(name, capsys):
+    # "A05" read as A5 while "A005" was refused: one message for both now
+    with pytest.raises(ParseError) as e:
+        parse_affine_type(name)
+    assert str(e.value) == f"cannot parse affine type {name!r} (expected e.g. 'A3~2')"
+    assert main(["dynkin", "info", name]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
+def test_rank_zero_is_refused_as_below_the_minimal_rank():
+    # the rank 0 is written as str(0) writes it; the probe grid accepts A10 and A17~2
+    with pytest.raises(ParseError, match="A0 is below the minimal rank 1"):
+        parse_affine_type("A0")
+
+
 OUT_OF_INVENTORY = ["A400", "A4000", "A18~2", "D9~2", "A18", "B9"]
 
 

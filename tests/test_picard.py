@@ -458,6 +458,20 @@ def test_type_and_monodromy_strings_are_read_exactly(key, value, tmp_path, capsy
     assert "cannot parse" in capsys.readouterr().err
 
 
+def test_a_datum_type_rank_with_a_leading_zero_is_refused(tmp_path, capsys):
+    point = {"type": "D4~2", "facet": [0], "monodromy": "(12)", "bad": True}
+    obj = {"schema": 1, "genus": 0, "group": "C2",
+           "points": [{"label": "x1", **point}, {"label": "x2", **point}]}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert main(["cg", "--datum", str(path)]) == 0
+    capsys.readouterr()
+    obj["points"][1]["type"] = "D04~2"  # read as D4~2 before
+    path.write_text(json.dumps(obj))
+    assert main(["cg", "--datum", str(path)]) == 2
+    assert "cannot parse affine type 'D04~2'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["label", "type", "monodromy"])
 def test_a_string_field_of_another_type_is_rejected_not_coerced(key, tmp_path, capsys):
     obj = datagen.datum_to_json(a2_two_special_datum())
