@@ -146,7 +146,7 @@ def report() -> None:
                 text = fh.read()
             parse = median_time(lambda: datum_from_json(json.loads(text)))
             rep = compute_cG(load_datum(path))
-            emit = median_time(lambda: rep._json(SCHEMA))
+            emit = median_time(lambda: rep.to_json(SCHEMA))
             row(name, out, witness, len(rep.certificate.witness.factors), parse, emit, t)
 
 

@@ -213,7 +213,7 @@ def _cmd_descend(args) -> str:
     cert = certify_descent(d, b)
     _check_writable(cert.charge, "the charge")
     _check_writable(cert.rank_bound, "the rank bound")
-    payload = cert._json
+    payload = cert.to_json
     human = [
         f"verdict: {cert.verdict}",
         f"charge: {cert.charge}",
@@ -228,7 +228,7 @@ def _cmd_cg(args) -> str:
     report = compute_cG(d)
     if args.json and report.certificate is not None:
         _check_writable(report.certificate.rank_bound, "the rank bound")
-    payload = report._json
+    payload = report.to_json
     human = [f"lower bound (c_delta): {report.lower}"]
     if report.certified_charge is not None:
         human.append(f"certified charge: {report.certified_charge}")

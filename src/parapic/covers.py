@@ -313,7 +313,8 @@ def enumerate_tuples(gamma: FiniteGroup, classes, connected_only: bool = False):
     Classes may be given as representative elements, cycle strings, or
     the names "transposition"/"3-cycle"/"identity" (conjugacy closure is
     taken inside ``gamma``).  Returns (count, tuples) with the tuples in
-    the canonical lexicographic element order.
+    the canonical lexicographic element order: each pool lists its class
+    in `ELEMENTS` order, so the product yields the tuples in that order.
     """
     classes = list(classes)
     if not classes:
@@ -326,8 +327,6 @@ def enumerate_tuples(gamma: FiniteGroup, classes, connected_only: bool = False):
         if connected_only and len(subgroup_generated(cand)) != len(gamma):
             continue
         out.append(cand)
-    key = {p: i for i, p in enumerate(ELEMENTS)}
-    out.sort(key=lambda tup: tuple(key[p] for p in tup))
     return len(out), out
 
 

@@ -40,7 +40,6 @@ from .factorization import (
     free_labels,
     handle_base,
     handle_vacua,
-    pair_involution,
     pair_partition_gsd2,
     point_factor,
     pq_sets_for_points,  # noqa: F401 - a module attribute that perfbench/spans.py rebinds
@@ -74,7 +73,7 @@ class DescentCertificate(Record):
         self.bundle, self.charge, self.witness = bundle, charge, witness
         self.rank_bound, self.verdict, self.route = rank_bound, verdict, route
 
-    def _json(self, schema: int | None = None) -> str:
+    def to_json(self, schema: int | None = None) -> str:
         """The certificate's JSON text in one pass over its sorted keys,
         with a ``"schema"`` entry when ``schema`` is given (the CLI's)."""
         w = self.witness
@@ -85,9 +84,6 @@ class DescentCertificate(Record):
                 f'"route": {_json_value(self.route)}, {mid}'
                 f'"verdict": {_json_value(self.verdict)}, "witness": {witness}}}')
 
-    def to_json(self) -> str:
-        return self._json()
-
 
 class CGReport(Record):
     _fields = ("lower", "certified_charge", "exact", "certificate")
@@ -97,17 +93,14 @@ class CGReport(Record):
         self.lower, self.certified_charge = lower, certified_charge
         self.exact, self.certificate = exact, certificate
 
-    def _json(self, schema: int | None = None) -> str:
+    def to_json(self, schema: int | None = None) -> str:
         """The report's JSON text in one pass over its sorted keys, with a
         ``"schema"`` entry when ``schema`` is given (the CLI's)."""
         cert = self.certificate
         tail = "" if schema is None else f', "schema": {_json_value(schema)}'
-        return (f'{{"certificate": {"null" if cert is None else cert._json()}, '
+        return (f'{{"certificate": {"null" if cert is None else cert.to_json()}, '
                 f'"certified_charge": {_json_value(self.certified_charge)}, '
                 f'"exact": {_json_value(self.exact)}, "lower": {_json_value(self.lower)}{tail}}}')
-
-    def to_json(self) -> str:
-        return self._json()
 
 
 def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
@@ -284,23 +277,23 @@ def _certificate(b: WeightBundle, charge: int, witness: DecompositionWitness,
                               verdict=verdict, route=route)
 
 
-def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
+def _pinch_options(shapes) -> tuple[dict, set]:
     """The pinchable pairs of one side of a C2 datum, with their choices.
 
     ``shapes`` holds the (type, facet) of each label of the side.  Maps
-    (i, j), i < j in side order, to the tuple of choices (vertex at
-    label i, vertex at label j, dual label): common facet vertices (P)
-    for branch pairs, dual-matched ones (Q) for split pairs.  Pairs of
-    different types, or with no choice, are not pinchable and absent.
-    Returned with the dual labels of every choice.
+    (i, j), i < j in side order, to the tuple of choices (v at label i,
+    v* at label j, dual label of v), the rank-1 pairs: each v of facet i
+    whose image v* under the type's pair involution lies in facet j (on
+    a branch point's twisted type, v* = v).  Pairs of different types,
+    or with no choice, are not pinchable and absent.  Returned with the
+    dual labels of every choice.
 
-    Facets are bitmasks here: P is the meet of the two facets and Q the
-    meet of the first facet with the second one's image under the pair
-    involution.  Labels of one shape (the pads, or points drawn alike)
-    share an index, so each pair of shape indices is worked out once
-    per call and every other pair of labels costs a lookup; the choices
-    of one (type, meet) are built once per call.  Types compare by a
-    per-call index, found once per shape.
+    Facets are bitmasks here, and the choices the meet of the first
+    facet with the second one's image under the involution.  Labels of
+    one shape (the pads, or points drawn alike) share an index, so each
+    pair of shape indices is worked out once per call and every other
+    pair of labels costs a lookup; the choices of one (type, meet) are
+    built once per call.  Types compare by a per-call index.
     """
     kinds: dict[tuple, int] = {}  # shape -> shape index
     kind = [kinds.setdefault(s, len(kinds)) for s in shapes]
@@ -308,12 +301,7 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
     type_ids: dict = {}  # type -> type index, so pairs compare integers
     type_of = [type_ids.setdefault(t, len(type_ids)) for t in types]
     masks = [sum(1 << v for v in facet) for _t, facet in kinds]
-    images = masks
-    if split:
-        images = []
-        for t, facet in kinds:
-            inv = pair_involution(t)
-            images.append(sum(1 << inv(v) for v in facet))
+    images = [sum(1 << t.involution[v] for v in facet) for t, facet in kinds]
     built: dict[tuple, tuple] = {}
     offered: set[int] = set()
     pairs: dict[tuple[int, int], tuple] = {}
@@ -328,8 +316,8 @@ def _pinch_options(shapes, split: bool) -> tuple[dict, set]:
                     opts = ()
                 elif (opts := built.get((ti, meet))) is None:
                     t = types[kj]
-                    labels, inv = t.dual_labels, pair_involution(t)
-                    opts = built[ti, meet] = tuple((v, inv(v) if split else v, labels[v])
+                    labels, inv = t.dual_labels, t.involution
+                    opts = built[ti, meet] = tuple((v, inv[v], labels[v])
                                                   for v in range(meet.bit_length()) if meet >> v & 1)
                     offered.update(a for *_v, a in opts)
                 pairs[key] = opts
@@ -348,8 +336,8 @@ def _pinch_tables(sides: Gsd2Sides):
         p = sides.points.get(lab)
         return pad if p is None else (p.affine_type, p.facet)
 
-    return tuple((side, *_pinch_options(list(map(shape, side)), split))
-                 for side, split in ((sides.branch, False), (sides.split, True)))
+    return tuple((side, *_pinch_options(list(map(shape, side))))
+                 for side in (sides.branch, sides.split))
 
 
 def _object_text(obj) -> str:

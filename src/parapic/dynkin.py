@@ -94,31 +94,14 @@ class FiniteType(Value):
         return f"{self.series}{self.rank}"
 
 
-class VertexInvolution(Value):
-    """A self-inverse vertex map, fixing the special vertex 0."""
-
-    _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        m = dict(pairs)
-        for i, j in pairs:
-            if m.get(j) != i:
-                raise InvalidTypeError("involution is not self-inverse")
-        if m.get(0, 0) != 0:
-            raise InvalidTypeError("involution must fix the special vertex")
-        setfield(self, "pairs", pairs)
-        setfield(self, "_map", m)
-
-    def __call__(self, i: int) -> int:
-        return self._map.get(i, i)
-
-
 class AffineType(Value):
     """A (possibly twisted) affine Dynkin type with its verified tables.
 
-    ``vertices`` (the tuple 0..k) and ``vertex_set`` (the same as a
-    frozenset) are derived at construction; the hash is that of
-    ``(base, twist)``, computed once.
+    ``vertices`` (the tuple 0..k), ``vertex_set`` (the same as a
+    frozenset) and ``involution`` (the images of 0..k under the pair
+    involution v -> v*: `dual_involution` of the base when untwisted,
+    the identity when twisted) are derived at construction; the hash is
+    that of ``(base, twist)``, computed once.
     """
 
     _fields = ("base", "twist", "cartan", "dual_labels")
@@ -133,6 +116,7 @@ class AffineType(Value):
         setfield(self, "dual_labels", dual_labels)
         setfield(self, "vertices", vertices)
         setfield(self, "vertex_set", frozenset(vertices))
+        setfield(self, "involution", dual_involution(base) if twist == 1 else vertices)
         setfield(self, "_hash", hash((base, twist)))
 
     def __hash__(self) -> int:
@@ -215,42 +199,28 @@ def _untwisted_tables(base: FiniteType):
 
 
 def _twisted_tables(base: FiniteType, order: int):
+    """A(2m)~2 by its formula, every other twisted type as the transpose
+    of its untwisted partner's matrix (Kac, Tables Aff 1-3), with the
+    partner's marks written out as dual labels for `_verify` to check."""
     s, l = base.series, base.rank
-    if order == 2 and s == "A":
-        if l == 2:
-            return _matrix(2, {(0, 1): -4, (1, 0): -1}), (1, 2)
-        if l % 2 == 0:  # A(2m)~2, m >= 2, vertices 0..m
-            m = l // 2
-            off = _chain([(i, i + 1) for i in range(1, m - 1)])
-            off[(0, 1)] = -2
-            off[(1, 0)] = -1
-            off[(m - 1, m)] = -2
-            off[(m, m - 1)] = -1
-            return _matrix(m + 1, off), (1,) + (2,) * m
-        # A(2m-1)~2, m >= 2, vertices 0..m
-        m = (l + 1) // 2
-        if m == 2:
-            off = {(0, 2): -2, (2, 0): -1, (1, 2): -2, (2, 1): -1}
-            return _matrix(3, off), (1, 1, 2)
-        off = _chain([(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, m - 1)])
-        off[(m - 1, m)] = -2
-        off[(m, m - 1)] = -1
-        return _matrix(m + 1, off), (1, 1) + (2,) * (m - 1)
-    if order == 2 and s == "D":  # Dl~2, vertices 0..l-1
-        off = _chain([(i, i + 1) for i in range(1, l - 2)])
+    if s == "A" and l % 2 == 0:  # A(2m)~2, m >= 1, vertices 0..m
+        m = l // 2
+        off = _chain([(i, i + 1) for i in range(1, m - 1)])
         off[(0, 1)] = -2
         off[(1, 0)] = -1
-        off[(l - 2, l - 1)] = -1
-        off[(l - 1, l - 2)] = -2
-        return _matrix(l, off), (1,) + (2,) * (l - 2) + (1,)
-    if order == 2 and s == "E":  # E6~2, vertices 0..4
-        off = _chain([(0, 1), (1, 2), (3, 4)])
-        off[(2, 3)] = -2
-        off[(3, 2)] = -1
-        return _matrix(5, off), (1, 2, 3, 4, 2)
-    # D4~3, vertices 0..2
-    off = {(0, 1): -1, (1, 0): -1, (1, 2): -3, (2, 1): -1}
-    return _matrix(3, off), (1, 2, 3)
+        off[(m - 1, m)] = off.get((m - 1, m), 0) - 2  # A2~2 (m = 1): -4
+        off[(m, m - 1)] = -1
+        return _matrix(m + 1, off), (1,) + (2,) * m
+    if s == "A":  # A(2m-1)~2 <-> B_m, m >= 2
+        m = (l + 1) // 2
+        partner, labels = FiniteType("B", m), (1, 1) + (2,) * (m - 1)
+    elif s == "D" and order == 2:  # Dl~2 <-> C_(l-1)
+        partner, labels = FiniteType("C", l - 1), (1,) + (2,) * (l - 2) + (1,)
+    elif s == "E":  # E6~2 <-> F4
+        partner, labels = FiniteType("F", 4), (1, 2, 3, 4, 2)
+    else:  # D4~3 <-> G2
+        partner, labels = FiniteType("G", 2), (1, 2, 3)
+    return tuple(zip(*_untwisted_tables(partner)[0])), labels
 
 
 def _verify(t: AffineType) -> None:
@@ -258,7 +228,8 @@ def _verify(t: AffineType) -> None:
 
     Tables are generated from per-family formulas; this construction-time
     check (null covector, normalization, primitivity, bounded entries,
-    corank one, sign pattern) catches any transcription slip.
+    corank one, sign pattern, pair involution) catches any transcription
+    slip.
     """
     a, labels = t.cartan, t.dual_labels
     n = len(labels)
@@ -278,6 +249,10 @@ def _verify(t: AffineType) -> None:
                 raise InvalidTypeError(f"{t}: bad off-diagonal pattern")
     if _integer_rank(a) != n - 1:
         raise InvalidTypeError(f"{t}: corank is not one")
+    inv = t.involution
+    if len(inv) != n or inv[0] != 0 or any(
+            not 0 <= j < n or inv[j] != i or labels[j] != labels[i] for i, j in enumerate(inv)):
+        raise InvalidTypeError(f"{t}: pair involution is not a label-keeping involution fixing 0")
 
 
 def _integer_rank(rows) -> int:
@@ -345,23 +320,19 @@ def parse_affine_type(s: str) -> AffineType:
         raise ParseError(str(e)) from e
 
 
-@lru_cache(maxsize=64)
-def dual_involution(base: FiniteType) -> VertexInvolution:
-    """The vertex involution i -> i* induced by minus the longest Weyl
-    element on the finite diagram, extended to the affine diagram by
-    fixing the special vertex (0* = 0)."""
+def dual_involution(base: FiniteType) -> tuple[int, ...]:
+    """The images of the vertices 0..l under the involution i -> i*
+    induced by minus the longest Weyl element on the finite diagram,
+    extended to the affine diagram by fixing the special vertex (0* = 0)."""
     s, l = base.series, base.rank
-    pairs = {0: 0}
-    for i in range(1, l + 1):
-        pairs[i] = i
     if s == "A":
-        for i in range(1, l + 1):
-            pairs[i] = l + 1 - i
-    elif s == "D" and l % 2 == 1:
-        pairs[l - 1], pairs[l] = l, l - 1
+        return (0, *range(l, 0, -1))
+    images = list(range(l + 1))
+    if s == "D" and l % 2 == 1:
+        images[l - 1], images[l] = l, l - 1
     elif s == "E" and l == 6:
-        pairs.update({1: 5, 5: 1, 2: 4, 4: 2})
-    return VertexInvolution(tuple(sorted(pairs.items())))
+        images[1:6] = 5, 4, 3, 2, 1
+    return tuple(images)
 
 
 def all_affine_types() -> list[AffineType]:

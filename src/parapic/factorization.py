@@ -42,7 +42,7 @@ from .covers import (
     perm_order,
     product,
 )
-from .dynkin import AffineType, VertexInvolution, dual_involution, twisted_type
+from .dynkin import AffineType, twisted_type
 from .errors import (
     DomainError,
     InternalInconsistencyError,
@@ -423,22 +423,12 @@ def pair_partition_gsd2(sides: Gsd2Sides, branch_pairing=None, split_pairing=Non
 
 
 def pq_sets(y_n, y_m, involution) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """P = common vertices, Q = vertices of the first facet whose dual
-    partner lies in the second."""
+    """P = common vertices, Q = vertices of the first facet whose image
+    under ``involution`` (a tuple of vertex images) lies in the second."""
     yn, ym = set(y_n), set(y_m)
     p = tuple(sorted(yn & ym))
-    q = tuple(sorted(i for i in yn if involution(i) in ym))
+    q = tuple(sorted(i for i in yn if involution[i] in ym))
     return p, q
-
-
-#: the pair involution of every twisted local type: they are self-dual
-#: vertex-wise here
-_TWISTED_INVOLUTION = VertexInvolution(pairs=())
-
-
-def pair_involution(t: AffineType) -> VertexInvolution:
-    """The vertex involution matching weights across a pinched pair."""
-    return dual_involution(t.base) if t.twist == 1 else _TWISTED_INVOLUTION
 
 
 def pq_sets_for_points(pn: PointDatum, pm: PointDatum):
@@ -447,7 +437,7 @@ def pq_sets_for_points(pn: PointDatum, pm: PointDatum):
             f"paired points {pn.label!r} and {pm.label!r} have different types "
             f"({pn.affine_type} vs {pm.affine_type})"
         )
-    return pq_sets(pn.facet, pm.facet, pair_involution(pn.affine_type))
+    return pq_sets(pn.facet, pm.facet, pn.affine_type.involution)
 
 
 # ---------------------------------------------------------------------------

@@ -407,7 +407,11 @@ def _checked_point(raw, where: str) -> PointDatum:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object")
     label = _require_str(raw, "label", where)
-    at = dynkin.parse_affine_type(_require_str(raw, "type", where))
+    name = _require_str(raw, "type", where)
+    try:
+        at = dynkin.parse_affine_type(name)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e}") from e
     facet = _require(raw, "facet", where)
     if not isinstance(facet, list) or not all(map(_is_int, facet)):
         raise ParseError(f"{where}: facet must be a list of integers")
@@ -417,7 +421,10 @@ def _checked_point(raw, where: str) -> PointDatum:
     if not isinstance(mono, str):
         raise ParseError(f"{where}: cannot parse permutation {mono!r}: "
                          "a monodromy is a string")
-    monodromy = covers.parse_element(mono)
+    try:
+        monodromy = covers.parse_element(mono)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e}") from e
     bad = raw.get("bad", monodromy != covers.IDENTITY)
     if not isinstance(bad, bool):
         raise ParseError(f"{where}: bad must be a boolean")

@@ -23,7 +23,6 @@ from .covers import (
     product,
     subgroup_generated,
 )
-from .dynkin import dual_involution
 from .errors import (
     BoundUnavailableError,
     DomainError,
@@ -145,20 +144,18 @@ def _table_rank(k: str, points: int, weights, types) -> RankResult:
             raise UnknownRankError(
                 f"no rank table entry for pair weights {w1}, {w2}"
             )
+        if t.twist == 3:
+            raise UnknownRankError(
+                "order-3 twisted pairs are only tabulated at vacuum weights"
+            )
+        # a vertex off the type matches nothing, and never wraps around
+        if s1[0] in t.vertex_set and s2 == (t.involution[s1[0]], s1[1]):
+            return RankResult(1, ((k + (" (dual match)" if t.twist == 1 else " (matched)"), 1),))
         if t.twist == 1:
-            inv = dual_involution(t.base)
-            if s2 == (inv(s1[0]), s1[1]):
-                return RankResult(1, ((k + " (dual match)", 1),))
             # untwisted gluing of non-dual weights vanishes
             return RankResult(0, ((k + " (dual mismatch)", 0),))
-        if t.twist == 2:
-            if s1 == s2:
-                return RankResult(1, ((k + " (matched)", 1),))
-            raise UnknownRankError(
-                f"no rank table entry for order-2 pair weights {w1}, {w2}"
-            )
         raise UnknownRankError(
-            "order-3 twisted pairs are only tabulated at vacuum weights"
+            f"no rank table entry for order-2 pair weights {w1}, {w2}"
         )
     if k == ELLIPTIC_TRIPLE:
         if all(_is_vacuum(w, 1) for w in weights):

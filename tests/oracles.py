@@ -25,7 +25,7 @@ from math import gcd
 from parapic.covers import IDENTITY
 from parapic.dynkin import twisted_type
 from parapic.errors import DomainError, UnknownRankError
-from parapic.factorization import BaseCase, pair_involution, pq_sets_for_points
+from parapic.factorization import BaseCase, pq_sets_for_points
 from parapic.pairing import first_perfect_matching, neighbours
 from parapic.picard import PointDatum
 from parapic.verlinde import base_case_rank
@@ -339,8 +339,8 @@ def least_c2_candidate(d):
             p_set, q_set = pq_sets_for_points(x, y)
         except DomainError:
             return []
-        inv, labels = pair_involution(x.affine_type), x.affine_type.dual_labels
-        return [(v, inv(v) if split else v, labels[v]) for v in (q_set if split else p_set)]
+        inv, labels = x.affine_type.involution, x.affine_type.dual_labels
+        return [(v, inv[v] if split else v, labels[v]) for v in (q_set if split else p_set)]
 
     table = [{(i, j): choices(split, x, y) for i, x in enumerate(rep) for j, y in enumerate(rep)}
              for split, rep in enumerate(reps)]

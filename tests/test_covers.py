@@ -216,6 +216,7 @@ def test_enumerate_tuples_matches_exhaustive_oracle():
             hits = oracles.brute_identity_tuples(S3_GROUP.elements, pools)
             assert count == len(hits), classes
             assert set(tuples) == set(hits), classes
+            assert tuples == sorted(hits, key=lambda tup: [ELEMENTS.index(p) for p in tup])
             ccount, _ = enumerate_tuples(S3_GROUP, classes, connected_only=True)
             chits = oracles.brute_identity_tuples(
                 S3_GROUP.elements, pools, connected_only=True

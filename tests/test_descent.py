@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -13,15 +14,17 @@ import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
 from parapic import descent
 from parapic.descent import DESCENDS, certify_descent, compute_cG
-from parapic.dynkin import parse_affine_type
+from parapic.dynkin import all_affine_types, parse_affine_type
 from parapic.errors import (
     DomainError,
     NoCoverError,
     NotDominantError,
     NotInPicDeltaError,
+    UnknownRankError,
 )
 from parapic.factorization import BaseCase, _gsd2_sides
 from parapic.pairing import first_perfect_matching, neighbours
+from parapic.verlinde import base_case_rank
 from parapic.picard import (
     GroupDatum,
     PointDatum,
@@ -848,8 +851,8 @@ def test_staging_builds_the_same_pinch_tables_at_any_genus(monkeypatch, name):
     b1, b2, s1 = STAGED_AT_ANY_GENUS[name]
     entries, options = [], descent._pinch_options
 
-    def counted(shapes, split):
-        table, offered = options(shapes, split)
+    def counted(shapes):
+        table, offered = options(shapes)
         entries.append(len(table))
         return table, offered
 
@@ -864,3 +867,36 @@ def test_staging_builds_the_same_pinch_tables_at_any_genus(monkeypatch, name):
         built[genus] = sum(entries)
     assert built[10] == built[10**4] > 0
     assert reports == {(2, None, None) if name == "no pinching" else (2, 2, 2)}, reports
+
+
+def _rank_one_pairs(t):
+    """The (v, w) whose single-vertex weights v and w at a twisted pair
+    of two ``t`` points rank 1."""
+    mono = IDENTITY if t.twist == 1 else T12
+    out = set()
+    for v, w in itertools.product(t.vertices, repeat=2):
+        f = BaseCase("TwistedPair", (mono, mono), (((v, 1),), ((w, 1),)), types=(t, t))
+        try:
+            if base_case_rank(f).value == 1:
+                out.add((v, w))
+        except UnknownRankError:
+            pass
+    return out
+
+
+def test_pinch_options_are_exactly_the_rank_one_pairs():
+    # every choice of a pinch table is a rank-1 pair of its two points,
+    # and every rank-1 pair on their facets is a choice
+    for t in all_affine_types():
+        if t.twist == 3:
+            continue
+        rank_one = _rank_one_pairs(t)
+        assert rank_one, str(t)
+        facets = [frozenset(c) for r in (1, 2) for c in itertools.combinations(t.vertices, r)]
+        for f1, f2 in itertools.product(facets, repeat=2):
+            table, offered = descent._pinch_options([(t, f1), (t, f2)])
+            opts = table.get((0, 1), ())
+            assert {(v, w) for v, w, _a in opts} == {
+                (v, w) for v, w in rank_one if v in f1 and w in f2}, (str(t), f1, f2)
+            assert [a for v, _w, a in opts] == [t.dual_labels[v] for v, _w, _a in opts]
+            assert offered == {a for *_vw, a in opts}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from math import gcd
 from time import perf_counter
@@ -14,6 +15,7 @@ from parapic.dynkin import (
     AffineType,
     FiniteType,
     _integer_rank,
+    _verify,
     all_affine_types,
     dual_involution,
     parse_affine_type,
@@ -21,6 +23,7 @@ from parapic.dynkin import (
 )
 from parapic.errors import InvalidTypeError, ParseError
 from parapic.picard import datum_from_json
+from parapic.values import setfield
 
 ALL_TYPES = all_affine_types()
 TYPE_BY_NAME = {str(t): t for t in ALL_TYPES}
@@ -110,6 +113,38 @@ def test_twisted_tables_are_transposes_of_untwisted_partners():
         assert a == _transpose(b), (twisted, partner)
 
 
+#: sha256 of the (name, cartan, dual labels, pair involution images) of
+#: every inventory type and of each twisted type's untwisted base, as
+#: the tables stood when every twisted table was written out by hand
+TABLES_SHA256 = "d546d900a6f01760d5bd05c5ea14e5f740e0a478b21a0c9c48777e13d63fa840"
+
+
+def test_every_table_and_involution_is_pinned():
+    types = list(ALL_TYPES)
+    types += [twisted_type(t.base, 1) for t in ALL_TYPES if t.twist != 1]
+    rows = [(str(t), t.cartan, t.dual_labels, t.involution) for t in types]
+    assert len(rows) == 78
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TABLES_SHA256
+
+
+@pytest.mark.parametrize("name,images", [
+    ("A3", (0, 2, 3, 1)),  # not self-inverse
+    ("A3", (0, 3, 2)),  # too short
+    ("A3", (0, 3, 2, 4)),  # a vertex off the type
+    ("A3", (0, 3, 2, -3)),  # a negative vertex
+    ("A3", (1, 0, 2, 3)),  # moves the special vertex
+    ("B3", (0, 2, 1, 3)),  # swaps dual labels 1 and 2
+    ("D4~2", (0, 3, 2, 1)),  # swaps dual labels 2 and 1
+])
+def test_verify_refuses_a_pair_involution_that_breaks_a_defining_property(name, images):
+    t = TYPE_BY_NAME[name]
+    built = AffineType(t.base, t.twist, t.cartan, t.dual_labels)
+    _verify(built)  # the derived involution passes
+    setfield(built, "involution", images)
+    with pytest.raises(InvalidTypeError, match="not a label-keeping involution fixing 0"):
+        _verify(built)
+
+
 def test_a2_even_twist_anchor():
     # the rank-1 twisted table, smallest member of its family
     t = TYPE_BY_NAME["A2~2"]
@@ -126,7 +161,7 @@ def test_involution_matches_longest_element_oracle():
         finite = [[a[i][j] for j in range(1, n)] for i in range(1, n)]
         expect = oracles.weyl_longest_involution(finite)
         table = dual_involution(t.base)
-        got = {i - 1: table(i) - 1 for i in range(1, n)}
+        got = {i - 1: table[i] - 1 for i in range(1, n)}
         assert got == expect, str(t)
 
 
@@ -140,17 +175,17 @@ def test_a_series_involution_is_index_reversal():
             oracles.a_series_reversal_involution(l)
         )
         table = dual_involution(FiniteType("A", l))
-        assert all(table(i) == l + 1 - i for i in range(1, l + 1))
+        assert all(table[i] == l + 1 - i for i in range(1, l + 1))
 
 
 @given(any_type)
 def test_involution_fixes_special_vertex_and_labels(t):
     inv = dual_involution(t.base)
-    assert inv(0) == 0
+    assert inv[0] == 0
     labels = twisted_type(t.base, 1).dual_labels
     for i in range(len(labels)):
-        assert inv(inv(i)) == i
-        assert labels[inv(i)] == labels[i]
+        assert inv[inv[i]] == i
+        assert labels[inv[i]] == labels[i]
 
 
 def test_parse_round_trip():

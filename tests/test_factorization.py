@@ -23,7 +23,6 @@ from parapic.factorization import (
     _shape_error,
     degenerate_gsd3,
     free_labels,
-    pair_involution,
     pair_partition_gsd2,
     pq_sets,
     s3_reduce,
@@ -571,15 +570,15 @@ def test_pair_partition_rejections():
 
 
 def test_pq_sets_untwisted_uses_dual_involution():
-    inv = pair_involution(T("A3"))
-    assert [inv(v) for v in T("A3").vertices] == [0, 3, 2, 1]
+    inv = T("A3").involution
+    assert list(inv) == [0, 3, 2, 1]
     assert pq_sets(frozenset({1}), frozenset({3}), inv) == ((), (1,))
     assert pq_sets(frozenset({0, 1}), frozenset({0, 3}), inv) == ((0,), (0, 1))
 
 
 def test_pq_sets_twisted_uses_identity_involution():
-    inv = pair_involution(T("A3~2"))
-    assert all(inv(v) == v for v in T("A3~2").vertices)
+    inv = T("A3~2").involution
+    assert all(inv[v] == v for v in T("A3~2").vertices)
     assert pq_sets(frozenset({0, 1}), frozenset({1, 2}), inv) == ((1,), (1,))
 
 

@@ -472,6 +472,24 @@ def test_a_datum_type_rank_with_a_leading_zero_is_refused(tmp_path, capsys):
     assert "cannot parse affine type 'D04~2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,refusal", [
+    ("type", "D04~2", "cannot parse affine type 'D04~2' (expected e.g. 'A3~2')"),
+    ("type", "A400", "A400 is outside the implemented inventory"),
+    ("monodromy", "(1 2)", "cannot parse permutation '(1 2)' (use e, (12), (123), ...)"),
+], ids=["D04~2", "A400", "(1 2)"])
+def test_a_type_or_monodromy_refusal_names_its_point(key, value, refusal, tmp_path, capsys):
+    point = {"type": "D4~2", "facet": [0], "monodromy": "(12)", "bad": True}
+    obj = {"schema": 1, "genus": 0, "group": "C2",
+           "points": [{"label": "x1", **point}, {"label": "x2", **point, key: value}]}
+    with pytest.raises(ParseError) as e:
+        datum_from_json(obj)
+    assert str(e.value) == f"points[1]: {refusal}"
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert main(["cg", "--datum", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: points[1]: {refusal}\n"
+
+
 @pytest.mark.parametrize("key", ["label", "type", "monodromy"])
 def test_a_string_field_of_another_type_is_rejected_not_coerced(key, tmp_path, capsys):
     obj = datagen.datum_to_json(a2_two_special_datum())

@@ -6,7 +6,8 @@ its matching tests, its per-charge table filter and ``certify_descent`` in
 ``parapic.descent`` and the blossom search in ``parapic.pairing`` by
 name and call signature, so it runs here on a small corpus, and
 ``startup`` launches two processes of each kind.
-``witness_sizes`` times high genera and is left out.
+``report_digest`` runs on three data per corpus.  ``witness_sizes``
+times high genera and is left out.
 """
 from __future__ import annotations
 
@@ -59,3 +60,10 @@ def test_startup_times_fresh_processes_and_lists_module_self_times():
     seconds = float(out.splitlines()[1].split()[1])
     assert 0 < seconds < 10
     assert "parapic.picard" in out and "import parapic.cli" in out
+
+
+def test_report_digest_repeats_its_line():
+    out = run_script("report_digest", "--limit", "3")
+    sha, certified = out.split()
+    assert len(sha) == 64 and int(certified) >= 0
+    assert run_script("report_digest", "--limit", "3") == out

@@ -20,7 +20,6 @@ from parapic.descent import CGReport, DescentCertificate
 from parapic.dynkin import (
     AffineType,
     FiniteType,
-    VertexInvolution,
     all_affine_types,
     parse_affine_type,
 )
@@ -40,7 +39,6 @@ def _point(label="x1"):
 #: class name -> (a factory of fresh equal instances, one field name)
 FROZEN = {
     "FiniteType": (lambda: FiniteType("A", 2), "rank"),
-    "VertexInvolution": (lambda: VertexInvolution(((0, 0), (1, 2), (2, 1))), "pairs"),
     "AffineType": (lambda: AffineType(FiniteType("A", 2), 2, A2_2.cartan, A2_2.dual_labels),
                    "twist"),
     "FiniteGroup": (lambda: FiniteGroup("C2", (IDENTITY, T12)), "elements"),
@@ -142,7 +140,6 @@ def test_defaults_and_conversions_are_kept():
     assert p.monodromy == IDENTITY and p.is_bad is False
     assert type(GroupDatum(0, C2_GROUP, [_point("x1"), _point("x2")]).points) is tuple
     assert RankResult(2, [("a", 2)]).derivation == (("a", 2),)
-    assert VertexInvolution(((1, 2), (2, 1)))(1) == 2
     assert WeightBundle((("x1", ((1, 1),)),)).weight("x1") == ((1, 1),)
 
 

@@ -187,6 +187,19 @@ def test_twisted_pair_unknowns():
         base_case_rank(no_types)
 
 
+def test_a_twisted_pair_vertex_off_its_type_matches_nothing():
+    # the involution is a tuple of vertex images: a vertex past its end
+    # or below 0 must not be read as some other vertex's image
+    a3 = (T("A3"),) * 2
+    for weights in ((((4, 1),), ((4, 1),)), (((-1, 1),), ((1, 1),)), (((-3, 1),), ((1, 1),))):
+        f = case("TwistedPair", (IDENTITY, IDENTITY), types=a3, weights=weights)
+        assert base_case_rank(f).value == 0, weights
+    f = case("TwistedPair", (T12, T12), types=(T("A3~2"),) * 2,
+             weights=(((3, 1),), ((3, 1),)))
+    with pytest.raises(UnknownRankError, match="order-2 pair weights"):
+        base_case_rank(f)
+
+
 def test_rank_lookup_by_shape_ignores_labels_and_repeats_unknowns():
     a4 = (T("A4"),) * 2
     dual = dict(types=a4, weights=(((1, 1),), ((4, 1),)))
