@@ -9,13 +9,14 @@ the search tested, the matching tests (existence tests, repairs of a
 kept matching and canonical pairings alike), the augmenting-path
 (blossom) searches they ran, the Descends certificates the search
 returned, the total `compute_cG` time, the data the staging rejected
-(no pinching: nothing built or certified) and the first candidates
-certified.  Times
-come from a second pass with nothing wrapped; the counts, which repeat
-exactly, from a first pass that wraps the three matching tests, the
-blossom search, the search's per-charge table filter (whose charges
-are the divisors tested), the staging, the search and `certify_descent`
-(which only first candidates go through).
+(no pinching: nothing built or certified), the first candidates
+certified and the pinch tables built (one per side; the staging builds
+the branch side's only when the split side passes).  Times come from a
+second pass with nothing wrapped; the counts, which repeat exactly,
+from a first pass that wraps the three matching tests, the blossom
+search, the search's per-charge table filter (whose charges are the
+divisors tested), the pinch-table builder, the staging, the search and
+`certify_descent` (which only first candidates go through).
 
     python scripts/c2_search.py [--data N] [--seed S]
 """
@@ -47,10 +48,10 @@ TESTS = ("perfect_matching", "pin", "first_perfect_matching")
 
 def counted_pass(data) -> list[Counter]:
     """Per datum: divisors tested, matching tests, blossom searches,
-    Descends certificates of the search, whether the staging rejected it
-    and first candidates certified."""
+    Descends certificates of the search, whether the staging rejected it,
+    first candidates certified and pinch tables built."""
     at_charge, certify, stage = descent._at_charge, descent.certify_descent, descent._c2_stage
-    search = descent._c2_search
+    search, options = descent._c2_search, descent._pinch_options
     tests, augment = {name: getattr(descent, name) for name in TESTS}, pairing._augment
     counts: Counter = Counter()
     charges: set[int] = set()
@@ -66,6 +67,10 @@ def counted_pass(data) -> list[Counter]:
             counts["tests"] += name != "pin" or counts["augments"] > before
             return out
         return call
+
+    def tabled(shapes):
+        counts["tables"] += 1
+        return options(shapes)
 
     def augmented(*args):
         counts["augments"] += 1
@@ -90,7 +95,7 @@ def counted_pass(data) -> list[Counter]:
         setattr(descent, name, tested(name, fn))
     pairing._augment, descent._at_charge = augmented, cut
     descent.certify_descent, descent._c2_stage = certified, staged
-    descent._c2_search = searched
+    descent._c2_search, descent._pinch_options = searched, tabled
     try:
         for d in data:
             counts.clear()
@@ -98,13 +103,14 @@ def counted_pass(data) -> list[Counter]:
             descent.compute_cG(d)
             out.append(Counter(tests=counts["tests"], augments=counts["augments"],
                                divisors=len(charges), certified=counts["certified"],
-                               rejected=counts["rejected"], first=counts["first"]))
+                               rejected=counts["rejected"], first=counts["first"],
+                               tables=counts["tables"]))
     finally:
         for name, fn in tests.items():
             setattr(descent, name, fn)
         pairing._augment, descent._at_charge = augment, at_charge
         descent.certify_descent, descent._c2_stage = certify, stage
-        descent._c2_search = search
+        descent._c2_search, descent._pinch_options = search, options
     return out
 
 
@@ -126,17 +132,18 @@ def main() -> None:
         row["ms"] += (time.perf_counter() - t0) * 1e3
     print(f"{args.data} seeded c2-search-shaped data (seed {args.seed})")
     print(f"{'tests':>9} {'data':>6} {'divisors':>8} {'tests':>8} {'augments':>8} "
-          f"{'certified':>9} {'time ms':>8} {'ms/datum':>9} {'rejected':>8} {'first':>6}")
+          f"{'certified':>9} {'time ms':>8} {'ms/datum':>9} {'rejected':>8} {'first':>6} "
+          f"{'tables':>6}")
     for (lo, hi), row in rows.items():
         span = f"{lo}" if lo == hi else f"{lo}+" if hi == BUCKETS[-1][1] else f"{lo}-{hi}"
         per = row["ms"] / row["data"] if row["data"] else 0.0
         print(f"{span:>9} {row['data']:>6} {row['divisors']:>8} {row['tests']:>8} "
               f"{row['augments']:>8} {row['certified']:>9} {row['ms']:>8.0f} {per:>9.3f} "
-              f"{row['rejected']:>8} {row['first']:>6}")
+              f"{row['rejected']:>8} {row['first']:>6} {row['tables']:>6}")
     total = sum(rows.values(), Counter())
     print(f"{'all':>9} {total['data']:>6} {total['divisors']:>8} {total['tests']:>8} "
           f"{total['augments']:>8} {total['certified']:>9} {total['ms']:>8.0f} {'':>9} "
-          f"{total['rejected']:>8} {total['first']:>6}")
+          f"{total['rejected']:>8} {total['first']:>6} {total['tables']:>6}")
 
 
 if __name__ == "__main__":

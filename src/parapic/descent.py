@@ -13,7 +13,8 @@ pairing charge with perfect-matching tests from :mod:`parapic.pairing`.
 """
 from __future__ import annotations
 
-import json
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .covers import (
@@ -277,6 +278,20 @@ def _certificate(b: WeightBundle, charge: int, witness: DecompositionWitness,
                               verdict=verdict, route=route)
 
 
+@lru_cache(maxsize=1024)
+def _shape_masks(t, facet) -> tuple[int, int]:
+    """A facet and its image under the type's pair involution, as bitmasks."""
+    return sum(1 << v for v in facet), sum(1 << t.involution[v] for v in facet)
+
+
+@lru_cache(maxsize=1024)
+def _choices(t, meet: int) -> tuple[tuple, frozenset]:
+    """The choices (v, v*, dual label of v) of a type at each vertex v of
+    the bitmask ``meet``, and their dual labels."""
+    opts = tuple((v, t.involution[v], t.dual_labels[v]) for v in t.vertices if meet >> v & 1)
+    return opts, frozenset(a for *_v, a in opts)
+
+
 def _pinch_options(shapes) -> tuple[dict, set]:
     """The pinchable pairs of one side of a C2 datum, with their choices.
 
@@ -288,56 +303,42 @@ def _pinch_options(shapes) -> tuple[dict, set]:
     or with no choice, are not pinchable and absent.  Returned with the
     dual labels of every choice.
 
-    Facets are bitmasks here, and the choices the meet of the first
-    facet with the second one's image under the involution.  Labels of
-    one shape (the pads, or points drawn alike) share an index, so each
-    pair of shape indices is worked out once per call and every other
-    pair of labels costs a lookup; the choices of one (type, meet) are
-    built once per call.  Types compare by a per-call index.
+    The choices are the meet of the first facet with the second one's
+    image, as bitmasks.  Labels of one shape (the pads, or points drawn
+    alike) share an index, so each pair of shape indices is worked out
+    once per call.  A shape's masks (`_shape_masks`) and the choices of
+    a (type, meet) (`_choices`) are memoized across calls, by value.
     """
     kinds: dict[tuple, int] = {}  # shape -> shape index
     kind = [kinds.setdefault(s, len(kinds)) for s in shapes]
-    types = [t for t, _facet in kinds]
-    type_ids: dict = {}  # type -> type index, so pairs compare integers
-    type_of = [type_ids.setdefault(t, len(type_ids)) for t in types]
-    masks = [sum(1 << v for v in facet) for _t, facet in kinds]
-    images = [sum(1 << t.involution[v] for v in facet) for t, facet in kinds]
-    built: dict[tuple, tuple] = {}
-    offered: set[int] = set()
-    pairs: dict[tuple[int, int], tuple] = {}
-    table = {}
+    info = [(t, *_shape_masks(t, facet)) for t, facet in kinds]
+    offered, pairs, table = set(), {}, {}  # pairs: shape index pair -> choices
     for j, kj in enumerate(kind):
         for i in range(j):
-            key = (kind[i], kj)
-            opts = pairs.get(key)
-            if opts is None:
-                meet, ti = masks[key[0]] & images[kj], type_of[kj]
-                if not meet or type_of[key[0]] != ti:
-                    opts = ()
-                elif (opts := built.get((ti, meet))) is None:
-                    t = types[kj]
-                    labels, inv = t.dual_labels, t.involution
-                    opts = built[ti, meet] = tuple((v, inv[v], labels[v])
-                                                  for v in range(meet.bit_length()) if meet >> v & 1)
-                    offered.update(a for *_v, a in opts)
+            if (opts := pairs.get(key := (kind[i], kj))) is None:
+                (ti, mask, _image), (tj, _mask, image) = info[key[0]], info[kj]
+                opts = ()
+                if (meet := mask & image) and (ti is tj or ti == tj):
+                    opts, labels = _choices(tj, meet)
+                    offered |= labels
                 pairs[key] = opts
             if opts:
                 table[i, j] = opts
     return table, offered
 
 
-def _pinch_tables(sides: Gsd2Sides):
-    """The branch labels and the (padded) split labels of a C2 datum,
-    each with its `_pinch_options` table and offered labels.  The tables
-    read a pad as a vacuum point, (``pad_type``, {0})."""
-    pad = (sides.pad_type, (0,))
+def _pinch_table(sides: Gsd2Sides, side) -> tuple:
+    """One side of a C2 datum (its padded split labels or its branch
+    labels) with its `_pinch_options` table and offered labels.  The
+    table reads a pad as a vacuum point, (``pad_type``, {0})."""
+    pad, points = (sides.pad_type, (0,)), sides.points
+    return (side, *_pinch_options([pad if (p := points.get(lab)) is None
+                                   else (p.affine_type, p.facet) for lab in side]))
 
-    def shape(lab):
-        p = sides.points.get(lab)
-        return pad if p is None else (p.affine_type, p.facet)
 
-    return tuple((side, *_pinch_options(list(map(shape, side))))
-                 for side in (sides.branch, sides.split))
+def _pinch_tables(sides: Gsd2Sides) -> tuple:
+    """`_pinch_table` of the split side, then of the branch side."""
+    return _pinch_table(sides, sides.split), _pinch_table(sides, sides.branch)
 
 
 def _object_text(obj) -> str:
@@ -353,33 +354,30 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
     ``table`` maps each usable pair (i, j) to its options, as the
     ((vertex, coefficient) at i, (vertex, coefficient) at j) they give;
     ``adj`` holds its edges as neighbour sets and ``mate`` one perfect
-    matching of them.  Each real label in sorted order keeps the first
-    object that leaves a perfect matching, and only the entries at that
-    label are restricted, their emptied edges dropped from ``adj``.  The
-    kept matching answers each object (`pin`): when the pair it holds at
-    the label still offers the object it stands, and otherwise one
-    `repair_matching` search decides.  So the first object that pair
-    offers is kept at the latest, and each object costs at most one
-    search.  Then the lowest remaining index takes the first partner,
-    by label JSON, that leaves one: `first_perfect_matching` with that
-    partner order, which pins each index to its partner with the same
-    repair step."""
-    table = dict(table)
+    matching of them; the search narrows all three.  Each real label in
+    sorted order maps, in one pass over its edges, each object to the
+    partners offering it, and pins itself to the partners of the first
+    object that leaves a perfect matching (`pin`: the kept matching
+    stands when its pair offers the object, else one `repair_matching`
+    search decides, so each object costs at most one search); kept
+    edges of several options are narrowed to that object.  Then the
+    lowest remaining index takes the first partner, by label JSON, that
+    leaves one: `first_perfect_matching` with that partner order."""
     weights = {}
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
-        at = [(j, (i, j), 0) if i < j else (j, (j, i), 1) for j in adj[i]]
-        choices = sorted({o[k] for _, e, k in at for o in table[e]}, key=_object_text)
-        for obj in choices:
-            kept = {e: [o for o in table[e] if o[k] == obj] for _, e, k in at}
-            if pin(adj, mate, i, {j for j, e, _ in at if kept[e]}):
+        partners: dict[tuple, set] = {}  # object -> the partners offering it
+        for j in adj[i]:
+            for o in table[i, j] if i < j else table[j, i]:
+                partners.setdefault(o[i > j], set()).add(j)
+        for obj in sorted(partners, key=_object_text):
+            if pin(adj, mate, i, partners[obj]):
                 break
-        for e, opts in kept.items():
-            if opts:
-                table[e] = opts
-            else:
-                del table[e]
+        for j in adj[i]:
+            e, k = ((i, j), 0) if i < j else ((j, i), 1)
+            if len(opts := table[e]) > 1:
+                table[e] = [o for o in opts if o[k] == obj]
         weights[side[i]] = (obj,)
-    texts = list(map(json.dumps, side))
+    texts = list(map(encode_basestring_ascii, side))
     pairs = first_perfect_matching(adj, key=texts.__getitem__)
     return weights, [(side[i], side[j]) for i, j in pairs]
 
@@ -409,25 +407,27 @@ def _staged_shadows(d) -> int:
 def _c2_stage(d):
     """The sides of a C2 datum (`_gsd2_sides`, with `_staged_shadows`
     pads) and their pinch tables (`_pinch_tables`), as (sides, tables),
-    when both sides have a perfect matching on them, split side first;
-    None when a side has none, or when the datum has no C2 sides
-    (`_gsd2_sides` raises DomainError).
+    when both sides have a perfect matching on them; None when a side
+    has none, or when the datum has no C2 sides (`_gsd2_sides` raises
+    DomainError).
 
     A pair has rank >= 1 only at an option of its table (a vacuum pair,
     a matched or a dual-matched one), so a C2 bundle can descend only
     along a pairing that is a perfect matching of both tables: when this
-    returns None, none does.  Each side's test only asks whether a
-    matching exists (`perfect_matching`), and a side whose default
-    pairing pinches every pair needs none."""
+    returns None, none does.  The split side, where most rejected data
+    fail, is built and tested first, and the branch side only after.
+    Each test only asks whether a matching exists (`perfect_matching`),
+    and a side whose default pairing pinches every pair needs none."""
     try:
         sides = _gsd2_sides(d.points, _staged_shadows(d))
     except DomainError:  # no cover, or pads of mixed base types
         return None
-    tables = _pinch_tables(sides)
-    if any(not _pinches_adjacent(side, table)
-           and perfect_matching(neighbours(len(side), table)) is None
-           for side, table, _ in reversed(tables)):
-        return None
+    tables = ()
+    for side in (sides.split, sides.branch):
+        side, table, _offered = staged = _pinch_table(sides, side)
+        if not _pinches_adjacent(side, table) and perfect_matching(neighbours(len(side), table)) is None:
+            return None
+        tables += (staged,)
     return sides, tables
 
 
@@ -465,14 +465,13 @@ def _c2_search(d, lower: int, below: int | None, staged=None) -> DescentCertific
         return None
     sides, tables = staged
     if _staged_shadows(d) < 2 * d.base_genus:
-        sides = _gsd2_sides(d.points, 2 * d.base_genus)
-        tables = _pinch_tables(sides)
+        tables = _pinch_tables(sides := _gsd2_sides(d.points, 2 * d.base_genus))
     top = lcm(*(a for *_rest, offered in tables for a in offered))
     for charge in range(lower, top + 1 if below is None else min(top + 1, below), lower):
         if top % charge:
             continue
         found = []
-        for side, table, _offered in reversed(tables):
+        for side, table, _offered in tables:
             table = _at_charge(table, charge)
             adj = neighbours(len(side), table)
             if (mate := perfect_matching(adj)) is None:

@@ -222,6 +222,30 @@ def c2_search_datum(r: random.Random, max_branch: int = 10) -> GroupDatum:
     return GroupDatum(r.randint(0, 1), C2_GROUP, tuple(pts))
 
 
+def c2_two_digit_datum(r: random.Random) -> GroupDatum:
+    """A C2 datum on an A9 to A17 base whose split points reach two-digit
+    vertices (A17 has vertices 0 to 17), where JSON text order and
+    numeric order of one vertex's weight disagree ("10" < "2").
+
+    2 to 6 branch points and 0 to 4 split points, genus 0 or 1.  Each
+    side draws facets of one to three vertices from a pool of three
+    random vertices and their images under the pair involution, so
+    most pairs are pinchable and points meet several choices.
+    """
+    base = FiniteType("A", r.randint(9, 17))
+    pts = []
+    for twist, mono, count in ((2, (2, 1, 3), 2 * r.randint(1, 3)),
+                               (1, IDENTITY, r.randint(0, 4))):
+        t = twisted_type(base, twist)
+        pool = sorted({w for v in r.sample(t.vertices, 3) for w in (v, t.involution[v])})
+        for _ in range(count):
+            facet = frozenset(r.sample(pool, r.randint(1, min(3, len(pool)))))
+            pts.append(PointDatum(f"p{len(pts) + 1}", t, facet, mono,
+                                  is_bad=(mono != IDENTITY or 0 not in facet)))
+    r.shuffle(pts)
+    return GroupDatum(r.randint(0, 1), C2_GROUP, tuple(pts))
+
+
 def random_small_datum(r: random.Random) -> GroupDatum:
     """Unramified datum with random small facets (for lattice ranks)."""
     n = r.randint(1, 4)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import datagen
 import oracles
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
-from parapic import descent
+from parapic import descent, dynkin
 from parapic.descent import DESCENDS, certify_descent, compute_cG
 from parapic.dynkin import all_affine_types, parse_affine_type
 from parapic.errors import (
@@ -835,6 +836,58 @@ def test_staging_rejects_no_datum_with_a_pinching():
             assert verdict != DESCENDS, d
             seen["off the tables"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_staging_builds_the_branch_table_only_past_the_split_side(monkeypatch):
+    # most rejected data fail on the split side, so it is built and tested
+    # first; a datum that passes gets the same tables as building both
+    calls, options = [], descent._pinch_options
+    monkeypatch.setattr(descent, "_pinch_options",
+                        lambda shapes: calls.append(len(shapes)) or options(shapes))
+    # 1* = 1 on D4, so s1 and s2 have no pinching
+    d = GroupDatum(0, C2_GROUP, (bad("b1", "D4~2", {1, 2}, T12), bad("b2", "D4~2", {1, 2}, T12),
+                                 bad("s1", "D4", {1}, IDENTITY), bad("s2", "D4", {3}, IDENTITY)))
+    assert descent._c2_stage(d) is None and calls == [2]
+    seen = collections.Counter()
+    for d in staging_soundness_data():
+        try:
+            sides = _gsd2_sides(d.points, descent._staged_shadows(d))
+        except DomainError:
+            continue
+        both = descent._pinch_tables(sides)
+        split, branch = (first_perfect_matching(neighbours(len(side), table)) is not None
+                         for side, table, _ in both)
+        calls.clear()
+        staged = descent._c2_stage(d)
+        if not split:
+            assert staged is None and calls == [len(sides.split)], d
+        elif not branch:
+            assert staged is None and calls == [len(sides.split), len(sides.branch)], d
+        else:
+            assert staged == (sides, both) and len(calls) == 2, d
+        seen[split, branch] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
+
+
+def test_pinch_memos_key_types_by_value():
+    # clearing the type memos (as perfbench's cold table build does)
+    # builds equal types anew; they hit the memo entries of the old ones
+    def corpus():
+        r = random.Random("c2-search:1")
+        return [datagen.c2_search_datum(r) for _ in range(300)]
+
+    first = corpus()
+    reports = [compute_cG(d).to_json() for d in first]
+    memos = (descent._shape_masks, descent._choices)
+    misses = [memo.cache_info().misses for memo in memos]
+    dynkin.twisted_type.cache_clear()
+    dynkin.parse_affine_type.cache_clear()
+    again = corpus()
+    old, new = first[0].points[0].affine_type, again[0].points[0].affine_type
+    assert old == new and old is not new
+    assert [compute_cG(d).to_json() for d in again] == reports
+    assert [memo.cache_info().misses for memo in memos] == misses
+    assert all(memo.cache_info().currsize <= 1024 for memo in memos)
 
 
 #: two ``D4~2`` branch points and one ``D4`` split point, by facets: the

@@ -293,6 +293,31 @@ def test_staged_sequence_matches_oracle_on_hand_built_data():
                       "split_pairing": []}
 
 
+def test_objects_sort_by_json_text_past_one_digit_vertices():
+    # A17's pair involution swaps 2 with 16 and 10 with 8, so s1 can take
+    # vertex 2 or 10, each at charge 1; as JSON text {"10": 1} comes
+    # first, though 2 < 10
+    d = _c2_datum(0, [("b1", True, {1}), ("b2", True, {1}),
+                      ("s1", False, {2, 10}), ("s2", False, {8, 16})], base="A17")
+    rep = compute_cG(d)
+    assert rep.certificate.bundle.weight("s1") == ((10, 1),)
+    assert '"s1": {"10": 1}, "s2": {"8": 1}' in rep.to_json()
+    assert least_candidate(d) == oracles.least_c2_candidate(d)
+
+
+def test_staged_sequence_matches_oracle_on_two_digit_vertices():
+    # the other C2 corpora keep to A3, A5, D4, D5 and E6, whose vertices
+    # have one digit, so numeric and JSON object order agree there
+    r = random.Random("two-digit vertices")
+    reached = two_digit = 0
+    for d in (datagen.c2_two_digit_datum(r) for _ in range(500)):
+        got = least_candidate(d)
+        assert got == oracles.least_c2_candidate(d), d
+        reached += got is not None
+        two_digit += got is not None and any(v >= 10 for w in got[1].values() for v in w)
+    assert reached >= 150 and two_digit >= 50, (reached, two_digit)
+
+
 def test_mixed_base_types_at_positive_genus_end_the_search(tmp_path, capsys):
     # no pad has the base type of every point, so at genus 1 no pairing
     # is searched and cg reports no certificate; genus 0 needs no pad

@@ -2,9 +2,10 @@
 
 Most use the package's public names only, so a trim of that API that
 breaks one of them fails here.  ``c2_search`` rebinds the C2 search,
-its matching tests, its per-charge table filter and ``certify_descent`` in
-``parapic.descent`` and the blossom search in ``parapic.pairing`` by
-name and call signature, so it runs here on a small corpus, and
+its matching tests, its pinch-table builder, its per-charge table filter
+and ``certify_descent`` in ``parapic.descent`` and the blossom search in
+``parapic.pairing`` by name and call signature, so it runs here on a
+small corpus, and
 ``startup`` launches two processes of each kind.
 ``report_digest`` runs on three data per corpus.  ``witness_sizes``
 times high genera and is left out.
