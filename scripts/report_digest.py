@@ -1,13 +1,16 @@
-"""One sha256 over the package's outputs on the benchmark corpora.
+"""Two sha256 digests over the package's outputs on the benchmark corpora.
 
 For each workload (c2-search: the first 3,000 data, iwahori-sweep: 1,500,
 big-witness: 600) and each of the benchmark seeds 1, 2 and 3, this feeds
-every datum through `compute_cG` and hashes the report's JSON, then, when
-the report has a certificate, the JSON of `certify_descent` on the datum
-and the certificate's bundle.  Last it hashes what `parapic dynkin info`
-prints, without and with `--json`, for every type of `all_affine_types`.
-It prints the hex digest and the number of certified reports, so two
-checkouts that write the same bytes print the same line.
+every datum through `compute_cG` and hashes the report's JSON into the
+`cg` digest, and, when the report has a certificate, the JSON of
+`certify_descent` on the datum and the certificate's bundle into the
+`descend` digest.  Last it hashes what `parapic dynkin info` prints,
+without and with `--json`, for every type of `all_affine_types` into
+the `cg` digest.  It prints the `cg` digest, the `descend` digest and
+the number of certified reports, so two checkouts that write the same
+bytes print the same line, and a change to one verb's output shows in
+its own field.
 
     python scripts/report_digest.py [--limit N]
 
@@ -36,8 +39,8 @@ WORKLOADS = (("c2-search", 3000), ("iwahori-sweep", 1500), ("big-witness", 600))
 SEEDS = (1, 2, 3)
 
 
-def digest(limit: int | None = None) -> tuple[str, int]:
-    h, certified = hashlib.sha256(), 0
+def digest(limit: int | None = None) -> tuple[str, str, int]:
+    h, descend, certified = hashlib.sha256(), hashlib.sha256(), 0
     for workload, size in WORKLOADS:
         for seed in SEEDS:
             n = size if limit is None else min(size, limit)
@@ -48,14 +51,14 @@ def digest(limit: int | None = None) -> tuple[str, int]:
                 cert = report.certificate
                 if cert is not None:
                     certified += 1
-                    h.update(certify_descent(d, cert.bundle).to_json().encode())
+                    descend.update(certify_descent(d, cert.bundle).to_json().encode())
     for t in all_affine_types():
         for extra in ([], ["--json"]):
             out = io.StringIO()
             with redirect_stdout(out):
                 main(["dynkin", "info", str(t), *extra])
             h.update(out.getvalue().encode())
-    return h.hexdigest(), certified
+    return h.hexdigest(), descend.hexdigest(), certified
 
 
 if __name__ == "__main__":
@@ -63,5 +66,4 @@ if __name__ == "__main__":
     p.add_argument("--limit", type=int, default=None,
                    help="at most N data per workload and seed")
     args = p.parse_args()
-    sha, certified = digest(args.limit)
-    print(sha, certified)
+    print(*digest(args.limit))

@@ -19,7 +19,7 @@ from .factorization import s3_reduce
 from .picard import _json_value
 from .verlinde import closed_form_A_log10, rank_closed_form_A, s3_level1_rank
 
-SCHEMA = 2
+SCHEMA = picard.OUTPUT_SCHEMA
 
 
 def _emit(args, payload, human: list[str]) -> str:

@@ -4,12 +4,14 @@
 weight bundle and applies the one-sided criterion: when the witness
 factors into pieces of known rank whose product is >= 1, the bundle
 descends.  The other verdict is always "Unknown" — nothing here ever
-asserts non-descent.  Every C2 datum takes the pair partition.
+asserts non-descent.  Every C2 datum takes the pair partition, paired
+by the bundle's weights (`pair_partition_gsd2`).
 
 `compute_cG` combines the divisor lower bound c_Delta with a search for
 the cheapest certified charge; the report carries an exact value only
-when the two coincide.  For degree-2 groups that search finds the least
-pairing charge with perfect-matching tests from :mod:`parapic.pairing`.
+when the two coincide.  For degree-2 groups off the vacuum path that
+search alone, with perfect-matching tests from :mod:`parapic.pairing`,
+finds the least pairing charge.
 """
 from __future__ import annotations
 
@@ -143,7 +145,7 @@ def _route_gsd1(d, b, charge) -> DecompositionWitness:
 def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
     sides = _gsd2_sides(d.points, 2 * d.base_genus)
     branch_pairs, split_pairs = pair_partition_gsd2(
-        sides, branch_pairing=branch_pairing, split_pairing=split_pairing)
+        sides, b, charge, branch_pairing=branch_pairing, split_pairing=split_pairing)
     return _pair_witness(sides, (*branch_pairs, *split_pairs), b, charge, d.base_genus)
 
 
@@ -248,7 +250,11 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
     1 untwisted, 2 pair partition, 3 scenario decomposition, 6 the S3
     rewriting engine.  A Descends verdict needs every factor rank known
     and a positive product; the criterion is sufficient only, so no
-    input yields "does not descend".
+    input yields "does not descend".  A C2 bundle gets Descends exactly when
+    each side has a pinching of rank-1 pairs under it, and the first
+    one in side order is its pairing; ``branch_pairing`` and
+    ``split_pairing`` (lists of label pairs) replace it only for the
+    benchmark's replay of a certificate's pairs.
     """
     charge = _reject_if_invalid(d, b)
     kind = d.gamma.kind
@@ -336,11 +342,6 @@ def _pinch_table(sides: Gsd2Sides, side) -> tuple:
                                    else (p.affine_type, p.facet) for lab in side]))
 
 
-def _pinch_tables(sides: Gsd2Sides) -> tuple:
-    """`_pinch_table` of the split side, then of the branch side."""
-    return _pinch_table(sides, sides.split), _pinch_table(sides, sides.branch)
-
-
 def _object_text(obj) -> str:
     """``{"v": n}``: the JSON a bundle writes for one point's single vertex."""
     return f'{{"{obj[0]}": {obj[1]}}}'
@@ -406,18 +407,16 @@ def _staged_shadows(d) -> int:
 
 def _c2_stage(d):
     """The sides of a C2 datum (`_gsd2_sides`, with `_staged_shadows`
-    pads) and their pinch tables (`_pinch_tables`), as (sides, tables),
-    when both sides have a perfect matching on them; None when a side
-    has none, or when the datum has no C2 sides (`_gsd2_sides` raises
-    DomainError).
+    pads) and the `_pinch_table` of its split side, then of its branch
+    side, as (sides, tables), when both sides have a perfect matching
+    on them; None when a side has none, or when the datum has no C2
+    sides (`_gsd2_sides` raises DomainError).
 
     A pair has rank >= 1 only at an option of its table (a vacuum pair,
     a matched or a dual-matched one), so a C2 bundle can descend only
     along a pairing that is a perfect matching of both tables: when this
     returns None, none does.  The split side, where most rejected data
-    fail, is built and tested first, and the branch side only after.
-    Each test only asks whether a matching exists (`perfect_matching`),
-    and a side whose default pairing pinches every pair needs none."""
+    fail, is built and tested first, and the branch side only after."""
     try:
         sides = _gsd2_sides(d.points, _staged_shadows(d))
     except DomainError:  # no cover, or pads of mixed base types
@@ -425,49 +424,59 @@ def _c2_stage(d):
     tables = ()
     for side in (sides.split, sides.branch):
         side, table, _offered = staged = _pinch_table(sides, side)
-        if not _pinches_adjacent(side, table) and perfect_matching(neighbours(len(side), table)) is None:
+        if perfect_matching(neighbours(len(side), table)) is None:
             return None
         tables += (staged,)
     return sides, tables
 
 
-def _pinches_adjacent(side, table) -> bool:
-    """Whether the default pairing of one side (adjacent labels) pinches
-    every pair it makes on its `_c2_stage` table.  A pair off the table
-    has rank 0 or unknown, so a bundle on a default pairing that does
-    not cannot descend.  Dropped pads change no answer: they pair with
-    one another after the real labels and the first pad."""
-    return all((i, i + 1) in table for i in range(0, len(side), 2))
+def _pad_pairs(pads) -> list[tuple[str, str]]:
+    """`first_perfect_matching` of pads that all pair with one another,
+    partners by label JSON: the first pad left takes the first other
+    one left by label JSON."""
+    by_text, taken, out = iter(sorted(pads, key=encode_basestring_ascii)), set(), []
+    for x in pads:
+        if x not in taken:
+            taken.add(x)
+            y = next(y for y in by_text if y not in taken)
+            taken.add(y)
+            out.append((x, y))
+    return out
 
 
-def _c2_search(d, lower: int, below: int | None, staged=None) -> DescentCertificate | None:
-    """The certificate of the least pairing candidate of a C2 datum whose
-    charge is less than ``below`` (any charge when it is None), or None.
-    ``staged`` is the datum's `_c2_stage`, made here when it is None;
-    when that dropped pads, the sides are split again with all 2g, as a
-    pairing names every pad.
+def _c2_search(d, lower: int) -> DescentCertificate | None:
+    """The certificate of the least pairing candidate of a C2 datum, or
+    None when it has none.
 
     Every option of a pinch table is a rank-1 pair, so the search asks
     for the least lcm of the chosen dual labels.  For each divisor c of
     the lcm L of the offered labels that ``lower`` divides, ascending,
-    the tables keep the options whose label divides c (`_at_charge`).
-    The first c at which both sides still have a perfect matching
-    (`perfect_matching`, which also gives one) is the least lcm, since
-    every lcm is a multiple of c_Delta; its least candidate in (bundle
-    JSON, pairing JSON) order comes from `_least_pinching`, which
-    carries that matching along, and each of its points has charge c.
-    Its matching tests number at most 2 tau(L) plus one repair per
-    object `_least_pinching` compares and one pairing test per side.
-    Its bundle and witness (`_pair_witness`) come from the kept options,
-    and `_certificate` computes the verdict on them.
+    the tables of `_c2_stage` keep the options whose label divides c
+    (`_at_charge`).  The first c at which both sides still have a
+    perfect matching (`perfect_matching`) is the least lcm, since every
+    lcm is a multiple of c_Delta.  `_least_pinching` gives its least
+    candidate in (bundle JSON, pairing JSON) order, each point of charge
+    c; `_pair_witness` and `_certificate` certify it.  Its matching tests
+    number at most 2 tau(L), plus one repair per object `_least_pinching`
+    compares and one pairing test per side.
+
+    A pairing names all 2g pads.  When the staging dropped some, its
+    pads stand for the first ones by label JSON, which are those the
+    real labels take (a table reads every pad alike), and the rest pair
+    by `_pad_pairs`, so the search costs the same at any genus.
     """
-    if staged is None and (staged := _c2_stage(d)) is None:
+    if (staged := _c2_stage(d)) is None:
         return None
-    sides, tables = staged
+    sides, ((split, *rest), branch) = staged
+    pads = ()
     if _staged_shadows(d) < 2 * d.base_genus:
-        tables = _pinch_tables(sides := _gsd2_sides(d.points, 2 * d.base_genus))
+        sides = _gsd2_sides(d.points, 2 * d.base_genus)
+        real = len(sides.points) - len(sides.branch)
+        pads = sorted(sides.split[real:], key=encode_basestring_ascii)
+        split = (*split[:real], *pads[:len(split) - real])
+    tables = (split, *rest), branch
     top = lcm(*(a for *_rest, offered in tables for a in offered))
-    for charge in range(lower, top + 1 if below is None else min(top + 1, below), lower):
+    for charge in range(lower, top + 1, lower):
         if top % charge:
             continue
         found = []
@@ -480,6 +489,10 @@ def _c2_search(d, lower: int, below: int | None, staged=None) -> DescentCertific
         else:
             (sw, split), (bw, branch) = (_least_pinching(side, table, sides.points, adj, mate)
                                          for side, table, adj, mate in found)
+            if pads:  # the pairs of a real label, then the pads they leave
+                split = [(x, y) for x, y in split if x in sides.points]
+                taken = {y for _x, y in split}
+                split += _pad_pairs([lab for lab in sides.split[real:] if lab not in taken])
             bundle = WeightBundle(tuple(sorted({**bw, **sw}.items())))
             witness = _pair_witness(sides, (*branch, *split), bundle, charge, d.base_genus)
             return _certificate(bundle, charge, witness, _ROUTES["C2"])
@@ -489,34 +502,27 @@ def _c2_search(d, lower: int, below: int | None, staged=None) -> DescentCertific
 def compute_cG(d: GroupDatum) -> CGReport:
     """Bracket the generator of the descending-charge lattice.
 
-    lower = c_Delta(d) divides every descending charge.  The search
-    certifies at most one first candidate: the charge-1 vacuum bundle
-    when every facet contains the special vertex (then c_Delta is 1 and
-    the c_Delta-charge constructor builds the same bundle), and that
-    constructor's bundle otherwise.  A C2 datum off the vacuum path is
-    staged first (`_c2_stage`): with no pinching nothing is built, and
-    its c_Delta bundle is built and certified only when its default
-    pairing pinches every adjacent pair, since otherwise it cannot
-    descend.  For degree-2 groups the search then takes the certificate
-    of the least pairing candidate (`_c2_search`), built there without
-    `certify_descent`, when that has a lower charge and descends.  The
+    lower = c_Delta(d) divides every descending charge.  When every
+    facet contains the special vertex, c_Delta is 1 and the search
+    certifies the charge-1 vacuum bundle first.  A C2 datum off that
+    path takes the certificate of its least pairing candidate
+    (`_c2_search`) alone, and so does one whose vacuum bundle does not
+    descend; any other datum certifies its c_Delta-charge bundle.  The
     certified charge, if any, is an upper bound in the divisibility
     order; `exact` is set when the two ends meet.
     """
     lower = c_delta(d)
-    best = staged = None
+    best = None
     if d.points:
         at_o, c2 = all(0 in p.facet for p in d.points), d.gamma.kind == "C2"
-        if c2 and not at_o and (staged := _c2_stage(d)) is None:
-            return CGReport(lower=lower, certified_charge=None, exact=None, certificate=None)
-        if staged is None or all(_pinches_adjacent(side, table) for side, table, _ in staged[1]):
+        if at_o or not c2:
             try:  # built dominant, of one positive charge: no check but certify_descent's
                 first = certify_descent(d, vacuum_bundle(d, 1) if at_o else cdelta_bundle(d))
                 best = first if first.verdict == DESCENDS else None
             except DomainError:  # no bundle of charge c_Delta, or no route
                 pass
-        if c2 and (best is None or best.charge > lower):
-            found = _c2_search(d, lower, None if best is None else best.charge, staged)
+        if c2 and best is None:
+            found = _c2_search(d, lower)
             if found is not None and found.verdict == DESCENDS:
                 best = found
     certified = best.charge if best is not None else None

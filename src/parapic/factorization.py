@@ -408,11 +408,52 @@ def _resolve_pairing(labels, pairing, what):
     return tuple(out)
 
 
-def pair_partition_gsd2(sides: Gsd2Sides, branch_pairing=None, split_pairing=None):
+def _first_pinching(labels, pads, points, bundle, pad_key):
+    """The first perfect matching, in side order, of one side's rank-1
+    pairs under ``bundle`` (pairs by first label), or None when it has none.
+
+    A pair has rank >= 1 exactly when both labels share one type and
+    carry single-vertex weights (v, c) and (v*, c) (`verlinde._table_rank`;
+    a vacuum pair is v = 0), so each key (type, v, c) is joined to its
+    dual key, and each label pairs with the earliest waiting label of
+    its dual key, or else waits.  The ``pads`` after the real ``labels``
+    are vacuum labels of ``pad_key``: the first may take a waiting label
+    of that key, and the others pair in turn."""
+    waiting: dict[tuple, list] = {}  # key -> the indices of its labels waiting for its dual
+    pairs, left = [None] * len(labels), 0  # pairs: each pair at its first label's index
+    for i, lab in enumerate(labels):
+        if len(w := bundle.weight(lab)) != 1:
+            return None
+        ((v, c),), t = w, points[lab].affine_type
+        if q := waiting.get((t, t.involution[v], c)):
+            j = q.pop(0)
+            pairs[j], left = (labels[j], lab), left - 1
+        else:
+            waiting.setdefault((t, v, c), []).append(i)
+            left += 1
+    if left:
+        key, (j, *_more) = next((key, q) for key, q in waiting.items() if q)
+        if left > 1 or not pads or key != pad_key:
+            return None
+        pairs[j], pads = (labels[j], pads[0]), pads[1:]
+    return (*filter(None, pairs), *zip(pads[::2], pads[1::2]))
+
+
+def pair_partition_gsd2(sides: Gsd2Sides, bundle, charge: int, branch_pairing=None,
+                        split_pairing=None):
     """A pinching of the two sides of a C2 datum, as (branch pairs, split
-    pairs) of labels: adjacent in side order by default; an explicit
-    pairing is a list of label pairs, a perfect matching of its side,
-    pads included."""
+    pairs) of labels: by default each side's `_first_pinching` under
+    ``bundle`` at ``charge``, or adjacent pairs in side order on both
+    sides when one has none.  An explicit pairing is a list of label
+    pairs, a perfect matching of its side, pads included; a side given
+    none beside it takes adjacent pairs."""
+    if branch_pairing is None and split_pairing is None:
+        real = len(sides.points) - len(sides.branch)
+        pinched = (_first_pinching(sides.branch, (), sides.points, bundle, None),
+                   _first_pinching(sides.split[:real], sides.split[real:], sides.points,
+                                   bundle, (sides.pad_type, 0, charge)))
+        if None not in pinched:
+            return pinched
     return (_resolve_pairing(sides.branch, branch_pairing, "branch"),
             _resolve_pairing(sides.split, split_pairing, "split"))
 

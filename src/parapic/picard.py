@@ -356,6 +356,8 @@ def cdelta_bundle(d: GroupDatum) -> WeightBundle:
 # JSON schema (versioned: "schema": 1)
 
 SCHEMA_VERSION = 1
+#: the schema of the CLI's ``--json`` payloads
+OUTPUT_SCHEMA = 2
 
 
 def _require(obj: dict, key: str, where: str):
@@ -490,10 +492,18 @@ _VERTEX_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def bundle_from_json(obj) -> WeightBundle:
+    """A bundle file's weights, or the bundle object of the certificate
+    in a ``cg --json`` or ``descend --json`` payload (`OUTPUT_SCHEMA`)."""
     if not isinstance(obj, dict):
         raise ParseError("bundle: expected a JSON object")
-    _check_schema(obj, "bundle")
-    raw = _require(obj, "weights", "bundle")
+    if _is_int(schema := obj.get("schema")) and schema == OUTPUT_SCHEMA:
+        cert = obj.get("certificate", obj)  # a cg payload holds its certificate
+        if not isinstance(cert, dict) or "bundle" not in cert:
+            raise ParseError("bundle: the payload holds no certificate bundle")
+        raw = cert["bundle"]
+    else:
+        _check_schema(obj, "bundle")
+        raw = _require(obj, "weights", "bundle")
     if not isinstance(raw, dict):
         raise ParseError("bundle: weights must be an object")
     weights: dict[str, dict[int, int]] = {}

@@ -6,11 +6,13 @@ product loops) rather than by calling into parapic internals, so a bug
 in the package cannot hide in its own oracle.  Three exceptions take one
 local fact each from the package: ``least_c2_candidate`` takes each
 pair's vertex sets and checks the sides, the search and the order built
-on them, ``c2_pair_witness`` takes each pair's rank and checks the
-witness built around it, and ``least_pinching_from_scratch`` takes the
-pairing engine's first perfect matching (itself checked against
-``perfect_matchings``, so its pins and repairs are too) and checks the
-kept matching the package's self-reduction carries instead.
+on them, ``c2_pair_witness`` takes each pair's rank (and, for its
+default pairing, the pairing engine's first perfect matching over the
+pairs of rank >= 1) and checks the witness built around it, and
+``least_pinching_from_scratch`` takes the pairing engine's first
+perfect matching (itself checked against ``perfect_matchings``, so its
+pins and repairs are too) and checks the kept matching the package's
+self-reduction carries instead.
 ``c2_candidate`` checks nothing: it reads a search certificate back
 into the shape of ``least_c2_candidate``.
 """
@@ -432,25 +434,50 @@ def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):
     """The schema-2 witness of a C2 pair partition and its rank bound,
     built pair by pair: one ``TwistedPair`` entry per pinched pair.
 
-    The sides are `c2_sides`; a pairing is adjacent in side order unless
-    given as label pairs.  A pad (a handle shadow or the ``_aux`` point)
-    carries the vacuum weight of ``charge``.  The bound is the product of
-    the pairs' ranks, None when one is unknown.
+    The sides are `c2_sides`.  With no pairing given, each side takes the
+    first perfect matching in side order (`first_perfect_matching`) of
+    the graph of its pairs that ``base_case_rank`` ranks >= 1, and both
+    sides take adjacent pairs when one side has none; a side not given
+    a pairing beside one that is takes adjacent pairs.  A pad (a handle
+    shadow or the ``_aux`` point) carries the vacuum weight of
+    ``charge``.  The bound is the product of the pairs' ranks, None when
+    one is unknown.
     """
     branch, split = c2_sides(d)
     points = {p.label: p for p in branch + split}
     real = {p.label for p in d.points}
 
-    def pairs(side, pairing):
-        if pairing is None:
-            return [(side[i].label, side[i + 1].label) for i in range(0, len(side), 2)]
-        return [tuple(pair) for pair in pairing]
-
     def weight(lab):
         return bundle.weight(lab) if lab in real else ((0, charge),)
 
+    def rank(x, y):
+        px, py = points[x], points[y]
+        try:
+            return base_case_rank(BaseCase(
+                kind="TwistedPair", elements=(px.monodromy, py.monodromy),
+                weights=(weight(x), weight(y)), labels=(x, y),
+                types=(px.affine_type, py.affine_type))).value
+        except UnknownRankError:
+            return None
+
+    def adjacent(side):
+        return [(side[i].label, side[i + 1].label) for i in range(0, len(side), 2)]
+
+    def pinching(side):
+        edges = [(i, j) for i, j in itertools.combinations(range(len(side)), 2)
+                 if (rank(side[i].label, side[j].label) or 0) >= 1]
+        found = first_perfect_matching(neighbours(len(side), edges))
+        return None if found is None else [(side[i].label, side[j].label) for i, j in found]
+
+    if branch_pairing is None and split_pairing is None:
+        pairs = [pinching(branch), pinching(split)]
+        if None in pairs:
+            pairs = [adjacent(branch), adjacent(split)]
+    else:
+        pairs = [adjacent(side) if pairing is None else [tuple(pair) for pair in pairing]
+                 for side, pairing in ((branch, branch_pairing), (split, split_pairing))]
     factors, bound = [], 1
-    for x, y in pairs(branch, branch_pairing) + pairs(split, split_pairing):
+    for x, y in pairs[0] + pairs[1]:
         px, py = points[x], points[y]
         factors.append({
             "kind": "TwistedPair",
@@ -459,13 +486,8 @@ def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):
             "weights": [{str(v): c for v, c in weight(lab)} for lab in (x, y)],
         })
         if bound is not None:
-            try:
-                bound *= base_case_rank(BaseCase(
-                    kind="TwistedPair", elements=(px.monodromy, py.monodromy),
-                    weights=(weight(x), weight(y)), labels=(x, y),
-                    types=(px.affine_type, py.affine_type))).value
-            except UnknownRankError:
-                bound = None
+            r = rank(x, y)
+            bound = None if r is None else bound * r
     steps = []
     if d.base_genus:
         steps.append({"op": "pinch-handles", "count": d.base_genus})

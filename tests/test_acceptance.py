@@ -260,7 +260,7 @@ def test_criterion_10_c2_pairing_search_at_40_points():
         # three points share only vertex 1, 37 only vertex 2: two odd
         # components, so no pairing is admissible
         blocked = datum(lambda i: {1} if i in (0, 13, 26) else {2})
-        assert _c2_search(blocked, 6, None) is None
+        assert _c2_search(blocked, 6) is None
         rep = compute_cG(blocked)
         assert (rep.lower, rep.certified_charge, rep.exact) == (6, None, None)
         # every pair shares two vertices; the odd points pair at vertex 1

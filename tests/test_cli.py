@@ -182,6 +182,52 @@ def test_descend(capsys, a2_files):
     )
 
 
+#: a genus-1 datum of four D5~2 branch points whose cg certificate pairs
+#: (p1, p4) and (p2, p3): its adjacent pairs are mismatched
+D5_GENUS_1 = {"schema": 1, "genus": 1, "group": "C2", "points": [
+    {"label": f"p{i}", "type": "D5~2", "facet": facet, "monodromy": "(12)", "bad": True}
+    for i, facet in enumerate(([0, 1, 3], [1, 2, 4], [0, 2, 3], [0, 3]), 1)]}
+
+
+def test_descend_reads_the_bundle_of_a_cg_or_descend_payload(capsys, tmp_path):
+    datum, report, replay = (tmp_path / name for name in ("d.json", "cg.json", "descend.json"))
+    datum.write_text(json.dumps(D5_GENUS_1))
+    code, out, _ = run(capsys, "cg", "--datum", str(datum), "--json")
+    assert code == 0
+    report.write_text(out)
+    cert = json.loads(out)["certificate"]
+    assert (cert["charge"], cert["bundle"]) == (
+        2, {"p1": {"0": 2}, "p2": {"2": 1}, "p3": {"2": 1}, "p4": {"0": 2}})
+    code, out, _ = run(capsys, "descend", "--datum", str(datum), "--bundle", str(report))
+    assert (code, out) == (0, "verdict: Descends\ncharge: 2\nrank bound: 1\n"
+                              "route: pair partition\n")
+    code, out, _ = run(capsys, "descend", "--datum", str(datum), "--bundle", str(report),
+                       "--json")
+    assert json.loads(out) == {**cert, "schema": 2}
+    replay.write_text(out)
+    code, again, _ = run(capsys, "descend", "--datum", str(datum), "--bundle", str(replay),
+                         "--json")
+    assert (code, again) == (0, out)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"certificate": None, "certified_charge": None, "exact": None, "lower": 1, "schema": 2},
+     "holds no certificate bundle"),
+    ({"certificate": {"charge": 2}, "schema": 2}, "holds no certificate bundle"),
+    ({"bundle": {"p1": {"0": 2}}, "schema": 3}, "unsupported schema 3"),
+    ({"bundle": {"p1": {"0": 2}}, "schema": True}, "unsupported schema True"),
+    ({"bundle": [["p1", 2]], "schema": 2}, "must be an object"),
+    ({"bundle": {"p1": {"0": 2.0}}, "schema": 2}, "must be an integer"),
+])
+def test_descend_refuses_a_payload_without_a_bundle(capsys, tmp_path, payload, message):
+    datum, bundle = tmp_path / "d.json", tmp_path / "b.json"
+    datum.write_text(json.dumps(D5_GENUS_1))
+    bundle.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "descend", "--datum", str(datum), "--bundle", str(bundle))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
+
 def test_cg_json(capsys, a2_files):
     datum, _ = a2_files
     code, out, _ = run(capsys, "cg", "--datum", datum, "--json")
@@ -474,7 +520,10 @@ PINNED_S3_TUPLES = ("(12),(12),(123),(132)", "(12),(23),(132)",
 #: recorded while reports were still built as dicts for ``json.dumps``;
 #: the ``c2-closed-form`` pair was re-recorded when the A-series closed
 #: form left certification, and checked against ``oracles.report_json``
-#: and ``oracles.certificate_dict``
+#: and ``oracles.certificate_dict``; the ``c2-search`` descend line again
+#: when the default C2 pairing became the first pinching of the bundle
+#: (Unknown on adjacent pairs, now Descends as its ``cg`` certificate
+#: does), and checked against ``oracles.c2_pair_witness``
 PINNED_CLI_DIGESTS = {
     ("cg", "readme"):
         "f3369a8ef269bcf08aceb1b9d1ce220ff3dd3a5ada1eae4c0ca9e5804ee3a133",
@@ -487,7 +536,7 @@ PINNED_CLI_DIGESTS = {
     ("cg", "c2-search"):
         "5f9e16824b42b6d1665a6cad5100cd53ec7288198f58e18731199e8361a57eff",
     ("descend", "c2-search"):
-        "98c29353b251c56f675a92e316f739f31cdbe7ffbd6ae61e185c78b73e2aebcf",
+        "d9cad59372506c8457bb338f67bda1b0689687593ef912f55a796edead5c69f6",
     ("cg", "c2-closed-form"):
         "5b2310f8e1b9338eaf9565348ccab0e65b0e644df77d3622e047ce4336451a74",
     ("descend", "c2-closed-form"):

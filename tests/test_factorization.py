@@ -28,7 +28,7 @@ from parapic.factorization import (
     s3_reduce,
     vacuum_weight,
 )
-from parapic.picard import GroupDatum, PointDatum, c_delta, vacuum_bundle
+from parapic.picard import GroupDatum, PointDatum, WeightBundle, c_delta, vacuum_bundle
 from parapic.verlinde import rank_lower_bound
 
 T = parse_affine_type
@@ -480,12 +480,16 @@ def test_witness_serialization_is_stable():
 # degree-2 pairing
 
 
-def partition(d, **pairings):
-    """``pair_partition_gsd2`` on the sides of ``d``, shadows included."""
-    return pair_partition_gsd2(_gsd2_sides(d.points, 2 * d.base_genus), **pairings)
+def partition(d, bundle=None, charge=1, **pairings):
+    """``pair_partition_gsd2`` on the sides of ``d``, shadows included,
+    under ``bundle`` (the charge-1 vacuum bundle by default)."""
+    bundle = vacuum_bundle(d, 1) if bundle is None else bundle
+    return pair_partition_gsd2(_gsd2_sides(d.points, 2 * d.base_genus), bundle, charge,
+                               **pairings)
 
 
 def test_pair_partition_default_adjacent():
+    # the vacuum pinches the adjacent pairs, so they are the first pinching
     d = GroupDatum(
         0,
         C2_GROUP,
@@ -534,6 +538,28 @@ def test_pair_partition_pads_odd_split_side():
     assert str(sides.pad_type) == "A3"  # untwisted common base
     _branch_pairs, split_pairs = partition(d)
     assert split_pairs == (("s1", sides.aux),)
+
+
+def test_pair_partition_default_is_the_first_pinching():
+    # b1 and b3 share vertex 1 (v* = v on A3~2), b2 and b4 the vacuum;
+    # s1 and s3 carry dual weights (1* = 3 on A3), s2 a vacuum; the first
+    # pinching pairs s1 with s3 and s2 with the first pad, and the other
+    # pads with one another
+    d = GroupDatum(1, C2_GROUP, (
+        bad("b1", "A3~2", {0, 1}, T12), bad("b2", "A3~2", {0}, T12), bad("b3", "A3~2", {1}, T12),
+        bad("b4", "A3~2", {0}, T12), good("s1", "A3", {0, 1}), good("s2", "A3", {0, 3}),
+        good("s3", "A3", {0, 3}),
+    ))
+    weights = {"b1": {1: 1}, "b2": {0: 1}, "b3": {1: 1}, "b4": {0: 1},
+               "s1": {1: 1}, "s2": {0: 1}, "s3": {3: 1}}
+    branch_pairs, split_pairs = partition(d, WeightBundle.from_dict(weights))
+    assert branch_pairs == (("b1", "b3"), ("b2", "b4"))
+    assert split_pairs == (("s1", "s3"), ("s2", "_handle1"), ("_handle2", "_aux1"))
+    # a side with no pinching: both sides keep their adjacent pairs
+    weights["s3"] = {0: 1}
+    branch_pairs, split_pairs = partition(d, WeightBundle.from_dict(weights))
+    assert branch_pairs == (("b1", "b2"), ("b3", "b4"))
+    assert split_pairs == (("s1", "s2"), ("s3", "_handle1"), ("_handle2", "_aux1"))
 
 
 def test_pair_partition_rejections():
@@ -586,7 +612,7 @@ def pinching_bound(d):
     """The charge of the C2 search's least candidate from charge 1 on:
     the least lcm of the chosen dual labels over every admissible pairing
     and vertex choice (None when no pairing is admissible)."""
-    found = descent._c2_search(d, 1, None)
+    found = descent._c2_search(d, 1)
     return None if found is None else found.charge
 
 

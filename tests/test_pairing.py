@@ -173,7 +173,7 @@ def _labels_offered(side, split):
 def least_candidate(d):
     """The least candidate of ``descent._c2_search`` at any charge, as
     ``oracles.least_c2_candidate`` gives it."""
-    cert = descent._c2_search(d, c_delta(d), None)
+    cert = descent._c2_search(d, c_delta(d))
     return None if cert is None else oracles.c2_candidate(cert)
 
 
@@ -201,11 +201,11 @@ def test_best_lcmai_bound_matches_oracle():
     assert seen >= 20
 
 
-def oracle_search(d, lower, below, staged=None):
+def oracle_search(d, lower):
     """``oracles.least_c2_candidate``, certified, in the shape of
-    ``descent._c2_search``; the staged tables are ignored."""
+    ``descent._c2_search``."""
     found = oracles.least_c2_candidate(d)
-    if found is None or (below is not None and found[0] >= below):
+    if found is None:
         return None
     _charge, weights, kwargs = found
     return certify_descent(d, WeightBundle.from_dict(weights), **kwargs)
@@ -220,9 +220,10 @@ def test_compute_cg_matches_exhaustive_search(monkeypatch):
     assert engine == [compute_cG(d).to_json() for d in data]
 
 
-def test_cdelta_bundle_gives_the_report_when_charge_one_is_out_of_reach(monkeypatch):
-    # 3^4 vertex choices per pairing, and charge 1 is out of reach, so the
-    # c_Delta bundle at charge 2 already gives the best report
+def test_the_search_alone_gives_the_report_when_charge_one_is_out_of_reach(monkeypatch):
+    # 3^4 vertex choices per pairing, and charge 1 is out of reach: the
+    # search's least candidate, at charge 2, is the report, and nothing
+    # goes through certify_descent
     pts = tuple(
         PointDatum(f"p{i}", parse_affine_type("E6~2"), frozenset({1, 2, 3}),
                    T12, is_bad=True)
@@ -232,10 +233,9 @@ def test_cdelta_bundle_gives_the_report_when_charge_one_is_out_of_reach(monkeypa
     counts = _counted(monkeypatch)
     rep = compute_cG(d)
     assert (rep.lower, rep.certified_charge, rep.exact) == (1, 2, None)
-    # the search finds no candidate below it, and its own least
-    # candidate has the same charge
-    assert counts["certified"] == 1
+    assert counts["certified"] == 0
     assert least_candidate(d)[0] == 2
+    assert rep.certificate.to_json() == descent._c2_search(d, 1).to_json()
 
 
 def test_staged_sequence_matches_oracle_on_seeded_data():
@@ -437,8 +437,8 @@ def test_matching_tests_stay_within_the_work_bound(monkeypatch):
         objects = sum(len(p.facet) for p in d.points)
         assert counts["tests"] <= 2 + 2 * 12 + objects + 2, d
         assert counts["most augments per repair"] <= 1, d
-        # the first candidate, then the least pairing candidate descends
-        assert counts["certified"] <= 2, d
+        # only a first candidate goes through certify_descent
+        assert counts["certified"] <= 1, d
         repairs += counts["repairs"]
     assert repairs >= 50
 
@@ -477,7 +477,7 @@ def test_every_search_candidate_descends_with_rank_bound_one():
         data += [datagen.c2_search_datum(r) for _ in range(200)]
     found = 0
     for d in data:
-        if (cert := descent._c2_search(d, c_delta(d), None)) is None:
+        if (cert := descent._c2_search(d, c_delta(d))) is None:
             continue
         _charge, _weights, kwargs = oracles.c2_candidate(cert)
         replay = certify_descent(d, cert.bundle, **kwargs)

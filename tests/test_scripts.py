@@ -1,9 +1,9 @@
 """The example scripts under ``scripts/`` still run.
 
 Most use the package's public names only, so a trim of that API that
-breaks one of them fails here.  ``c2_search`` rebinds the C2 search,
-its matching tests, its pinch-table builder, its per-charge table filter
-and ``certify_descent`` in ``parapic.descent`` and the blossom search in
+breaks one of them fails here.  ``c2_search`` rebinds the C2 staging and search,
+its matching tests, its pinch-table builder and its per-charge table
+filter in ``parapic.descent`` and the blossom search in
 ``parapic.pairing`` by name and call signature, so it runs here on a
 small corpus, and
 ``startup`` launches two processes of each kind.
@@ -65,6 +65,6 @@ def test_startup_times_fresh_processes_and_lists_module_self_times():
 
 def test_report_digest_repeats_its_line():
     out = run_script("report_digest", "--limit", "3")
-    sha, certified = out.split()
-    assert len(sha) == 64 and int(certified) >= 0
+    cg, descend, certified = out.split()
+    assert len(cg) == len(descend) == 64 and cg != descend and int(certified) >= 0
     assert run_script("report_digest", "--limit", "3") == out
