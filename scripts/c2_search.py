@@ -5,15 +5,14 @@ like the benchmark's c2-search workload (`datagen.c2_search_datum`: 2 to
 10 branch points, 0 to 3 split points, genus 0 or 1, small facets) and
 buckets the data by how many perfect-matching tests the staging and the
 search make.  Each row gives the data in the bucket, the divisors of L
-the search tested, the matching tests (existence tests, repairs of a
-kept matching and canonical pairings alike), the augmenting-path
-(blossom) searches they ran, the Descends certificates the search
-returned, the total `compute_cG` time, the data the staging rejected
+the search tested, the matching tests (existence tests and repairs of
+a kept matching alike), the augmenting-path (blossom) searches they
+ran, the Descends certificates the search returned, the total `compute_cG` time, the data the staging rejected
 (no pinching: nothing built or certified) and the pinch tables built
 (one per side; the staging builds the branch side's only when the split
 side passes).  A datum off the vacuum path takes the search's answer
 alone.  Times come from a second pass with nothing wrapped; the
-counts, which repeat exactly, from a first pass that wraps the three
+counts, which repeat exactly, from a first pass that wraps the two
 matching tests, the blossom search, the search's per-charge table
 filter (whose charges are the divisors tested), the pinch-table
 builder, the staging and the search.
@@ -43,7 +42,7 @@ def bucket_of(tests: int) -> tuple[int, int]:
 
 #: the matching tests `descent` calls, by the names it imports them as; a
 #: pin is a test only when it searches (its matched edge did not stand)
-TESTS = ("perfect_matching", "pin", "first_perfect_matching")
+TESTS = ("perfect_matching", "pin")
 
 
 def counted_pass(data) -> list[Counter]:

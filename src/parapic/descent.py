@@ -16,7 +16,6 @@ finds the least pairing charge.
 from __future__ import annotations
 
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .covers import (
@@ -60,7 +59,7 @@ from .picard import (
     vacuum_bundle,
     validate_bundle,
 )
-from .pairing import first_perfect_matching, neighbours, perfect_matching, pin
+from .pairing import neighbours, perfect_matching, pin
 from .values import Record
 from .verlinde import rank_lower_bound
 
@@ -143,16 +142,17 @@ def _route_gsd1(d, b, charge) -> DecompositionWitness:
 
 
 def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
-    sides = _gsd2_sides(d.points, 2 * d.base_genus)
+    return _pair_witness(_gsd2_sides(d.points, 2 * d.base_genus), b, charge, d.base_genus,
+                         branch_pairing, split_pairing)
+
+
+def _pair_witness(sides: Gsd2Sides, b: WeightBundle, charge: int, genus: int,
+                  branch_pairing=None, split_pairing=None) -> DecompositionWitness:
+    """One twisted-pair factor per label pair of `pair_partition_gsd2`
+    (the branch pairs, then the split pairs), where a pad (a label no
+    point has) is a vacuum point."""
     branch_pairs, split_pairs = pair_partition_gsd2(
         sides, b, charge, branch_pairing=branch_pairing, split_pairing=split_pairing)
-    return _pair_witness(sides, (*branch_pairs, *split_pairs), b, charge, d.base_genus)
-
-
-def _pair_witness(sides: Gsd2Sides, pairs, b: WeightBundle, charge: int,
-                  genus: int) -> DecompositionWitness:
-    """One twisted-pair factor per label pair (the branch pairs, then the
-    split pairs), where a pad (a label no point has) is a vacuum point."""
     w = DecompositionWitness()
     if genus:
         w.steps.append({"op": "pinch-handles", "count": genus})
@@ -172,7 +172,7 @@ def _pair_witness(sides: Gsd2Sides, pairs, b: WeightBundle, charge: int,
                         types=(pad_type, pad_type), multiplicity=len(labels) // 2)
 
     run: list[str] = []  # the labels of the pad pairs since the last real point
-    for x, y in pairs:
+    for x, y in (*branch_pairs, *split_pairs):
         if x not in points and y not in points:  # a pad pair
             run += (x, y)
             continue
@@ -347,10 +347,9 @@ def _object_text(obj) -> str:
     return f'{{"{obj[0]}": {obj[1]}}}'
 
 
-def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) -> tuple[dict, list]:
-    """The least candidate of one side: its points' weights (one
-    (vertex, coefficient) pair each), then its pairing, each least in
-    JSON order.
+def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) -> dict:
+    """The least weights of one side's points, one (vertex, coefficient)
+    pair each, in JSON order.
 
     ``table`` maps each usable pair (i, j) to its options, as the
     ((vertex, coefficient) at i, (vertex, coefficient) at j) they give;
@@ -361,9 +360,7 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
     object that leaves a perfect matching (`pin`: the kept matching
     stands when its pair offers the object, else one `repair_matching`
     search decides, so each object costs at most one search); kept
-    edges of several options are narrowed to that object.  Then the
-    lowest remaining index takes the first partner, by label JSON, that
-    leaves one: `first_perfect_matching` with that partner order."""
+    edges of several options are narrowed to that object."""
     weights = {}
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
         partners: dict[tuple, set] = {}  # object -> the partners offering it
@@ -378,9 +375,7 @@ def _least_pinching(side, table: dict, real, adj: list[set], mate: list[int]) ->
             if len(opts := table[e]) > 1:
                 table[e] = [o for o in opts if o[k] == obj]
         weights[side[i]] = (obj,)
-    texts = list(map(encode_basestring_ascii, side))
-    pairs = first_perfect_matching(adj, key=texts.__getitem__)
-    return weights, [(side[i], side[j]) for i, j in pairs]
+    return weights
 
 
 def _at_charge(table: dict, charge: int) -> dict:
@@ -430,23 +425,9 @@ def _c2_stage(d):
     return sides, tables
 
 
-def _pad_pairs(pads) -> list[tuple[str, str]]:
-    """`first_perfect_matching` of pads that all pair with one another,
-    partners by label JSON: the first pad left takes the first other
-    one left by label JSON."""
-    by_text, taken, out = iter(sorted(pads, key=encode_basestring_ascii)), set(), []
-    for x in pads:
-        if x not in taken:
-            taken.add(x)
-            y = next(y for y in by_text if y not in taken)
-            taken.add(y)
-            out.append((x, y))
-    return out
-
-
 def _c2_search(d, lower: int) -> DescentCertificate | None:
-    """The certificate of the least pairing candidate of a C2 datum, or
-    None when it has none.
+    """The certificate of the least bundle a pinching certifies for a C2
+    datum, or None when it has none.
 
     Every option of a pinch table is a rank-1 pair, so the search asks
     for the least lcm of the chosen dual labels.  For each divisor c of
@@ -454,27 +435,16 @@ def _c2_search(d, lower: int) -> DescentCertificate | None:
     the tables of `_c2_stage` keep the options whose label divides c
     (`_at_charge`).  The first c at which both sides still have a
     perfect matching (`perfect_matching`) is the least lcm, since every
-    lcm is a multiple of c_Delta.  `_least_pinching` gives its least
-    candidate in (bundle JSON, pairing JSON) order, each point of charge
-    c; `_pair_witness` and `_certificate` certify it.  Its matching tests
-    number at most 2 tau(L), plus one repair per object `_least_pinching`
-    compares and one pairing test per side.
-
-    A pairing names all 2g pads.  When the staging dropped some, its
-    pads stand for the first ones by label JSON, which are those the
-    real labels take (a table reads every pad alike), and the rest pair
-    by `_pad_pairs`, so the search costs the same at any genus.
+    lcm is a multiple of c_Delta.  `_least_pinching` gives each side's
+    least weights, each point of charge c; the matching tests number at
+    most 2 tau(L), plus one repair per object it compares.  The bundle
+    is certified as `certify_descent` certifies it, paired by
+    `pair_partition_gsd2` on sides with all 2g pads (`_pair_witness`),
+    so its certificate is the one ``descend`` writes for that bundle.
     """
     if (staged := _c2_stage(d)) is None:
         return None
-    sides, ((split, *rest), branch) = staged
-    pads = ()
-    if _staged_shadows(d) < 2 * d.base_genus:
-        sides = _gsd2_sides(d.points, 2 * d.base_genus)
-        real = len(sides.points) - len(sides.branch)
-        pads = sorted(sides.split[real:], key=encode_basestring_ascii)
-        split = (*split[:real], *pads[:len(split) - real])
-    tables = (split, *rest), branch
+    sides, tables = staged
     top = lcm(*(a for *_rest, offered in tables for a in offered))
     for charge in range(lower, top + 1, lower):
         if top % charge:
@@ -487,14 +457,13 @@ def _c2_search(d, lower: int) -> DescentCertificate | None:
                 break
             found.append((side, table, adj, mate))
         else:
-            (sw, split), (bw, branch) = (_least_pinching(side, table, sides.points, adj, mate)
-                                         for side, table, adj, mate in found)
-            if pads:  # the pairs of a real label, then the pads they leave
-                split = [(x, y) for x, y in split if x in sides.points]
-                taken = {y for _x, y in split}
-                split += _pad_pairs([lab for lab in sides.split[real:] if lab not in taken])
-            bundle = WeightBundle(tuple(sorted({**bw, **sw}.items())))
-            witness = _pair_witness(sides, (*branch, *split), bundle, charge, d.base_genus)
+            weights = {}
+            for side, table, adj, mate in found:
+                weights.update(_least_pinching(side, table, sides.points, adj, mate))
+            bundle = WeightBundle(tuple(sorted(weights.items())))
+            if _staged_shadows(d) < 2 * d.base_genus:
+                sides = _gsd2_sides(d.points, 2 * d.base_genus)
+            witness = _pair_witness(sides, bundle, charge, d.base_genus)
             return _certificate(bundle, charge, witness, _ROUTES["C2"])
     return None
 
@@ -505,7 +474,7 @@ def compute_cG(d: GroupDatum) -> CGReport:
     lower = c_Delta(d) divides every descending charge.  When every
     facet contains the special vertex, c_Delta is 1 and the search
     certifies the charge-1 vacuum bundle first.  A C2 datum off that
-    path takes the certificate of its least pairing candidate
+    path takes the certificate of its least pinched bundle
     (`_c2_search`) alone, and so does one whose vacuum bundle does not
     descend; any other datum certifies its c_Delta-charge bundle.  The
     certified charge, if any, is an upper bound in the divisibility

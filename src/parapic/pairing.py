@@ -11,27 +11,20 @@ of a known perfect matching, only i and j are exposed, and by Berge's
 theorem one search from i decides whether the smaller graph still has
 one: `repair_matching`.
 
-`first_perfect_matching` returns the first perfect matching of the
-plain recursion that pairs the lowest remaining vertex with each later
-remaining vertex in increasing order (or in the order of a key), or None
-when there is none.  Given one perfect matching, pinning the lowest
-vertex i to a partner j (dropping i's other edges) exposes at most i
-and its mate, so `repair_matching` decides whether the pinned graph
-still has one: `pin`, which restricts a vertex to any set of partners.
-So the lowest vertex takes the first partner that passes this test,
-with no backtracking: a graph with none costs the blossom searches of
-`perfect_matching`, and the first matching polynomial time.
+Given one perfect matching, restricting a vertex i to some of its
+partners (dropping i's other edges) exposes at most i and its mate, so
+`repair_matching` decides whether the restricted graph still has one:
+`pin`.  The C2 search fixes one point's weight at a time this way, so a
+graph with no perfect matching costs the blossom searches of
+`perfect_matching`, and each object a point tries at most one more.
 
 Graphs are neighbour lists or sets, ``adj[v]`` holding the neighbours
-of v; edges are pairs (i, j) with i != j; a matching in progress is the
-list of each vertex's mate (-1 when exposed), and a finished one a tuple
-of (i, j) pairs with i < j, ordered by i.
+of v; edges are pairs (i, j) with i != j; a matching is the list of
+each vertex's mate (-1 when exposed).
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-Matching = tuple[tuple[int, int], ...]
 
 
 def neighbours(n: int, edges: Iterable[tuple[int, int]]) -> list[set[int]]:
@@ -160,26 +153,3 @@ def _augment(adj, mate: list[int], root: int) -> bool:
                 queue.append(mate[to])
     return False
 
-
-def first_perfect_matching(adj: list[set[int]], key=None) -> Matching | None:
-    """The first perfect matching of the graph with neighbour sets ``adj``
-    in recursion order (lowest remaining vertex first, its partners in
-    increasing order, or in increasing ``key`` of the partner when a key
-    is given), or None when the graph has none.  The search pins edges
-    in ``adj``, so the caller hands over sets it no longer needs.
-
-    `perfect_matching` finds a start; then the lowest remaining vertex
-    takes, without backtracking, the first partner that still leaves
-    one, pinned to it for the rest of the search."""
-    order = [sorted(s, key=key) for s in adj]
-    if (mate := perfect_matching(order)) is None:
-        return None
-    for i in range(len(adj)):
-        if mate[i] < i:  # pinned to an earlier vertex
-            continue
-        # the later partners not pinned yet: a pinned one is matched below
-        # i; a vertex of degree 1 keeps its one edge in every perfect matching
-        for j in order[i]:
-            if j > i and mate[j] >= i and pin(adj, mate, i, {j}):
-                break
-    return tuple((i, j) for i, j in enumerate(mate) if i < j)

@@ -3,15 +3,16 @@
 Everything here is deliberately written from first principles (plain
 Gaussian elimination over Fraction, greedy Weyl-word descent, exhaustive
 product loops) rather than by calling into parapic internals, so a bug
-in the package cannot hide in its own oracle.  Three exceptions take one
-local fact each from the package: ``least_c2_candidate`` takes each
-pair's vertex sets and checks the sides, the search and the order built
-on them, ``c2_pair_witness`` takes each pair's rank (and, for its
-default pairing, the pairing engine's first perfect matching over the
-pairs of rank >= 1) and checks the witness built around it, and
-``least_pinching_from_scratch`` takes the pairing engine's first
-perfect matching (itself checked against ``perfect_matchings``, so its
-pins and repairs are too) and checks the kept matching the package's
+in the package cannot hide in its own oracle.  Four exceptions take one
+local fact each from the package: ``first_perfect_matching`` takes the
+pairing engine's existence test and pins (the tests check it against
+``perfect_matchings``, so its pins and repairs are checked too),
+``least_c2_candidate`` takes each pair's vertex sets and checks the
+sides, the search and the order built on them, ``c2_pair_witness``
+takes each pair's rank (and, for its default pairing,
+``first_perfect_matching`` over the pairs of rank >= 1) and checks the
+witness built around it, and ``least_pinching_from_scratch`` takes
+``first_perfect_matching`` and checks the kept matching the package's
 self-reduction carries instead.
 ``c2_candidate`` checks nothing: it reads a search certificate back
 into the shape of ``least_c2_candidate``.
@@ -28,8 +29,8 @@ from parapic.covers import IDENTITY
 from parapic.dynkin import twisted_type
 from parapic.errors import DomainError, UnknownRankError
 from parapic.factorization import BaseCase, pq_sets_for_points
-from parapic.pairing import first_perfect_matching, neighbours
-from parapic.picard import PointDatum
+from parapic.pairing import neighbours, perfect_matching, pin
+from parapic.picard import PointDatum, WeightBundle
 from parapic.verlinde import base_case_rank
 
 
@@ -275,6 +276,32 @@ def perfect_matchings(items):
             yield (pair,) + tail
 
 
+def first_perfect_matching(adj: list[set[int]], key=None):
+    """The first perfect matching of the graph with neighbour sets ``adj``
+    in recursion order (lowest remaining vertex first, its partners in
+    increasing order, or in increasing ``key`` of the partner when a key
+    is given), as a tuple of (i, j) pairs with i < j ordered by i, or
+    None when the graph has none.  The search pins edges in ``adj``, so
+    the caller hands over sets it no longer needs.
+
+    The package's `perfect_matching` finds a start; then the lowest
+    remaining vertex takes, without backtracking, the first partner that
+    still leaves one (the package's `pin`), pinned to it for the rest of
+    the search.  The tests check it against `perfect_matchings`."""
+    order = [sorted(s, key=key) for s in adj]
+    if (mate := perfect_matching(order)) is None:
+        return None
+    for i in range(len(adj)):
+        if mate[i] < i:  # pinned to an earlier vertex
+            continue
+        # the later partners not pinned yet: a pinned one is matched below
+        # i; a vertex of degree 1 keeps its one edge in every perfect matching
+        for j in order[i]:
+            if j > i and mate[j] >= i and pin(adj, mate, i, {j}):
+                break
+    return tuple((i, j) for i, j in enumerate(mate) if i < j)
+
+
 def c2_sides(d):
     """The branch side and the split side of a C2 datum, or None when it
     has an odd branch count, or mixed base types and a pad to place.
@@ -312,8 +339,9 @@ def c2_sides(d):
 def least_c2_candidate(d):
     """The least pairing candidate of a C2 datum, or None when no pairing
     is admissible: the minimal lcm of the chosen dual labels over every
-    perfect matching of both sides and every vertex choice, and the least
-    candidate of that charge by (bundle JSON, pairing JSON).
+    perfect matching of both sides and every vertex choice, the least
+    bundle of that charge by bundle JSON, and the pairing that
+    `c2_pair_witness` gives that bundle by default.
 
     Returns (charge, weights, kwargs) as the package's C2 search returns
     them.  Each pair's vertex sets come from the package; the sides
@@ -321,8 +349,8 @@ def least_c2_candidate(d):
     walk pairs the first remaining point with every other one and every
     vertex choice, memoized on the multiset of the remaining points'
     (shape, fixed object), so points of one shape are walked once.  The
-    least candidate is then fixed one choice at a time: each point's
-    object, then each pair, the least one the walk can still complete.
+    least bundle is then fixed one point at a time: each point's object
+    is the least one the walk can still complete.
     """
     sides = c2_sides(d)
     if sides is None:
@@ -406,28 +434,11 @@ def least_c2_candidate(d):
         objs = [(v, charge // labels[v]) for v in p.facet if charge % labels[v] == 0]
         next(o for o in sorted(objs, key=lambda o: json.dumps({str(o[0]): o[1]}))
              if fixable(p, o))
-    pairings = []
-    for split, side in enumerate(sides):
-        other = reach(1 - split, charge, state(1 - split, sides[1 - split]))
-        left, pairs, chosen = list(side), [], {1}
-        while left:
-            x, rest = left[0], left[1:]
-            for y in sorted(rest, key=lambda q: json.dumps(q.label)):
-                tail = [q for q in rest if q is not y]
-                ox, oy = fixed.get(x.label, ()), fixed.get(y.label, ())
-                labels = {a for vx, vy, a in choices(split, x, y)
-                          if charge % a == 0 and ox in ((), (vx, charge // a))
-                          and oy in ((), (vy, charge // a))}
-                if completes(chosen, labels, reach(split, charge, state(split, tail)), other):
-                    break
-            else:
-                raise AssertionError(f"no partner completes {x.label!r}")
-            chosen = lcms(chosen, labels)
-            pairs.append((x.label, y.label))
-            left = tail
-        pairings.append(pairs)
     weights = {lab: dict([obj]) for lab, obj in fixed.items()}
-    return charge, weights, {"branch_pairing": pairings[0], "split_pairing": pairings[1]}
+    witness, _bound = c2_pair_witness(d, WeightBundle.from_dict(weights), charge)
+    pairs = [tuple(f["labels"]) for f in witness["factors"]]
+    k = len(sides[0]) // 2
+    return charge, weights, {"branch_pairing": pairs[:k], "split_pairing": pairs[k:]}
 
 
 def c2_pair_witness(d, bundle, charge, branch_pairing=None, split_pairing=None):
@@ -536,16 +547,14 @@ def least_pinching_lcm(sides):
 
 
 def least_pinching_from_scratch(side, table, real):
-    """The least candidate of one C2 side, as (weights, pairing), with
-    every matching test solved from scratch.
+    """The least weights of one C2 side's real points, with every
+    matching test solved from scratch.
 
     ``table`` maps each usable pair (i, j), i < j, to its options, as the
     ((vertex, coefficient) at i, (vertex, coefficient) at j) they give,
     and has a perfect matching.  Each real label in sorted order keeps
     the least object, by its JSON, that leaves a perfect matching once
-    the pairs at that label keep only the options giving it; then the
-    pairing is the first perfect matching that tries partners in label
-    JSON order.
+    the pairs at that label keep only the options giving it.
     """
     table = dict(table)
     for i in sorted((i for i, lab in enumerate(side) if lab in real), key=side.__getitem__):
@@ -568,10 +577,7 @@ def least_pinching_from_scratch(side, table, real):
         for lab, v, c in ((side[i], vx, cx), (side[j], vy, cy)):
             if lab in real:
                 weights[lab] = {v: c}
-    texts = list(map(json.dumps, side))
-    pairs = first_perfect_matching(neighbours(len(side), table), key=texts.__getitem__)
-    return ({lab: weights[lab] for lab in sorted(weights)},
-            [(side[i], side[j]) for i, j in pairs])
+    return {lab: weights[lab] for lab in sorted(weights)}
 
 
 # ---------------------------------------------------------------------------

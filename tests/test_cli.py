@@ -574,3 +574,29 @@ def test_json_output_is_byte_identical_to_the_pinned_digests(capsys, tmp_path):
         assert code == 0, t
         got["reduce", t] = hashlib.sha256(out.encode()).hexdigest()
     assert got == PINNED_CLI_DIGESTS
+
+
+#: a genus-1 C2 datum with one real split point: its split side is p2,
+#: two handle shadows and the ``_aux`` pad, which pair in side order
+C2_GENUS_1_AUX = {"schema": 1, "genus": 1, "group": "C2", "points": [
+    {**_pt("p1", "D4~2", [0, 1, 2], "(12)"), "bad": True}, _pt("p2", "D4", [0, 1, 2]),
+    {**_pt("p3", "D4~2", [1], "(12)"), "bad": True}]}
+
+
+@pytest.mark.parametrize("datum_json", [PINNED_CLI_DATA["c2-search"][0], C2_GENUS_1_AUX],
+                         ids=["c2-search", "c2-genus-1-aux"])
+def test_descend_on_the_bundle_of_a_cg_payload_prints_its_certificate(capsys, tmp_path,
+                                                                      datum_json):
+    # the C2 search pairs the bundle it finds as certify_descent does, so
+    # descend on the cg payload prints that payload's certificate object
+    # (with the schema entry descend adds), byte for byte
+    datum, report = tmp_path / "d.json", tmp_path / "cg.json"
+    datum.write_text(json.dumps(datum_json))
+    code, out, _ = run(capsys, "cg", "--datum", str(datum), "--json")
+    assert code == 0
+    report.write_text(out)
+    cert = json.loads(out)["certificate"]
+    assert cert["verdict"] == "Descends"
+    code, again, _ = run(capsys, "descend", "--datum", str(datum), "--bundle", str(report),
+                         "--json")
+    assert (code, again) == (0, json.dumps({**cert, "schema": 2}, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
+from oracles import first_perfect_matching
 from parapic.covers import C2_GROUP, C3_GROUP, IDENTITY, S3_GROUP, TRIVIAL_GROUP
 from parapic import descent, dynkin
 from parapic.descent import DESCENDS, certify_descent, compute_cG
@@ -26,7 +27,7 @@ from parapic.errors import (
     UnknownRankError,
 )
 from parapic.factorization import BaseCase, _gsd2_sides
-from parapic.pairing import first_perfect_matching, neighbours
+from parapic.pairing import neighbours
 from parapic.verlinde import base_case_rank
 from parapic.picard import (
     GroupDatum,
@@ -326,13 +327,16 @@ def test_report_serialization():
 #: line each, recorded when the local lookups were memoized: any change
 #: of a report's bytes shows here.  ``iwahori-2`` and ``c2`` were
 #: re-recorded when the A-series closed form left certification, and
-#: checked against ``oracles.report_json``
+#: checked against ``oracles.report_json``; ``c2`` again when the C2
+#: search paired its bundle as ``certify_descent`` does (13 of the 60
+#: reports changed pairs, nothing else), and checked against
+#: ``oracles.c2_pair_witness`` and ``oracles.least_c2_candidate``
 PINNED_REPORT_DIGESTS = {
     "iwahori-1": "7d9c89d28f59409668a962c5675669383407627b81835f7dad445dba11bebd19",
     "iwahori-2": "01a2704eb30ac5255eea78bd9c1c8aa7a51600ed13a3ba7fb8edebedeafe4624",
     "iwahori-3": "1737ecd26f414eb2e7091b30bf329870b8b2c9409fac908630fe352a4678c002",
     "iwahori-6": "902d965eec47b9e2f1a37b2780c1b68418c1930e77e99a5b90f50eeb4deb849f",
-    "c2": "dec0119fabd8b952afa6089550f71f2f4b53ce0bb8756afaa214525a8e2a34f6",
+    "c2": "52eab42e673b853d98d66daec9ce4e7d28d12edabc82e65f8f8288cd6a0a8b53",
 }
 
 
@@ -486,12 +490,15 @@ def _json_or_error(call):
 #: against the ``oracles`` dict trees; the degree-2 certificates again
 #: when the default C2 pairing became the first pinching of the bundle
 #: (3 of the 100 turned from Unknown to Descends, the rest kept their
-#: bytes), and checked against ``oracles.c2_pair_witness``
+#: bytes), and checked against ``oracles.c2_pair_witness``; the degree-2
+#: reports again when the C2 search paired its bundle that way too (6
+#: of the 100 changed pairs, nothing else), checked against the same
+#: oracle and ``oracles.least_c2_candidate``
 PINNED_RANDOM_FACET_DIGESTS = {
     "cdelta-certificate-1": "103eeff0dc67f3d072e029ee3572477c6dd965588732239ae4cfc3fe8c16703d",
     "report-1": "d2b7ede56bbb982f480bcdf5611ce8b4c9455272013a288ac534fa94df6cf5a1",
     "cdelta-certificate-2": "05e5aefb22ead6985d744db1a16ae921f23cc6549366ba63af0f06b135d8665e",
-    "report-2": "41ec44e954b28161f9acc4270c5b8662359a6d3347b03426762481342a88d57e",
+    "report-2": "82dd07e2371d58f48cf2946ef679e644e4ff7190ca418565ebe8c8043b389723",
     "cdelta-certificate-3": "dc1553665075edf5c21e39c88581656254c2a8134a6dac43cfaac5706b02d5fc",
     "report-3": "fd238c97c413c573417ffa632c31c6be7d302214352d624fba9c84d01a050c0c",
     "cdelta-certificate-6": "a564c3b2fbefb76ab3d9819d80e53b8de265f2cf623030ca222ae25786ef9ebd",
@@ -517,9 +524,12 @@ def test_random_facet_reports_are_byte_identical_to_the_pinned_digests():
 #: again when a C2 datum off the vacuum path took its least pairing
 #: candidate alone: 12 of the 300 reports, whose c_Delta bundle had
 #: descended on adjacent pairs, now carry that candidate (the same
-#: bracket; its pads pair in label JSON order)
+#: bracket); and again when the search paired its bundle as
+#: ``certify_descent`` does: 83 reports changed pairs, nothing else,
+#: checked against ``oracles.c2_pair_witness`` and
+#: ``oracles.least_c2_candidate``
 PINNED_HIGH_GENUS_RANDOM_FACET_C2 = (
-    "51d635554cf70127a3013ddefb51e6f87bafdd60d4773e5ebffb350edf5d90b5")
+    "33c6e3c515174ffef78d2902f7a46f1d92a7cc356bef78814db8fe9eda3d77bf")
 
 
 def test_high_genus_random_facet_c2_reports_are_byte_identical_to_the_pinned_digest():
@@ -713,8 +723,8 @@ def test_default_c2_witness_is_the_first_pinching_of_the_oracle():
 
 def test_descend_replays_every_descends_certificate_of_cg():
     # certify_descent on the bundle of a certificate that compute_cG
-    # writes finds a pinching at the same charge; on a datum whose facets
-    # all hold o it writes the same certificate, byte for byte
+    # writes writes the same certificate, byte for byte: the C2 search
+    # pairs its bundle as certify_descent does
     stream = runpy.run_path(str(PERFBENCH / "corpus.py"))["stream"]
     r = random.Random(12345)
     data = [datagen.c2_search_datum(r) for _ in range(3000)]
@@ -726,11 +736,8 @@ def test_descend_replays_every_descends_certificate_of_cg():
     for d in data:
         if (cert := compute_cG(d).certificate) is None:
             continue
-        replay = certify_descent(d, cert.bundle)
-        assert (replay.verdict, replay.charge) == (DESCENDS, cert.charge), d
-        if all(0 in p.facet for p in d.points):
-            assert replay.to_json() == cert.to_json(), d
-            seen["at o"] += 1
+        assert certify_descent(d, cert.bundle).to_json() == cert.to_json(), d
+        seen["at o"] += all(0 in p.facet for p in d.points)
         seen[d.gamma.kind] += 1
     assert seen["C2"] >= 1500 and seen["at o"] >= 600, seen
 

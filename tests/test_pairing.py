@@ -1,8 +1,10 @@
 """The pairing engine against exhaustive oracles.
 
-The engine must return the first perfect matching the plain recursion
-lists, or None exactly when it lists none, and the C2 search built on it
-must reproduce the reports of the exhaustive walk over every matching.
+The reference first perfect matching built on the engine's existence
+test and pins (`oracles.first_perfect_matching`) must return the first
+matching the plain recursion lists, or None exactly when it lists none,
+and the C2 search built on the engine must reproduce the reports of the
+exhaustive walk over every matching.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import datagen
 import oracles
+from oracles import first_perfect_matching
 from parapic import descent, pairing
 from parapic.cli import main
 from parapic.covers import C2_GROUP
@@ -23,7 +26,7 @@ from parapic.descent import DESCENDS, certify_descent, compute_cG
 from parapic.dynkin import parse_affine_type
 from parapic.errors import DomainError
 from parapic.factorization import _gsd2_sides, pq_sets_for_points
-from parapic.pairing import first_perfect_matching, neighbours, perfect_matching, repair_matching
+from parapic.pairing import neighbours, perfect_matching, repair_matching
 from parapic.picard import GroupDatum, PointDatum, WeightBundle, c_delta
 
 T12 = (2, 1, 3)
@@ -286,7 +289,8 @@ def test_staged_sequence_matches_oracle_on_hand_built_data():
         got = least_candidate(d)
         assert got is not None, name
         assert got == oracles.least_c2_candidate(d), name
-    # every pairing gives the same bundle; the least pairing JSON wins
+    # every pairing gives the same bundle; the first pinching in side
+    # order pairs it
     _charge, weights, kwargs = least_candidate(HAND_BUILT["equal bundles"])
     assert weights == {f"p{i}": {2: 1} for i in range(6)}
     assert kwargs == {"branch_pairing": [("p0", "p1"), ("p2", "p3"), ("p4", "p5")],
@@ -397,13 +401,12 @@ def test_bracket_does_not_depend_on_the_presentation():
 
 
 def _counted(monkeypatch):
-    """Counters of the search's matching tests (existence tests, repairs
-    and canonical pairings alike), its repairs (the weight step's pins
-    that search), the blossom searches of its most searching repair, and
-    its certifications."""
+    """Counters of the search's matching tests (existence tests and
+    repairs alike), its repairs (the weight step's pins that search), the
+    blossom searches of its most searching repair, and its
+    certifications."""
     counts = collections.Counter()
-    for name, counter in (("perfect_matching", "tests"), ("first_perfect_matching", "tests"),
-                          ("certify_descent", "certified")):
+    for name, counter in (("perfect_matching", "tests"), ("certify_descent", "certified")):
         fn = getattr(descent, name)
         monkeypatch.setattr(descent, name, lambda *a, _fn=fn, _counter=counter, **k:
                             counts.update([_counter]) or _fn(*a, **k))
@@ -427,15 +430,14 @@ def _counted(monkeypatch):
 def test_matching_tests_stay_within_the_work_bound(monkeypatch):
     # 2 existence tests, 2 per divisor of L (at most tau(60) = 12), then
     # for the certified charge at most one repair per object a real point
-    # could take (at most one per facet vertex), each one blossom search,
-    # and one pairing test per side
+    # could take (at most one per facet vertex), each one blossom search
     counts = _counted(monkeypatch)
     repairs = 0
     for d in (*search_corpus()[:300], dense_forty_points()):
         counts.clear()
         compute_cG(d)
         objects = sum(len(p.facet) for p in d.points)
-        assert counts["tests"] <= 2 + 2 * 12 + objects + 2, d
+        assert counts["tests"] <= 2 + 2 * 12 + objects, d
         assert counts["most augments per repair"] <= 1, d
         # only a first candidate goes through certify_descent
         assert counts["certified"] <= 1, d
@@ -444,16 +446,15 @@ def test_matching_tests_stay_within_the_work_bound(monkeypatch):
 
 
 def test_least_pinching_matches_the_from_scratch_reference(monkeypatch):
-    # the kept matching changes only the work: each side's (weights,
-    # pairing) is the one the self-reduction gets with every matching
-    # test solved anew
+    # the kept matching changes only the work: each side's weights are
+    # the ones the self-reduction gets with every matching test solved
+    # anew
     least, compared = descent._least_pinching, []
 
     def both(side, table, real, adj, mate):
         want = oracles.least_pinching_from_scratch(side, table, real)
         got = least(side, table, real, adj, mate)
-        weights, pairs = got
-        assert ({lab: dict(w) for lab, w in weights.items()}, pairs) == want, (side, table)
+        assert {lab: dict(w) for lab, w in got.items()} == want, (side, table)
         compared.append(side)
         return got
 
@@ -470,7 +471,7 @@ def test_every_search_candidate_descends_with_rank_bound_one():
     # every pinch-table option is a rank-1 pair, so the one candidate
     # the search returns needs no second one behind it; its certificate,
     # built without certify_descent, is the one certify_descent gives
-    # its bundle and the pairings of its witness, byte for byte
+    # its bundle, byte for byte
     data = [*search_corpus(), dense_forty_points()]
     for seed in (1, 2, 3):
         r = random.Random(seed)
@@ -479,8 +480,7 @@ def test_every_search_candidate_descends_with_rank_bound_one():
     for d in data:
         if (cert := descent._c2_search(d, c_delta(d))) is None:
             continue
-        _charge, _weights, kwargs = oracles.c2_candidate(cert)
-        replay = certify_descent(d, cert.bundle, **kwargs)
+        replay = certify_descent(d, cert.bundle)
         assert (cert.verdict, cert.rank_bound) == (DESCENDS, 1), d
         assert cert.to_json() == replay.to_json() and cert == replay, d
         found += 1
