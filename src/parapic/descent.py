@@ -107,7 +107,10 @@ class CGReport(Record):
 
 def _reject_if_invalid(d: GroupDatum, b: WeightBundle) -> int:
     """Dominance and charge-lattice membership checks; returns the
-    common central charge."""
+    common central charge.  A bundle `vacuum_bundle` built for this very
+    datum was checked there, and returns the charge it recorded."""
+    if (checked := b._checked) is not None and checked[0] is d:
+        return checked[1]
     charges = validate_bundle(d, b)
     if not b.dominant:  # one pass over the entries; the points name the first offender
         for p in d.points:
@@ -149,9 +152,9 @@ def _route_gsd2(d, b, charge, branch_pairing=None, split_pairing=None):
 def _pair_witness(sides: Gsd2Sides, b: WeightBundle, charge: int, genus: int,
                   branch_pairing=None, split_pairing=None) -> DecompositionWitness:
     """One twisted-pair factor per label pair of `pair_partition_gsd2`
-    (the branch pairs, then the split pairs), where a pad (a label no
-    point has) is a vacuum point."""
-    branch_pairs, split_pairs = pair_partition_gsd2(
+    (the branch pairs, the split pairs, then the trailing pads two by
+    two), where a pad (a label no point has) is a vacuum point."""
+    branch_pairs, split_pairs, pads = pair_partition_gsd2(
         sides, b, charge, branch_pairing=branch_pairing, split_pairing=split_pairing)
     w = DecompositionWitness()
     if genus:
@@ -182,6 +185,7 @@ def _pair_witness(sides: Gsd2Sides, b: WeightBundle, charge: int, genus: int,
         (ex, wx, tx), (ey, wy, ty) = entry(x), entry(y)
         w.factors.append(BaseCase(kind=TWISTED_PAIR, elements=(ex, ey),
                                   weights=(wx, wy), labels=(x, y), types=(tx, ty)))
+    run += pads
     if run:
         w.factors.append(pad_run(run))
     return w
@@ -190,7 +194,9 @@ def _pair_witness(sides: Gsd2Sides, b: WeightBundle, charge: int, genus: int,
 def _route_gsd6(d, b, charge) -> DecompositionWitness:
     elements = [p.monodromy for p in d.points]
     labels = [p.label for p in d.points]
-    weight_map = {lab: b.weight(lab) for lab in labels}
+    # a checked bundle of positive charge weighs every point and nothing else;
+    # a shadow the route adds has none, and so takes the charge's vacuum
+    weight_map = b._index
     steps: list[dict] = []
     if d.base_genus >= 1:
         orders = [*map(perm_order, elements)]
@@ -204,10 +210,8 @@ def _route_gsd6(d, b, charge) -> DecompositionWitness:
             # a lone 3-cycle: one handle absorbs two conjugate copies,
             # completing an equal triple
             gamma = next(p for p in elements if perm_order(p) == 3)
-            for lab in free_labels(set(labels), "_handle", 2):
-                elements.append(gamma)
-                labels.append(lab)
-                weight_map[lab] = vacuum_weight(charge)
+            labels += free_labels(set(labels), "_handle", 2)
+            elements += (gamma, gamma)
             steps.append(
                 {"op": "pinch-handles", "count": d.base_genus,
                  "absorbed": element_name(gamma)}
@@ -248,9 +252,13 @@ def certify_descent(d: GroupDatum, b: WeightBundle, branch_pairing=None,
 
     Routing follows the generic splitting degree of the Galois group:
     1 untwisted, 2 pair partition, 3 scenario decomposition, 6 the S3
-    rewriting engine.  A Descends verdict needs every factor rank known
-    and a positive product; the criterion is sufficient only, so no
-    input yields "does not descend".  A C2 bundle gets Descends exactly when
+    rewriting engine.  The bundle must be dominant, of one positive
+    central charge across the points, and name only points of ``d`` and
+    vertices of their facets (`_reject_if_invalid`); `vacuum_bundle`
+    checked its own bundle for ``d`` when it built it.  A Descends
+    verdict needs every factor rank known and a positive product; the
+    criterion is sufficient only, so no input yields "does not
+    descend".  A C2 bundle gets Descends exactly when
     each side has a pinching of rank-1 pairs under it, and the first
     one in side order is its pairing; ``branch_pairing`` and
     ``split_pairing`` (lists of label pairs) replace it only for the
@@ -485,7 +493,7 @@ def compute_cG(d: GroupDatum) -> CGReport:
     if d.points:
         at_o, c2 = all(0 in p.facet for p in d.points), d.gamma.kind == "C2"
         if at_o or not c2:
-            try:  # built dominant, of one positive charge: no check but certify_descent's
+            try:  # vacuum_bundle checked its bundle; certify_descent checks cdelta_bundle's
                 first = certify_descent(d, vacuum_bundle(d, 1) if at_o else cdelta_bundle(d))
                 best = first if first.verdict == DESCENDS else None
             except DomainError:  # no bundle of charge c_Delta, or no route

@@ -237,7 +237,9 @@ def _verify(t: AffineType) -> None:
     for j in range(n):
         if sum(labels[i] * a[i][j] for i in range(n)) != 0:
             raise InvalidTypeError(f"{t}: dual labels are not a null covector")
-    if labels[0] != 1 or any(x < 1 or x > 6 for x in labels):
+    if labels[0] != 1:  # so a vacuum bundle's charge is its coefficient (`picard.vacuum_bundle`)
+        raise InvalidTypeError(f"{t}: dual label at o is {labels[0]}, not 1")
+    if any(x < 1 or x > 6 for x in labels):
         raise InvalidTypeError(f"{t}: dual labels out of range")
     if gcd(*labels) != 1:
         raise InvalidTypeError(f"{t}: dual labels not primitive")

@@ -307,18 +307,38 @@ class Gsd2Sides(NamedTuple):
         return self.split[-1] if (len(self.points) - len(self.branch)) % 2 else None
 
 
+#: the fewest names `free_labels` builds in one comprehension; a loop
+#: that tests each name is cheaper for fewer
+_BULK_NAMES = 16
+
+
 def free_labels(used, prefix: str, count: int) -> list[str]:
     """The first ``count`` labels ``{prefix}1``, ``{prefix}2``, ... that
     are not in ``used``: the names of handle shadows and auxiliary points,
-    kept clear of the datum's own labels."""
+    kept clear of the datum's own labels.  Many names (a C2 datum's 2g
+    shadows) are named in bulk (`_bulk_labels`), a few one at a time."""
+    if count >= _BULK_NAMES and count > len(used):
+        return _bulk_labels(used, prefix, count)
     out: list[str] = []
-    i = 1
-    while len(out) < count:
-        lab = f"{prefix}{i}"
-        if lab not in used:
-            out.append(lab)
+    i = 0
+    while count > 0:
         i += 1
+        if (lab := f"{prefix}{i}") not in used:
+            out.append(lab)
+            count -= 1
     return out
+
+
+def _bulk_labels(used, prefix: str, count: int) -> list[str]:
+    """`free_labels` for more names than ``used`` has labels: the names
+    are built in one comprehension, and only the labels of ``used`` that
+    begin with ``prefix`` are skipped.  There are at most that many, so
+    that many names past ``count`` leave enough.  (A function of its
+    own: a comprehension that reads ``prefix`` makes it a cell variable,
+    which slows the loop of `free_labels`.)"""
+    taken = {lab for lab in used if lab.startswith(prefix)}
+    names = [f"{prefix}{i}" for i in range(1, count + 1 + len(taken))]
+    return [lab for lab in names if lab not in taken][:count] if taken else names
 
 
 def handle_vacua(used, count: int, charge: int) -> list[BaseCase]:
@@ -410,7 +430,9 @@ def _resolve_pairing(labels, pairing, what):
 
 def _first_pinching(labels, pads, points, bundle, pad_key):
     """The first perfect matching, in side order, of one side's rank-1
-    pairs under ``bundle`` (pairs by first label), or None when it has none.
+    pairs under ``bundle``, or None when it has none: the pairs of real
+    labels or of a real label and the first pad, by first label, and
+    the pads left, which pair two by two in order.
 
     A pair has rank >= 1 exactly when both labels share one type and
     carry single-vertex weights (v, c) and (v*, c) (`verlinde._table_rank`;
@@ -436,26 +458,29 @@ def _first_pinching(labels, pads, points, bundle, pad_key):
         if left > 1 or not pads or key != pad_key:
             return None
         pairs[j], pads = (labels[j], pads[0]), pads[1:]
-    return (*filter(None, pairs), *zip(pads[::2], pads[1::2]))
+    return (*filter(None, pairs),), pads
 
 
 def pair_partition_gsd2(sides: Gsd2Sides, bundle, charge: int, branch_pairing=None,
                         split_pairing=None):
     """A pinching of the two sides of a C2 datum, as (branch pairs, split
-    pairs) of labels: by default each side's `_first_pinching` under
-    ``bundle`` at ``charge``, or adjacent pairs in side order on both
-    sides when one has none.  An explicit pairing is a list of label
-    pairs, a perfect matching of its side, pads included; a side given
-    none beside it takes adjacent pairs."""
+    pairs, trailing pads): label pairs, then the split side's last pad
+    labels, which pair two by two in order.  By default each side's
+    `_first_pinching` under ``bundle`` at ``charge``, or adjacent pairs
+    in side order on both sides when one has none.  An explicit pairing
+    is a list of label pairs, a perfect matching of its side, pads
+    included; a side given none beside it takes adjacent pairs.  Only
+    the first pinching leaves trailing pads, so that 2g pads take no
+    tuple each."""
     if branch_pairing is None and split_pairing is None:
         real = len(sides.points) - len(sides.branch)
-        pinched = (_first_pinching(sides.branch, (), sides.points, bundle, None),
-                   _first_pinching(sides.split[:real], sides.split[real:], sides.points,
-                                   bundle, (sides.pad_type, 0, charge)))
-        if None not in pinched:
-            return pinched
+        branch = _first_pinching(sides.branch, (), sides.points, bundle, None)
+        split = _first_pinching(sides.split[:real], sides.split[real:], sides.points,
+                                bundle, (sides.pad_type, 0, charge))
+        if branch is not None and split is not None:
+            return branch[0], *split
     return (_resolve_pairing(sides.branch, branch_pairing, "branch"),
-            _resolve_pairing(sides.split, split_pairing, "split"))
+            _resolve_pairing(sides.split, split_pairing, "split"), ())
 
 
 # ---------------------------------------------------------------------------

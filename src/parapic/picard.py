@@ -155,10 +155,12 @@ class WeightBundle(Value):
 
     ``entries`` is the whole value (equality, hashing, order), one per
     label; a label index built once per instance makes ``weight`` a
-    lookup.
+    lookup.  ``_checked`` is None, or (datum, charge) on a bundle that
+    `vacuum_bundle` built already checked for that datum (by identity).
     """
 
     _fields = ("entries",)
+    _checked: tuple | None = None
 
     def __init__(self, entries: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]):
         index = dict(entries)
@@ -264,7 +266,12 @@ def pic_delta_rank(d: GroupDatum) -> int:
 def vacuum_bundle(d: GroupDatum, charge: int = 1) -> WeightBundle:
     """The bundle with coefficient ``charge`` at the special vertex of
     every point (defined only when every facet contains o).  The entries
-    are those `WeightBundle.from_dict` makes, built directly."""
+    are those `WeightBundle.from_dict` makes, built directly.
+
+    Every type has dual label 1 at o (`dynkin._verify`), so for a
+    positive ``int`` charge the bundle is dominant with central charge
+    ``charge`` at every point, which is all `descent.certify_descent`
+    checks: it is built with ``_checked`` set to (``d``, ``charge``)."""
     if not _is_int(charge):
         raise DomainError(f"vacuum charge {charge!r} must be an integer")
     for p in d.points:
@@ -273,7 +280,10 @@ def vacuum_bundle(d: GroupDatum, charge: int = 1) -> WeightBundle:
                 f"point {p.label}: facet does not contain the special vertex"
             )
     weight = ((0, charge),) if charge else ()
-    return WeightBundle(tuple([(lab, weight) for lab in sorted([p.label for p in d.points])]))
+    b = WeightBundle(tuple([(lab, weight) for lab in sorted([p.label for p in d.points])]))
+    if type(charge) is int and charge > 0 and d.points:  # the charge a full check returns
+        setfield(b, "_checked", (d, charge))
+    return b
 
 
 def _suffix_reach(labels: list[int], limit: int) -> list[int]:

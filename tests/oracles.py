@@ -302,6 +302,17 @@ def first_perfect_matching(adj: list[set[int]], key=None):
     return tuple((i, j) for i, j in enumerate(mate) if i < j)
 
 
+def free_labels(used, prefix, count):
+    """The first ``count`` labels ``{prefix}1``, ``{prefix}2``, ... not in
+    ``used``, each named and tested in turn."""
+    out, i = [], 0
+    while len(out) < count:
+        i += 1
+        if f"{prefix}{i}" not in used:
+            out.append(f"{prefix}{i}")
+    return out
+
+
 def c2_sides(d):
     """The branch side and the split side of a C2 datum, or None when it
     has an odd branch count, or mixed base types and a pad to place.
@@ -316,13 +327,8 @@ def c2_sides(d):
     used = {p.label for p in d.points}
 
     def vacua(prefix, count):
-        out, i = [], 0
-        while len(out) < count:
-            i += 1
-            if f"{prefix}{i}" not in used:
-                out.append(PointDatum(f"{prefix}{i}", twisted_type(base, 1),
-                                      frozenset({0})))
-        return out
+        return [PointDatum(lab, twisted_type(base, 1), frozenset({0}))
+                for lab in free_labels(used, prefix, count)]
 
     bases = {p.affine_type.base for p in d.points}
     base = next(iter(bases)) if len(bases) == 1 else None

@@ -155,6 +155,52 @@ def test_route_s3_reduction():
     ]
 
 
+@pytest.mark.parametrize("gsd", sorted(datagen.IWAHORI_GENERATORS))
+def test_a_vacuum_bundle_records_the_charge_a_full_check_returns(gsd):
+    # vacuum_bundle checks its bundle as it builds it; a fresh copy of
+    # the entries records nothing, so certify_descent checks it in full
+    r = random.Random(f"vacuum record {gsd}")
+    gen = datagen.IWAHORI_GENERATORS[gsd]
+    for genus in (0, 1, 2):
+        for _ in range(15):
+            d = gen(r, genus)
+            for charge in (1, 2):
+                b = vacuum_bundle(d, charge)
+                fresh = WeightBundle(b.entries)
+                assert b._checked[0] is d and fresh._checked is None
+                assert b._checked[1] == descent._reject_if_invalid(d, fresh) == charge
+            report = compute_cG(d)
+            assert report.certified_charge == 1, d
+            b = report.certificate.bundle
+            assert b._checked == (d, 1)
+            assert (certify_descent(d, WeightBundle(b.entries)).to_json()
+                    == report.certificate.to_json())
+
+
+def test_a_vacuum_bundle_is_checked_again_for_any_other_datum(monkeypatch):
+    checks, validate = [], descent.validate_bundle
+    monkeypatch.setattr(descent, "validate_bundle",
+                        lambda d, b: checks.append(d) or validate(d, b))
+    d = datagen.iwahori_datum_gsd6(random.Random("vacuum record reuse"), 0)
+    b = vacuum_bundle(d, 1)
+    certify_descent(d, b)
+    assert checks == []
+    # an equal datum is another datum: the record is by identity
+    twin = GroupDatum(d.base_genus, d.gamma, d.points)
+    assert twin == d and certify_descent(twin, b).to_json() == certify_descent(d, b).to_json()
+    assert checks == [twin]
+    # a datum with other labels refuses the bundle
+    renamed = GroupDatum(d.base_genus, d.gamma, tuple(
+        PointDatum("q" + p.label, p.affine_type, p.facet, p.monodromy, p.is_bad)
+        for p in d.points))
+    with pytest.raises(DomainError, match="unknown point"):
+        certify_descent(renamed, b)
+    # a vacuum bundle of charge 0, or of no points, records nothing
+    assert vacuum_bundle(d, 0)._checked is None
+    empty = GroupDatum(1, TRIVIAL_GROUP, ())
+    assert vacuum_bundle(empty, 1)._checked is None
+
+
 # ---------------------------------------------------------------------------
 # rejections
 

@@ -145,6 +145,19 @@ def test_verify_refuses_a_pair_involution_that_breaks_a_defining_property(name, 
         _verify(built)
 
 
+def test_verify_refuses_a_dual_label_at_o_other_than_1():
+    # A2~2 numbered from its other end passes every other check
+    t = TYPE_BY_NAME["A2~2"]
+    assert t.dual_labels == (1, 2)
+    (a, b), (c, e) = t.cartan
+    flipped = AffineType(t.base, t.twist, ((e, c), (b, a)), (2, 1))
+    with pytest.raises(InvalidTypeError, match="dual label at o is 2, not 1"):
+        _verify(flipped)
+    # every type of the inventory has label 1 at o, so the charge of a
+    # vacuum bundle is its coefficient at every point
+    assert {t.dual_labels[0] for t in ALL_TYPES} == {1}
+
+
 def test_a2_even_twist_anchor():
     # the rank-1 twisted table, smallest member of its family
     t = TYPE_BY_NAME["A2~2"]

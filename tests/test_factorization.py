@@ -500,9 +500,7 @@ def test_pair_partition_default_adjacent():
             good("s2", "A3", {0, 3}),
         ),
     )
-    branch_pairs, split_pairs = partition(d)
-    assert branch_pairs == (("b1", "b2"),)
-    assert split_pairs == (("s1", "s2"),)
+    assert partition(d) == ((("b1", "b2"),), (("s1", "s2"),), ())
     assert _gsd2_sides(d.points).aux is None
 
 
@@ -517,8 +515,9 @@ def test_pair_partition_explicit_pairing():
             good("s2", "A3", {0, 3}),
         ),
     )
-    _branch_pairs, split_pairs = partition(d, split_pairing=[("s2", "s1")])
+    _branch_pairs, split_pairs, pads = partition(d, split_pairing=[("s2", "s1")])
     assert split_pairs == (("s2", "s1"),)
+    assert pads == ()  # an explicit pairing lists every pair
 
 
 def test_pair_partition_pads_odd_split_side():
@@ -536,15 +535,14 @@ def test_pair_partition_pads_odd_split_side():
     assert pads == (sides.aux,)
     assert sides.aux.startswith("_aux")
     assert str(sides.pad_type) == "A3"  # untwisted common base
-    _branch_pairs, split_pairs = partition(d)
-    assert split_pairs == (("s1", sides.aux),)
+    assert partition(d) == ((("b1", "b2"),), (("s1", sides.aux),), ())
 
 
 def test_pair_partition_default_is_the_first_pinching():
     # b1 and b3 share vertex 1 (v* = v on A3~2), b2 and b4 the vacuum;
     # s1 and s3 carry dual weights (1* = 3 on A3), s2 a vacuum; the first
-    # pinching pairs s1 with s3 and s2 with the first pad, and the other
-    # pads with one another
+    # pinching pairs s1 with s3 and s2 with the first pad, and leaves the
+    # other pads to pair with one another in order
     d = GroupDatum(1, C2_GROUP, (
         bad("b1", "A3~2", {0, 1}, T12), bad("b2", "A3~2", {0}, T12), bad("b3", "A3~2", {1}, T12),
         bad("b4", "A3~2", {0}, T12), good("s1", "A3", {0, 1}), good("s2", "A3", {0, 3}),
@@ -552,14 +550,13 @@ def test_pair_partition_default_is_the_first_pinching():
     ))
     weights = {"b1": {1: 1}, "b2": {0: 1}, "b3": {1: 1}, "b4": {0: 1},
                "s1": {1: 1}, "s2": {0: 1}, "s3": {3: 1}}
-    branch_pairs, split_pairs = partition(d, WeightBundle.from_dict(weights))
-    assert branch_pairs == (("b1", "b3"), ("b2", "b4"))
-    assert split_pairs == (("s1", "s3"), ("s2", "_handle1"), ("_handle2", "_aux1"))
-    # a side with no pinching: both sides keep their adjacent pairs
+    assert partition(d, WeightBundle.from_dict(weights)) == (
+        (("b1", "b3"), ("b2", "b4")), (("s1", "s3"), ("s2", "_handle1")), ("_handle2", "_aux1"))
+    # a side with no pinching: both sides keep their adjacent pairs, pads included
     weights["s3"] = {0: 1}
-    branch_pairs, split_pairs = partition(d, WeightBundle.from_dict(weights))
-    assert branch_pairs == (("b1", "b2"), ("b3", "b4"))
-    assert split_pairs == (("s1", "s2"), ("s3", "_handle1"), ("_handle2", "_aux1"))
+    assert partition(d, WeightBundle.from_dict(weights)) == (
+        (("b1", "b2"), ("b3", "b4")), (("s1", "s2"), ("s3", "_handle1"), ("_handle2", "_aux1")),
+        ())
 
 
 def test_pair_partition_rejections():
@@ -753,6 +750,27 @@ def test_free_labels_skip_used_names():
         "_aux2", "_aux4", "_aux5"
     ]
     assert free_labels(set(), "_handle", 0) == []
+
+
+#: labels a datum may use: names free_labels makes, and look-alikes it must not skip
+NAME_LIKE = ("_handle1", "_handle2", "_handle3", "_handle4", "_handle5", "_handle10",
+             "_aux1", "_handle٣", "_handle01", "_handle-1", "_handle 7", "ハンドル1",
+             "_handle", "_handle20000", "x", "b1")
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1, 2, 3, 16, 17, 10**4])
+def test_free_labels_match_the_one_by_one_oracle(count):
+    # the datum's own labels as a set (handle vacua) or a dict (C2 sides),
+    # from none to more than ``count``, so both ways of naming are taken
+    r = random.Random(f"free labels {count}")
+    for size in (0, 1, 2, 5, 20, 40):
+        for _ in range(4):
+            used = set(r.sample(NAME_LIKE, min(size, len(NAME_LIKE))))
+            used |= {f"p{i}" for i in range(size - len(used))}
+            for prefix in ("_handle", "_aux"):
+                want = oracles.free_labels(used, prefix, count)
+                assert free_labels(used, prefix, count) == want
+                assert free_labels(dict.fromkeys(used), prefix, count) == want
 
 
 def test_degenerate_gsd3_rejects_mod3_mismatch():

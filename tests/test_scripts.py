@@ -7,8 +7,9 @@ filter in ``parapic.descent`` and the blossom search in
 ``parapic.pairing`` by name and call signature, so it runs here on a
 small corpus, and
 ``startup`` launches two processes of each kind.
-``report_digest`` runs on three data per corpus.  ``witness_sizes``
-times high genera and is left out.
+``report_digest`` runs on three data per corpus, and ``ab_trees`` times
+this checkout against itself on a few data.  ``witness_sizes`` times
+high genera and is left out.
 """
 from __future__ import annotations
 
@@ -68,3 +69,15 @@ def test_report_digest_repeats_its_line():
     cg, descend, certified = out.split()
     assert len(cg) == len(descend) == 64 and cg != descend and int(certified) >= 0
     assert run_script("report_digest", "--limit", "3") == out
+
+
+def test_ab_trees_times_a_checkout_against_itself():
+    root = str(SCRIPTS.parent)
+    out = run_script("ab_trees", root, root, "--data", "6", "--rounds", "2", "--chunk", "3")
+    head, ratios, rounds = out.splitlines()
+    assert head == ("big-witness seed 1: 6 data, 2 rounds, chunks of 3; "
+                    "every report byte-identical")
+    # "base / change time per round: median M  Q1 A  Q3 B"
+    _, med, _, q1, _, q3 = ratios.split(":")[1].split()
+    assert 0 < float(q1) <= float(med) <= float(q3)
+    assert rounds.startswith("median round: base ")
